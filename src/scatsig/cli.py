@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,34 +42,6 @@ class ConfigError(ValueError):
     """Invalid command-line or configuration-file input."""
 
 
-_DEFAULTS = {
-    "k": 1.0,
-    "scene": {"layers": [{"r": 1.0, "n_re": 2.0, "n_im": 0.0}]},
-    "B": 1.0,
-    "quad": "16x32",
-    "noise": 0.0,
-    "seed": 1,
-    "alpha": "auto",
-    "grid": None,
-    "rect": None,
-    "out": ".",
-    "kind": "electric",
-    "s_kind": "CURL_CURL",
-    "lam": 2.0,
-    "lmax": 4,
-    "z_count": 10,
-    "z_radius": 0.5,
-    "z_seed": 7,
-    "delta_n": 0.01,
-    "rc": None,
-    "k1": None,
-    "n_lo": None,
-    "n_hi": None,
-    "herglotz": False,
-    "floor": 1e-6,
-    "prominence": 2.0,
-}
-
 _GRID_DEFAULTS = {
     "tev-scan": (0.5, 4.0, 0.02),
     "phase-track": (0.5, 4.0, 0.02),
@@ -80,12 +52,16 @@ _GRID_DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    """Resolved parameters of one CLI invocation."""
+    """Resolved parameters of one CLI invocation.
+
+    The field defaults are the CLI defaults; every field after
+    ``command`` and ``which`` is also a config-file key.
+    """
 
     command: str
     which: str | None = None
     k: float = 1.0
-    scene: MediumSpec = None
+    scene: MediumSpec = MediumSpec.ball(1.0, 2.0)
     B: float = 1.0
     quad: str = "16x32"
     noise: float = 0.0
@@ -245,7 +221,8 @@ def _build_parser():
 def parse_config(argv=None):
     """Merge CLI flags over the optional config file over defaults."""
     ns = _build_parser().parse_args(argv)
-    merged = dict(_DEFAULTS)
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("command", "which")}
+    merged = dict(defaults)
     if ns.config:
         with open(ns.config, "r") as fh:
             text = fh.read()
@@ -256,10 +233,10 @@ def parse_config(argv=None):
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         for key in file_cfg:
-            if key not in _DEFAULTS:
+            if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
         merged.update(file_cfg)
-    for key in _DEFAULTS:
+    for key in defaults:
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
             merged[key] = flag_val
@@ -289,13 +266,8 @@ def parse_config(argv=None):
     elif isinstance(merged["rect"], list):
         merged["rect"] = tuple(merged["rect"])
     _parse_quad(merged["quad"])  # validate early
-    scene = _load_scene(merged["scene"])
-    cfg = RunConfig(
-        command=ns.command,
-        which=getattr(ns, "which", None),
-        scene=scene,
-        **{key: merged[key] for key in _DEFAULTS if key != "scene"},
-    )
+    merged["scene"] = _load_scene(merged["scene"])
+    cfg = RunConfig(command=ns.command, which=getattr(ns, "which", None), **merged)
     if cfg.noise < 0:
         raise ConfigError("noise level must be >= 0")
     return cfg
@@ -311,29 +283,9 @@ def _config_line(cfg):
 
 
 def export_csv(table, path):
-    """Write (header, rows) as CSV: 17 significant digits, LF endings.
-
-    Floats are rendered with repr-exact precision; strings pass through;
-    a leading list of comment lines may precede the header.
-    """
+    """Write (header, rows, comments) as CSV text (see ffop.csv_text)."""
     header, rows, comments = table
-    lines = list(comments)
-    lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(f"{float(v):.16e}")
-        lines.append(",".join(cells))
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write {path!r}: {e}") from e
+    _write_text(ffop.csv_text(header, rows, comments), path)
 
 
 def _write_text(text, path):
@@ -396,9 +348,7 @@ def _run_stekloff_scan(cfg):
         lam_grid = re_ax[None, :] + 1j * im_ax[:, None]
     else:
         lo, hi, step = cfg.grid or _GRID_DEFAULTS["stekloff-scan"]
-        count = int(round((hi - lo) / step)) + 1
-        lam_grid = lo + step * np.arange(count)
-        lam_grid = lam_grid[lam_grid <= hi + 1e-12 * max(1.0, abs(hi))]
+        lam_grid = spectra.grid_points(lo, hi, step)
     result = scan.stekloff_scan(
         cfg.scene, cfg.B, cfg.k, lam_grid, quad, _zs_of(cfg),
         scan.TikhonovConfig(cfg.alpha), s_kind=cfg.s_kind,

@@ -34,6 +34,7 @@ _KIND_CODE = {name: i for i, name in enumerate(KINDS)}
 
 _FFOP_MAGIC = b"FFOP"
 _FFOP_VERSION = 1
+_FFOP_HEADER = "<4sIBddQII"
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,25 +173,31 @@ class FarFieldMatrix:
         Equals the largest singular value of W^(1/2) A W^(-1/2); cached.
         """
         if self._norm_cache is None:
-            w = self.weight_vector()
-            sq = np.sqrt(w)
-            B = (sq[:, None] * self.matrix) / sq[None, :]
-            v = np.ones(B.shape[0], dtype=complex) / np.sqrt(B.shape[0])
-            s = 0.0
-            for _ in range(200):
-                y = B.conj().T @ (B @ v)
-                ny = np.linalg.norm(y)
-                if ny == 0.0:
-                    s = 0.0
-                    break
-                s_new = np.sqrt(ny)
-                v = y / ny
-                if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
-                    s = s_new
-                    break
-                s = s_new
-            self._norm_cache = float(s)
+            sq = np.sqrt(self.weight_vector())
+            self._norm_cache = spectral_norm((sq[:, None] * self.matrix) / sq[None, :])
         return self._norm_cache
+
+
+def spectral_norm(mat):
+    """Largest singular value of a dense matrix by power iteration.
+
+    The start vector is fixed, so the result is deterministic; the
+    iteration stops once two successive estimates agree to 1e-12
+    (relative above 1, absolute below), or after 200 steps.
+    """
+    v = np.ones(mat.shape[1], dtype=complex) / np.sqrt(mat.shape[1])
+    s = 0.0
+    for _ in range(200):
+        y = mat.conj().T @ (mat @ v)
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            return 0.0
+        s_new = np.sqrt(ny)
+        v = y / ny
+        if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
+            return float(s_new)
+        s = s_new
+    return float(s)
 
 
 @lru_cache(maxsize=32)
@@ -320,7 +327,7 @@ def save_ffop(A, path):
     matrix entries row-major with interleaved (re, im) f64 pairs.
     """
     header = struct.pack(
-        "<4sIBddQII",
+        _FFOP_HEADER,
         _FFOP_MAGIC,
         _FFOP_VERSION,
         _KIND_CODE[A.kind],
@@ -347,15 +354,28 @@ def load_ffop(path):
 
     Scene metadata is not part of the format, so medium/ball come back
     as None; the quadrature is reconstructed from the stored geometry.
+    A file that is truncated, carries trailing bytes, or holds an
+    unknown magic, version or kind raises ValueError naming the cause.
     """
-    hdr_size = struct.calcsize("<4sIBddQII")
     with open(path, "rb") as fh:
         raw = fh.read()
-    magic, version, kind_code, k, eps, seed, n_q, t = struct.unpack("<4sIBddQII", raw[:hdr_size])
+    hdr_size = struct.calcsize(_FFOP_HEADER)
+    if len(raw) < hdr_size:
+        raise ValueError(f"truncated far field operator file: {len(raw)} bytes, "
+                         f"the header alone needs {hdr_size}")
+    magic, version, kind_code, k, eps, seed, n_q, t = struct.unpack_from(_FFOP_HEADER, raw)
     if magic != _FFOP_MAGIC:
         raise ValueError(f"not a far field operator file: bad magic {magic!r}")
     if version != _FFOP_VERSION:
         raise ValueError(f"unsupported file version {version}")
+    if kind_code >= len(KINDS):
+        raise ValueError(f"unknown operator kind code {kind_code}")
+    # nodes, weights, e1, e2 (10 values per node), then the complex matrix
+    size = hdr_size + 8 * (10 * n_q + 2 * (2 * n_q) ** 2)
+    if len(raw) != size:
+        cause = "truncated" if len(raw) < size else "trailing bytes in"
+        raise ValueError(f"{cause} far field operator file: {len(raw)} bytes, "
+                         f"the header for {n_q} nodes implies {size}")
     off = hdr_size
     def take(count):
         nonlocal off
@@ -370,3 +390,23 @@ def load_ffop(path):
     mat = (flat[0::2] + 1j * flat[1::2]).reshape(2 * n_q, 2 * n_q)
     quad = SphereQuadrature(kind="CUSTOM", order=0, nodes=nodes, weights=weights, e1=e1, e2=e2, t=t)
     return FarFieldMatrix(mat, KINDS[kind_code], k, quad, noise_eps=eps, seed=seed)
+
+
+def csv_text(header, rows, comments=()):
+    """CSV text: comment lines, a header row, then one line per row.
+
+    Strings pass through, integers print as integers, and every other
+    cell is formatted with ``.16e`` (17 significant digits, which
+    round-trips float64 exactly; a complex cell keeps both parts rather
+    than being cast to float). Lines end in LF.
+    """
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return f"{v:.16e}"
+
+    lines = list(comments) + [",".join(header)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

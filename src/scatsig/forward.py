@@ -330,12 +330,23 @@ def impedance_coefficients(ball, k, L=None):
     return ModalCoefficients(alpha=alpha, beta=beta, L=L)
 
 
-def _far_field_sum(alpha, beta, L, d, p, xhat, te_on_v=True, scale=4.0 * np.pi):
+# Incidence and observation families of the alpha term and the beta term:
+# electric (alpha on V(d) x V(xh)), dual (alpha on U x U, the magnetic and
+# impedance operator kernels) and magnetic (alpha on V(d) x U(xh)).
+_PAIRINGS = {
+    "electric": ("V", "V", "U", "U"),
+    "dual": ("U", "U", "V", "V"),
+    "magnetic": ("V", "U", "U", "V"),
+}
+
+
+def _far_field_sum(alpha, beta, L, d, p, xhat, pairing="electric", scale=4.0 * np.pi):
     """Common bilinear far field series.
 
-    te_on_v=True gives the electric pattern (TE weight on V(d) x V(xh)).
-    te_on_v=False gives the dual magnetic pattern (TE weight on U x U).
-    Broadcasts d, p, xhat against each other.
+        scale * sum [ alpha_l (p.conj X(d)) Y(xh) + beta_l (p.conj X'(d)) Y'(xh) ]
+
+    with the harmonic families X, Y, X', Y' in {U, V} chosen by
+    ``pairing`` (see _PAIRINGS). Broadcasts d, p, xhat against each other.
     """
     d = np.asarray(d, dtype=float)
     p = np.asarray(p, dtype=complex)
@@ -346,15 +357,13 @@ def _far_field_sum(alpha, beta, L, d, p, xhat, te_on_v=True, scale=4.0 * np.pi):
     x_b = np.broadcast_to(xhat, shape).reshape(-1, 3)
     _, _, U_d, V_d = vsh_tables(L, d_b)
     _, _, U_x, V_x = vsh_tables(L, x_b)
+    at_d = {"U": U_d, "V": V_d}
+    at_x = {"U": U_x, "V": V_x}
+    a_d, a_x, b_d, b_x = _PAIRINGS[pairing]
     ells = np.array([m.l for m in mode_list(L)])
-    if te_on_v:
-        w_te = alpha[ells, None] * np.einsum("pc,mpc->mp", p_b, V_d.conj())
-        w_tm = beta[ells, None] * np.einsum("pc,mpc->mp", p_b, U_d.conj())
-        out = np.einsum("mp,mpc->pc", w_te, V_x) + np.einsum("mp,mpc->pc", w_tm, U_x)
-    else:
-        w_te = alpha[ells, None] * np.einsum("pc,mpc->mp", p_b, U_d.conj())
-        w_tm = beta[ells, None] * np.einsum("pc,mpc->mp", p_b, V_d.conj())
-        out = np.einsum("mp,mpc->pc", w_te, U_x) + np.einsum("mp,mpc->pc", w_tm, V_x)
+    w_a = alpha[ells, None] * np.einsum("pc,mpc->mp", p_b, at_d[a_d].conj())
+    w_b = beta[ells, None] * np.einsum("pc,mpc->mp", p_b, at_d[b_d].conj())
+    out = np.einsum("mp,mpc->pc", w_a, at_x[a_x]) + np.einsum("mp,mpc->pc", w_b, at_x[b_x])
     return (scale * out).reshape(shape)
 
 
@@ -374,24 +383,7 @@ def magnetic_far_field(medium, k, d, p, xhat):
                            + beta_l (p.conj U(d)) V(xh) ].
     """
     coefs = mie_coefficients(medium, k)
-    d_arr = np.asarray(d, dtype=float)
-    p_arr = np.asarray(p, dtype=complex)
-    # Reuse the bilinear kernel with swapped output family and signs:
-    # the U(xh) term carries -alpha against conj V(d), the V(xh) term
-    # +beta against conj U(d). This is the te_on_v=False layout with
-    # families exchanged on the incidence side.
-    shape = np.broadcast_shapes(d_arr.shape, p_arr.shape, np.asarray(xhat, float).shape)
-    d_b = np.broadcast_to(d_arr, shape).reshape(-1, 3)
-    p_b = np.broadcast_to(p_arr, shape).reshape(-1, 3)
-    x_b = np.broadcast_to(np.asarray(xhat, float), shape).reshape(-1, 3)
-    L = coefs.L
-    _, _, U_d, V_d = vsh_tables(L, d_b)
-    _, _, U_x, V_x = vsh_tables(L, x_b)
-    ells = np.array([m.l for m in mode_list(L)])
-    w_v = coefs.alpha[ells, None] * np.einsum("pc,mpc->mp", p_b, V_d.conj())
-    w_u = coefs.beta[ells, None] * np.einsum("pc,mpc->mp", p_b, U_d.conj())
-    out = -np.einsum("mp,mpc->pc", w_v, U_x) + np.einsum("mp,mpc->pc", w_u, V_x)
-    return (4.0 * np.pi * out).reshape(shape)
+    return _far_field_sum(-coefs.alpha, coefs.beta, coefs.L, d, p, xhat, pairing="magnetic")
 
 
 def magnetic_far_field_kernel(medium, k, d, q, xhat):
@@ -410,7 +402,7 @@ def magnetic_far_field_kernel(medium, k, d, q, xhat):
     """
     coefs = mie_coefficients(medium, k)
     return _far_field_sum(
-        coefs.alpha, coefs.beta, coefs.L, d, q, xhat, te_on_v=False, scale=-4.0j * np.pi / k
+        coefs.alpha, coefs.beta, coefs.L, d, q, xhat, pairing="dual", scale=-4.0j * np.pi / k
     )
 
 
@@ -424,7 +416,7 @@ def impedance_far_field_kernel(ball, k, d, q, xhat):
     """Impedance-ball kernel in the same dual pairing as the magnetic one."""
     coefs = impedance_coefficients(ball, k)
     return _far_field_sum(
-        coefs.alpha, coefs.beta, coefs.L, d, q, xhat, te_on_v=False, scale=-4.0j * np.pi / k
+        coefs.alpha, coefs.beta, coefs.L, d, q, xhat, pairing="dual", scale=-4.0j * np.pi / k
     )
 
 
@@ -608,23 +600,6 @@ def scattered_field(medium, k, d, p, points):
     dz_te = coefs.alpha[:, None] * dxi
     z_tm = coefs.beta[:, None] * xi
     dz_tm = coefs.beta[:, None] * dxi
-    return _eval_modal_field(pts, k, modes, ells, z_te, dz_te, z_tm, dz_tm, k, a, b)
-
-
-def impedance_total_field(ball, k, d, p, points):
-    """Total (E, H) of the impedance-ball problem at exterior points."""
-    pts = np.asarray(points, dtype=float)
-    r = np.linalg.norm(pts, axis=1)
-    if np.any(r < ball.R * (1 - 1e-12)):
-        raise ValueError("impedance problem is exterior-only; points must have r >= R")
-    coefs = impedance_coefficients(ball, k)
-    L = coefs.L
-    modes, ells, a, b = _modal_weights(k, L, d, p)
-    psi, dpsi, xi, dxi = riccati_all(L, k * r + 0j)
-    z_te = psi + coefs.alpha[:, None] * xi
-    dz_te = dpsi + coefs.alpha[:, None] * dxi
-    z_tm = psi + coefs.beta[:, None] * xi
-    dz_tm = dpsi + coefs.beta[:, None] * dxi
     return _eval_modal_field(pts, k, modes, ells, z_te, dz_te, z_tm, dz_tm, k, a, b)
 
 

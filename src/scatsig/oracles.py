@@ -407,22 +407,3 @@ def shift_estimate(mode, dn, r_c, k=None):
     num = mode.volume_norm2(r_max=r_c)
     return -(k**2) * complex(dn) * num / denom
 
-
-def tev_to_csv(roots, residuals=None):
-    """CSV text for transmission roots: family, l, value, residual."""
-    lines = ["family,l,value,residual"]
-    for i, (kstar, l, fam) in enumerate(roots):
-        res = residuals[i] if residuals is not None else float("nan")
-        lines.append(f"{fam},{l},{kstar:.16e},{res:.16e}")
-    return "\n".join(lines) + "\n"
-
-
-def stekloff_to_csv(modes):
-    """CSV text for Stekloff modes: family, l, re, im, residual."""
-    lines = ["family,l,re,im,residual"]
-    for m in modes:
-        lines.append(
-            f"{m.mode.family},{m.mode.l},{m.lam.real:.16e},{m.lam.imag:.16e},"
-            f"{m.boundary_residual():.16e}"
-        )
-    return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from . import ffop, forward
 from .ffop import FarFieldMatrix, TangentVectorField
 from .forward import DipoleSource, ImpedanceBall, ResonantParameterError
-from .spectra import worker_count
+from .spectra import grid_points, worker_count
 
 _ALPHA_FLOOR = 1e-10
 _NORMAL_EQ_TOL = 1e-10
@@ -143,15 +143,29 @@ def _field_norm(quad, flat):
 
 def _k_values(k_grid):
     if isinstance(k_grid, tuple) and len(k_grid) == 3:
-        lo, hi, step = k_grid
-        count = int(round((hi - lo) / step)) + 1
-        ks = lo + step * np.arange(count)
-        ks = ks[ks <= hi + 1e-12 * max(1.0, hi)]
+        ks = grid_points(*k_grid)
     else:
         ks = np.asarray(k_grid, dtype=float)
     if ks.size == 0 or np.any(ks <= 0):
         raise ValueError("k grid must be positive and nonempty")
     return ks
+
+
+def _scan_metadata(kind, medium, quad, zs, cfg, noise_eps, noise_seed, **extra):
+    """Provenance shared by both scans, plus the scan's own keys."""
+    return {
+        "kind": kind,
+        "medium": medium.to_json(),
+        "quad": f"{quad.kind}:{quad.order}",
+        "alpha": cfg.alpha if isinstance(cfg.alpha, str) else float(cfg.alpha),
+        "noise_eps": float(noise_eps),
+        "noise_seed": int(noise_seed),
+        "z_count": zs.count,
+        "z_radius": zs.r_z,
+        "z_center": list(zs.center),
+        "z_seed": zs.seed,
+        **extra,
+    }
 
 
 def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
@@ -193,19 +207,8 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = list(pool.map(one, enumerate(ks)))
     per_z = np.vstack(rows)
-    meta = {
-        "kind": "tev",
-        "medium": medium.to_json(),
-        "quad": f"{quad.kind}:{quad.order}",
-        "alpha": cfg.alpha if isinstance(cfg.alpha, str) else float(cfg.alpha),
-        "noise_eps": float(noise_eps),
-        "noise_seed": int(noise_seed),
-        "z_count": zs.count,
-        "z_radius": zs.r_z,
-        "z_center": list(zs.center),
-        "z_seed": zs.seed,
-        "herglotz": bool(herglotz),
-    }
+    meta = _scan_metadata("tev", medium, quad, zs, cfg, noise_eps, noise_seed,
+                          herglotz=bool(herglotz))
     return ScanResult("tev", ks, per_z.mean(axis=1), per_z, meta)
 
 
@@ -253,21 +256,8 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfi
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = list(pool.map(one, flat))
     per_z = np.stack(rows).reshape(lam.shape + (len(rhs_flat),))
-    meta = {
-        "kind": "stekloff",
-        "medium": scene.to_json(),
-        "B": float(R),
-        "k": k,
-        "s_kind": s_kind,
-        "quad": f"{quad.kind}:{quad.order}",
-        "alpha": cfg.alpha if isinstance(cfg.alpha, str) else float(cfg.alpha),
-        "noise_eps": float(noise_eps),
-        "noise_seed": int(noise_seed),
-        "z_count": zs.count,
-        "z_radius": zs.r_z,
-        "z_center": list(zs.center),
-        "z_seed": zs.seed,
-    }
+    meta = _scan_metadata("stekloff", scene, quad, zs, cfg, noise_eps, noise_seed,
+                          B=float(R), k=k, s_kind=s_kind)
     return ScanResult("stekloff", lam, per_z.mean(axis=-1), per_z, meta)
 
 
@@ -311,13 +301,9 @@ def result_to_csv(result):
         raise ValueError("CSV export is for real (1-D) grids; use JSON for rectangles")
     nz = result.per_z.shape[-1]
     name = "k" if result.kind == "tev" else "lambda"
-    lines = ["# " + json.dumps(result.metadata, sort_keys=True)]
-    lines.append(",".join([name, "indicator_mean"] + [f"indicator_z{j+1}" for j in range(nz)]))
-    for i, p in enumerate(result.param):
-        row = [f"{p:.16e}", f"{result.indicator[i]:.16e}"]
-        row += [f"{v:.16e}" for v in result.per_z[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = [name, "indicator_mean"] + [f"indicator_z{j+1}" for j in range(nz)]
+    rows = ([p, m, *z] for p, m, z in zip(result.param, result.indicator, result.per_z))
+    return ffop.csv_text(header, rows, ["# " + json.dumps(result.metadata, sort_keys=True)])
 
 
 def result_to_json(result):

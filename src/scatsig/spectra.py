@@ -50,23 +50,6 @@ class PhaseTrack:
     floor: float
 
 
-def _matrix_2norm(mat):
-    """Largest singular value by power iteration (deterministic start)."""
-    v = np.ones(mat.shape[1], dtype=complex) / np.sqrt(mat.shape[1])
-    s = 0.0
-    for _ in range(200):
-        y = mat.conj().T @ (mat @ v)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        s_new = np.sqrt(ny)
-        v = y / ny
-        if abs(s_new - s) <= 1e-13 * max(s_new, 1.0):
-            return float(s_new)
-        s = s_new
-    return float(s)
-
-
 def _sort_order(vals):
     # primary key decreasing |lambda|, ties broken by (re, im) for determinism
     return np.lexsort((vals.imag, vals.real, -np.abs(vals)))
@@ -76,13 +59,14 @@ def eig(A, compute_vectors=True):
     """Dense eigendecomposition of the operator matrix.
 
     Residuals are ||A v - lambda v|| / ||A|| with unit eigenvectors and
-    the spectral matrix norm; LAPACK failure surfaces as LinAlgError.
+    the spectral matrix norm (zero without vectors); LAPACK failure
+    surfaces as LinAlgError.
     """
     mat = A.matrix if isinstance(A, FarFieldMatrix) else np.asarray(A, complex)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    norm_a = _matrix_2norm(mat)
     if compute_vectors:
+        norm_a = ffop.spectral_norm(mat)
         vals, vecs = scipy.linalg.eig(mat)
         order = _sort_order(vals)
         vals = vals[order]
@@ -237,15 +221,15 @@ def lidski_positivity(A, k=None, samples=32, seed=0):
     return float(worst)
 
 
-def _k_grid(k_range):
-    k_lo, k_hi, step = k_range
-    if not (0.0 < k_lo < k_hi):
-        raise ValueError("need 0 < k_lo < k_hi")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    count = int(round((k_hi - k_lo) / step)) + 1
-    ks = k_lo + step * np.arange(count)
-    return ks[ks <= k_hi + 1e-12 * max(1.0, k_hi)]
+def grid_points(lo, hi, step):
+    """Points lo, lo + step, ... up to hi inclusive (to 1e-12 max(1, |hi|))."""
+    if not lo < hi:
+        raise ValueError(f"grid needs lo < hi, got {lo} and {hi}")
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    count = int(round((hi - lo) / step)) + 1
+    pts = lo + step * np.arange(count)
+    return pts[pts <= hi + 1e-12 * max(1.0, abs(hi))]
 
 
 def worker_count():
@@ -264,7 +248,10 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     Grid points are processed on a thread pool (SCATSIG_THREADS caps the
     width); results are merged in grid order, so output is deterministic.
     """
-    ks = _k_grid(k_range)
+    k_lo, k_hi, step = k_range
+    if not k_lo > 0:
+        raise ValueError("need 0 < k_lo < k_hi")
+    ks = grid_points(k_lo, k_hi, step)
 
     def one(k):
         A = ffop.assemble("MAGNETIC", medium, float(k), quad)
@@ -283,26 +270,7 @@ def phase_track(medium, k_range, quad, floor=1e-6):
                       dip_plus=dip_plus, floor=float(floor))
 
 
-def eigenset_to_csv(eigset, kind=None, k=None):
-    """CSV text with columns re, im, abs, circle_residual.
-
-    Kinds without a circle law get NaN in the residual column.
-    """
-    try:
-        res = circle_residual(eigset, kind, k)
-    except ValueError:
-        res = np.full(eigset.values.size, np.nan)
-    lines = ["re,im,abs,circle_residual"]
-    for v, r in zip(eigset.values, res):
-        lines.append(
-            f"{v.real:.16e},{v.imag:.16e},{abs(v):.16e},{r:.16e}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def phase_track_to_csv(track):
     """CSV text with columns k, dip_minus, dip_plus, n_kept."""
-    lines = ["k,dip_minus,dip_plus,n_kept"]
-    for k, dm, dp, ph in zip(track.ks, track.dip_minus, track.dip_plus, track.phases):
-        lines.append(f"{k:.16e},{dm:.16e},{dp:.16e},{ph.size}")
-    return "\n".join(lines) + "\n"
+    rows = zip(track.ks, track.dip_minus, track.dip_plus, (ph.size for ph in track.phases))
+    return ffop.csv_text(["k", "dip_minus", "dip_plus", "n_kept"], rows)

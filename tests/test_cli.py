@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scatsig import cli
+from scatsig import MediumSpec, cli, oracles
 from scatsig.cli import ConfigError, export_csv, parse_config
+from scatsig.ffop import assemble, build_quadrature
+from scatsig.spectra import eig
 
 BALL4_SCENE = {"layers": [{"r": 1.0, "n_re": 4.0, "n_im": 0.0}]}
 VACUUM_SCENE = {"layers": [{"r": 1.0, "n_re": 1.0, "n_im": 0.0}]}
@@ -160,7 +162,7 @@ def test_run_config_json_dict():
 def test_export_csv_formatting(tmp_path):
     path = tmp_path / "t.csv"
     export_csv((["name", "count", "value"],
-                [["a", 3, 0.1], ["b", -1, 2.0]],
+                [["a", 3, 0.1], ["b", -1, 2.0], ["TE", 1, np.pi]],
                 ["# comment"]), str(path))
     raw = path.read_bytes()
     assert b"\r" not in raw
@@ -169,6 +171,7 @@ def test_export_csv_formatting(tmp_path):
     assert lines[1] == "name,count,value"
     assert lines[2] == "a,3,1.0000000000000001e-01"
     assert lines[3] == "b,-1,2.0000000000000000e+00"
+    assert lines[4] == "TE,1,3.1415926535897931e+00"
     assert raw.endswith(b"\n")
     assert float(lines[2].split(",")[2]) == 0.1
 
@@ -190,6 +193,22 @@ def test_ffop_eigs_artifact(tmp_path, capsys):
     assert len(lines) == 2 + 64
     first = [float(v) for v in lines[2].split(",")]
     assert first[3] < 1e-6  # dominant eigenvalue sits on the electric circle
+
+
+def test_ffop_eigs_artifact_rows(tmp_path):
+    rc = cli.main(["ffop-eigs", "--quad", "5x10", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "ffop_eigs.csv").read_text().splitlines()
+    assert lines[1] == "re,im,abs,circle_residual"
+    es = eig(assemble("ELECTRIC", MediumSpec.ball(1.0, 2.0), 1.0, build_quadrature("PRODUCT_GAUSS", 5)))
+    assert len(lines) == 2 + es.count
+    first = [float(tok) for tok in lines[2].split(",")]
+    assert_allclose(first[0] + 1j * first[1], es.values[0], rtol=1e-15)
+    # no circle law for the modified operator: NaN residual column
+    rc = cli.main(["ffop-eigs", "--quad", "5x10", "--kind", "modified", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "ffop_eigs.csv").read_text().splitlines()
+    assert lines[2].split(",")[3] == "nan"
 
 
 def test_ffop_eigs_vacuum_all_zero(tmp_path):
@@ -265,6 +284,23 @@ def test_oracle_tev_artifact(tmp_path):
     assert float(residual) < 1e-8
 
 
+def test_oracle_tev_artifact_rows(tmp_path):
+    scene_file = _write_json(tmp_path / "scene.json", BALL4_SCENE)
+    rc = cli.main(["oracle", "tev", "--scene", scene_file, "--grid", "3.0:3.6:0.01",
+                   "--lmax", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "oracle_tev.csv").read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    ball4 = MediumSpec.ball(1.0, 4.0)
+    roots = oracles.tev_roots(ball4, 2, (3.0, 3.6))
+    assert len(lines) == 2 + len(roots) == 5
+    for line, (kstar, l, fam) in zip(lines[2:], roots):
+        res = oracles.tev_min_singular(ball4, l, fam, kstar)
+        assert line == f"{fam},{l},{kstar:.16e},{res:.16e}"
+    assert lines[2].startswith("TE,1,3.14159265358979")
+
+
 def test_oracle_stekloff_artifact(tmp_path):
     rc = cli.main(["oracle", "stekloff", "--lmax", "2", "--out", str(tmp_path)])
     assert rc == 0
@@ -274,6 +310,18 @@ def test_oracle_stekloff_artifact(tmp_path):
     lam_by_l = {int(r[1]): float(r[2]) for r in rows}
     assert_allclose(lam_by_l[1], -1.5748945918925663, rtol=1e-9)
     assert_allclose(lam_by_l[2], -2.7047154937500942, rtol=1e-9)
+
+
+def test_oracle_stekloff_artifact_residuals(tmp_path):
+    rc = cli.main(["oracle", "stekloff", "--lmax", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "oracle_stekloff.csv").read_text().splitlines()
+    assert lines[1] == "family,l,re,im,residual"
+    assert len(lines) == 2 + 2
+    for line in lines[2:]:
+        fields = line.split(",")
+        assert fields[0] in ("TE", "TM")
+        assert float(fields[4]) < 1e-8
 
 
 def test_estimate_shift_artifact(tmp_path):

@@ -1,12 +1,19 @@
 """Quadrature rules, tangential fields, operator assembly and serialization."""
 
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scatsig.ffop import (
     KINDS,
     FarFieldMatrix,
+    SphereQuadrature,
     TangentVectorField,
     add_noise,
     adjoint,
@@ -310,6 +317,49 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_ffop(path)
+    path.write_bytes(struct.pack("<4sIBddQII", b"FFOP", 1, len(KINDS), 1.0, 0.0, 0, 0, 0))
+    with pytest.raises(ValueError, match="kind code"):
+        load_ffop(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_q=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(KINDS),
+    k=st.floats(min_value=0.1, max_value=50.0),
+    eps=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tail=st.binary(min_size=1, max_size=64),
+)
+def test_file_round_trip_and_length_checks(n_q, kind, k, eps, seed, data_seed, tail):
+    rng = np.random.default_rng(data_seed)
+    quad = SphereQuadrature(
+        kind="CUSTOM", order=0, nodes=rng.normal(size=(n_q, 3)),
+        weights=rng.uniform(0.1, 1.0, n_q), e1=rng.normal(size=(n_q, 3)),
+        e2=rng.normal(size=(n_q, 3)), t=int(rng.integers(0, 100)),
+    )
+    mat = rng.normal(size=(2 * n_q, 2 * n_q)) + 1j * rng.normal(size=(2 * n_q, 2 * n_q))
+    A = FarFieldMatrix(mat, kind, k, quad, noise_eps=eps, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "op.ffop")
+        save_ffop(A, path)
+        B = load_ffop(path)
+        assert np.array_equal(B.matrix, A.matrix)
+        assert (B.kind, B.k, B.noise_eps, B.seed, B.quad.t) == (kind, k, eps, seed, quad.t)
+        for name in ("nodes", "weights", "e1", "e2"):
+            assert np.array_equal(getattr(B.quad, name), getattr(quad, name))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        for cut in range(len(raw)):
+            with open(path, "wb") as fh:
+                fh.write(raw[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                load_ffop(path)
+        with open(path, "wb") as fh:
+            fh.write(raw + tail)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_ffop(path)
 
 
 def test_file_header_layout(tmp_path):

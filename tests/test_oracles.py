@@ -27,7 +27,6 @@ from scatsig import (
     tev_min_singular,
     tev_roots,
 )
-from scatsig.oracles import stekloff_to_csv, tev_to_csv
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL3 = MediumSpec.ball(1.0, 3.0)
@@ -426,30 +425,3 @@ def test_shift_estimate_validates_radius():
     with pytest.raises(ValueError):
         shift_estimate(mode, 0.01, 1.5)
 
-
-# ---------------------------------------------------------------------------
-# text output helpers
-
-
-def test_tev_csv_layout():
-    roots = [(np.pi, 1, "TE"), (3.5, 2, "TM")]
-    text = tev_to_csv(roots, residuals=[1e-15, 2e-15])
-    lines = text.splitlines()
-    assert lines[0] == "family,l,value,residual"
-    assert len(lines) == 3
-    assert lines[1].startswith("TE,1,3.1415926535897931e+00,")
-    assert text.endswith("\n")
-    bare = tev_to_csv(roots)
-    assert "nan" in bare.splitlines()[1]
-
-
-def test_stekloff_csv_layout():
-    modes = stekloff_eigs_ball(BALL2, 1.0, 1.0, 2)
-    text = stekloff_to_csv(modes)
-    lines = text.splitlines()
-    assert lines[0] == "family,l,re,im,residual"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert fields[0] in ("TE", "TM")
-        assert float(fields[4]) < 1e-8

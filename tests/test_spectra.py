@@ -11,12 +11,11 @@ from scatsig.ffop import (
     assemble,
     build_quadrature,
 )
-from scatsig.forward import ImpedanceBall, MediumSpec
+from scatsig.forward import MediumSpec
 from scatsig.spectra import (
     circle_center_radius,
     circle_residual,
     eig,
-    eigenset_to_csv,
     energy_identity_residual,
     lidski_positivity,
     phase_track,
@@ -281,22 +280,6 @@ def test_worker_count_env(monkeypatch):
 # --------------------------------------------------------------------------
 # exports
 # --------------------------------------------------------------------------
-
-
-def test_eigenset_csv():
-    quad = build_quadrature("PRODUCT_GAUSS", 5)
-    es = eig(assemble("ELECTRIC", BALL2, 1.0, quad), compute_vectors=False)
-    text = eigenset_to_csv(es)
-    lines = text.splitlines()
-    assert lines[0] == "re,im,abs,circle_residual"
-    assert len(lines) == es.count + 1
-    first = [float(tok) for tok in lines[1].split(",")]
-    assert_allclose(first[0] + 1j * first[1], es.values[0], rtol=1e-15)
-    # no circle law for the modified operator: NaN residual column
-    ball = ImpedanceBall(1.0, 2.0, "CURL_CURL")
-    es2 = eig(assemble("MODIFIED", (BALL2, ball), 1.0, quad), compute_vectors=False)
-    text2 = eigenset_to_csv(es2)
-    assert "nan" in text2.splitlines()[1]
 
 
 def test_phase_track_csv():
