@@ -95,16 +95,17 @@ class RunConfig:
         return d
 
 
-def _parse_grid(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be lo:hi:step, got {text!r}")
+def _parse_grid(value):
+    """lo, hi, step from "lo:hi:step" text or a config-file [lo, hi, step] list."""
+    parts = value.split(":") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != 3:
+        raise ConfigError(f"grid must be lo:hi:step, got {value!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"grid values must be numbers, got {text!r}") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"grid values must be numbers, got {value!r}") from None
     if step <= 0 or hi <= lo:
-        raise ConfigError(f"grid needs lo < hi and step > 0, got {text!r}")
+        raise ConfigError(f"grid needs lo < hi and step > 0, got {value!r}")
     return lo, hi, step
 
 
@@ -257,10 +258,8 @@ def parse_config(argv=None):
         merged["delta_n"] = complex(*merged["delta_n"])
     else:
         merged["delta_n"] = complex(merged["delta_n"])
-    if isinstance(merged["grid"], str):
+    if merged["grid"] is not None:
         merged["grid"] = _parse_grid(merged["grid"])
-    elif isinstance(merged["grid"], list):
-        merged["grid"] = tuple(merged["grid"])
     if isinstance(merged["rect"], str):
         merged["rect"] = _parse_rect(merged["rect"])
     elif isinstance(merged["rect"], list):
@@ -378,8 +377,8 @@ def _run_phase_track(cfg):
 
 def _run_oracle(cfg):
     if cfg.which == "tev":
-        lo, hi, _ = cfg.grid or _GRID_DEFAULTS["oracle"]
-        roots = oracles.tev_roots(cfg.scene, cfg.lmax, (lo, hi))
+        lo, hi, step = cfg.grid or _GRID_DEFAULTS["oracle"]
+        roots = oracles.tev_roots(cfg.scene, cfg.lmax, (lo, hi), step)
         rows = [
             [fam, l, kstar, oracles.tev_min_singular(cfg.scene, l, fam, kstar)]
             for kstar, l, fam in roots

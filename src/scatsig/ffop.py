@@ -273,21 +273,25 @@ def assemble(kind, scene, k, quad):
     return FarFieldMatrix(mat, kind, float(k), quad, medium=medium, ball=ball)
 
 
-def add_noise(A, eps, seed):
+def add_noise(A, eps, seed, stream=0):
     """Multiplicative noise: every entry times 1 + eps (zeta + i mu)/sqrt(2).
 
     zeta, mu are independent uniform on [-1, 1] drawn from a counter-based
-    Philox generator keyed by ``seed``, so the perturbation is a pure
-    function of (seed, shape).
+    Philox generator keyed by the two key words (seed, stream), so the
+    perturbation is a pure function of (seed, stream, shape). Stream 0 is
+    the plain key ``seed``; scans use the grid index as the stream, so
+    distinct seeds never share a draw.
     """
     if eps < 0:
         raise ValueError("noise level must be >= 0")
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValueError(f"noise seed and stream must lie in [0, 2**64), got {seed}, {stream}")
     if eps == 0:
         return FarFieldMatrix(
             A.matrix.copy(), A.kind, A.k, A.quad, medium=A.medium, ball=A.ball,
             noise_eps=0.0, seed=int(seed),
         )
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    gen = np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
     zeta = gen.uniform(-1.0, 1.0, size=A.matrix.shape)
     mu = gen.uniform(-1.0, 1.0, size=A.matrix.shape)
     factor = 1.0 + eps * (zeta + 1j * mu) / np.sqrt(2.0)

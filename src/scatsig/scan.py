@@ -99,30 +99,32 @@ class ScanResult:
 
 
 class _NormalSolver:
-    """Factorized weighted normal equations (alpha W + A^H W A) g = A^H W b."""
+    """Factorized weighted normal equations (alpha W + A^H W A) G = A^H W B."""
 
     def __init__(self, A, alpha):
-        self.alpha = float(alpha)
         self.w = A.weight_vector()
-        wa = self.w[:, None] * A.matrix
-        gram = A.matrix.conj().T @ wa
-        gram[np.diag_indices_from(gram)] += self.alpha * self.w
-        self.gram = gram
-        self.ah_w = A.matrix.conj().T * self.w[None, :]
-        self.factor = cho_factor(gram, lower=False)
+        ah = A.matrix.conj().T
+        self.ah_w = ah * self.w[None, :]
+        self.gram = ah @ (self.w[:, None] * A.matrix)
+        self.gram[np.diag_indices_from(self.gram)] += float(alpha) * self.w
+        self.factor = cho_factor(self.gram, lower=False)
 
-    def solve(self, b_flat):
-        rhs = self.ah_w @ b_flat
+    def solve(self, b):
+        """Solution for a (2N,) right-hand side or a (2N, m) block of them.
+
+        One cho_solve serves the block; columns whose weighted residual
+        misses _NORMAL_EQ_TOL get up to three refinement rounds.
+        """
+        rhs = self.ah_w @ b.reshape(b.shape[0], -1)
         g = cho_solve(self.factor, rhs)
-        # normal-equation residual in the weighted norm, with one round of
-        # refinement if the first solve is not tight enough
-        scale = np.sqrt(np.sum(np.abs(rhs) ** 2 / self.w))
+        scale = np.sqrt(np.sum(np.abs(rhs) ** 2 / self.w[:, None], axis=0))
         for _ in range(3):
             res = self.gram @ g - rhs
-            err = np.sqrt(np.sum(np.abs(res) ** 2 / self.w))
-            if err <= _NORMAL_EQ_TOL * max(scale, 1e-300):
-                return g
-            g = g - cho_solve(self.factor, res)
+            err = np.sqrt(np.sum(np.abs(res) ** 2 / self.w[:, None], axis=0))
+            bad = err > _NORMAL_EQ_TOL * np.maximum(scale, 1e-300)
+            if not bad.any():
+                return g.reshape(b.shape)
+            g[:, bad] -= cho_solve(self.factor, res[:, bad])
         raise RuntimeError("normal equations did not reach the residual tolerance")
 
 
@@ -137,8 +139,15 @@ def tikhonov_solve(A, rhs, cfg=TikhonovConfig()):
     return TangentVectorField.from_flat(A.quad, g)
 
 
-def _field_norm(quad, flat):
-    return float(np.sqrt(np.sum(np.repeat(quad.weights, 2) * np.abs(flat) ** 2)))
+def _dipole_rhs(quad, z_pts, k, magnetic):
+    """(2N, nz) dipole right-hand sides, one column per sample point z.
+
+    The moment is p = (1,0,0); the pattern is H_inf if ``magnetic``, else E_inf.
+    """
+    pol = np.array([1.0, 0.0, 0.0])
+    cols = (forward.dipole_far_fields(DipoleSource(z=z, q=pol, k=k), quad.nodes)[int(magnetic)]
+            for z in z_pts)
+    return np.stack([quad.frame_components(c).reshape(-1) for c in cols], axis=1)
 
 
 def _k_values(k_grid):
@@ -173,36 +182,32 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
     """Transmission-eigenvalue scan of the magnetic far field equation.
 
     For each k the magnetic operator is assembled (optionally with
-    multiplicative noise, seeded per grid index) and the equation
-    F_m g = H_{e,inf}(.; z, p) is solved for each sample z with fixed
-    polarization p = (1,0,0). The indicator is the z-averaged norm of g;
-    with ``herglotz=True`` it is the averaged L2 norm of the magnetic
-    Herglotz field of g over the scatterer ball (the theorem-side
-    quantity; slower).
+    multiplicative noise keyed by (noise_seed, grid index)) and the
+    equation F_m g = H_{e,inf}(.; z, p), with fixed polarization
+    p = (1,0,0), is solved for all sample points z in one block solve.
+    The indicator is the z-averaged norm of g; with ``herglotz=True`` it
+    is the averaged L2 norm of the magnetic Herglotz field of g over the
+    scatterer ball (the theorem-side quantity; slower).
     """
     if any(n.imag != 0 for _, n in medium.layers):
         raise ValueError("transmission-eigenvalue scans require a real index")
     zs.validate_inside(medium.radius)
     ks = _k_values(k_grid)
     z_pts = zs.points()
-    pol = np.array([1.0, 0.0, 0.0])
 
     def one(item):
         i, k = item
-        A = ffop.assemble("MAGNETIC", medium, float(k), quad)
+        k = float(k)
+        A = ffop.assemble("MAGNETIC", medium, k, quad)
         if noise_eps > 0:
-            A = ffop.add_noise(A, noise_eps, noise_seed + i)
+            A = ffop.add_noise(A, noise_eps, noise_seed, stream=i)
         solver = _NormalSolver(A, cfg.resolve(A))
-        out = np.empty(z_pts.shape[0])
-        for j, z in enumerate(z_pts):
-            _, h_inf = forward.dipole_far_fields(DipoleSource(z=z, q=pol, k=float(k)), quad.nodes)
-            g_flat = solver.solve(quad.frame_components(h_inf).reshape(-1))
-            if herglotz:
-                g = TangentVectorField.from_flat(quad, g_flat)
-                out[j] = forward.herglotz_ball_norm(g, float(k), medium.radius, magnetic=True)
-            else:
-                out[j] = _field_norm(quad, g_flat)
-        return out
+        g = solver.solve(_dipole_rhs(quad, z_pts, k, magnetic=True))
+        if herglotz:
+            fields = (TangentVectorField.from_flat(quad, col) for col in g.T)
+            return np.array([forward.herglotz_ball_norm(f, k, medium.radius, magnetic=True)
+                             for f in fields])
+        return np.sqrt(solver.w @ np.abs(g) ** 2)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = list(pool.map(one, enumerate(ks)))
@@ -218,7 +223,8 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfi
 
     The magnetic operator of the scene is assembled once (it does not
     depend on lambda); per grid value the impedance-ball operator for
-    (R, lambda) is subtracted and F_M g = E_{e,inf}(.; z, q) is solved.
+    (R, lambda) is subtracted and F_M g = E_{e,inf}(.; z, q) is solved
+    for all sample points z in one block solve.
     lam_grid may be a real 1-D grid or a complex 2-D rectangle; resonant
     lambda values (impedance ball has no unique solution) are recorded
     as NaN gaps.
@@ -233,29 +239,22 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfi
     F_m = ffop.assemble("MAGNETIC", scene, k, quad)
     if noise_eps > 0:
         F_m = ffop.add_noise(F_m, noise_eps, noise_seed)
-    z_pts = zs.points()
-    pol = np.array([1.0, 0.0, 0.0])
-    rhs_flat = []
-    for z in z_pts:
-        e_inf, _ = forward.dipole_far_fields(DipoleSource(z=z, q=pol, k=k), quad.nodes)
-        rhs_flat.append(quad.frame_components(e_inf).reshape(-1))
-
-    flat = lam.reshape(-1)
+    rhs = _dipole_rhs(quad, zs.points(), k, magnetic=False)
 
     def one(lam_val):
         try:
             F_s = ffop.assemble("IMPEDANCE", ImpedanceBall(R=R, lam=complex(lam_val), s_kind=s_kind), k, quad)
         except ResonantParameterError:
-            return np.full(len(rhs_flat), np.nan)
+            return np.full(rhs.shape[1], np.nan)
         A = FarFieldMatrix(F_m.matrix - F_s.matrix, "MODIFIED", k, quad,
                            medium=scene, ball=F_s.ball, noise_eps=F_m.noise_eps,
                            seed=F_m.seed)
         solver = _NormalSolver(A, cfg.resolve(A))
-        return np.array([_field_norm(quad, solver.solve(b)) for b in rhs_flat])
+        return np.sqrt(solver.w @ np.abs(solver.solve(rhs)) ** 2)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(one, flat))
-    per_z = np.stack(rows).reshape(lam.shape + (len(rhs_flat),))
+        rows = list(pool.map(one, lam.reshape(-1)))
+    per_z = np.stack(rows).reshape(lam.shape + (rhs.shape[1],))
     meta = _scan_metadata("stekloff", scene, quad, zs, cfg, noise_eps, noise_seed,
                           B=float(R), k=k, s_kind=s_kind)
     return ScanResult("stekloff", lam, per_z.mean(axis=-1), per_z, meta)

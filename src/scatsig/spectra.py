@@ -243,7 +243,7 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     """Magnetic-operator phases lambda/|lambda| along a wavenumber sweep.
 
     At each k the magnetic operator is assembled and eigenvalues with
-    |lambda| >= floor * ||A|| are kept. Reported per k: the retained
+    |lambda| >= floor * max|lambda| are kept. Reported per k: the retained
     phases and the dip indicators min_j |phase_j + 1|, min_j |phase_j - 1|.
     Grid points are processed on a thread pool (SCATSIG_THREADS caps the
     width); results are merged in grid order, so output is deterministic.

@@ -14,11 +14,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_child_reports_layers(tmp_path):
+def _traced_child(tmp_path, argv):
+    """Layer metrics of one traced bench/child.py call of ``argv``."""
     spec = {
         "src": str(ROOT / "src"),
-        "argv": [["oracle", "tev", "--grid", "3.0:3.3:0.01", "--lmax", "2",
-                  "--out", str(tmp_path)]],
+        "argv": [argv + ["--out", str(tmp_path)]],
         "trace": 1,
         "result": str(tmp_path / "result.json"),
         "spans": str(tmp_path / "spans.jsonl"),
@@ -31,10 +31,23 @@ def test_traced_child_reports_layers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["rc"] == 0
-    layers = result["layers"]
+    return result["layers"]
+
+
+def test_traced_child_reports_layers(tmp_path):
+    layers = _traced_child(tmp_path, ["oracle", "tev", "--grid", "3.0:3.3:0.01", "--lmax", "2"])
     for layer in ("sphfun", "forward", "ffop", "scan", "spectra", "oracles", "cli"):
         assert layer + ".self_s" in layers
     assert layers["oracles.tev_determinant.calls"] > 0
     assert layers["cli.parse_config.self_s"] > 0
     assert layers["cli.export.self_s"] > 0
     assert (tmp_path / "oracle_tev.csv").exists()
+
+
+def test_traced_tev_scan_solves_once_per_grid_point(tmp_path):
+    layers = _traced_child(tmp_path, ["tev-scan", "--quad", "6x12", "--grid", "3.1:3.2:0.05",
+                                      "--zcount", "2"])
+    assert layers["scan.normal_factor.calls"] == 3
+    assert layers["scan.normal_solve.calls"] == 3
+    assert layers["scan.cho_solve_per_solve"] >= 1
+    assert (tmp_path / "tev_scan.csv").exists()

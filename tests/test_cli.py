@@ -91,6 +91,18 @@ def test_grid_parsing_rejections(text):
         parse_config(["tev-scan", f"--grid={text}"])
 
 
+def test_config_file_grid_list_follows_grid_rule(tmp_path, capsys):
+    bad = _write_json(tmp_path / "bad.json", {"grid": [3.0, 3.2]})
+    for command in ("tev-scan", "phase-track"):
+        assert cli.main([command, "--config", bad, "--out", str(tmp_path)]) == 2
+        assert "grid must be lo:hi:step" in capsys.readouterr().err
+    for doc in ({"grid": [3.2, 3.0, 0.1]}, {"grid": ["a", 3.2, 0.1]}, {"grid": 3.0}):
+        with pytest.raises(ConfigError):
+            parse_config(["tev-scan", "--config", _write_json(tmp_path / "c.json", doc)])
+    good = _write_json(tmp_path / "good.json", {"grid": [3, 3.2, 0.1]})
+    assert parse_config(["phase-track", "--config", good]).grid == (3.0, 3.2, 0.1)
+
+
 def test_rect_parsing():
     cfg = parse_config(["stekloff-scan", "--rect=-4.5:-0.5:-0.2:0.8:40"])
     assert cfg.rect == (-4.5, -0.5, -0.2, 0.8, 40)
@@ -298,6 +310,14 @@ def test_oracle_tev_artifact_rows(tmp_path):
     for line, (kstar, l, fam) in zip(lines[2:], roots):
         res = oracles.tev_min_singular(ball4, l, fam, kstar)
         assert line == f"{fam},{l},{kstar:.16e},{res:.16e}"
+    # the --grid step reaches the oracle, which brackets at min(step, 0.01)
+    rc = cli.main(["oracle", "tev", "--scene", scene_file, "--grid", "3.0:3.6:0.005",
+                   "--lmax", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "oracle_tev.csv").read_text().splitlines()
+    roots = oracles.tev_roots(ball4, 2, (3.0, 3.6), 0.005)
+    assert [line.split(",")[:3] for line in lines[2:]] == \
+        [[fam, str(l), f"{kstar:.16e}"] for kstar, l, fam in roots]
     assert lines[2].startswith("TE,1,3.14159265358979")
 
 
@@ -356,6 +376,9 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys):
     assert cli.main(["stekloff-scan", "--B", "0.5", "--quad", "4x8",
                      "--grid=-2:-1:0.5", "--zcount", "1", "--zradius", "0.2",
                      "--out", str(tmp_path)]) == 2
+    # a negative noise seed
+    assert cli.main(["tev-scan", "--quad", "4x8", "--grid", "3.0:3.1:0.1", "--zcount", "1",
+                     "--noise", "0.01", "--seed", "-1", "--out", str(tmp_path)]) == 2
 
 
 def test_exit_code_3_for_numeric_failures(tmp_path, capsys):

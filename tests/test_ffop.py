@@ -246,10 +246,18 @@ def test_noise_deterministic_and_zero_copy():
     assert np.array_equal(n1.matrix, n2.matrix)
     n3 = add_noise(A, 0.05, seed=5)
     assert not np.array_equal(n1.matrix, n3.matrix)
+    # stream 0 is the plain key; (4, 1) and (5, 0) are distinct keys
+    assert np.array_equal(add_noise(A, 0.05, seed=4, stream=0).matrix, n1.matrix)
+    n4 = add_noise(A, 0.05, seed=4, stream=1)
+    assert not np.array_equal(n4.matrix, n1.matrix)
+    assert not np.array_equal(n4.matrix, n3.matrix)
     z = add_noise(A, 0.0, seed=4)
     assert np.array_equal(z.matrix, A.matrix) and z.matrix is not A.matrix
     with pytest.raises(ValueError):
         add_noise(A, -0.1, seed=0)
+    for seed, stream in ((-1, 0), (1, -1), (2**64, 0)):
+        with pytest.raises(ValueError, match="noise seed"):
+            add_noise(A, 0.05, seed=seed, stream=stream)
 
 
 # --------------------------------------------------------------------------

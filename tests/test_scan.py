@@ -23,6 +23,7 @@ from scatsig import (
     tev_scan,
     tikhonov_solve,
 )
+from scatsig import scan
 from scatsig.scan import ScanResult, result_to_csv, result_to_json
 from scatsig.sphfun import riccati_all
 
@@ -75,6 +76,32 @@ def test_tikhonov_matches_direct_solve():
     g_ref = np.linalg.solve(gram, A.matrix.conj().T @ (w * b.flat()))
     g = tikhonov_solve(A, b, TikhonovConfig(alpha=alpha))
     assert_allclose(g.flat(), g_ref, rtol=1e-10)
+
+
+def test_block_solve_matches_column_solves_and_dense_reference():
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    A = _random_operator(quad, seed=9)
+    gen = np.random.Generator(np.random.Philox(key=10))
+    shape = (2 * quad.n_nodes, 5)
+    B = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    alpha = 0.05
+    solver = scan._NormalSolver(A, alpha)
+    G = solver.solve(B)
+    assert G.shape == B.shape
+    for j in range(B.shape[1]):
+        assert_allclose(G[:, j], solver.solve(B[:, j]), rtol=1e-12)
+    w = np.repeat(quad.weights, 2)
+    gram = A.matrix.conj().T @ (w[:, None] * A.matrix) + alpha * np.diag(w)
+    assert_allclose(G, np.linalg.solve(gram, A.matrix.conj().T @ (w[:, None] * B)), rtol=1e-10)
+
+
+def test_block_solve_raises_when_refinement_is_exhausted(monkeypatch):
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    solver = scan._NormalSolver(_random_operator(quad, seed=11), 0.05)
+    b = _random_field(quad, seed=12).flat()
+    monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="residual tolerance"):
+        solver.solve(np.stack([b, 2 * b], axis=1))
 
 
 def test_tikhonov_large_alpha_asymptote():
@@ -216,6 +243,15 @@ def test_scan_determinism_and_thread_independence(monkeypatch):
     monkeypatch.delenv("SCATSIG_THREADS")
     d = tev_scan(BALL4, (3.0, 3.3, 0.05), QUAD8, zs=ZS4, noise_eps=0.01, noise_seed=6)
     assert not np.array_equal(a.per_z, d.per_z)
+
+
+def test_scan_noise_seeds_do_not_share_grid_points():
+    # noise is keyed by (seed, grid index): point 1 at seed 1 is not point 0 at seed 2
+    kwargs = dict(zs=ZSampling(count=1, r_z=0.2), noise_eps=0.05)
+    pair = tev_scan(BALL4, np.array([3.0, 3.0]), QUAD8, noise_seed=1, **kwargs)
+    single = tev_scan(BALL4, np.array([3.0]), QUAD8, noise_seed=2, **kwargs)
+    assert not np.allclose(pair.per_z[1], single.per_z[0], rtol=1e-6)
+    assert not np.array_equal(pair.per_z[0], pair.per_z[1])
 
 
 # ---------------------------------------------------------------------------
