@@ -109,17 +109,18 @@ def _parse_grid(value):
     return lo, hi, step
 
 
-def _parse_rect(text):
-    parts = text.split(":")
-    if len(parts) != 5:
-        raise ConfigError(f"rect must be reLo:reHi:imLo:imHi:n, got {text!r}")
+def _parse_rect(value):
+    """reLo, reHi, imLo, imHi, n from "a:b:c:d:n" text or a config-file 5-element list."""
+    parts = value.split(":") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != 5:
+        raise ConfigError(f"rect must be reLo:reHi:imLo:imHi:n, got {value!r}")
     try:
         re_lo, re_hi, im_lo, im_hi = (float(p) for p in parts[:4])
         n = int(parts[4])
-    except ValueError:
-        raise ConfigError(f"rect values must be numbers, got {text!r}") from None
-    if re_hi <= re_lo or im_hi <= im_lo or n < 2:
-        raise ConfigError(f"rect needs increasing bounds and n >= 2, got {text!r}")
+    except (TypeError, ValueError):
+        raise ConfigError(f"rect values must be numbers, got {value!r}") from None
+    if re_hi <= re_lo or im_hi <= im_lo or n < 2 or n != float(parts[4]):
+        raise ConfigError(f"rect needs increasing bounds and an integer n >= 2, got {value!r}")
     return re_lo, re_hi, im_lo, im_hi, n
 
 
@@ -260,10 +261,8 @@ def parse_config(argv=None):
         merged["delta_n"] = complex(merged["delta_n"])
     if merged["grid"] is not None:
         merged["grid"] = _parse_grid(merged["grid"])
-    if isinstance(merged["rect"], str):
+    if merged["rect"] is not None:
         merged["rect"] = _parse_rect(merged["rect"])
-    elif isinstance(merged["rect"], list):
-        merged["rect"] = tuple(merged["rect"])
     _parse_quad(merged["quad"])  # validate early
     merged["scene"] = _load_scene(merged["scene"])
     cfg = RunConfig(command=ns.command, which=getattr(ns, "which", None), **merged)

@@ -28,7 +28,7 @@ oracles in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -182,49 +182,90 @@ def truncation_degree(k, a):
     return int(np.ceil(ka + 4.0 * ka ** (1.0 / 3.0) + 6.0))
 
 
+@dataclass(frozen=True, eq=False)
+class RadialLayer:
+    """Radial profile zeta = A psi_l(kappa r) + B chi_l(kappa r) on r_lo < r <= r_hi.
+
+    A and B broadcast against the degree axis: a scalar (one degree), an
+    array over degree, or (TE, TM) rows over degree.
+    """
+
+    kappa: complex
+    r_lo: float
+    r_hi: float
+    A: object
+    B: object
+
+
+def radial_profile(layer, r, l_max):
+    """(zeta, zeta') of a layer at radii r, primes in the argument kappa*r.
+
+    Both have the shape of A * (degrees 0..l_max), plus a trailing axis
+    over r: (l_max+1, n_r) for scalar A, B and (2, l_max+1, n_r) for
+    (TE, TM) rows.
+    """
+    psi, dpsi, chi, dchi = riccati_all(l_max, layer.kappa * np.atleast_1d(r))
+    A = np.asarray(layer.A)[..., None]
+    B = np.asarray(layer.B)[..., None]
+    return A * psi + B * chi, A * dpsi + B * dchi
+
+
+def radial_energy(layer, l_max, n_radial, r_max=None):
+    """Per-degree TE and TM energy integrals of a layer profile (§7, §14).
+
+        I_TE(l) = (1/|kappa|^2) int |zeta|^2 dr
+        I_TM(l) = (1/|kappa|^2) int |zeta'|^2 dr
+                + l(l+1)/|kappa|^4 int |zeta|^2 / r^2 dr
+
+    over (r_lo, min(r_hi, r_max)), which must be nonempty, by n_radial-point
+    Gauss-Legendre. Shapes are those of radial_profile without the r axis.
+    """
+    lo = layer.r_lo
+    hi = layer.r_hi if r_max is None else min(layer.r_hi, r_max)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(n_radial)
+    r = 0.5 * (hi - lo) * x_gl + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * w_gl
+    z, dz = radial_profile(layer, r, l_max)
+    ak2 = abs(layer.kappa) ** 2
+    ell = np.arange(l_max + 1, dtype=float)
+    i_te = (np.abs(z) ** 2 @ w) / ak2
+    i_tm = (np.abs(dz) ** 2 @ w) / ak2
+    i_tm += ell * (ell + 1.0) * ((np.abs(z) ** 2 / r**2) @ w) / ak2**2
+    return i_te, i_tm
+
+
 def _interior_states(medium, k, l_max):
     """Transfer the regular interior solution to the outer boundary.
 
-    Returns (s_te, s_tm, layer_coeffs) where s_te / s_tm hold the
-    continuity state per degree at r = a (shape (2, l_max+1)) and
-    layer_coeffs[j] = (kappa_j, A_te, B_te, A_tm, B_tm) gives the radial
-    profile zeta = A psi + B chi in layer j, before exterior scaling.
+    Returns (s_te, s_tm, layers) where s_te / s_tm hold the continuity
+    state per degree at r = a (shape (2, l_max+1)) and layers[j] is the
+    RadialLayer of layer j with (TE, TM) coefficient rows, before
+    exterior scaling.
 
     The continuity states are (zeta(kr)/kappa, zeta'(kr)) for TE and
     (zeta'(kr)/kappa, zeta(kr)) for TM; both are continuous across
     material interfaces for tangential-field matching.
     """
-    n_l = l_max + 1
-    a_te = np.zeros(n_l, dtype=complex)
-    b_te = np.zeros(n_l, dtype=complex)
-    a_tm = np.zeros(n_l, dtype=complex)
-    b_tm = np.zeros(n_l, dtype=complex)
-    a_te[:] = 1.0
-    a_tm[:] = 1.0
-    layer_coeffs = []
-    kappas = [k * np.sqrt(complex(n)) for _, n in medium.layers]
-
-    for j, (r_j, _) in enumerate(medium.layers):
-        kap = kappas[j]
-        layer_coeffs.append((kap, a_te.copy(), b_te.copy(), a_tm.copy(), b_tm.copy()))
-        psi, dpsi, xi, dxi = riccati_all(l_max, kap * r_j)
-        chi = (xi - psi) / 1j
-        dchi = (dxi - dpsi) / 1j
-        s_te = np.stack([(a_te * psi + b_te * chi) / kap, a_te * dpsi + b_te * dchi])
-        s_tm = np.stack([(a_tm * dpsi + b_tm * dchi) / kap, a_tm * psi + b_tm * chi])
-        if j + 1 < len(medium.layers):
-            kap2 = kappas[j + 1]
-            psi2, dpsi2, xi2, dxi2 = riccati_all(l_max, kap2 * r_j)
-            chi2 = (xi2 - psi2) / 1j
-            dchi2 = (dxi2 - dpsi2) / 1j
-            # inverse of [[psi/kap, chi/kap], [psi', chi']] times Wronskian
-            a_te = kap2 * dchi2 * s_te[0] - chi2 * s_te[1]
-            b_te = -kap2 * dpsi2 * s_te[0] + psi2 * s_te[1]
-            a_tm = -kap2 * chi2 * s_tm[0] + dchi2 * s_tm[1]
-            b_tm = kap2 * psi2 * s_tm[0] - dpsi2 * s_tm[1]
-        else:
-            return s_te, s_tm, layer_coeffs
-    raise AssertionError("unreachable")
+    A = np.ones((2, l_max + 1), dtype=complex)
+    B = np.zeros((2, l_max + 1), dtype=complex)
+    layers = []
+    r_lo = 0.0
+    for r_hi, n in medium.layers:
+        kap = k * np.sqrt(complex(n))
+        if layers:
+            # re-expand the states at r_lo in this layer: the inverse of
+            # [[psi/kap, chi/kap], [psi', chi']] times the Wronskian
+            psi, dpsi, chi, dchi = riccati_all(l_max, kap * r_lo)
+            A = np.stack([kap * dchi * s_te[0] - chi * s_te[1],
+                          -kap * chi * s_tm[0] + dchi * s_tm[1]])
+            B = np.stack([-kap * dpsi * s_te[0] + psi * s_te[1],
+                          kap * psi * s_tm[0] - dpsi * s_tm[1]])
+        layers.append(RadialLayer(kap, r_lo, r_hi, A, B))
+        z, dz = radial_profile(layers[-1], r_hi, l_max)
+        s_te = np.stack([z[0, :, 0] / kap, dz[0, :, 0]])
+        s_tm = np.stack([dz[1, :, 0] / kap, z[1, :, 0]])
+        r_lo = r_hi
+    return s_te, s_tm, layers
 
 
 def _solve_exterior(s_te, s_tm, k, a, l_max):
@@ -234,7 +275,9 @@ def _solve_exterior(s_te, s_tm, k, a, l_max):
     families; returns (alpha, beta, tau_te, tau_tm).
     """
     x = k * a
-    psi, dpsi, xi, dxi = riccati_all(l_max, x + 0j)
+    psi, dpsi, chi, dchi = riccati_all(l_max, x + 0j)
+    xi = psi + 1j * chi
+    dxi = dpsi + 1j * dchi
     alpha = np.zeros(l_max + 1, dtype=complex)
     beta = np.zeros(l_max + 1, dtype=complex)
     tau_te = np.zeros(l_max + 1, dtype=complex)
@@ -308,7 +351,9 @@ def impedance_coefficients(ball, k, L=None):
         raise ValueError("wave number must be positive")
     if L is None:
         L = truncation_degree(k, ball.R)
-    psi, dpsi, xi, dxi = riccati_all(L, k * ball.R + 0j)
+    psi, dpsi, chi, dchi = riccati_all(L, k * ball.R + 0j)
+    xi = psi + 1j * chi
+    dxi = dpsi + 1j * dchi
     lam = ball.lam
     den_te = k * dxi + lam * xi
     scale_te = k * np.abs(dxi) + abs(lam) * np.abs(xi)
@@ -449,34 +494,60 @@ def incident_field(k, d, p, x):
 
 
 def _modal_weights(k, L, d, p):
-    """Incident-wave modal coefficients a_lm (TE) and b_lm (TM).
+    """Degrees l and incident-wave modal coefficients a_lm (TE), b_lm (TM).
 
         a_lm = 4 pi i^(l+1) k (p . conj V_lm(d))
         b_lm = 4 pi i^(l+2) k (p . conj U_lm(d))
     """
     d = np.asarray(d, dtype=float)[None, :]
     _, _, U_d, V_d = vsh_tables(L, d)
-    modes = mode_list(L)
-    ells = np.array([m.l for m in modes])
+    ells = np.array([m.l for m in mode_list(L)])
     pv = np.einsum("c,mc->m", np.asarray(p, complex), V_d[:, 0, :].conj())
     pu = np.einsum("c,mc->m", np.asarray(p, complex), U_d[:, 0, :].conj())
     a = 4.0 * np.pi * 1j ** (ells + 1) * k * pv
     b = 4.0 * np.pi * 1j ** (ells + 2) * k * pu
-    return modes, ells, a, b
+    return ells, a, b
 
 
-def _eval_modal_field(points, k, modes, ells, zeta_te, dzeta_te, zeta_tm, dzeta_tm, kap, a, b):
-    """Evaluate (E, H) from per-point radial profile values.
+def _exterior_layer(coefs, k, a, incident):
+    """Exterior profile psi + alpha xi (incident + scattered) or alpha xi alone.
 
-    zeta_*, dzeta_* have shape (L+1, n_pts) and hold the Riccati profile
-    and its derivative at kappa*r for each degree; kap is the local wave
-    number (scalar or per-point array), a and b the modal weights.
+    With xi = psi + i chi this is A psi + B chi for A = alpha (+ 1) and
+    B = i alpha, per family (TE rows alpha, TM rows beta).
     """
+    c = np.stack([coefs.alpha, coefs.beta])
+    return RadialLayer(k, a, np.inf, c + (1.0 if incident else 0.0), 1j * c)
+
+
+def interior_solutions(medium, k, L=None):
+    """Per-layer radial profiles of the total interior field.
+
+    Returns (coefs, layers) where layers[j] is the RadialLayer of layer
+    j with (TE, TM) rows of zeta = A psi + B chi coefficients over
+    degree, scaled so the exterior incident wave has unit modal
+    amplitude. Exterior scattering coefficients come along as ``coefs``
+    for convenience.
+    """
+    if L is None:
+        coefs = mie_coefficients(medium, k)
+        L = coefs.L
+    else:
+        coefs = mie_coefficients(medium, k, L)
+    s_te, s_tm, layers = _interior_states(medium, k, L)
+    _, _, tau_te, tau_tm = _solve_exterior(s_te, s_tm, k, medium.radius, L)
+    tau = np.stack([tau_te, tau_tm])
+    return coefs, [replace(lay, A=tau * lay.A, B=tau * lay.B) for lay in layers]
+
+
+def _layer_field(lay, points, k, L, d, p):
+    """(E, H) of the plane wave (d, p) from one layer's profile at points in its range."""
+    ells, a, b = _modal_weights(k, L, d, p)
     pts = np.asarray(points, dtype=float)
     r = np.linalg.norm(pts, axis=1)
     xhat = pts / r[:, None]
-    L = max(m.l for m in modes)
     _, Y, U, V = vsh_tables(L, xhat)
+    (zeta_te, zeta_tm), (dzeta_te, dzeta_tm) = radial_profile(lay, r, L)
+    kap = lay.kappa
     kr = kap * r
     te_tan = zeta_te[ells] / kr  # (M, n)
     tm_tan = -dzeta_tm[ells] / kr
@@ -499,41 +570,6 @@ def _eval_modal_field(points, k, modes, ells, zeta_te, dzeta_te, zeta_tm, dzeta_
     return E, H
 
 
-def interior_solutions(medium, k, L=None):
-    """Per-layer radial profile coefficients of the total interior field.
-
-    Returns (coefs, layers) where layers[j] is a dict with keys kappa,
-    r_lo, r_hi, and the zeta = A psi + B chi coefficients (arrays over
-    degree) for both families, scaled so the exterior incident wave has
-    unit modal amplitude. Exterior scattering coefficients come along as
-    ``coefs`` for convenience.
-    """
-    if L is None:
-        coefs = mie_coefficients(medium, k)
-        L = coefs.L
-    else:
-        coefs = mie_coefficients(medium, k, L)
-    s_te, s_tm, layer_coeffs = _interior_states(medium, k, L)
-    _, _, tau_te, tau_tm = _solve_exterior(s_te, s_tm, k, medium.radius, L)
-    layers = []
-    r_lo = 0.0
-    for j, (r_hi, _) in enumerate(medium.layers):
-        kap, a_te, b_te, a_tm, b_tm = layer_coeffs[j]
-        layers.append(
-            {
-                "kappa": kap,
-                "r_lo": r_lo,
-                "r_hi": r_hi,
-                "A_te": tau_te * a_te,
-                "B_te": tau_te * b_te,
-                "A_tm": tau_tm * a_tm,
-                "B_tm": tau_tm * b_tm,
-            }
-        )
-        r_lo = r_hi
-    return coefs, layers
-
-
 def total_field(medium, k, d, p, points, region=None):
     """Total (E, H) of the plane-wave scattering problem at given points.
 
@@ -544,63 +580,29 @@ def total_field(medium, k, d, p, points, region=None):
     """
     pts = np.asarray(points, dtype=float)
     coefs, layers = interior_solutions(medium, k)
-    L = coefs.L
-    modes, ells, a, b = _modal_weights(k, L, d, p)
-    r = np.linalg.norm(pts, axis=1)
-
-    def eval_layer(j, sub):
-        lay = layers[j]
-        kap = lay["kappa"]
-        psi, dpsi, xi, dxi = riccati_all(L, kap * r[sub])
-        chi = (xi - psi) / 1j
-        dchi = (dxi - dpsi) / 1j
-        z_te = lay["A_te"][:, None] * psi + lay["B_te"][:, None] * chi
-        dz_te = lay["A_te"][:, None] * dpsi + lay["B_te"][:, None] * dchi
-        z_tm = lay["A_tm"][:, None] * psi + lay["B_tm"][:, None] * chi
-        dz_tm = lay["A_tm"][:, None] * dpsi + lay["B_tm"][:, None] * dchi
-        return _eval_modal_field(pts[sub], k, modes, ells, z_te, dz_te, z_tm, dz_tm, kap, a, b)
-
-    def eval_exterior(sub):
-        psi, dpsi, xi, dxi = riccati_all(L, k * r[sub] + 0j)
-        z_te = psi + coefs.alpha[:, None] * xi
-        dz_te = dpsi + coefs.alpha[:, None] * dxi
-        z_tm = psi + coefs.beta[:, None] * xi
-        dz_tm = dpsi + coefs.beta[:, None] * dxi
-        return _eval_modal_field(pts[sub], k, modes, ells, z_te, dz_te, z_tm, dz_tm, k, a, b)
-
-    if region == "exterior":
-        return eval_exterior(slice(None))
+    exterior = _exterior_layer(coefs, k, medium.radius, incident=True)
     if region is not None:
-        return eval_layer(int(region), slice(None))
+        lay = exterior if region == "exterior" else layers[int(region)]
+        return _layer_field(lay, pts, k, coefs.L, d, p)
 
     E = np.zeros(pts.shape, dtype=complex)
     H = np.zeros(pts.shape, dtype=complex)
-    bounds = [0.0] + [lay["r_hi"] for lay in layers]
-    for j in range(len(layers)):
-        sub = (r >= bounds[j]) & (r < bounds[j + 1])
+    r = np.linalg.norm(pts, axis=1)
+    for lay in layers + [exterior]:
+        sub = (r >= lay.r_lo) & (r < lay.r_hi)
         if np.any(sub):
-            E[sub], H[sub] = eval_layer(j, sub)
-    sub = r >= medium.radius
-    if np.any(sub):
-        E[sub], H[sub] = eval_exterior(sub)
+            E[sub], H[sub] = _layer_field(lay, pts[sub], k, coefs.L, d, p)
     return E, H
 
 
 def scattered_field(medium, k, d, p, points):
     """Scattered (E, H) outside the scatterer (series in outgoing waves)."""
     pts = np.asarray(points, dtype=float)
-    r = np.linalg.norm(pts, axis=1)
-    if np.any(r < medium.radius):
+    if np.any(np.linalg.norm(pts, axis=1) < medium.radius):
         raise ValueError("scattered_field is the exterior series; points must have r >= a")
     coefs = mie_coefficients(medium, k)
-    L = coefs.L
-    modes, ells, a, b = _modal_weights(k, L, d, p)
-    psi, dpsi, xi, dxi = riccati_all(L, k * r + 0j)
-    z_te = coefs.alpha[:, None] * xi
-    dz_te = coefs.alpha[:, None] * dxi
-    z_tm = coefs.beta[:, None] * xi
-    dz_tm = coefs.beta[:, None] * dxi
-    return _eval_modal_field(pts, k, modes, ells, z_te, dz_te, z_tm, dz_tm, k, a, b)
+    lay = _exterior_layer(coefs, k, medium.radius, incident=False)
+    return _layer_field(lay, pts, k, coefs.L, d, p)
 
 
 def herglotz_field(g, k, x):

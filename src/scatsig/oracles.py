@@ -14,7 +14,7 @@ and a TM mode (U_lm tangential part plus a radial component).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -235,8 +235,8 @@ class StekloffMode:
 
     The eigenfunction is w = (zeta(kappa r)/(kappa r)) V_lm for TE modes
     and the usual two-component form for TM modes, with zeta given per
-    layer by A psi + B chi. ``layers`` holds dicts with keys kappa,
-    r_lo, r_hi, A, B covering (0, R].
+    layer by A psi + B chi. ``layers`` holds forward.RadialLayer records
+    with scalar A, B covering (0, R].
     """
 
     mode: ModeFamily
@@ -254,15 +254,13 @@ class StekloffMode:
         kap = np.zeros(r.shape, dtype=complex)
         l = self.mode.l
         for lay in self.layers:
-            sel = (r > lay["r_lo"]) & (r <= lay["r_hi"]) if lay["r_lo"] > 0 else (r <= lay["r_hi"])
+            sel = (r > lay.r_lo) & (r <= lay.r_hi) if lay.r_lo > 0 else (r <= lay.r_hi)
             if not np.any(sel):
                 continue
-            psi, dpsi, xi, dxi = riccati_all(l, lay["kappa"] * r[sel])
-            chi = (xi - psi) / 1j
-            dchi = (dxi - dpsi) / 1j
-            zeta[sel] = lay["A"] * psi[l] + lay["B"] * chi[l]
-            dzeta[sel] = lay["A"] * dpsi[l] + lay["B"] * dchi[l]
-            kap[sel] = lay["kappa"]
+            z, dz = forward.radial_profile(lay, r[sel], l)
+            zeta[sel] = z[l]
+            dzeta[sel] = dz[l]
+            kap[sel] = lay.kappa
         return zeta, dzeta, kap
 
     def boundary_residual(self):
@@ -284,26 +282,12 @@ class StekloffMode:
     def volume_norm2(self, r_max=None, n_radial=64):
         """Integral of |w|^2 over the ball r < r_max (default: all of B)."""
         r_max = self.R if r_max is None else min(r_max, self.R)
-        x_gl, w_gl = np.polynomial.legendre.leggauss(n_radial)
-        l = self.mode.l
+        fam = 0 if self.mode.family == "TE" else 1
         total = 0.0
         for lay in self.layers:
-            lo, hi = lay["r_lo"], min(lay["r_hi"], r_max)
-            if hi <= lo:
-                continue
-            r = 0.5 * (hi - lo) * x_gl + 0.5 * (hi + lo)
-            w = 0.5 * (hi - lo) * w_gl
-            psi, dpsi, xi, dxi = riccati_all(l, lay["kappa"] * r)
-            chi = (xi - psi) / 1j
-            dchi = (dxi - dpsi) / 1j
-            z = lay["A"] * psi[l] + lay["B"] * chi[l]
-            dz = lay["A"] * dpsi[l] + lay["B"] * dchi[l]
-            ak2 = abs(lay["kappa"]) ** 2
-            if self.mode.family == "TE":
-                total += float((np.abs(z) ** 2 @ w) / ak2)
-            else:
-                total += float((np.abs(dz) ** 2 @ w) / ak2)
-                total += float(l * (l + 1) * ((np.abs(z) ** 2 / r**2) @ w) / ak2**2)
+            if lay.r_lo < r_max:
+                ints = forward.radial_energy(lay, self.mode.l, n_radial, r_max)
+                total += float(ints[fam][self.mode.l])
         return total
 
     def boundary_s_norm2(self):
@@ -344,8 +328,8 @@ def stekloff_eigs_ball(scene, R, k, l_max, s_kind="CURL_CURL"):
     if s_kind not in ("IDENTITY", "CURL_CURL"):
         raise ValueError(f"unknown smoother kind {s_kind!r}")
     eff = _scene_with_shell(scene, R)
-    s_te, s_tm, layer_coeffs = forward._interior_states(eff, k, l_max)
-    kap_out = layer_coeffs[-1][0]
+    s_te, s_tm, layers = forward._interior_states(eff, k, l_max)
+    kap_out = layers[-1].kappa
     modes = []
     for l in range(1, l_max + 1):
         scale_te = abs(kap_out * s_te[0, l]) + abs(s_te[1, l])
@@ -360,15 +344,8 @@ def stekloff_eigs_ball(scene, R, k, l_max, s_kind="CURL_CURL"):
             )
 
     def build_layers(l, family):
-        idx = {"TE": (1, 2), "TM": (3, 4)}[family]
-        out = []
-        for j, (r_hi, _) in enumerate(eff.layers):
-            kap = layer_coeffs[j][0]
-            A = layer_coeffs[j][idx[0]][l]
-            B = layer_coeffs[j][idx[1]][l]
-            r_lo = 0.0 if j == 0 else eff.layers[j - 1][0]
-            out.append({"kappa": kap, "r_lo": r_lo, "r_hi": r_hi, "A": A, "B": B})
-        return out
+        row = {"TE": 0, "TM": 1}[family]
+        return [replace(lay, A=lay.A[row, l], B=lay.B[row, l]) for lay in layers]
 
     real_scene = all(n.imag == 0 for _, n in eff.layers)
     for l in range(1, l_max + 1):

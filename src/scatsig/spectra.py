@@ -19,7 +19,8 @@ import scipy.linalg
 
 from . import ffop, forward
 from .ffop import FarFieldMatrix, TangentVectorField, inner_product
-from .sphfun import mode_list, riccati_all, vsh_tables
+# riccati_all stays importable here: bench/spans.py wraps it in this module by name
+from .sphfun import mode_list, riccati_all, vsh_tables  # noqa: F401
 
 @dataclass(eq=False)
 class EigenSet:
@@ -120,40 +121,6 @@ def _modal_projections(g, quad, L):
     return ells, inner_v, inner_u
 
 
-def _layer_energy_integrals(layers, L, n_radial=48):
-    """Radial factors of the volume term, per layer and degree.
-
-    For each layer j with local wavenumber kappa and profile
-    zeta = A psi + B chi the integrals are
-
-        I_TE(l)  = (1/|kappa|^2) int |zeta_te|^2 dr
-        I_TM(l)  = (1/|kappa|^2) int |zeta_tm'|^2 dr
-                 + l(l+1)/|kappa|^4 int |zeta_tm|^2 / r^2 dr
-
-    over (r_lo, r_hi), evaluated with Gauss-Legendre nodes.
-    """
-    x_gl, w_gl = np.polynomial.legendre.leggauss(n_radial)
-    ints = []
-    for lay in layers:
-        r_lo, r_hi = lay["r_lo"], lay["r_hi"]
-        kap = lay["kappa"]
-        r = 0.5 * (r_hi - r_lo) * x_gl + 0.5 * (r_hi + r_lo)
-        w = 0.5 * (r_hi - r_lo) * w_gl
-        psi, dpsi, xi, dxi = riccati_all(L, kap * r)
-        chi = (xi - psi) / 1j
-        dchi = (dxi - dpsi) / 1j
-        z_te = lay["A_te"][:, None] * psi + lay["B_te"][:, None] * chi
-        z_tm = lay["A_tm"][:, None] * psi + lay["B_tm"][:, None] * chi
-        dz_tm = lay["A_tm"][:, None] * dpsi + lay["B_tm"][:, None] * dchi
-        ak2 = abs(kap) ** 2
-        ell = np.arange(L + 1, dtype=float)
-        i_te = (np.abs(z_te) ** 2 @ w) / ak2
-        i_tm = (np.abs(dz_tm) ** 2 @ w) / ak2
-        i_tm += ell * (ell + 1.0) * ((np.abs(z_tm) ** 2 / r[None, :] ** 2) @ w) / ak2**2
-        ints.append((i_te, i_tm))
-    return ints
-
-
 def energy_identity_residual(A, g, h, quad=None, medium=None, k=None, n_radial=48):
     """LHS minus RHS of the absorption energy identity.
 
@@ -185,14 +152,13 @@ def energy_identity_residual(A, g, h, quad=None, medium=None, k=None, n_radial=4
         b_g = pref * 1j ** (ells + 2) * gu
         a_h = pref * 1j ** (ells + 1) * hv
         b_h = pref * 1j ** (ells + 2) * hu
-        ints = _layer_energy_integrals(layers, L, n_radial=n_radial)
         lhs = 0.0 + 0.0j
-        for (i_te, i_tm), (_, n_layer) in zip(ints, medium.layers):
-            im_n = n_layer.imag
-            if im_n == 0.0:
+        for lay, (_, n_layer) in zip(layers, medium.layers):
+            if n_layer.imag == 0.0:
                 continue
-            lhs += k * im_n * np.sum(
-                a_g * a_h.conj() * i_te[ells] + b_g * b_h.conj() * i_tm[ells]
+            i_te, i_tm = forward.radial_energy(lay, L, n_radial)
+            lhs += k * n_layer.imag * np.sum(
+                a_g * a_h.conj() * i_te[0, ells] + b_g * b_h.conj() * i_tm[1, ells]
             )
     return complex(lhs - rhs)
 

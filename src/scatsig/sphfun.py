@@ -1,7 +1,7 @@
 """Complex-argument spherical special functions and vector spherical harmonics.
 
 This module is the numerical bedrock for every series expansion in the
-package: spherical Bessel/Hankel functions of complex argument, the
+package: spherical Bessel functions of complex argument, the
 Riccati-Bessel pairs used in boundary matching, and the orthonormal
 tangential harmonics U_lm (gradient type) and V_lm (curl type) on the
 unit sphere.
@@ -181,29 +181,13 @@ def bessel_y_all(l_max, x):
     return out[:, 0] if scalar else out
 
 
-def spherical_bessel_j(l, x):
-    """j_l(x) for a single degree, complex argument."""
-    return bessel_j_all(l, x)[l]
-
-
-def spherical_bessel_y(l, x):
-    """y_l(x) for a single degree, complex argument."""
-    return bessel_y_all(l, x)[l]
-
-
-def spherical_hankel1(l, x):
-    """Spherical Hankel function of the first kind, h1_l = j_l + i y_l."""
-    x_arr = np.asarray(x, dtype=complex)
-    if np.any(x_arr == 0):
-        raise ValueError("h1_l is singular at x = 0")
-    return spherical_bessel_j(l, x) + 1j * spherical_bessel_y(l, x)
-
-
 def riccati_all(l_max, x):
-    """Riccati-Bessel tables (psi, psi', xi, xi') for degrees 0..l_max.
+    """Riccati-Bessel tables (psi, psi', chi, chi') for degrees 0..l_max.
 
-    psi_l(x) = x j_l(x), xi_l(x) = x h1_l(x); primes are derivatives in x,
-    computed from psi'_l = x j_{l-1} - l j_l (and likewise for chi).
+    psi_l(x) = x j_l(x), chi_l(x) = x y_l(x); primes are derivatives in x,
+    computed from psi'_l = x j_{l-1} - l j_l (and likewise for chi). The
+    outgoing xi = psi + i chi is formed only where a boundary matching
+    needs it.
     """
     x = np.asarray(x, dtype=complex)
     scalar = x.ndim == 0
@@ -220,17 +204,9 @@ def riccati_all(l_max, x):
     y_prev = np.concatenate([(np.sin(x) / x)[None], y[:-1]], axis=0)
     dpsi = x * j_prev - ell * j
     dchi = x * y_prev - ell * y
-    xi = psi + 1j * chi
-    dxi = dpsi + 1j * dchi
     if scalar:
-        return psi[:, 0], dpsi[:, 0], xi[:, 0], dxi[:, 0]
-    return psi, dpsi, xi, dxi
-
-
-def riccati_pair(l, x):
-    """(psi_l, psi'_l, xi_l, xi'_l) at complex x != 0."""
-    psi, dpsi, xi, dxi = riccati_all(l, x)
-    return psi[l], dpsi[l], xi[l], dxi[l]
+        return psi[:, 0], dpsi[:, 0], chi[:, 0], dchi[:, 0]
+    return psi, dpsi, chi, dchi
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,20 @@ def test_config_file_grid_list_follows_grid_rule(tmp_path, capsys):
     assert parse_config(["phase-track", "--config", good]).grid == (3.0, 3.2, 0.1)
 
 
-def test_rect_parsing():
+def test_rect_parsing(tmp_path):
     cfg = parse_config(["stekloff-scan", "--rect=-4.5:-0.5:-0.2:0.8:40"])
     assert cfg.rect == (-4.5, -0.5, -0.2, 0.8, 40)
     for bad in ["1:2:3:4", "-1:1:0:1:1", "2:1:0:1:5", "a:1:0:1:5"]:
         with pytest.raises(ConfigError):
             parse_config(["stekloff-scan", f"--rect={bad}"])
+    # a config-file list goes through the same check as --rect
+    for bad in ([-2, -1, 0.1, -0.1, 3], [1, 2], [-2, -1, -0.1, 0.1, 2.5]):
+        with pytest.raises(ConfigError):
+            parse_config(["stekloff-scan", "--config", _write_json(tmp_path / "c.json", {"rect": bad})])
+    good = _write_json(tmp_path / "good.json", {"rect": [-2, -1, -0.1, 0.1, 3]})
+    cfg = parse_config(["stekloff-scan", "--config", good])
+    assert cfg.rect == (-2.0, -1.0, -0.1, 0.1, 3)
+    assert json.dumps(cfg.to_json_dict()["rect"]) == "[-2.0, -1.0, -0.1, 0.1, 3]"
 
 
 def test_quad_parsing():

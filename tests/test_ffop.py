@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -19,6 +19,7 @@ from scatsig.ffop import (
     adjoint,
     assemble,
     build_quadrature,
+    csv_text,
     inner_product,
     load_ffop,
     save_ffop,
@@ -384,3 +385,34 @@ def test_file_header_layout(tmp_path):
     assert n_q == quad.n_nodes and t == quad.t
     hdr = struct.calcsize("<4sIBddQII")
     assert len(raw) == hdr + 8 * (n_q * (3 + 1 + 3 + 3) + 2 * (2 * n_q) ** 2)
+
+
+# --------------------------------------------------------------------------
+# CSV writer
+# --------------------------------------------------------------------------
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reals=st.lists(st.floats(allow_nan=False), min_size=1, max_size=6),
+    ints=st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=3),
+    z=st.complex_numbers(allow_nan=False),
+)
+@example(reals=[0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf], ints=[0, -1], z=complex(-0.0, 5e-324))
+def test_csv_text_round_trip(reals, ints, z):
+    # float cells read back bit-identical with float, int cells stay ints,
+    # a complex cell parses back with complex
+    row = [np.float64(reals[0])] + reals[1:] + [np.int64(ints[0])] + ints[1:] + [z]
+    lines = csv_text(["c"] * len(row), [row], ["# note"]).split("\n")
+    assert lines[0] == "# note" and lines[-1] == ""
+    cells = lines[2].split(",")
+    assert len(cells) == len(row)
+    for cell, v in zip(cells[: len(reals)], reals):
+        assert _bits(float(cell)) == _bits(v)
+    for cell, v in zip(cells[len(reals): -1], ints):
+        assert cell == str(v) and int(cell) == v
+    assert complex(cells[-1]) == z

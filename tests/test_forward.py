@@ -18,15 +18,17 @@ from scatsig.forward import (
     impedance_coefficients,
     impedance_far_field,
     incident_field,
+    interior_solutions,
     magnetic_far_field,
     magnetic_herglotz_field,
     mie_coefficients,
+    radial_profile,
     scattered_field,
     total_field,
     truncation_degree,
 )
 from scatsig.ffop import TangentVectorField, build_quadrature
-from scatsig.sphfun import riccati_pair, spherical_bessel_j
+from scatsig.sphfun import bessel_j_all, riccati_all
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL4 = MediumSpec.ball(1.0, 4.0)
@@ -177,6 +179,32 @@ def test_tangential_continuity_internal_interface():
     for a_f, b_f in ((e0, e1), (h0, h1)):
         jump = np.cross(xhat, a_f - b_f)
         assert np.max(np.abs(jump)) < 1e-10 * np.abs(b_f).max()
+
+
+def test_radial_profile_states_continuous_in_absorbing_three_layer_ball():
+    # docs §3: the TE state (zeta/kappa, zeta') and the TM state
+    # (zeta'/kappa, zeta) of adjacent layers agree at each interface, and
+    # the outer layer meets the exterior profile psi + alpha xi at r = a
+    med = MediumSpec(((0.4, 3.0 + 1.0j), (0.7, 1.5 + 0.2j), (1.0, 2.0 + 0.5j)))
+    k = 1.7
+    coefs, layers = interior_solutions(med, k)
+    L = coefs.L
+
+    def states(z, dz, kap):
+        return np.stack([z[0] / kap, dz[0], dz[1] / kap, z[1]])[:, 1:]
+
+    def layer_states(lay, r):
+        z, dz = radial_profile(lay, r, L)
+        return states(z[..., 0], dz[..., 0], lay.kappa)
+
+    psi, dpsi, chi, dchi = riccati_all(L, k * med.radius + 0j)
+    c = np.stack([coefs.alpha, coefs.beta])
+    ext = states(psi + c * (psi + 1j * chi), dpsi + c * (dpsi + 1j * dchi), k)
+    pairs = [(layer_states(a, a.r_hi), layer_states(b, a.r_hi)) for a, b in zip(layers, layers[1:])]
+    pairs.append((layer_states(layers[-1], med.radius), ext))
+    assert len(pairs) == 3
+    for inner, outer in pairs:
+        assert np.all(np.abs(inner - outer) <= 1e-12 * np.abs(outer))
 
 
 def test_region_autoselection_matches_forced():
@@ -339,12 +367,18 @@ def test_scattered_field_solves_maxwell():
 # --------------------------------------------------------------------------
 
 
+def _riccati_xi(l, x):
+    """(psi_l, psi_l', xi_l, xi_l') with xi = psi + i chi, as the boundary matchings form it."""
+    psi, dpsi, chi, dchi = (f[l] for f in riccati_all(l, x))
+    return psi, dpsi, psi + 1j * chi, dpsi + 1j * dchi
+
+
 def test_impedance_te_closed_form():
     ball = ImpedanceBall(R=1.0, lam=2.0, s_kind="CURL_CURL")
     k = 1.5
     coefs = impedance_coefficients(ball, k)
     for l in (1, 2, 3):
-        psi, dpsi, xi, dxi = riccati_pair(l, k * 1.0 + 0j)
+        psi, dpsi, xi, dxi = _riccati_xi(l, k * 1.0 + 0j)
         ref = -(k * dpsi + 2.0 * psi) / (k * dxi + 2.0 * xi)
         assert_allclose(coefs.alpha[l], ref, rtol=1e-13)
 
@@ -359,7 +393,7 @@ def test_impedance_tm_identity_vs_curlcurl():
     assert_allclose(c_id.alpha, c_cc.alpha, rtol=1e-14)
     assert np.abs(c_id.beta[1] - c_cc.beta[1]) > 1e-3
     for l in (1, 2):
-        psi, dpsi, xi, dxi = riccati_pair(l, k + 0j)
+        psi, dpsi, xi, dxi = _riccati_xi(l, k + 0j)
         assert_allclose(c_cc.beta[l], -psi / xi, rtol=1e-13)
         assert_allclose(c_id.beta[l], -(k * psi - 2.0 * dpsi) / (k * xi - 2.0 * dxi), rtol=1e-13)
 
@@ -374,7 +408,7 @@ def test_curlcurl_tm_is_lambda_independent():
 
 def test_resonant_parameter_raises():
     k = 1.5
-    psi, dpsi, xi, dxi = riccati_pair(1, k + 0j)
+    psi, dpsi, xi, dxi = _riccati_xi(1, k + 0j)
     lam_res = -k * dxi / xi  # puts the l = 1 TE denominator exactly at zero
     with pytest.raises(ResonantParameterError):
         impedance_coefficients(ImpedanceBall(1.0, lam_res, "CURL_CURL"), k)
@@ -419,7 +453,7 @@ def test_herglotz_ball_norm_closed_form():
         vol = 4 * np.pi * R**3 / 3
         arg = k * np.linalg.norm(diff, axis=-1) * R  # |q| R with q = -k (d_i - d_j)
         with np.errstate(invalid="ignore", divide="ignore"):
-            form = 3.0 * spherical_bessel_j(1, arg + 0j) / arg
+            form = 3.0 * bessel_j_all(1, arg + 0j)[1] / arg
         form = np.where(arg < 1e-12, 1.0, form)
         phase = np.exp(-1j * (diff @ center) * k)
         gram = np.einsum("ic,jc->ij", vecs, vecs.conj())

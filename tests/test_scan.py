@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scatsig import (
@@ -287,8 +289,8 @@ def test_stekloff_scan_noise_keeps_first_peak():
 def test_stekloff_scan_resonant_lambda_is_nan_gap():
     # lambda = -xi_1'(k R) / xi_1(k R) * k makes the impedance ball
     # assembly singular; the scan records NaN instead of failing
-    _, _, xi, dxi = riccati_all(1, np.array([1.0 + 0.0j]))
-    lam_res = complex(-dxi[1, 0] / xi[1, 0])
+    psi, dpsi, chi, dchi = riccati_all(1, np.array([1.0 + 0.0j]))
+    lam_res = complex(-(dpsi[1, 0] + 1j * dchi[1, 0]) / (psi[1, 0] + 1j * chi[1, 0]))
     grid = np.array([lam_res - 0.3, lam_res, lam_res + 0.3])
     res = stekloff_scan(BALL2, 1.0, 1.0, grid, QUAD8, zs=ZS4)
     assert np.isfinite(res.indicator[0])
@@ -408,6 +410,29 @@ def test_result_json_layout():
     assert_allclose(doc["log10_indicator"][0], [0.0, 1.0, 2.0], atol=1e-14)
     assert doc["log10_indicator"][1][0] is None
     assert doc["metadata"] == {"kind": "stekloff"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    re_ax=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5),
+    im_ax=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_result_json_round_trip(re_ax, im_ax, data):
+    # NaN, zero and infinite indicators come back as null; the axes and
+    # every finite log10 value round-trip exactly
+    cell = st.floats(1e-300, 1e300) | st.sampled_from([np.nan, 0.0, np.inf])
+    size = len(re_ax) * len(im_ax)
+    ind = np.array(data.draw(st.lists(cell, min_size=size, max_size=size)))
+    ind = ind.reshape(len(im_ax), len(re_ax))
+    param = np.array(re_ax)[None, :] + 1j * np.array(im_ax)[:, None]
+    res = ScanResult("stekloff", param, ind, ind[..., None], {"k": 1.0})
+    doc = json.loads(result_to_json(res))
+    assert doc["re_axis"] == re_ax and doc["im_axis"] == im_ax
+    with np.errstate(divide="ignore"):
+        log10 = np.log10(ind)
+    for got_row, want_row in zip(doc["log10_indicator"], log10):
+        assert [None if not np.isfinite(v) else v for v in want_row] == got_row
 
 
 def test_result_json_rejects_real_grids():

@@ -14,11 +14,7 @@ from scatsig.sphfun import (
     bessel_y_all,
     mode_list,
     riccati_all,
-    riccati_pair,
     scalar_harmonics,
-    spherical_bessel_j,
-    spherical_bessel_y,
-    spherical_hankel1,
     vector_spherical_harmonics,
     vsh_tables,
 )
@@ -55,17 +51,17 @@ FROZEN = [
 
 @pytest.mark.parametrize("kind,l,z,want", FROZEN)
 def test_frozen_reference_values(kind, l, z, want):
-    fn = {"j": spherical_bessel_j, "y": spherical_bessel_y, "h1": spherical_hankel1}[kind]
-    got = fn(l, z)
+    j, y = bessel_j_all(l, z)[l], bessel_y_all(l, z)[l]
+    got = {"j": j, "y": y, "h1": j + 1j * y}[kind]
     assert_allclose(got, want, rtol=5e-14, atol=1e-300)
 
 
 def test_riccati_frozen_complex_argument():
-    psi, dpsi, xi, dxi = riccati_pair(5, 3 - 0.5j)
+    psi, dpsi, chi, dchi = (f[5] for f in riccati_all(5, 3 - 0.5j))
     assert_allclose(psi, 0.03482803447386632 - 0.041274172156511187j, rtol=5e-13)
-    assert_allclose(xi, 3.6143438516945725 - 5.0313834718144025j, rtol=5e-13)
-    # derivative columns checked through the Wronskian below
-    assert np.isfinite(dpsi) and np.isfinite(dxi)
+    assert_allclose(psi + 1j * chi, 3.6143438516945725 - 5.0313834718144025j, rtol=5e-13)
+    # derivative columns checked through the Wronskians below
+    assert np.isfinite(dpsi) and np.isfinite(dchi)
 
 
 @pytest.mark.parametrize(
@@ -85,7 +81,7 @@ def test_bessel_sweep_against_mpmath(z):
 
 def test_high_degree_small_argument():
     # j_60(0.9) underflows toward 1e-120; Miller recurrence must still track it
-    val = spherical_bessel_j(60, 0.9)
+    val = bessel_j_all(60, 0.9)[60]
     ref = complex(_mp_sph_j(60, mp.mpf("0.9")))
     assert_allclose(val, ref, rtol=1e-10)
 
@@ -100,8 +96,8 @@ def test_array_argument_matches_scalar_calls():
 def test_wronskian_psi_xi():
     # psi xi' - psi' xi = i exactly, all degrees, mixed arguments
     xs = np.array([0.2, 1.0, 3.0 - 0.5j, 7.7, 30.0 + 2j])
-    psi, dpsi, xi, dxi = riccati_all(40, xs)
-    w = psi * dxi - dpsi * xi
+    psi, dpsi, chi, dchi = riccati_all(40, xs)
+    w = psi * (dpsi + 1j * dchi) - dpsi * (psi + 1j * chi)
     assert_allclose(w, np.full_like(w, 1j), rtol=0, atol=5e-11)
 
 
@@ -112,12 +108,27 @@ def test_wronskian_psi_xi():
     im=st.floats(min_value=-5, max_value=5),
 )
 def test_wronskian_property(l, re, im):
+    # psi xi' - psi' xi = i with xi = psi + i chi, and psi chi' - psi' chi = 1
+    # on the chi column riccati_all hands out
     z = complex(re, im)
     if abs(z) < 1e-3:
         z += 0.1
-    psi, dpsi, xi, dxi = riccati_all(l, z)
-    w = psi[l] * dxi[l] - dpsi[l] * xi[l]
+    psi, dpsi, chi, dchi = riccati_all(l, z)
+    w = psi[l] * (dpsi[l] + 1j * dchi[l]) - dpsi[l] * (psi[l] + 1j * chi[l])
     assert abs(w - 1j) < 1e-9
+    assert abs(psi[l] * dchi[l] - dpsi[l] * chi[l] - 1.0) < 1e-9
+
+
+def test_riccati_chi_is_x_times_y():
+    # chi and chi' come straight from y_l, not from a round trip through xi
+    xs = np.array([0.3, 1.0, 2.5 + 1j, 7.7, 40.0 - 3j, -4.0])
+    l_max = 20
+    _, _, chi, dchi = riccati_all(l_max, xs)
+    y = bessel_y_all(l_max, xs)
+    y_prev = np.concatenate([(np.sin(xs) / xs)[None], y[:-1]])
+    ell = np.arange(l_max + 1)[:, None]
+    assert np.array_equal(chi, xs * y)
+    assert np.array_equal(dchi, xs * y_prev - ell * y)
 
 
 def test_recurrence_relation_consistency():
@@ -139,8 +150,6 @@ def test_domain_guards():
         bessel_j_all(3, 1.0e4)
     with pytest.raises(ValueError):
         bessel_y_all(3, 0.0)
-    with pytest.raises(ValueError):
-        spherical_hankel1(2, 0.0)
     with pytest.raises(ValueError):
         riccati_all(2, 0.0)
 
