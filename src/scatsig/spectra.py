@@ -11,7 +11,6 @@ is the operator-side detector the oracle roots are checked against.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,8 +210,9 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     At each k the magnetic operator is assembled and eigenvalues with
     |lambda| >= floor * max|lambda| are kept. Reported per k: the retained
     phases and the dip indicators min_j |phase_j + 1|, min_j |phase_j - 1|.
-    Grid points are processed on a thread pool (SCATSIG_THREADS caps the
-    width); results are merged in grid order, so output is deterministic.
+    The eigenvalues come from the operator's azimuthal DFT blocks
+    (``ffop.azimuthal_blocks``), one batched eigensolve per k; grid
+    points run serially, in grid order.
     """
     k_lo, k_hi, step = k_range
     if not k_lo > 0:
@@ -221,15 +221,14 @@ def phase_track(medium, k_range, quad, floor=1e-6):
 
     def one(k):
         A = ffop.assemble("MAGNETIC", medium, float(k), quad)
-        vals = scipy.linalg.eigvals(A.matrix)
+        vals = scipy.linalg.eigvals(ffop.azimuthal_blocks(A)).ravel()
         vals = vals[_sort_order(vals)]
         cut = floor * np.abs(vals[0]) if vals.size else 0.0
         kept = vals[np.abs(vals) >= cut]
         phases = kept / np.abs(kept)
         return phases
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        phase_lists = list(pool.map(one, ks))
+    phase_lists = [one(k) for k in ks]
     dip_minus = np.array([np.min(np.abs(p + 1.0)) if p.size else np.inf for p in phase_lists])
     dip_plus = np.array([np.min(np.abs(p - 1.0)) if p.size else np.inf for p in phase_lists])
     return PhaseTrack(ks=ks, phases=phase_lists, dip_minus=dip_minus,

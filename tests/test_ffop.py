@@ -18,6 +18,7 @@ from scatsig.ffop import (
     add_noise,
     adjoint,
     assemble,
+    azimuthal_blocks,
     build_quadrature,
     csv_text,
     inner_product,
@@ -259,6 +260,29 @@ def test_noise_deterministic_and_zero_copy():
     for seed, stream in ((-1, 0), (1, -1), (2**64, 0)):
         with pytest.raises(ValueError, match="noise seed"):
             add_noise(A, 0.05, seed=seed, stream=stream)
+
+
+# --------------------------------------------------------------------------
+# azimuthal blocks
+# --------------------------------------------------------------------------
+
+
+def test_azimuthal_blocks_guard(tmp_path):
+    quad = build_quadrature("PRODUCT_GAUSS", 5)
+    A = assemble("MAGNETIC", BALL2, 1.5, quad)
+    assert azimuthal_blocks(A).shape == (10, 10, 10)
+    with pytest.raises(RuntimeError, match="MAGNETIC operator at k = 1.5"):
+        azimuthal_blocks(add_noise(A, 0.01, 1))
+    mat = A.matrix.copy()
+    mat[7, 40] += 1e-10 * np.abs(mat).max()
+    with pytest.raises(RuntimeError, match="block-circulant"):
+        azimuthal_blocks(FarFieldMatrix(mat, A.kind, A.k, quad))
+    path = tmp_path / "op.ffop"
+    save_ffop(A, path)
+    with pytest.raises(ValueError, match="product rule"):
+        azimuthal_blocks(load_ffop(path))
+    with pytest.raises(ValueError, match="does not fit"):
+        azimuthal_blocks(FarFieldMatrix(A.matrix[:-2, :-2], A.kind, A.k, quad))
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from scatsig.ffop import (
@@ -9,9 +10,10 @@ from scatsig.ffop import (
     TangentVectorField,
     add_noise,
     assemble,
+    azimuthal_blocks,
     build_quadrature,
 )
-from scatsig.forward import MediumSpec
+from scatsig.forward import ImpedanceBall, MediumSpec
 from scatsig.spectra import (
     circle_center_radius,
     circle_residual,
@@ -26,6 +28,8 @@ from scatsig.spectra import (
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL4 = MediumSpec.ball(1.0, 4.0)
 ABSORB = MediumSpec.ball(1.0, 2.0 + 2.0j)
+LOSSY = MediumSpec.ball(1.0, 2.0 + 0.5j)
+IMP = ImpedanceBall(R=1.0, lam=2.0, s_kind="CURL_CURL")
 
 
 # --------------------------------------------------------------------------
@@ -254,6 +258,36 @@ def test_phase_track_other_branch_low_contrast():
     assert np.all(np.diff(left) < 0)  # closing in on +1 as k -> 2 pi
     assert track.dip_plus[0] > 2 * left.min()
     assert np.max(track.dip_minus) < 1e-3
+
+
+def _kept(vals, floor=1e-6):
+    return vals[np.abs(vals) >= floor * np.abs(vals).max()]
+
+
+@pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 10),
+                                        ("EQUAL_AREA", 8)])
+@pytest.mark.parametrize("kind,scene", [("ELECTRIC", LOSSY), ("MAGNETIC", LOSSY),
+                                        ("IMPEDANCE", IMP), ("MODIFIED", (LOSSY, IMP))])
+def test_azimuthal_blocks_match_dense_spectrum(rule, order, kind, scene):
+    # at 6x12 the truncation degree L = 14 exceeds the rule's exactness t = 11
+    A = assemble(kind, scene, 2.5, build_quadrature(rule, order))
+    dense = _kept(eig(A, compute_vectors=False).values)
+    blocks = _kept(scipy.linalg.eigvals(azimuthal_blocks(A)).ravel())
+    assert blocks.size == dense.size
+    tol = 1e-12 * np.abs(dense).max()
+    for a, b in ((dense, blocks), (blocks, dense)):
+        assert max(np.min(np.abs(b - v)) for v in a) <= tol
+
+
+def test_phase_track_matches_dense_eigensolve():
+    quad = build_quadrature("PRODUCT_GAUSS", 12)
+    track = phase_track(BALL4, (3.12, 3.16, 0.01), quad)
+    for i, k in enumerate(track.ks):
+        kept = _kept(eig(assemble("MAGNETIC", BALL4, float(k), quad),
+                         compute_vectors=False).values)
+        assert track.phases[i].size == kept.size
+        dip = np.min(np.abs(kept / np.abs(kept) + 1.0))
+        assert abs(track.dip_minus[i] - dip) <= 1e-10 * dip
 
 
 def test_phase_track_grid_and_floor():
