@@ -20,7 +20,7 @@ products against tabulated mode matrices.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -153,7 +153,6 @@ class FarFieldMatrix:
     ball: ImpedanceBall | None = None
     noise_eps: float = 0.0
     seed: int = 0
-    _norm_cache: float | None = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -168,36 +167,74 @@ class FarFieldMatrix:
         return TangentVectorField.from_flat(self.quad, self.matrix @ g.flat())
 
     def operator_norm(self):
-        """Discrete L2(S^2) operator norm (weighted), by power iteration.
+        """Discrete L2(S^2) operator norm (weighted), from the weighted Gram.
 
-        Equals the largest singular value of W^(1/2) A W^(-1/2); cached.
+        Equals the largest singular value of W^(1/2) A W^(-1/2).
         """
-        if self._norm_cache is None:
-            sq = np.sqrt(self.weight_vector())
-            self._norm_cache = spectral_norm((sq[:, None] * self.matrix) / sq[None, :])
-        return self._norm_cache
+        w = self.weight_vector()
+        return gram_norm(self.matrix.conj().T @ (w[:, None] * self.matrix), w)
 
 
-def spectral_norm(mat):
-    """Largest singular value of a dense matrix by power iteration.
+@dataclass(eq=False)
+class FarFieldBlocks:
+    """Azimuthal DFT blocks of a clean ball operator on a product rule.
 
-    The start vector is fixed, so the result is deterministic; the
-    iteration stops once two successive estimates agree to 1e-12
-    (relative above 1, absolute below), or after 200 steps.
+    ``matrix`` has shape (n_phi, 2 n_theta, 2 n_theta). Block q maps the
+    azimuthal frequency q of a field (its DFT over the azimuth index,
+    ``to_blocks``) to the same frequency of the image; docs section 12.
     """
-    v = np.ones(mat.shape[1], dtype=complex) / np.sqrt(mat.shape[1])
-    s = 0.0
-    for _ in range(200):
-        y = mat.conj().T @ (mat @ v)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        s_new = np.sqrt(ny)
-        v = y / ny
-        if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
-            return float(s_new)
-        s = s_new
-    return float(s)
+
+    matrix: np.ndarray
+    kind: str
+    k: float
+    quad: SphereQuadrature
+    noise_eps = 0.0  # noise breaks the block structure, so blocks are always clean
+
+    def weight_vector(self):
+        """Latitude weights of the rows of one block (length 2 n_theta)."""
+        return np.repeat(self.quad.weights[:: 2 * self.quad.order], 2)
+
+    def to_blocks(self, x):
+        """DFT over azimuth of node-space columns (2N, m): shape (n_phi, 2 n_theta, m)."""
+        n_theta = self.quad.order
+        xh = np.fft.fft(x.reshape(n_theta, 2 * n_theta, 2, -1), axis=1)
+        return xh.transpose(1, 0, 2, 3).reshape(2 * n_theta, 2 * n_theta, -1)
+
+    def to_nodes(self, xh):
+        """Inverse of ``to_blocks``: node-space columns of shape (2N, m)."""
+        n_theta = self.quad.order
+        x = np.fft.ifft(xh.reshape(2 * n_theta, n_theta, 2, -1), axis=0)
+        return x.transpose(1, 0, 2, 3).reshape(4 * n_theta**2, -1)
+
+
+# Gram blocks up to this many rows get dense eigvalsh, larger ones Lanczos
+_EIGVALSH_MAX_ROWS = 128
+
+
+def gram_norm(gram, w):
+    """Weighted operator norm sqrt(max eig W^-1/2 G W^-1/2) from a Gram G = A^H W A.
+
+    ``gram`` is one (m, m) Gram or a stack (n_blocks, m, m) of them,
+    taken before any regularization shift; ``w`` holds the m row
+    weights. Blocks of up to _EIGVALSH_MAX_ROWS rows go to one batched
+    eigvalsh. A larger block gets symmetric Lanczos (eigsh) on the real
+    form [[Re H, -Im H], [Im H, Re H]], which repeats each eigenvalue of
+    H = W^-1/2 G W^-1/2, from a fixed start vector of ones, so the
+    result is deterministic. The real form runs several times faster
+    than complex Lanczos, most of all under a multithreaded BLAS.
+    """
+    s = 1.0 / np.sqrt(w)
+    h = gram.reshape(-1, w.size, w.size) * s[:, None] * s[None, :]
+    if w.size <= _EIGVALSH_MAX_ROWS:
+        top = np.linalg.eigvalsh(h)[:, -1].max()
+    else:
+        from scipy.sparse.linalg import eigsh
+
+        # a zero block leaves Lanczos no start vector in its range; its norm is 0
+        top = max((eigsh(np.block([[b.real, -b.imag], [b.imag, b.real]]), k=1, which="LA",
+                         v0=np.ones(2 * w.size), return_eigenvectors=False)[0]
+                   for b in h if np.any(b)), default=0.0)
+    return float(np.sqrt(max(top, 0.0)))
 
 
 @lru_cache(maxsize=32)
@@ -222,22 +259,55 @@ def _mode_product(phi_a, phi_b, diag_a, diag_b, weights):
     return m * np.repeat(weights, 2)[None, :]
 
 
-def _electric_matrix(medium, k, quad):
-    coefs = mie_coefficients(medium, k)
-    phi_u, phi_v = _mode_matrices(quad, coefs.L)
-    ells = np.array([m.l for m in mode_list(coefs.L)])
-    return 4.0 * np.pi * _mode_product(
-        phi_v, phi_u, coefs.alpha[ells], coefs.beta[ells], quad.weights
-    )
+def _scene_parts(kind, scene):
+    """(medium, ball) of a scene after checking it fits the operator kind.
+
+    ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC, an ImpedanceBall
+    for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    if kind in ("ELECTRIC", "MAGNETIC"):
+        if not isinstance(scene, MediumSpec):
+            raise TypeError(f"{kind} assembly needs a MediumSpec scene")
+        return scene, None
+    if kind == "IMPEDANCE":
+        if not isinstance(scene, ImpedanceBall):
+            raise TypeError("IMPEDANCE assembly needs an ImpedanceBall scene")
+        return None, scene
+    medium, ball = scene
+    if not isinstance(medium, MediumSpec) or not isinstance(ball, ImpedanceBall):
+        raise TypeError("MODIFIED assembly needs a (MediumSpec, ImpedanceBall) pair")
+    return medium, ball
 
 
-def _dual_matrix(coefs, k, quad):
-    """Shared form of the magnetic and impedance operator matrices."""
-    phi_u, phi_v = _mode_matrices(quad, coefs.L)
-    ells = np.array([m.l for m in mode_list(coefs.L)])
-    return (-4.0j * np.pi / k) * _mode_product(
-        phi_u, phi_v, coefs.alpha[ells], coefs.beta[ells], quad.weights
-    )
+def _modal_sum(kind, medium, ball, k, quad, product):
+    """A kind's operator as a scaled sum of mode products, one per coefficient set.
+
+    ``product(phi_a, phi_b, diag_a, diag_b, ms)`` evaluates one set:
+    phi_a carries the alpha diagonal (V modes for ELECTRIC, U modes for
+    the dual kinds), phi_b the beta one, and ms the azimuthal orders.
+    MODIFIED is the magnetic sum minus the impedance one.
+    """
+    dual = -4.0j * np.pi / k
+    if kind == "ELECTRIC":
+        sets = [(4.0 * np.pi, mie_coefficients(medium, k))]
+    elif kind == "MAGNETIC":
+        sets = [(dual, mie_coefficients(medium, k))]
+    elif kind == "IMPEDANCE":
+        sets = [(dual, impedance_coefficients(ball, k))]
+    else:
+        sets = [(dual, mie_coefficients(medium, k)), (-dual, impedance_coefficients(ball, k))]
+    total = None
+    for scale, coefs in sets:
+        phi_u, phi_v = _mode_matrices(quad, coefs.L)
+        modes = mode_list(coefs.L)
+        ells = np.array([m.l for m in modes])
+        ms = np.array([m.m for m in modes])
+        pair = (phi_v, phi_u) if kind == "ELECTRIC" else (phi_u, phi_v)
+        term = scale * product(*pair, coefs.alpha[ells], coefs.beta[ells], ms)
+        total = term if total is None else total + term
+    return total
 
 
 def assemble(kind, scene, k, quad):
@@ -247,61 +317,45 @@ def assemble(kind, scene, k, quad):
     for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED,
     whose matrix is the magnetic matrix minus the impedance matrix.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    if kind == "ELECTRIC":
-        if not isinstance(scene, MediumSpec):
-            raise TypeError("ELECTRIC assembly needs a MediumSpec scene")
-        mat = _electric_matrix(scene, k, quad)
-        return FarFieldMatrix(mat, kind, float(k), quad, medium=scene)
-    if kind == "MAGNETIC":
-        if not isinstance(scene, MediumSpec):
-            raise TypeError("MAGNETIC assembly needs a MediumSpec scene")
-        mat = _dual_matrix(mie_coefficients(scene, k), k, quad)
-        return FarFieldMatrix(mat, kind, float(k), quad, medium=scene)
-    if kind == "IMPEDANCE":
-        if not isinstance(scene, ImpedanceBall):
-            raise TypeError("IMPEDANCE assembly needs an ImpedanceBall scene")
-        mat = _dual_matrix(impedance_coefficients(scene, k), k, quad)
-        return FarFieldMatrix(mat, kind, float(k), quad, ball=scene)
-    medium, ball = scene
-    if not isinstance(medium, MediumSpec) or not isinstance(ball, ImpedanceBall):
-        raise TypeError("MODIFIED assembly needs a (MediumSpec, ImpedanceBall) pair")
-    mat = _dual_matrix(mie_coefficients(medium, k), k, quad) - _dual_matrix(
-        impedance_coefficients(ball, k), k, quad
-    )
+    medium, ball = _scene_parts(kind, scene)
+    mat = _modal_sum(kind, medium, ball, k, quad,
+                     lambda pa, pb, da, db, _: _mode_product(pa, pb, da, db, quad.weights))
     return FarFieldMatrix(mat, kind, float(k), quad, medium=medium, ball=ball)
 
 
-def azimuthal_blocks(A):
-    """DFT blocks of a block-circulant operator matrix: shape (n_phi, 2n_theta, 2n_theta).
+def assemble_blocks(kind, scene, k, quad):
+    """Azimuthal DFT blocks of the operator ``assemble`` would build (docs section 12).
 
-    Both product rules put n_phi = 2*order equally spaced azimuths on
-    each of their n_theta = order latitudes (node j = i_theta*n_phi + a)
-    with frames that rotate with the node, so the matrix of any ball
-    scene couples azimuths a and b only through b - a. The eigenvalues
-    of the returned blocks together are those of the whole matrix (docs
-    section 12). A matrix that deviates from that structure by more than
-    1e-12 max|A| raises RuntimeError; a rule that is not a product rule,
-    or a matrix whose shape does not fit the rule, raises ValueError.
+    Takes the azimuth-0 rows of the cached mode tables: mode (l, m)
+    lands in block q = m mod n_phi, scaled by n_phi and the latitude
+    weights. Modes with |m| >= n_phi / 2 alias into shared blocks, the
+    same sum the dense matrix holds. Needs a product rule (ValueError
+    otherwise); the scene is checked as in ``assemble``.
     """
-    quad = A.quad
     if quad.kind not in ("PRODUCT_GAUSS", "EQUAL_AREA"):
         raise ValueError(f"azimuthal blocks need a product rule, got a {quad.kind} quadrature")
+    medium, ball = _scene_parts(kind, scene)
     n_theta, n_phi = quad.order, 2 * quad.order
-    dim = 2 * n_theta * n_phi
-    if A.matrix.shape != (dim, dim):
-        raise ValueError(f"matrix shape {A.matrix.shape} does not fit the "
-                         f"{n_theta}x{n_phi} {quad.kind} rule ({dim}, {dim})")
-    M = A.matrix.reshape(n_theta, n_phi, 2, n_theta, n_phi, 2)
-    C = M[:, 0]
-    tol = 1e-12 * np.max(np.abs(A.matrix))
-    dev = max(np.max(np.abs(np.roll(M[:, a], -a, axis=3) - C)) for a in range(1, n_phi))
-    if not dev <= tol:
-        raise RuntimeError(f"{A.kind} operator at k = {A.k} is not block-circulant in "
-                           f"the azimuth: deviation {dev:.3e} > {tol:.3e}")
-    blocks = np.fft.fft(C, axis=3)  # (i_theta, s, j_theta, m, t)
-    return blocks.transpose(3, 0, 1, 2, 4).reshape(n_phi, 2 * n_theta, 2 * n_theta)
+    col_w = n_phi * np.repeat(quad.weights[::n_phi], 2)
+
+    def product(phi_a, phi_b, diag_a, diag_b, ms):
+        # gather the modes of each block into a row of idx, padded with
+        # zero-weight copies of mode 0 up to the largest block's count
+        q = ms % n_phi
+        counts = np.bincount(q, minlength=n_phi)
+        starts = np.cumsum(counts) - counts
+        slot = np.arange(counts.max())
+        valid = slot[None, :] < counts[:, None]
+        idx = np.argsort(q, kind="stable")[np.where(valid, starts[:, None] + slot, 0)]
+        out = 0.0
+        for phi, diag in ((phi_a, diag_a), (phi_b, diag_b)):
+            rows = phi.reshape(n_theta, n_phi, 2, -1)[:, 0].reshape(2 * n_theta, -1)
+            g = rows[:, idx].transpose(1, 0, 2)  # (n_phi, 2 n_theta, slots)
+            out = out + (g * np.where(valid, diag[idx], 0.0)[:, None, :]) @ g.conj().transpose(0, 2, 1)
+        return out * col_w
+
+    mat = _modal_sum(kind, medium, ball, k, quad, product)
+    return FarFieldBlocks(mat, kind, float(k), quad)
 
 
 def add_noise(A, eps, seed, stream=0):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import forward
 from .forward import MediumSpec
@@ -143,6 +142,8 @@ def tev_min_singular(medium, l, family, k):
 
 def _roots_on_grid(fn, grid):
     """Brent refinement of every sign change of fn on the grid."""
+    from scipy.optimize import brentq  # imported where it runs: it costs a CLI start 0.3 s
+
     vals = fn(grid)
     roots = []
     sign = np.sign(vals)
@@ -223,6 +224,8 @@ def index_bound_from_tev(k1_measured, a, n_search, l_max=5):
             f"k1 = {k1_measured} not bracketed: k1({n_lo}) = {probe[0]:.6f}, "
             f"k1({n_hi}) = {probe[2]:.6f}"
         )
+    from scipy.optimize import brentq
+
     n_est = brentq(lambda n: k1_of(n) - k1_measured, n_lo, n_hi, xtol=1e-10)
     if abs(k1_of(n_est) - k1_measured) > 1e-6:
         raise BracketError("bisection failed to reach the 1e-6 eigenvalue tolerance")

@@ -1,29 +1,31 @@
 """Indicator-function scans built on the regularized far field equation.
 
-Both detectors share one mechanism: a dense far field operator A and a
+Both detectors share one mechanism: a far field operator A and a
 family of dipole right-hand sides b_z for sample points z inside the
 scatterer, solved in Tikhonov-regularized least squares. Away from an
 eigenvalue the solutions stay moderate; at a transmission eigenvalue
 (k-scan of the magnetic operator) or a generalized Stekloff eigenvalue
 (lambda-scan of the modified operator) the averaged solution norm spikes.
 
-Grid points are independent work items on a thread pool; results merge
-in grid order, so repeated runs with the same seeds are bit-identical.
+A clean operator is block-circulant in the azimuth (docs section 12),
+so clean scans assemble its DFT blocks directly and solve n_phi small
+systems per grid point; noisy operators take the dense path. Grid
+points run serially, in grid order, so repeated runs with the same
+seeds are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import ffop, forward
-from .ffop import FarFieldMatrix, TangentVectorField
+from .ffop import FarFieldBlocks, TangentVectorField
 from .forward import DipoleSource, ImpedanceBall, ResonantParameterError
-from .spectra import grid_points, worker_count
+from .spectra import grid_points
 
 _ALPHA_FLOOR = 1e-10
 _NORMAL_EQ_TOL = 1e-10
@@ -49,9 +51,12 @@ class TikhonovConfig:
     def resolve(self, A):
         """Concrete alpha for a given operator matrix."""
         if self.alpha == "auto":
-            norm = A.operator_norm()
-            return max(A.noise_eps**2 * norm**2, _ALPHA_FLOOR * norm**2)
+            return _auto_alpha(A.noise_eps, A.operator_norm())
         return float(self.alpha)
+
+
+def _auto_alpha(noise_eps, norm):
+    return max(noise_eps**2 * norm**2, _ALPHA_FLOOR * norm**2)
 
 
 @dataclass(frozen=True)
@@ -99,32 +104,51 @@ class ScanResult:
 
 
 class _NormalSolver:
-    """Factorized weighted normal equations (alpha W + A^H W A) G = A^H W B."""
+    """Factorized weighted normal equations (alpha W + A^H W A) G = A^H W B.
+
+    A dense FarFieldMatrix is one block with the node weights. A
+    FarFieldBlocks stack is n_phi blocks with the latitude weights, and
+    right-hand sides are DFT'd over azimuth into it (docs section 11).
+    Gram, Cholesky factor and solves are batched over the blocks.
+    ``alpha`` is positive, or "auto" for the TikhonovConfig rule with
+    ||A|| read off this Gram before the alpha shift.
+    """
 
     def __init__(self, A, alpha):
+        if isinstance(A, FarFieldBlocks):
+            mats, self._split, self._merge = A.matrix, A.to_blocks, A.to_nodes
+        else:
+            mats, self._split, self._merge = A.matrix[None], (lambda b: b[None]), (lambda g: g[0])
         self.w = A.weight_vector()
-        ah = A.matrix.conj().T
-        self.ah_w = ah * self.w[None, :]
-        self.gram = ah @ (self.w[:, None] * A.matrix)
-        self.gram[np.diag_indices_from(self.gram)] += float(alpha) * self.w
+        ah = mats.conj().transpose(0, 2, 1)
+        self.ah_w = ah * self.w
+        self.gram = ah @ (self.w[:, None] * mats)
+        if isinstance(alpha, str):
+            alpha = _auto_alpha(A.noise_eps, ffop.gram_norm(self.gram, self.w))
+        diag = np.arange(self.w.size)
+        self.gram[:, diag, diag] += float(alpha) * self.w
         self.factor = cho_factor(self.gram, lower=False)
 
-    def solve(self, b):
-        """Solution for a (2N,) right-hand side or a (2N, m) block of them.
+    def _norms(self, x):
+        # per-column weighted norm summed over blocks: by Parseval the node-space
+        # norm times sqrt(n_phi), which cancels in the relative residual
+        return np.sqrt(np.sum(np.abs(x) ** 2 / self.w[:, None], axis=(0, 1)))
 
-        One cho_solve serves the block; columns whose weighted residual
-        misses _NORMAL_EQ_TOL get up to three refinement rounds.
+    def solve(self, b):
+        """Node-space solution for a (2N,) right-hand side or a (2N, m) block of them.
+
+        One batched cho_solve serves the block; columns whose weighted
+        residual misses _NORMAL_EQ_TOL get up to three refinement rounds.
         """
-        rhs = self.ah_w @ b.reshape(b.shape[0], -1)
+        rhs = self.ah_w @ self._split(b.reshape(b.shape[0], -1))
         g = cho_solve(self.factor, rhs)
-        scale = np.sqrt(np.sum(np.abs(rhs) ** 2 / self.w[:, None], axis=0))
+        scale = self._norms(rhs)
         for _ in range(3):
             res = self.gram @ g - rhs
-            err = np.sqrt(np.sum(np.abs(res) ** 2 / self.w[:, None], axis=0))
-            bad = err > _NORMAL_EQ_TOL * np.maximum(scale, 1e-300)
+            bad = self._norms(res) > _NORMAL_EQ_TOL * np.maximum(scale, 1e-300)
             if not bad.any():
-                return g.reshape(b.shape)
-            g[:, bad] -= cho_solve(self.factor, res[:, bad])
+                return self._merge(g).reshape(b.shape)
+            g[..., bad] -= cho_solve(self.factor, res[..., bad])
         raise RuntimeError("normal equations did not reach the residual tolerance")
 
 
@@ -134,9 +158,13 @@ def tikhonov_solve(A, rhs, cfg=TikhonovConfig()):
     The adjoint is the weighted one, so the normal equations live in the
     same discrete L2 geometry as the operator.
     """
-    solver = _NormalSolver(A, cfg.resolve(A))
-    g = solver.solve(rhs.flat())
+    g = _NormalSolver(A, cfg.alpha).solve(rhs.flat())
     return TangentVectorField.from_flat(A.quad, g)
+
+
+def _column_norms(quad, g):
+    """Weighted L2 norms sqrt(sum_j w_j |g_j|^2) of the (2N, m) solution columns."""
+    return np.sqrt(np.repeat(quad.weights, 2) @ np.abs(g) ** 2)
 
 
 def _dipole_rhs(quad, z_pts, k, magnetic):
@@ -181,10 +209,11 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
              noise_eps=0.0, noise_seed=1, herglotz=False):
     """Transmission-eigenvalue scan of the magnetic far field equation.
 
-    For each k the magnetic operator is assembled (optionally with
-    multiplicative noise keyed by (noise_seed, grid index)) and the
-    equation F_m g = H_{e,inf}(.; z, p), with fixed polarization
-    p = (1,0,0), is solved for all sample points z in one block solve.
+    For each k the magnetic operator is assembled, as azimuthal blocks
+    when clean and densely with multiplicative noise keyed by
+    (noise_seed, grid index) otherwise, and the equation
+    F_m g = H_{e,inf}(.; z, p), with fixed polarization p = (1,0,0), is
+    solved for all sample points z in one block solve.
     The indicator is the z-averaged norm of g; with ``herglotz=True`` it
     is the averaged L2 norm of the magnetic Herglotz field of g over the
     scatterer ball (the theorem-side quantity; slower).
@@ -195,22 +224,21 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
     ks = _k_values(k_grid)
     z_pts = zs.points()
 
-    def one(item):
-        i, k = item
+    def one(i, k):
         k = float(k)
-        A = ffop.assemble("MAGNETIC", medium, k, quad)
         if noise_eps > 0:
-            A = ffop.add_noise(A, noise_eps, noise_seed, stream=i)
-        solver = _NormalSolver(A, cfg.resolve(A))
-        g = solver.solve(_dipole_rhs(quad, z_pts, k, magnetic=True))
+            A = ffop.add_noise(ffop.assemble("MAGNETIC", medium, k, quad), noise_eps,
+                               noise_seed, stream=i)
+        else:
+            A = ffop.assemble_blocks("MAGNETIC", medium, k, quad)
+        g = _NormalSolver(A, cfg.alpha).solve(_dipole_rhs(quad, z_pts, k, magnetic=True))
         if herglotz:
             fields = (TangentVectorField.from_flat(quad, col) for col in g.T)
             return np.array([forward.herglotz_ball_norm(f, k, medium.radius, magnetic=True)
                              for f in fields])
-        return np.sqrt(solver.w @ np.abs(g) ** 2)
+        return _column_norms(quad, g)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(one, enumerate(ks)))
+    rows = [one(i, k) for i, k in enumerate(ks)]
     per_z = np.vstack(rows)
     meta = _scan_metadata("tev", medium, quad, zs, cfg, noise_eps, noise_seed,
                           herglotz=bool(herglotz))
@@ -224,7 +252,8 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfi
     The magnetic operator of the scene is assembled once (it does not
     depend on lambda); per grid value the impedance-ball operator for
     (R, lambda) is subtracted and F_M g = E_{e,inf}(.; z, q) is solved
-    for all sample points z in one block solve.
+    for all sample points z in one block solve. Both operators are
+    azimuthal blocks when the data are clean and dense when noisy.
     lam_grid may be a real 1-D grid or a complex 2-D rectangle; resonant
     lambda values (impedance ball has no unique solution) are recorded
     as NaN gaps.
@@ -236,24 +265,21 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfi
     if lam.ndim not in (1, 2):
         raise ValueError("lambda grid must be a 1-D list or 2-D rectangle")
     k = float(k)
-    F_m = ffop.assemble("MAGNETIC", scene, k, quad)
+    build = ffop.assemble if noise_eps > 0 else ffop.assemble_blocks
+    F_m = build("MAGNETIC", scene, k, quad)
     if noise_eps > 0:
         F_m = ffop.add_noise(F_m, noise_eps, noise_seed)
     rhs = _dipole_rhs(quad, zs.points(), k, magnetic=False)
 
     def one(lam_val):
         try:
-            F_s = ffop.assemble("IMPEDANCE", ImpedanceBall(R=R, lam=complex(lam_val), s_kind=s_kind), k, quad)
+            F_s = build("IMPEDANCE", ImpedanceBall(R=R, lam=complex(lam_val), s_kind=s_kind), k, quad)
         except ResonantParameterError:
             return np.full(rhs.shape[1], np.nan)
-        A = FarFieldMatrix(F_m.matrix - F_s.matrix, "MODIFIED", k, quad,
-                           medium=scene, ball=F_s.ball, noise_eps=F_m.noise_eps,
-                           seed=F_m.seed)
-        solver = _NormalSolver(A, cfg.resolve(A))
-        return np.sqrt(solver.w @ np.abs(solver.solve(rhs)) ** 2)
+        A = replace(F_m, matrix=F_m.matrix - F_s.matrix, kind="MODIFIED")
+        return _column_norms(quad, _NormalSolver(A, cfg.alpha).solve(rhs))
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(one, lam.reshape(-1)))
+    rows = [one(lam_val) for lam_val in lam.reshape(-1)]
     per_z = np.stack(rows).reshape(lam.shape + (rhs.shape[1],))
     meta = _scan_metadata("stekloff", scene, quad, zs, cfg, noise_eps, noise_seed,
                           B=float(R), k=k, s_kind=s_kind)

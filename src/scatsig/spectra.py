@@ -59,14 +59,15 @@ def eig(A, compute_vectors=True):
     """Dense eigendecomposition of the operator matrix.
 
     Residuals are ||A v - lambda v|| / ||A|| with unit eigenvectors and
-    the spectral matrix norm (zero without vectors); LAPACK failure
-    surfaces as LinAlgError.
+    the spectral matrix norm, taken from the Gram A^H A by
+    ``ffop.gram_norm`` (zero without vectors); LAPACK failure surfaces
+    as LinAlgError.
     """
     mat = A.matrix if isinstance(A, FarFieldMatrix) else np.asarray(A, complex)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     if compute_vectors:
-        norm_a = ffop.spectral_norm(mat)
+        norm_a = ffop.gram_norm(mat.conj().T @ mat, np.ones(mat.shape[0]))
         vals, vecs = scipy.linalg.eig(mat)
         order = _sort_order(vals)
         vals = vals[order]
@@ -198,6 +199,11 @@ def grid_points(lo, hi, step):
 
 
 def worker_count():
+    """Pool width SCATSIG_THREADS asks for (default min(4, cpu count)).
+
+    Scans and phase tracking run their grid points serially, so no
+    package code uses it; the benchmark records it with each run.
+    """
     env = os.environ.get("SCATSIG_THREADS")
     if env:
         return max(1, int(env))
@@ -211,7 +217,7 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     |lambda| >= floor * max|lambda| are kept. Reported per k: the retained
     phases and the dip indicators min_j |phase_j + 1|, min_j |phase_j - 1|.
     The eigenvalues come from the operator's azimuthal DFT blocks
-    (``ffop.azimuthal_blocks``), one batched eigensolve per k; grid
+    (``ffop.assemble_blocks``), one batched eigensolve per k; grid
     points run serially, in grid order.
     """
     k_lo, k_hi, step = k_range
@@ -220,8 +226,8 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     ks = grid_points(k_lo, k_hi, step)
 
     def one(k):
-        A = ffop.assemble("MAGNETIC", medium, float(k), quad)
-        vals = scipy.linalg.eigvals(ffop.azimuthal_blocks(A)).ravel()
+        blocks = ffop.assemble_blocks("MAGNETIC", medium, float(k), quad)
+        vals = scipy.linalg.eigvals(blocks.matrix).ravel()
         vals = vals[_sort_order(vals)]
         cut = floor * np.abs(vals[0]) if vals.size else 0.0
         kept = vals[np.abs(vals) >= cut]

@@ -60,3 +60,12 @@ def test_traced_phase_track_batches_one_eigensolve_per_k(tmp_path):
                                       "--scene", str(scene)])
     assert layers["spectra.eigvals.calls"] == 3
     assert (tmp_path / "phase_track.csv").exists()
+
+
+def test_traced_clean_stekloff_scan_factors_blocks_once_per_cell(tmp_path):
+    layers = _traced_child(tmp_path, ["stekloff-scan", "--quad", "6x12", "--k", "1", "--B", "1",
+                                      "--rect=-3.0:-1.0:-0.1:0.5:3", "--zcount", "2"])
+    assert layers["scan.normal_factor.calls"] == 9
+    assert layers["scan.normal_solve.calls"] == 9
+    assert layers["ffop.assemble.calls"] == 0
+    assert (tmp_path / "stekloff_scan.json").exists()

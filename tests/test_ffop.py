@@ -6,6 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -18,9 +19,10 @@ from scatsig.ffop import (
     add_noise,
     adjoint,
     assemble,
-    azimuthal_blocks,
+    assemble_blocks,
     build_quadrature,
     csv_text,
+    gram_norm,
     inner_product,
     load_ffop,
     save_ffop,
@@ -33,6 +35,8 @@ from scatsig.forward import (
     magnetic_far_field_kernel,
 )
 from scatsig.sphfun import mode_list, vsh_tables
+
+from block_oracle import azimuthal_blocks
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 IMP = ImpedanceBall(R=1.0, lam=2.0, s_kind="CURL_CURL")
@@ -283,6 +287,33 @@ def test_azimuthal_blocks_guard(tmp_path):
         azimuthal_blocks(load_ffop(path))
     with pytest.raises(ValueError, match="does not fit"):
         azimuthal_blocks(FarFieldMatrix(A.matrix[:-2, :-2], A.kind, A.k, quad))
+    with pytest.raises(ValueError, match="product rule"):
+        assemble_blocks("MAGNETIC", BALL2, 1.5, load_ffop(path).quad)
+    with pytest.raises(TypeError, match="MediumSpec"):
+        assemble_blocks("MAGNETIC", IMP, 1.5, quad)
+
+
+LOSSY = MediumSpec.ball(1.0, 2.0 + 0.5j)
+
+
+@pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 10),
+                                        ("PRODUCT_GAUSS", 12), ("EQUAL_AREA", 8)])
+@pytest.mark.parametrize("kind,scene", [("ELECTRIC", LOSSY), ("MAGNETIC", LOSSY),
+                                        ("IMPEDANCE", IMP), ("MODIFIED", (LOSSY, IMP))])
+def test_assemble_blocks_match_split_dense_matrix(rule, order, kind, scene):
+    # at 6x12 the truncation degree L = 14 reaches |m| >= n_phi / 2 = 6, so
+    # several m alias into one block; block q is the dense split's block -q
+    quad = build_quadrature(rule, order)
+    A = assemble(kind, scene, 2.5, quad)
+    B = assemble_blocks(kind, scene, 2.5, quad)
+    n_phi = 2 * order
+    assert B.matrix.shape == (n_phi, 2 * order, 2 * order)
+    ref = azimuthal_blocks(A)[-np.arange(n_phi) % n_phi]
+    assert np.max(np.abs(B.matrix - ref)) <= 1e-13 * np.max(np.abs(A.matrix))
+    # the DFT pair carries node-space columns into the blocks and back
+    x = np.random.default_rng(order).standard_normal((A.dim, 3)) + 0j
+    y = B.to_nodes(B.matrix @ B.to_blocks(x))
+    assert_allclose(y, A.matrix @ x, rtol=0, atol=1e-13 * np.abs(A.matrix @ x).max())
 
 
 # --------------------------------------------------------------------------
@@ -303,6 +334,27 @@ def test_adjoint_identity():
     rhs = inner_product(u, As.apply(v))
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1e-30)
     assert_allclose(adjoint(As).matrix, A.matrix, rtol=0, atol=1e-13 * np.abs(A.matrix).max())
+
+
+def test_noisy_operator_norm_matches_svdvals():
+    # a noisy 12x24 operator has no block form, and its top singular values
+    # are split clusters that a capped power iteration does not resolve
+    quad = build_quadrature("PRODUCT_GAUSS", 12)
+    A = add_noise(assemble("MAGNETIC", MediumSpec.ball(1.0, 4.0), 3.1, quad), 0.01, 3)
+    sq = np.sqrt(A.weight_vector())
+    ref = scipy.linalg.svdvals((sq[:, None] * A.matrix) / sq[None, :])[0]
+    assert abs(A.operator_norm() - ref) <= 1e-12 * ref
+
+
+def test_block_gram_norm_matches_dense_svdvals():
+    quad = build_quadrature("PRODUCT_GAUSS", 8)
+    A = assemble("MODIFIED", (LOSSY, IMP), 1.5, quad)
+    sq = np.sqrt(A.weight_vector())
+    ref = scipy.linalg.svdvals((sq[:, None] * A.matrix) / sq[None, :])[0]
+    B = assemble_blocks("MODIFIED", (LOSSY, IMP), 1.5, quad)
+    w = B.weight_vector()
+    gram = B.matrix.conj().transpose(0, 2, 1) @ (w[:, None] * B.matrix)
+    assert abs(gram_norm(gram, w) - ref) <= 1e-12 * ref
 
 
 def test_operator_norm_matches_svd():

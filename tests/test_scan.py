@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from scatsig import (
     FarFieldMatrix,
+    ImpedanceBall,
     MediumSpec,
     TangentVectorField,
     TikhonovConfig,
@@ -25,13 +26,15 @@ from scatsig import (
     tev_scan,
     tikhonov_solve,
 )
-from scatsig import scan
+from scatsig import ffop, forward, scan
 from scatsig.scan import ScanResult, result_to_csv, result_to_json
 from scatsig.sphfun import riccati_all
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL4 = MediumSpec.ball(1.0, 4.0)
 STEKLOFF_N2 = [-1.5748945918925663, -2.7047154937500942, -3.7731288220972743]
+
+IMP = ImpedanceBall(R=1.0, lam=2.0, s_kind="CURL_CURL")
 
 QUAD8 = build_quadrature("PRODUCT_GAUSS", 8)
 ZS4 = ZSampling(count=4, r_z=0.4, seed=7)
@@ -100,6 +103,27 @@ def test_block_solve_matches_column_solves_and_dense_reference():
 def test_block_solve_raises_when_refinement_is_exhausted(monkeypatch):
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     solver = scan._NormalSolver(_random_operator(quad, seed=11), 0.05)
+    b = _random_field(quad, seed=12).flat()
+    monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="residual tolerance"):
+        solver.solve(np.stack([b, 2 * b], axis=1))
+
+
+def test_block_solver_matches_dense_solver():
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    A = ffop.assemble("MODIFIED", (BALL2, IMP), 1.5, quad)
+    B = ffop.assemble_blocks("MODIFIED", (BALL2, IMP), 1.5, quad)
+    gen = np.random.Generator(np.random.Philox(key=13))
+    rhs = gen.standard_normal((A.dim, 3)) + 1j * gen.standard_normal((A.dim, 3))
+    dense = scan._NormalSolver(A, 1e-2).solve(rhs)
+    assert_allclose(scan._NormalSolver(B, 1e-2).solve(rhs), dense, rtol=1e-10)
+    g = scan._NormalSolver(B, 1e-2).solve(rhs[:, 0])
+    assert g.shape == (A.dim,)
+
+
+def test_block_solve_raises_when_refinement_is_exhausted_on_blocks(monkeypatch):
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    solver = scan._NormalSolver(ffop.assemble_blocks("MAGNETIC", BALL2, 1.5, quad), 1e-3)
     b = _random_field(quad, seed=12).flat()
     monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
     with pytest.raises(RuntimeError, match="residual tolerance"):
@@ -326,6 +350,59 @@ def test_scan_metadata_records_inputs():
     assert meta["z_count"] == 4 and meta["z_seed"] == 7
     assert meta["quad"] == "PRODUCT_GAUSS:8"
     assert json.loads(meta["medium"])  # embeddable scene description
+
+
+# ---------------------------------------------------------------------------
+# block path against the dense path
+
+
+def _dense_norms(A, rhs, herglotz_radius=None):
+    """Per-column indicator of the dense solve the noisy path runs."""
+    g = scan._NormalSolver(A, "auto").solve(rhs)
+    if herglotz_radius is None:
+        return np.sqrt(A.weight_vector() @ np.abs(g) ** 2)
+    return np.array([forward.herglotz_ball_norm(TangentVectorField.from_flat(A.quad, col), A.k,
+                                                herglotz_radius, magnetic=True) for col in g.T])
+
+
+def _assert_matches_dense(res, per_z):
+    assert np.max(np.abs(res.per_z - per_z) / per_z) <= 1e-7
+    dense = ScanResult(res.kind, res.param, per_z.mean(axis=-1), per_z)
+    for prominence in (2.0, 1.5):
+        assert find_peaks(res, prominence) == find_peaks(dense, prominence)
+
+
+@pytest.mark.parametrize("order,herglotz", [(6, False), (8, False), (8, True)])
+def test_clean_tev_scan_block_path_matches_dense_path(order, herglotz):
+    # at 6x12 the modes alias in the azimuth (L > t)
+    quad = build_quadrature("PRODUCT_GAUSS", order)
+    zs = ZSampling(count=2, r_z=0.3, seed=7) if herglotz else ZS4
+    grid = (3.10, 3.18, 0.04) if herglotz else (3.0, 3.3, 0.02)
+    res = tev_scan(BALL4, grid, quad, zs=zs, herglotz=herglotz)
+    per_z = np.array([
+        _dense_norms(ffop.assemble("MAGNETIC", BALL4, float(k), quad),
+                     scan._dipole_rhs(quad, zs.points(), float(k), magnetic=True),
+                     1.0 if herglotz else None)
+        for k in res.param])
+    _assert_matches_dense(res, per_z)
+
+
+def test_clean_stekloff_rectangle_block_path_matches_dense_path():
+    # the benchmark's stekloff_rect scene and window at 10x20
+    quad = build_quadrature("PRODUCT_GAUSS", 10)
+    absorbing = MediumSpec.ball(1.0, 2.0 + 2.0j)
+    zs = ZSampling(count=10, seed=23)
+    rect = np.linspace(-3.42, -0.54, 9)[None, :] + 1j * np.linspace(-0.11, 0.61, 9)[:, None]
+    res = stekloff_scan(absorbing, 1.0, 1.0, rect, quad, zs=zs)
+    F_m = ffop.assemble("MAGNETIC", absorbing, 1.0, quad)
+    rhs = scan._dipole_rhs(quad, zs.points(), 1.0, magnetic=False)
+    per_z = np.array([
+        _dense_norms(FarFieldMatrix(F_m.matrix - ffop.assemble(
+            "IMPEDANCE", ImpedanceBall(R=1.0, lam=complex(lam)), 1.0, quad).matrix,
+            "MODIFIED", 1.0, quad), rhs)
+        for lam in rect.ravel()]).reshape(rect.shape + (10,))
+    _assert_matches_dense(res, per_z)
+    assert find_peaks(res)
 
 
 # ---------------------------------------------------------------------------

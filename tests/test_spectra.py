@@ -10,7 +10,6 @@ from scatsig.ffop import (
     TangentVectorField,
     add_noise,
     assemble,
-    azimuthal_blocks,
     build_quadrature,
 )
 from scatsig.forward import ImpedanceBall, MediumSpec
@@ -24,6 +23,8 @@ from scatsig.spectra import (
     phase_track_to_csv,
     worker_count,
 )
+
+from block_oracle import azimuthal_blocks
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL4 = MediumSpec.ball(1.0, 4.0)
@@ -43,6 +44,16 @@ def test_eig_diagonal():
     assert np.max(es.residuals) < 1e-14
     assert es.kind == "GENERIC" and es.k == 0.0
     assert es.vectors.shape == (3, 3)
+
+
+def test_eig_residual_scale_above_lanczos_size():
+    # 300 rows take the Lanczos branch of ffop.gram_norm; a zero matrix has
+    # norm 0 and zero residuals, a scaled unitary one has norm 2
+    assert np.all(eig(np.zeros((300, 300))).residuals == 0.0)
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((300, 300)))[0]
+    es = eig(2.0 * q)
+    assert_allclose(np.abs(es.values), 2.0, rtol=1e-12)
+    assert np.max(es.residuals) < 1e-13
 
 
 def test_eig_rotation_block():

@@ -38,6 +38,7 @@ for q in ("6x12", "8x16"):
     RUNS.update({
         f"ffop_eigs_{q}": f"ffop-eigs --quad {q}",
         f"tev_scan_{q}": f"tev-scan --quad {q} --scene ball4 --grid 0.5:4.0:0.02 --noise 0.01",
+        f"tev_scan_clean_{q}": f"tev-scan --quad {q} --scene ball4 --grid 0.5:4.0:0.02",
         f"stekloff_grid_{q}": f"stekloff-scan --quad {q} --grid=-6.0:-0.5:0.05",
         f"stekloff_rect_{q}": f"stekloff-scan --quad {q} --rect=-4.5:-0.5:-0.2:0.8:40",
         f"phase_track_{q}": f"phase-track --quad {q} --scene ball4 --grid 3.0:3.3:0.02",
