@@ -9,6 +9,7 @@ the same configuration are byte-identical. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -442,7 +443,35 @@ def run(cfg):
     return _RUNNERS[cfg.command](cfg)
 
 
+# glibc mallopt parameter codes (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap():
+    """Let glibc keep freed heap memory for reuse; a no-op without glibc's mallopt.
+
+    A scan frees and re-allocates the same few hundred kB of arrays at
+    every grid point. By default glibc hands the top of the heap back to
+    the OS once 128 KiB of it is free and maps arrays of 128 KiB and more
+    afresh, until a large freed array raises both thresholds. A scan
+    whose arrays all stay small never raises them and re-faults its
+    arrays at every point, which cost a 10x20 Stekloff rectangle scan
+    about a tenth of its time. Here arrays up to 32 MiB come from the
+    heap, and its top is trimmed only beyond 64 MiB free.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None):
+    _keep_freed_heap()
     try:
         cfg = parse_config(argv)
     except ConfigError as e:

@@ -12,9 +12,13 @@ makes matrix eigenvalues direct approximations of operator eigenvalues;
 the price is that the L2 adjoint is the weight-conjugated transpose
 rather than the plain conjugate transpose (see ``adjoint``).
 
-Assembly never loops over matrix entries: every operator kind is a sum
-of rank-one mode products over the harmonics, evaluated as dense matrix
-products against tabulated mode matrices.
+Assembly never loops over matrix entries. Every operator kind is a sum
+of rank-one mode products over the harmonics, and every scene is a ball
+on a rule that is one meridian rotated about z, so the matrix is
+block-circulant in the azimuth. One kernel, ``assemble_blocks``, sums
+its azimuthal DFT blocks from mode tables on the azimuth-0 meridian;
+the dense matrix of ``assemble`` is their circulant expansion (docs
+section 12).
 """
 
 from __future__ import annotations
@@ -218,9 +222,10 @@ def gram_norm(gram, w):
     taken before any regularization shift; ``w`` holds the m row
     weights. Blocks of up to _EIGVALSH_MAX_ROWS rows go to one batched
     eigvalsh. A larger block gets symmetric Lanczos (eigsh) on the real
-    form [[Re H, -Im H], [Im H, Re H]], which repeats each eigenvalue of
-    H = W^-1/2 G W^-1/2, from a fixed start vector of ones, so the
-    result is deterministic. The real form runs several times faster
+    form [[Re H, -Im H], [Im H, Re H]] of H = W^-1/2 G W^-1/2, which
+    repeats each eigenvalue of H, from a fixed start vector of ones, so
+    the result is deterministic. The real form is applied as H to
+    x[:m] + i x[m:] without being built; it runs several times faster
     than complex Lanczos, most of all under a multithreaded BLAS.
     """
     s = 1.0 / np.sqrt(w)
@@ -228,35 +233,93 @@ def gram_norm(gram, w):
     if w.size <= _EIGVALSH_MAX_ROWS:
         top = np.linalg.eigvalsh(h)[:, -1].max()
     else:
-        from scipy.sparse.linalg import eigsh
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        def real_form(b):
+            def matvec(x):
+                y = b @ (x[: w.size] + 1j * x[w.size:])
+                return np.concatenate([y.real, y.imag])
+            return LinearOperator((2 * w.size, 2 * w.size), matvec=matvec, dtype=float)
 
         # a zero block leaves Lanczos no start vector in its range; its norm is 0
-        top = max((eigsh(np.block([[b.real, -b.imag], [b.imag, b.real]]), k=1, which="LA",
-                         v0=np.ones(2 * w.size), return_eigenvectors=False)[0]
+        top = max((eigsh(real_form(b), k=1, which="LA", v0=np.ones(2 * w.size),
+                         return_eigenvectors=False)[0]
                    for b in h if np.any(b)), default=0.0)
     return float(np.sqrt(max(top, 0.0)))
 
 
+def _check_rotation_layout(quad):
+    """Raise ValueError unless ``quad`` is its azimuth-0 meridian rotated about z.
+
+    The block assembly reads the mode tables on the meridian only and
+    expands the rest by rotation (docs section 12). That holds when
+    every node, weight and frame (i, p) is the one at (i, 0) rotated by
+    2 pi p / n_phi, to 1e-12; the node-space arrays of the rule carry
+    their latitude-major (n_theta, n_phi) layout.
+    """
+    if quad.kind not in ("PRODUCT_GAUSS", "EQUAL_AREA"):
+        raise ValueError(f"azimuthal blocks need a product rule, got a {quad.kind} quadrature")
+    n_theta, n_phi = quad.order, 2 * quad.order
+    if quad.n_nodes != n_theta * n_phi:
+        raise ValueError(f"{quad.kind} quadrature of order {quad.order} has "
+                         f"{quad.n_nodes} nodes, its {n_theta}x{n_phi} layout needs {n_theta * n_phi}")
+    turn = np.exp(2j * np.pi * np.arange(n_phi) / n_phi)  # rotation about z acting on x + iy
+    dev = 0.0
+    for vec in (quad.nodes, quad.e1, quad.e2):
+        v = vec.reshape(n_theta, n_phi, 3)
+        xy = v[..., 0] + 1j * v[..., 1]
+        dev = max(dev, np.max(np.abs(xy - xy[:, :1] * turn)), np.max(np.abs(v[..., 2] - v[:, :1, 2])))
+    w = quad.weights.reshape(n_theta, n_phi)
+    dev_w = np.max(np.abs(w - w[:, :1])) / np.max(np.abs(w))
+    if not (dev <= 1e-12 and dev_w <= 1e-12):
+        raise ValueError(f"{quad.kind} quadrature of order {quad.order} is not its azimuth-0 "
+                         f"meridian rotated about z: node/frame deviation {dev:.3e}, "
+                         f"relative weight deviation {dev_w:.3e} (tolerance 1e-12)")
+
+
 @lru_cache(maxsize=32)
 def _mode_matrices(quad, L):
-    """Frame-projected harmonic tables Phi_U, Phi_V of shape (2N, M).
+    """Frame-projected harmonic tables Phi_U, Phi_V on the azimuth-0 meridian: (2 n_theta, M).
 
-    Cached per (quadrature object, degree): wavenumber sweeps reuse the
-    same tables for every k that truncates at the same L. Callers must
-    not write into the returned arrays.
+    Row 2 i + s holds frame component s at node (i, 0); the other
+    azimuths follow by rotation, which ``_check_rotation_layout``
+    verifies first. Cached per (quadrature object, degree): wavenumber
+    sweeps reuse the same tables for every k that truncates at the same
+    L. Callers must not write into the returned arrays.
     """
-    _, _, U, V = vsh_tables(L, quad.nodes)
-    frames = np.stack([quad.e1, quad.e2], axis=1)  # (N, 2, 3)
-    phi_u = np.einsum("jsc,mjc->jsm", frames, U).reshape(2 * quad.n_nodes, -1)
-    phi_v = np.einsum("jsc,mjc->jsm", frames, V).reshape(2 * quad.n_nodes, -1)
+    _check_rotation_layout(quad)
+    n_phi = 2 * quad.order
+    _, _, U, V = vsh_tables(L, quad.nodes[::n_phi])
+    frames = np.stack([quad.e1[::n_phi], quad.e2[::n_phi]], axis=1)  # (n_theta, 2, 3)
+    phi_u = np.einsum("jsc,mjc->jsm", frames, U).reshape(2 * quad.order, -1)
+    phi_v = np.einsum("jsc,mjc->jsm", frames, V).reshape(2 * quad.order, -1)
     phi_u.setflags(write=False)
     phi_v.setflags(write=False)
     return phi_u, phi_v
 
 
-def _mode_product(phi_a, phi_b, diag_a, diag_b, weights):
-    m = (phi_a * diag_a) @ phi_a.conj().T + (phi_b * diag_b) @ phi_b.conj().T
-    return m * np.repeat(weights, 2)[None, :]
+def _mode_product(phi_a, phi_b, diag_a, diag_b, ms, quad):
+    """DFT blocks (n_phi, 2 n_theta, 2 n_theta) of one coefficient set's mode products.
+
+    phi_a carries the alpha diagonal (V modes for ELECTRIC, U modes for
+    the dual kinds), phi_b the beta one, both as azimuth-0 tables; mode
+    (l, m) lands in block q = m mod n_phi, and the columns are scaled by
+    n_phi and the latitude weights (docs section 12).
+    """
+    n_phi = 2 * quad.order
+    # gather the modes of each block into a row of idx, padded with
+    # zero-weight copies of mode 0 up to the largest block's count
+    q = ms % n_phi
+    counts = np.bincount(q, minlength=n_phi)
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(counts.max())
+    valid = slot[None, :] < counts[:, None]
+    idx = np.argsort(q, kind="stable")[np.where(valid, starts[:, None] + slot, 0)]
+    out = 0.0
+    for phi, diag in ((phi_a, diag_a), (phi_b, diag_b)):
+        g = phi[:, idx].transpose(1, 0, 2)  # (n_phi, 2 n_theta, slots)
+        out = out + (g * np.where(valid, diag[idx], 0.0)[:, None, :]) @ g.conj().transpose(0, 2, 1)
+    return out * (n_phi * np.repeat(quad.weights[::n_phi], 2))
 
 
 def _scene_parts(kind, scene):
@@ -281,14 +344,18 @@ def _scene_parts(kind, scene):
     return medium, ball
 
 
-def _modal_sum(kind, medium, ball, k, quad, product):
-    """A kind's operator as a scaled sum of mode products, one per coefficient set.
+def assemble_blocks(kind, scene, k, quad):
+    """Azimuthal DFT blocks of the kind's far field operator (docs section 12).
 
-    ``product(phi_a, phi_b, diag_a, diag_b, ms)`` evaluates one set:
-    phi_a carries the alpha diagonal (V modes for ELECTRIC, U modes for
-    the dual kinds), phi_b the beta one, and ms the azimuthal orders.
-    MODIFIED is the magnetic sum minus the impedance one.
+    ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC, an ImpedanceBall
+    for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED,
+    whose blocks are the magnetic ones minus the impedance ones. The
+    operator is a scaled sum of mode products, one ``_mode_product`` per
+    coefficient set. Modes with |m| >= n_phi / 2 alias into shared
+    blocks, the same sum the dense matrix holds. A quadrature that is
+    not its azimuth-0 meridian rotated about z raises ValueError.
     """
+    medium, ball = _scene_parts(kind, scene)
     dual = -4.0j * np.pi / k
     if kind == "ELECTRIC":
         sets = [(4.0 * np.pi, mie_coefficients(medium, k))]
@@ -305,57 +372,27 @@ def _modal_sum(kind, medium, ball, k, quad, product):
         ells = np.array([m.l for m in modes])
         ms = np.array([m.m for m in modes])
         pair = (phi_v, phi_u) if kind == "ELECTRIC" else (phi_u, phi_v)
-        term = scale * product(*pair, coefs.alpha[ells], coefs.beta[ells], ms)
+        term = scale * _mode_product(*pair, coefs.alpha[ells], coefs.beta[ells], ms, quad)
         total = term if total is None else total + term
-    return total
+    return FarFieldBlocks(total, kind, float(k), quad)
 
 
 def assemble(kind, scene, k, quad):
-    """Assemble the discretized far field operator of the given kind.
+    """Dense discretized far field operator: the circulant expansion of ``assemble_blocks``.
 
-    ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC, an ImpedanceBall
-    for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED,
-    whose matrix is the magnetic matrix minus the impedance matrix.
+    With c_d the inverse DFT of the blocks over the block axis, the
+    entry coupling node (i, p) to node (j, p') in frame components
+    (s, t) is c_{(p - p') mod n_phi}[(i, s), (j, t)] (docs section 12).
+    Needs a rotation-symmetric product rule, as ``assemble_blocks``.
     """
     medium, ball = _scene_parts(kind, scene)
-    mat = _modal_sum(kind, medium, ball, k, quad,
-                     lambda pa, pb, da, db, _: _mode_product(pa, pb, da, db, quad.weights))
-    return FarFieldMatrix(mat, kind, float(k), quad, medium=medium, ball=ball)
-
-
-def assemble_blocks(kind, scene, k, quad):
-    """Azimuthal DFT blocks of the operator ``assemble`` would build (docs section 12).
-
-    Takes the azimuth-0 rows of the cached mode tables: mode (l, m)
-    lands in block q = m mod n_phi, scaled by n_phi and the latitude
-    weights. Modes with |m| >= n_phi / 2 alias into shared blocks, the
-    same sum the dense matrix holds. Needs a product rule (ValueError
-    otherwise); the scene is checked as in ``assemble``.
-    """
-    if quad.kind not in ("PRODUCT_GAUSS", "EQUAL_AREA"):
-        raise ValueError(f"azimuthal blocks need a product rule, got a {quad.kind} quadrature")
-    medium, ball = _scene_parts(kind, scene)
+    blocks = assemble_blocks(kind, scene, k, quad).matrix
     n_theta, n_phi = quad.order, 2 * quad.order
-    col_w = n_phi * np.repeat(quad.weights[::n_phi], 2)
-
-    def product(phi_a, phi_b, diag_a, diag_b, ms):
-        # gather the modes of each block into a row of idx, padded with
-        # zero-weight copies of mode 0 up to the largest block's count
-        q = ms % n_phi
-        counts = np.bincount(q, minlength=n_phi)
-        starts = np.cumsum(counts) - counts
-        slot = np.arange(counts.max())
-        valid = slot[None, :] < counts[:, None]
-        idx = np.argsort(q, kind="stable")[np.where(valid, starts[:, None] + slot, 0)]
-        out = 0.0
-        for phi, diag in ((phi_a, diag_a), (phi_b, diag_b)):
-            rows = phi.reshape(n_theta, n_phi, 2, -1)[:, 0].reshape(2 * n_theta, -1)
-            g = rows[:, idx].transpose(1, 0, 2)  # (n_phi, 2 n_theta, slots)
-            out = out + (g * np.where(valid, diag[idx], 0.0)[:, None, :]) @ g.conj().transpose(0, 2, 1)
-        return out * col_w
-
-    mat = _modal_sum(kind, medium, ball, k, quad, product)
-    return FarFieldBlocks(mat, kind, float(k), quad)
+    c = np.fft.ifft(blocks, axis=0).reshape(n_phi, n_theta, 2, n_theta, 2)
+    p = np.arange(n_phi)
+    full = c[(p[:, None] - p[None, :]) % n_phi]  # (p, p', i, s, j, t)
+    mat = full.transpose(2, 0, 3, 4, 1, 5).reshape(2 * quad.n_nodes, 2 * quad.n_nodes)
+    return FarFieldMatrix(mat, kind, float(k), quad, medium=medium, ball=ball)
 
 
 def add_noise(A, eps, seed, stream=0):

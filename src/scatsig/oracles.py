@@ -140,15 +140,77 @@ def tev_min_singular(medium, l, family, k):
     return float(np.linalg.svd(cols, compute_uv=False)[-1])
 
 
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb, xtol):
+    """Root of f bracketed by [xa, xb], by Brent's method.
+
+    A step-for-step port of scipy's brentq.c (rtol 4 eps, 100
+    iterations, the same interpolate / extrapolate / bisect rules), so
+    roots equal scipy's brentq bit for bit without importing its
+    optimize package, which costs a CLI start about 0.3 s. The arithmetic
+    runs on float64 scalars under errstate, so a zero denominator gives
+    inf or nan (and a bisection step) as in C instead of raising. Raises
+    ValueError when f has the same sign at both ends or returns NaN,
+    and RuntimeError when it does not converge.
+    """
+    def value(x):
+        fx = np.float64(f(float(x)))
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = np.float64(xa), np.float64(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return float(xpre)
+    if fcur == 0:
+        return float(xcur)
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = np.float64(0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        for _ in range(_BRENT_MAXITER):
+            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                return float(xcur)
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                    spre, scur = scur, stry  # good short step
+                else:
+                    spre = scur = sbis
+            else:
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            xcur = xcur + (scur if abs(scur) > delta else (delta if sbis > 0 else -delta))
+            fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+
+
 def _roots_on_grid(fn, grid):
     """Brent refinement of every sign change of fn on the grid."""
-    from scipy.optimize import brentq  # imported where it runs: it costs a CLI start 0.3 s
-
     vals = fn(grid)
     roots = []
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(brentq(fn, grid[i], grid[i + 1], xtol=_REFINE_TOL))
+        roots.append(_brentq(fn, grid[i], grid[i + 1], xtol=_REFINE_TOL))
     for i in np.nonzero(vals == 0.0)[0]:
         roots.append(float(grid[i]))
     return sorted(roots)
@@ -224,9 +286,7 @@ def index_bound_from_tev(k1_measured, a, n_search, l_max=5):
             f"k1 = {k1_measured} not bracketed: k1({n_lo}) = {probe[0]:.6f}, "
             f"k1({n_hi}) = {probe[2]:.6f}"
         )
-    from scipy.optimize import brentq
-
-    n_est = brentq(lambda n: k1_of(n) - k1_measured, n_lo, n_hi, xtol=1e-10)
+    n_est = _brentq(lambda n: k1_of(n) - k1_measured, n_lo, n_hi, xtol=1e-10)
     if abs(k1_of(n_est) - k1_measured) > 1e-6:
         raise BracketError("bisection failed to reach the 1e-6 eigenvalue tolerance")
     return float(n_est)

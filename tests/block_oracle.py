@@ -1,11 +1,50 @@
-"""Dense reference for the azimuthal DFT blocks of a ball operator.
+"""Dense references for the far field operators of a ball.
 
-``azimuthal_blocks`` splits an assembled dense matrix, after checking
-its block-circulant structure, so the tests can compare the package's
-direct block assembly (``ffop.assemble_blocks``) against the dense one.
+``full_node_modal_sum`` assembles the dense matrix the direct way, with
+mode tables on every quadrature node and no use of the rotation
+symmetry, and ``azimuthal_blocks`` splits a dense matrix, after checking
+its block-circulant structure. Together they let the tests compare the
+package's block kernel (``ffop.assemble_blocks``) and its circulant
+expansion (``ffop.assemble``) against code that shares neither.
 """
 
 import numpy as np
+
+from scatsig.forward import impedance_coefficients, mie_coefficients
+from scatsig.sphfun import mode_list, vsh_tables
+
+
+def full_node_modal_sum(kind, scene, k, quad):
+    """Dense 2N x 2N operator matrix as the modal sum over every node (docs section 6).
+
+    A[(i,s),(j,t)] = sum_lm d_lm P_lm(i,s) conj(P_lm(j,t)) w_j with P_lm
+    the frame components of the vector harmonic at node i. ELECTRIC
+    weighs V modes by 4 pi alpha_l and U modes by 4 pi beta_l; the dual
+    kinds weigh U by -(4 pi i / k) alpha_l and V by -(4 pi i / k) beta_l;
+    MODIFIED is MAGNETIC minus IMPEDANCE.
+    """
+    dual = -4.0j * np.pi / k
+    if kind == "ELECTRIC":
+        sets = [(4.0 * np.pi, mie_coefficients(scene, k))]
+    elif kind == "MAGNETIC":
+        sets = [(dual, mie_coefficients(scene, k))]
+    elif kind == "IMPEDANCE":
+        sets = [(dual, impedance_coefficients(scene, k))]
+    else:
+        sets = [(dual, mie_coefficients(scene[0], k)), (-dual, impedance_coefficients(scene[1], k))]
+    frames = np.stack([quad.e1, quad.e2], axis=1)  # (N, 2, 3)
+    col_w = np.repeat(quad.weights, 2)
+    total = 0.0
+    for scale, coefs in sets:
+        _, _, U, V = vsh_tables(coefs.L, quad.nodes)
+        ells = np.array([m.l for m in mode_list(coefs.L)])
+        phi_u = np.einsum("jsc,mjc->jsm", frames, U).reshape(2 * quad.n_nodes, -1)
+        phi_v = np.einsum("jsc,mjc->jsm", frames, V).reshape(2 * quad.n_nodes, -1)
+        phi_a, phi_b = (phi_v, phi_u) if kind == "ELECTRIC" else (phi_u, phi_v)
+        mat = ((phi_a * coefs.alpha[ells]) @ phi_a.conj().T
+               + (phi_b * coefs.beta[ells]) @ phi_b.conj().T)
+        total = total + scale * mat * col_w[None, :]
+    return total
 
 
 def azimuthal_blocks(A):

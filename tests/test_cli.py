@@ -415,3 +415,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "ffop_eigs.csv").exists()
+
+
+def test_cli_start_loads_neither_scipy_optimize_nor_scipy_sparse(tmp_path):
+    # every CLI call pays for what importing scatsig.cli and a short run
+    # load: scipy.optimize alone costs about 0.3 s of a start
+    code = (
+        "import sys\n"
+        "from scatsig import cli\n"
+        f"rc = cli.main(['oracle', 'tev', '--grid', '3.0:3.3:0.01', '--out', {str(tmp_path)!r}])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "oracle_tev.csv").exists()

@@ -36,7 +36,7 @@ from scatsig.forward import (
 )
 from scatsig.sphfun import mode_list, vsh_tables
 
-from block_oracle import azimuthal_blocks
+from block_oracle import azimuthal_blocks, full_node_modal_sum
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 IMP = ImpedanceBall(R=1.0, lam=2.0, s_kind="CURL_CURL")
@@ -296,15 +296,31 @@ def test_azimuthal_blocks_guard(tmp_path):
 LOSSY = MediumSpec.ball(1.0, 2.0 + 0.5j)
 
 
-@pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 10),
-                                        ("PRODUCT_GAUSS", 12), ("EQUAL_AREA", 8)])
-@pytest.mark.parametrize("kind,scene", [("ELECTRIC", LOSSY), ("MAGNETIC", LOSSY),
-                                        ("IMPEDANCE", IMP), ("MODIFIED", (LOSSY, IMP))])
+ORACLE_RULES = pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 10),
+                                                      ("PRODUCT_GAUSS", 12), ("EQUAL_AREA", 8)])
+ORACLE_KINDS = pytest.mark.parametrize("kind,scene", [("ELECTRIC", LOSSY), ("MAGNETIC", LOSSY),
+                                                      ("IMPEDANCE", IMP), ("MODIFIED", (LOSSY, IMP))])
+
+
+@ORACLE_RULES
+@ORACLE_KINDS
+def test_assemble_matches_full_node_modal_sum(rule, order, kind, scene):
+    # the dense matrix is the circulant expansion of the blocks; the oracle
+    # sums the modes over every node without the rotation symmetry
+    quad = build_quadrature(rule, order)
+    ref = full_node_modal_sum(kind, scene, 2.5, quad)
+    A = assemble(kind, scene, 2.5, quad)
+    assert A.matrix.shape == ref.shape
+    assert np.max(np.abs(A.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@ORACLE_RULES
+@ORACLE_KINDS
 def test_assemble_blocks_match_split_dense_matrix(rule, order, kind, scene):
     # at 6x12 the truncation degree L = 14 reaches |m| >= n_phi / 2 = 6, so
     # several m alias into one block; block q is the dense split's block -q
     quad = build_quadrature(rule, order)
-    A = assemble(kind, scene, 2.5, quad)
+    A = FarFieldMatrix(full_node_modal_sum(kind, scene, 2.5, quad), kind, 2.5, quad)
     B = assemble_blocks(kind, scene, 2.5, quad)
     n_phi = 2 * order
     assert B.matrix.shape == (n_phi, 2 * order, 2 * order)
@@ -314,6 +330,29 @@ def test_assemble_blocks_match_split_dense_matrix(rule, order, kind, scene):
     x = np.random.default_rng(order).standard_normal((A.dim, 3)) + 0j
     y = B.to_nodes(B.matrix @ B.to_blocks(x))
     assert_allclose(y, A.matrix @ x, rtol=0, atol=1e-13 * np.abs(A.matrix @ x).max())
+
+
+def test_assembly_rejects_a_frame_that_breaks_the_rotation_layout(tmp_path):
+    # a rule labelled PRODUCT_GAUSS whose frames do not rotate with the
+    # node would expand into a wrong dense matrix; both kernels refuse it
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    gamma = np.linspace(0.0, 1e-6, quad.n_nodes)[:, None]
+    e1 = np.cos(gamma) * quad.e1 + np.sin(gamma) * quad.e2
+    e2 = -np.sin(gamma) * quad.e1 + np.cos(gamma) * quad.e2
+    bent = SphereQuadrature(kind=quad.kind, order=quad.order, nodes=quad.nodes,
+                            weights=quad.weights, e1=e1, e2=e2, t=quad.t)
+    for build in (assemble, assemble_blocks):
+        with pytest.raises(ValueError, match="PRODUCT_GAUSS quadrature of order 6 is not its "
+                                             "azimuth-0 meridian rotated"):
+            build("MAGNETIC", BALL2, 1.5, bent)
+    short = SphereQuadrature(kind=quad.kind, order=quad.order, nodes=quad.nodes[:-1],
+                             weights=quad.weights[:-1], e1=quad.e1[:-1], e2=quad.e2[:-1], t=quad.t)
+    with pytest.raises(ValueError, match="has 71 nodes, its 6x12 layout needs 72"):
+        assemble("MAGNETIC", BALL2, 1.5, short)
+    # an operator file keeps its geometry as a CUSTOM rule, which has no layout to expand
+    save_ffop(assemble("MAGNETIC", BALL2, 1.5, quad), tmp_path / "op.ffop")
+    with pytest.raises(ValueError, match="product rule, got a CUSTOM quadrature"):
+        assemble("MAGNETIC", BALL2, 1.5, load_ffop(tmp_path / "op.ffop").quad)
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from scatsig import (
     tev_min_singular,
     tev_roots,
 )
+from scatsig.oracles import _brentq
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL3 = MediumSpec.ball(1.0, 3.0)
@@ -169,6 +170,44 @@ def test_min_singular_agrees_with_determinant_root():
 
 # ---------------------------------------------------------------------------
 # grid root search
+
+
+# each family changes sign at x = r, the centre of a seeded bracket
+BRENT_FAMILIES = [
+    lambda x, r, c: (x - r) * ((x - c) ** 2 + 0.1),
+    lambda x, r, c: np.sin(x - r),
+    lambda x, r, c: np.exp(c * x) - np.exp(c * r),
+    lambda x, r, c: np.tanh(30 * (x - r)),
+    lambda x, r, c: (x - r) ** 5 + 1e-3 * c * c * (x - r),
+    lambda x, r, c: np.cbrt(x - r),
+    lambda x, r, c: 1e-150 * np.arctan(c * c * (x - r)),
+    lambda x, r, c: tev_determinant(BALL4, 1, "TE", x + np.pi - r).real,
+]
+
+
+def test_brentq_port_is_bit_identical_to_scipy():
+    # smooth, flat, steep, non-smooth, tiny-valued and determinant
+    # functions on brackets of width 0.02 to 3 around their sign change
+    rng = np.random.default_rng(20260)
+    for t in range(1200):
+        fam = BRENT_FAMILIES[t % len(BRENT_FAMILIES)]
+        r, c = rng.uniform(-2, 2, 2)
+        c += np.copysign(0.1, c)
+        a, b = r - rng.uniform(0.01, 1.5), r + rng.uniform(0.01, 1.5)
+        xtol = (1e-12, 1e-10, 2e-12, 1e-6)[t % 4]
+        f = lambda x, fam=fam, r=r, c=c: fam(x, r, c)
+        assert _brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol), (t, a, b, xtol)
+
+
+def test_brentq_port_error_paths():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: np.nan if x > 0 else -1.0, -1.0, 2.0, 1e-12)
+    # a step function over a huge bracket needs far more than 100 halvings
+    step = lambda x: 1.0 if x > 1e-200 else -1.0
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        _brentq(step, -1e300, 1e300, 1e-300)
 
 
 def test_tev_roots_n4_window():
