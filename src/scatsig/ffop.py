@@ -176,7 +176,7 @@ class FarFieldMatrix:
         Equals the largest singular value of W^(1/2) A W^(-1/2).
         """
         w = self.weight_vector()
-        return gram_norm(self.matrix.conj().T @ (w[:, None] * self.matrix), w)
+        return gram_norm(gram_lower(np.sqrt(w)[:, None] * self.matrix), w)
 
 
 @dataclass(eq=False)
@@ -215,36 +215,58 @@ class FarFieldBlocks:
 _EIGVALSH_MAX_ROWS = 128
 
 
+def gram_lower(x):
+    """Lower triangle of the Gram X^H X in C order, by one Hermitian rank-k update.
+
+    zherk reads the Fortran view ``x.T`` of a C-ordered ``x`` without a
+    copy and writes the upper triangle of conj(X^H X) = (X^H X)^T in
+    Fortran order; its transpose is the lower triangle of X^H X, and the
+    strict upper triangle is zero. With X = W^1/2 A this is the weighted
+    Gram A^H W A at half the flops of a full product (docs section 11).
+    """
+    # a module-level import would load scipy.linalg ahead of the rest of the
+    # package, which made ``import scatsig.cli`` about 40 ms slower
+    from scipy.linalg.blas import zherk
+
+    return zherk(1.0, x.T, trans=0, lower=0).T
+
+
 def gram_norm(gram, w):
     """Weighted operator norm sqrt(max eig W^-1/2 G W^-1/2) from a Gram G = A^H W A.
 
     ``gram`` is one (m, m) Gram or a stack (n_blocks, m, m) of them,
     taken before any regularization shift; ``w`` holds the m row
-    weights. Blocks of up to _EIGVALSH_MAX_ROWS rows go to one batched
-    eigvalsh. A larger block gets symmetric Lanczos (eigsh) on the real
-    form [[Re H, -Im H], [Im H, Re H]] of H = W^-1/2 G W^-1/2, which
-    repeats each eigenvalue of H, from a fixed start vector of ones, so
-    the result is deterministic. The real form is applied as H to
-    x[:m] + i x[m:] without being built; it runs several times faster
-    than complex Lanczos, most of all under a multithreaded BLAS.
+    weights. Only the lower triangle of each Gram is read, so the
+    triangle of ``gram_lower`` serves as well as a full Gram. Blocks of
+    up to _EIGVALSH_MAX_ROWS rows go to one batched eigvalsh. A larger
+    block gets symmetric Lanczos (eigsh) on the real form
+    [[Re H, -Im H], [Im H, Re H]] of H = W^-1/2 G W^-1/2, which repeats
+    each eigenvalue of H, from a fixed start vector of ones, so the
+    result is deterministic. The real form is applied as H to
+    x[:m] + i x[m:] without being built, by one zhemv on the triangle;
+    it runs several times faster than complex Lanczos, most of all
+    under a multithreaded BLAS.
     """
     s = 1.0 / np.sqrt(w)
-    h = gram.reshape(-1, w.size, w.size) * s[:, None] * s[None, :]
+    grams = gram.reshape(-1, w.size, w.size)
     if w.size <= _EIGVALSH_MAX_ROWS:
-        top = np.linalg.eigvalsh(h)[:, -1].max()
+        top = np.linalg.eigvalsh(grams * s[:, None] * s[None, :])[:, -1].max()
     else:
+        from scipy.linalg.blas import zhemv
         from scipy.sparse.linalg import LinearOperator, eigsh
 
-        def real_form(b):
+        def real_form(g):
+            # the Fortran view g.T holds conj(G) in its upper triangle, so
+            # conj(H z) = s conj(G) (s conj(z)), with conj(z) = x[:m] - i x[m:]
             def matvec(x):
-                y = b @ (x[: w.size] + 1j * x[w.size:])
-                return np.concatenate([y.real, y.imag])
+                y = s * zhemv(1.0, g.T, s * (x[: w.size] - 1j * x[w.size:]), lower=0)
+                return np.concatenate([y.real, -y.imag])
             return LinearOperator((2 * w.size, 2 * w.size), matvec=matvec, dtype=float)
 
         # a zero block leaves Lanczos no start vector in its range; its norm is 0
-        top = max((eigsh(real_form(b), k=1, which="LA", v0=np.ones(2 * w.size),
+        top = max((eigsh(real_form(g), k=1, which="LA", v0=np.ones(2 * w.size),
                          return_eigenvectors=False)[0]
-                   for b in h if np.any(b)), default=0.0)
+                   for g in grams if np.any(g)), default=0.0)
     return float(np.sqrt(max(top, 0.0)))
 
 
@@ -416,9 +438,21 @@ def add_noise(A, eps, seed, stream=0):
     gen = np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
     zeta = gen.uniform(-1.0, 1.0, size=A.matrix.shape)
     mu = gen.uniform(-1.0, 1.0, size=A.matrix.shape)
-    factor = 1.0 + eps * (zeta + 1j * mu) / np.sqrt(2.0)
+    # 1 + eps (zeta + i mu) / sqrt(2) built in place: numpy divides a complex
+    # by the real sqrt(2) as a product with 1 / sqrt(2), so these are its bits
+    inv = 1.0 / np.sqrt(2.0)
+    factor = np.empty(A.matrix.shape, dtype=complex)
+    re, im = factor.real, factor.imag
+    np.multiply(zeta, eps, out=re)
+    re *= inv
+    re += 1.0
+    np.multiply(mu, eps, out=im)
+    im *= inv
+    # A * factor in this operand order: numpy's complex product is not
+    # bit-commutative, its SIMD loop rounds one of the two cross terms first
+    np.multiply(A.matrix, factor, out=factor)
     return FarFieldMatrix(
-        A.matrix * factor, A.kind, A.k, A.quad, medium=A.medium, ball=A.ball,
+        factor, A.kind, A.k, A.quad, medium=A.medium, ball=A.ball,
         noise_eps=float(eps), seed=int(seed),
     )
 

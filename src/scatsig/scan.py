@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import zgemm, zhemm
 
 from . import ffop, forward
 from .ffop import FarFieldBlocks, TangentVectorField
@@ -106,48 +107,67 @@ class ScanResult:
 class _NormalSolver:
     """Factorized weighted normal equations (alpha W + A^H W A) G = A^H W B.
 
-    A dense FarFieldMatrix is one block with the node weights. A
+    A dense FarFieldMatrix is one system with the node weights. Its
+    Gram is the lower triangle of X^H X with X = W^1/2 A, and Gram,
+    norm, factor, right-hand sides and residuals all run in scipy's
+    BLAS and LAPACK, so a grid point never switches between numpy's and
+    scipy's OpenBLAS thread pools (docs section 11). A
     FarFieldBlocks stack is n_phi blocks with the latitude weights, and
-    right-hand sides are DFT'd over azimuth into it (docs section 11).
-    Gram, Cholesky factor and solves are batched over the blocks.
+    right-hand sides are DFT'd over azimuth into it; Gram, Cholesky
+    factor and solves are batched numpy and scipy calls over the blocks.
     ``alpha`` is positive, or "auto" for the TikhonovConfig rule with
     ||A|| read off this Gram before the alpha shift.
     """
 
     def __init__(self, A, alpha):
-        if isinstance(A, FarFieldBlocks):
-            mats, self._split, self._merge = A.matrix, A.to_blocks, A.to_nodes
-        else:
-            mats, self._split, self._merge = A.matrix[None], (lambda b: b[None]), (lambda g: g[0])
         self.w = A.weight_vector()
-        ah = mats.conj().transpose(0, 2, 1)
-        self.ah_w = ah * self.w
-        self.gram = ah @ (self.w[:, None] * mats)
+        self.dense = not isinstance(A, FarFieldBlocks)
+        if self.dense:
+            self.sw = np.sqrt(self.w)
+            self.x = self.sw[:, None] * A.matrix
+            self.gram = ffop.gram_lower(self.x)
+        else:
+            self._split, self._merge = A.to_blocks, A.to_nodes
+            ah = A.matrix.conj().transpose(0, 2, 1)
+            self.ah_w = ah * self.w
+            self.gram = ah @ (self.w[:, None] * A.matrix)
         if isinstance(alpha, str):
             alpha = _auto_alpha(A.noise_eps, ffop.gram_norm(self.gram, self.w))
         diag = np.arange(self.w.size)
-        self.gram[:, diag, diag] += float(alpha) * self.w
-        self.factor = cho_factor(self.gram, lower=False)
+        self.gram[..., diag, diag] += float(alpha) * self.w
+        self.factor = cho_factor(self.gram, lower=self.dense)
 
     def _norms(self, x):
         # per-column weighted norm summed over blocks: by Parseval the node-space
         # norm times sqrt(n_phi), which cancels in the relative residual
-        return np.sqrt(np.sum(np.abs(x) ** 2 / self.w[:, None], axis=(0, 1)))
+        return np.sqrt(np.sum(np.abs(x) ** 2 / self.w[:, None], axis=tuple(range(x.ndim - 1))))
+
+    def _rhs(self, b):
+        if self.dense:
+            # (X^H (W^1/2 B))^T = (W^1/2 B)^T conj(X), on the Fortran views
+            return zgemm(1.0, (self.sw[:, None] * b).T, self.x.T, trans_b=2).T
+        return self.ah_w @ self._split(b)
+
+    def _residual(self, g, rhs):
+        if self.dense:
+            # (G g - rhs)^T = g^T conj(G) - rhs^T; gram.T holds conj(G) in its upper triangle
+            return zhemm(1.0, self.gram.T, g.T, beta=-1.0, c=rhs.T, side=1, lower=0).T
+        return self.gram @ g - rhs
 
     def solve(self, b):
         """Node-space solution for a (2N,) right-hand side or a (2N, m) block of them.
 
-        One batched cho_solve serves the block; columns whose weighted
-        residual misses _NORMAL_EQ_TOL get up to three refinement rounds.
+        One cho_solve serves the block; columns whose weighted residual
+        misses _NORMAL_EQ_TOL get up to three refinement rounds.
         """
-        rhs = self.ah_w @ self._split(b.reshape(b.shape[0], -1))
+        rhs = self._rhs(b.reshape(b.shape[0], -1))
         g = cho_solve(self.factor, rhs)
         scale = self._norms(rhs)
         for _ in range(3):
-            res = self.gram @ g - rhs
+            res = self._residual(g, rhs)
             bad = self._norms(res) > _NORMAL_EQ_TOL * np.maximum(scale, 1e-300)
             if not bad.any():
-                return self._merge(g).reshape(b.shape)
+                return (g if self.dense else self._merge(g)).reshape(b.shape)
             g[..., bad] -= cho_solve(self.factor, res[..., bad])
         raise RuntimeError("normal equations did not reach the residual tolerance")
 

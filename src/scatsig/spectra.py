@@ -59,15 +59,15 @@ def eig(A, compute_vectors=True):
     """Dense eigendecomposition of the operator matrix.
 
     Residuals are ||A v - lambda v|| / ||A|| with unit eigenvectors and
-    the spectral matrix norm, taken from the Gram A^H A by
-    ``ffop.gram_norm`` (zero without vectors); LAPACK failure surfaces
-    as LinAlgError.
+    the spectral matrix norm, taken from the Gram triangle of
+    ``ffop.gram_lower`` by ``ffop.gram_norm`` (zero without vectors);
+    LAPACK failure surfaces as LinAlgError.
     """
     mat = A.matrix if isinstance(A, FarFieldMatrix) else np.asarray(A, complex)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     if compute_vectors:
-        norm_a = ffop.gram_norm(mat.conj().T @ mat, np.ones(mat.shape[0]))
+        norm_a = ffop.gram_norm(ffop.gram_lower(mat), np.ones(mat.shape[0]))
         vals, vecs = scipy.linalg.eig(mat)
         order = _sort_order(vals)
         vals = vals[order]

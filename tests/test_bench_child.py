@@ -53,6 +53,16 @@ def test_traced_tev_scan_solves_once_per_grid_point(tmp_path):
     assert (tmp_path / "tev_scan.csv").exists()
 
 
+def test_traced_noisy_tev_scan_factors_the_dense_system_once_per_grid_point(tmp_path):
+    # the dense solver must keep calling cho_solve through the scan module
+    layers = _traced_child(tmp_path, ["tev-scan", "--quad", "6x12", "--grid", "3.1:3.2:0.05",
+                                      "--zcount", "2", "--noise", "0.01"])
+    assert layers["scan.normal_factor.calls"] == 3
+    assert layers["scan.normal_solve.calls"] == 3
+    assert layers["scan.cho_solve_per_solve"] >= 1
+    assert (tmp_path / "tev_scan.csv").exists()
+
+
 def test_traced_phase_track_batches_one_eigensolve_per_k(tmp_path):
     scene = tmp_path / "ball4.json"
     scene.write_text(json.dumps({"layers": [{"r": 1.0, "n_re": 4.0, "n_im": 0.0}]}))

@@ -22,6 +22,7 @@ from scatsig.ffop import (
     assemble_blocks,
     build_quadrature,
     csv_text,
+    gram_lower,
     gram_norm,
     inner_product,
     load_ffop,
@@ -266,6 +267,26 @@ def test_noise_deterministic_and_zero_copy():
             add_noise(A, 0.05, seed=seed, stream=stream)
 
 
+def test_add_noise_matches_the_complex_expression_bit_for_bit():
+    # add_noise builds its factor in place; the bits are those of
+    # A * (1 + eps (zeta + i mu) / sqrt(2)) in numpy's complex arithmetic
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    gen = np.random.Generator(np.random.Philox(key=17))
+    for draw in range(120):
+        seed, stream = (int(v) for v in gen.integers(0, 2**64, size=2, dtype=np.uint64))
+        if draw < 2:
+            seed, stream = (0, 0) if draw == 0 else (2**64 - 1, 2**64 - 1)
+        eps = float(gen.choice([0.01, 1.0, 3.0])) if draw % 3 == 0 else float(gen.uniform(1e-4, 0.5))
+        shape = tuple(int(v) for v in gen.integers(1, 40, size=2))
+        mat = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        out = add_noise(FarFieldMatrix(mat, "CUSTOM", 1.0, quad), eps, seed, stream).matrix
+        ref_gen = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        zeta = ref_gen.uniform(-1.0, 1.0, size=shape)
+        mu = ref_gen.uniform(-1.0, 1.0, size=shape)
+        ref = mat * (1.0 + eps * (zeta + 1j * mu) / np.sqrt(2.0))
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), (seed, stream, eps, shape)
+
+
 # --------------------------------------------------------------------------
 # azimuthal blocks
 # --------------------------------------------------------------------------
@@ -383,6 +404,22 @@ def test_noisy_operator_norm_matches_svdvals():
     sq = np.sqrt(A.weight_vector())
     ref = scipy.linalg.svdvals((sq[:, None] * A.matrix) / sq[None, :])[0]
     assert abs(A.operator_norm() - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("order", [4, 12])
+def test_gram_norm_reads_only_the_lower_triangle(order):
+    # 64 rows take the eigvalsh branch, 576 rows the Lanczos one
+    quad = build_quadrature("PRODUCT_GAUSS", order)
+    A = add_noise(assemble("MAGNETIC", MediumSpec.ball(1.0, 4.0), 3.1, quad), 0.01, 3)
+    w = A.weight_vector()
+    full = A.matrix.conj().T @ (w[:, None] * A.matrix)
+    lower = gram_lower(np.sqrt(w)[:, None] * A.matrix)
+    assert_allclose(np.tril(lower), np.tril(full), rtol=0, atol=1e-13 * np.abs(full).max())
+    assert np.all(np.triu(lower, 1) == 0)
+    lower[np.triu_indices(w.size, 1)] = np.nan
+    ref = gram_norm(full, w)
+    assert abs(gram_norm(lower, w) - ref) <= 1e-13 * ref
+    assert gram_norm(lower[None], w) == gram_norm(lower, w)
 
 
 def test_block_gram_norm_matches_dense_svdvals():

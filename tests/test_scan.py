@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -107,6 +108,24 @@ def test_block_solve_raises_when_refinement_is_exhausted(monkeypatch):
     monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
     with pytest.raises(RuntimeError, match="residual tolerance"):
         solver.solve(np.stack([b, 2 * b], axis=1))
+
+
+@pytest.mark.parametrize("order", [4, 12])
+def test_dense_solver_matches_direct_solve_on_noisy_operators(order):
+    # 64 rows read ||A|| by eigvalsh, 576 rows by Lanczos on the Gram triangle
+    quad = build_quadrature("PRODUCT_GAUSS", order)
+    A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, 3.1, quad), 0.01, 5)
+    w = A.weight_vector()
+    sq = np.sqrt(w)
+    norm = scipy.linalg.svdvals((sq[:, None] * A.matrix) / sq[None, :])[0]
+    alpha = scan._auto_alpha(A.noise_eps, norm)
+    ah = A.matrix.conj().T
+    rhs = scan._dipole_rhs(quad, ZS4.points(), 3.1, magnetic=True)
+    ref = np.linalg.solve(alpha * np.diag(w) + ah @ (w[:, None] * A.matrix),
+                          ah @ (w[:, None] * rhs))
+    g = scan._NormalSolver(A, "auto").solve(rhs)
+    err = np.linalg.norm(g - ref, axis=0) / np.linalg.norm(ref, axis=0)
+    assert np.max(err) <= 1e-9
 
 
 def test_block_solver_matches_dense_solver():

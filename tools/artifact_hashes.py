@@ -33,6 +33,8 @@ RUNS = {
     "three_layer_ffop_eigs": "ffop-eigs --quad 6x12 --scene three_layer",
     "three_layer_oracle_stekloff": "oracle stekloff --scene three_layer --B 1.2 --s-kind IDENTITY",
     "three_layer_estimate_shift": "estimate-shift --scene three_layer --B 1.2 --s-kind IDENTITY --rc 0.8",
+    # the noisy Stekloff scan runs the dense normal-equation solver on a modified operator
+    "stekloff_grid_noisy_8x16": "stekloff-scan --quad 8x16 --grid=-6.0:-0.5:0.05 --noise 0.01",
 }
 for q in ("6x12", "8x16"):
     RUNS.update({
