@@ -320,27 +320,44 @@ def _mode_matrices(quad, L):
     return phi_u, phi_v
 
 
-def _mode_product(phi_a, phi_b, diag_a, diag_b, ms, quad):
-    """DFT blocks (n_phi, 2 n_theta, 2 n_theta) of one coefficient set's mode products.
+@lru_cache(maxsize=32)
+def _block_gather(L, n_phi):
+    """Degrees, mode indices and validity mask of the per-block mode gather.
 
-    phi_a carries the alpha diagonal (V modes for ELECTRIC, U modes for
-    the dual kinds), phi_b the beta one, both as azimuth-0 tables; mode
-    (l, m) lands in block q = m mod n_phi, and the columns are scaled by
-    n_phi and the latitude weights (docs section 12).
+    Row q of each (n_phi, slots) array lists the modes (l, m) of
+    ``mode_list(L)`` with m mod n_phi = q, padded with zero-weight
+    copies of mode 0 up to the largest block's count. It depends only on
+    (L, n_phi), so a scan builds it once. The arrays are read-only.
     """
-    n_phi = 2 * quad.order
-    # gather the modes of each block into a row of idx, padded with
-    # zero-weight copies of mode 0 up to the largest block's count
-    q = ms % n_phi
+    modes = mode_list(L)
+    ells = np.array([m.l for m in modes])
+    q = np.array([m.m for m in modes]) % n_phi
     counts = np.bincount(q, minlength=n_phi)
     starts = np.cumsum(counts) - counts
     slot = np.arange(counts.max())
     valid = slot[None, :] < counts[:, None]
     idx = np.argsort(q, kind="stable")[np.where(valid, starts[:, None] + slot, 0)]
+    gather = (ells[idx], idx, valid)
+    for a in gather:
+        a.setflags(write=False)
+    return gather
+
+
+def _mode_product(phi_a, phi_b, coef_a, coef_b, L, quad):
+    """DFT blocks (n_phi, 2 n_theta, 2 n_theta) of one coefficient set's mode products.
+
+    phi_a carries the alpha coefficients (V modes for ELECTRIC, U modes
+    for the dual kinds), phi_b the beta ones, both as azimuth-0 tables
+    of degree L; coef_a and coef_b are indexed by degree. Mode (l, m)
+    lands in block q = m mod n_phi, and the columns are scaled by n_phi
+    and the latitude weights (docs section 12).
+    """
+    n_phi = 2 * quad.order
+    deg, idx, valid = _block_gather(L, n_phi)
     out = 0.0
-    for phi, diag in ((phi_a, diag_a), (phi_b, diag_b)):
+    for phi, coef in ((phi_a, coef_a), (phi_b, coef_b)):
         g = phi[:, idx].transpose(1, 0, 2)  # (n_phi, 2 n_theta, slots)
-        out = out + (g * np.where(valid, diag[idx], 0.0)[:, None, :]) @ g.conj().transpose(0, 2, 1)
+        out = out + (g * np.where(valid, coef[deg], 0.0)[:, None, :]) @ g.conj().transpose(0, 2, 1)
     return out * (n_phi * np.repeat(quad.weights[::n_phi], 2))
 
 
@@ -390,11 +407,8 @@ def assemble_blocks(kind, scene, k, quad):
     total = None
     for scale, coefs in sets:
         phi_u, phi_v = _mode_matrices(quad, coefs.L)
-        modes = mode_list(coefs.L)
-        ells = np.array([m.l for m in modes])
-        ms = np.array([m.m for m in modes])
         pair = (phi_v, phi_u) if kind == "ELECTRIC" else (phi_u, phi_v)
-        term = scale * _mode_product(*pair, coefs.alpha[ells], coefs.beta[ells], ms, quad)
+        term = scale * _mode_product(*pair, coefs.alpha, coefs.beta, coefs.L, quad)
         total = term if total is None else total + term
     return FarFieldBlocks(total, kind, float(k), quad)
 

@@ -337,23 +337,36 @@ def mie_coefficients(medium, k, L=None):
         L_try = int(L_try * 1.5) + 5
 
 
+@lru_cache(maxsize=64)
+def _boundary_tables(L, x):
+    """Read-only (psi, psi', xi, xi') of degrees 0..L at the boundary argument x = kR.
+
+    They do not depend on lam, so a lam scan at fixed k and R evaluates
+    them once. ``riccati_all`` is looked up when the tables are built,
+    so a wrapper installed on this module sees that one evaluation.
+    """
+    psi, dpsi, chi, dchi = riccati_all(L, x + 0j)
+    tables = (psi, dpsi, psi + 1j * chi, dpsi + 1j * dchi)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def impedance_coefficients(ball, k, L=None):
     """Scattering coefficients of the generalized impedance ball.
 
     TE family (both S kinds):   alpha_l = -(k psi' + lam psi)/(k xi' + lam xi)
     TM family, S = identity:    beta_l  = -(k psi - lam psi')/(k xi - lam xi')
     TM family, S = curl-curl:   beta_l  = -psi/xi
-    with all Riccati functions evaluated at kR. A vanishing denominator
-    means lam sits on the measure-zero resonant set and raises
-    ResonantParameterError.
+    with all Riccati functions evaluated at kR, read from the tables
+    cached per (L, kR). A vanishing denominator means lam sits on the
+    measure-zero resonant set and raises ResonantParameterError.
     """
     if k <= 0:
         raise ValueError("wave number must be positive")
     if L is None:
         L = truncation_degree(k, ball.R)
-    psi, dpsi, chi, dchi = riccati_all(L, k * ball.R + 0j)
-    xi = psi + 1j * chi
-    dxi = dpsi + 1j * dchi
+    psi, dpsi, xi, dxi = _boundary_tables(L, float(k * ball.R))
     lam = ball.lam
     den_te = k * dxi + lam * xi
     scale_te = k * np.abs(dxi) + abs(lam) * np.abs(xi)

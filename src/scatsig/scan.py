@@ -20,8 +20,9 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+import scipy.linalg
 from scipy.linalg.blas import zgemm, zhemm
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from . import ffop, forward
 from .ffop import FarFieldBlocks, TangentVectorField
@@ -104,6 +105,53 @@ class ScanResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _require_finite(x, stage):
+    """Raise FloatingPointError naming ``stage`` unless x is finite.
+
+    A block stack (n_blocks, m, k) also names its first non-finite block.
+    """
+    if np.isfinite(x).all():
+        return
+    where = ""
+    if x.ndim == 3:
+        bad = ~np.isfinite(x.reshape(x.shape[0], -1)).all(axis=1)
+        where = f" in block {int(np.flatnonzero(bad)[0])}"
+    raise FloatingPointError(f"non-finite {stage}{where} of the normal equations")
+
+
+def _block_factor(gram):
+    """Upper Cholesky factors of a Hermitian stack (n_blocks, m, m), one zpotrf per block.
+
+    These are the LAPACK calls scipy's batched cho_factor(lower=False)
+    makes, without its per-slice Python wrapper and finite checks.
+    """
+    factors = []
+    for q, g in enumerate(gram):
+        c, info = zpotrf(g, lower=0, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"block {q} of the normal equations is not positive definite "
+                f"(leading minor {info})")
+        factors.append(c)
+    return factors
+
+
+def cho_solve(factor, rhs):
+    """Solve the factored normal equations for ``rhs``.
+
+    ``factor`` is scipy's (c, lower) pair of one dense system, with rhs
+    of shape (m, k), or the list of upper block factors of
+    ``_block_factor``, with rhs of shape (n_blocks, m, k). Finite checks
+    are the caller's.
+    """
+    if isinstance(factor, tuple):
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    out = np.empty(rhs.shape, dtype=complex)
+    for q, c in enumerate(factor):
+        out[q] = zpotrs(c, rhs[q], lower=0)[0]
+    return out
+
+
 class _NormalSolver:
     """Factorized weighted normal equations (alpha W + A^H W A) G = A^H W B.
 
@@ -113,8 +161,10 @@ class _NormalSolver:
     BLAS and LAPACK, so a grid point never switches between numpy's and
     scipy's OpenBLAS thread pools (docs section 11). A
     FarFieldBlocks stack is n_phi blocks with the latitude weights, and
-    right-hand sides are DFT'd over azimuth into it; Gram, Cholesky
-    factor and solves are batched numpy and scipy calls over the blocks.
+    right-hand sides are DFT'd over azimuth into it; Gram and products
+    are batched numpy calls, and each block is factored and solved by
+    its own zpotrf and zpotrs. A non-finite Gram or right-hand side
+    raises FloatingPointError, checked once per stack.
     ``alpha`` is positive, or "auto" for the TikhonovConfig rule with
     ||A|| read off this Gram before the alpha shift.
     """
@@ -131,11 +181,15 @@ class _NormalSolver:
             ah = A.matrix.conj().transpose(0, 2, 1)
             self.ah_w = ah * self.w
             self.gram = ah @ (self.w[:, None] * A.matrix)
+        _require_finite(self.gram, "Gram")
         if isinstance(alpha, str):
             alpha = _auto_alpha(A.noise_eps, ffop.gram_norm(self.gram, self.w))
         diag = np.arange(self.w.size)
         self.gram[..., diag, diag] += float(alpha) * self.w
-        self.factor = cho_factor(self.gram, lower=self.dense)
+        if self.dense:
+            self.factor = scipy.linalg.cho_factor(self.gram, lower=True, check_finite=False)
+        else:
+            self.factor = _block_factor(self.gram)
 
     def _norms(self, x):
         # per-column weighted norm summed over blocks: by Parseval the node-space
@@ -161,6 +215,7 @@ class _NormalSolver:
         misses _NORMAL_EQ_TOL get up to three refinement rounds.
         """
         rhs = self._rhs(b.reshape(b.shape[0], -1))
+        _require_finite(rhs, "right-hand side")
         g = cho_solve(self.factor, rhs)
         scale = self._norms(rhs)
         for _ in range(3):

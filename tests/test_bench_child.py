@@ -77,5 +77,9 @@ def test_traced_clean_stekloff_scan_factors_blocks_once_per_cell(tmp_path):
                                       "--rect=-3.0:-1.0:-0.1:0.5:3", "--zcount", "2"])
     assert layers["scan.normal_factor.calls"] == 9
     assert layers["scan.normal_solve.calls"] == 9
+    assert layers["scan.cho_solve_per_solve"] >= 1
     assert layers["ffop.assemble.calls"] == 0
+    # two for the magnetic operator's Mie coefficients, one for the impedance
+    # boundary tables shared by all 9 cells
+    assert layers["sphfun.riccati_all.calls"] == 3
     assert (tmp_path / "stekloff_scan.json").exists()

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from scatsig.ffop import (
     KINDS,
+    _block_gather,
     FarFieldMatrix,
     SphereQuadrature,
     TangentVectorField,
@@ -351,6 +352,18 @@ def test_assemble_blocks_match_split_dense_matrix(rule, order, kind, scene):
     x = np.random.default_rng(order).standard_normal((A.dim, 3)) + 0j
     y = B.to_nodes(B.matrix @ B.to_blocks(x))
     assert_allclose(y, A.matrix @ x, rtol=0, atol=1e-13 * np.abs(A.matrix @ x).max())
+
+
+@pytest.mark.parametrize("L,n_phi", [(5, 12), (14, 12), (15, 24)])
+def test_block_gather_places_every_mode_once_in_its_block(L, n_phi):
+    deg, idx, valid = _block_gather(L, n_phi)
+    assert _block_gather(L, n_phi)[1] is idx
+    assert not any(a.flags.writeable for a in (deg, idx, valid))
+    modes = mode_list(L)
+    assert sorted(idx[valid].tolist()) == list(range(len(modes)))
+    q, _ = np.nonzero(valid)
+    assert all(modes[i].m % n_phi == b and modes[i].l == d
+               for i, b, d in zip(idx[valid], q, deg[valid]))
 
 
 def test_assembly_rejects_a_frame_that_breaks_the_rotation_layout(tmp_path):

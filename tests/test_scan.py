@@ -27,7 +27,7 @@ from scatsig import (
     tev_scan,
     tikhonov_solve,
 )
-from scatsig import ffop, forward, scan
+from scatsig import cli, ffop, forward, scan
 from scatsig.scan import ScanResult, result_to_csv, result_to_json
 from scatsig.sphfun import riccati_all
 
@@ -147,6 +147,98 @@ def test_block_solve_raises_when_refinement_is_exhausted_on_blocks(monkeypatch):
     monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
     with pytest.raises(RuntimeError, match="residual tolerance"):
         solver.solve(np.stack([b, 2 * b], axis=1))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _hpd_stack(n_blocks, m, seed):
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    x = gen.standard_normal((n_blocks, m, m)) + 1j * gen.standard_normal((n_blocks, m, m))
+    return x.conj().transpose(0, 2, 1) @ x + m * np.eye(m)
+
+
+@pytest.mark.parametrize("size", [20, 24])
+@pytest.mark.parametrize("cols", [1, 10])
+def test_block_factor_and_solve_equal_scipy_batched_cholesky_bit_for_bit(size, cols):
+    gram = _hpd_stack(size, size, seed=size + cols)
+    gen = np.random.Generator(np.random.Philox(key=cols))
+    rhs = gen.standard_normal((size, size, cols)) + 1j * gen.standard_normal((size, size, cols))
+    ref = scipy.linalg.cho_factor(gram, lower=False)
+    factors = scan._block_factor(gram)
+    np.testing.assert_array_equal(_bits(np.stack(factors)), _bits(ref[0]))
+    x = scan.cho_solve(factors, rhs)
+    np.testing.assert_array_equal(_bits(x), _bits(scipy.linalg.cho_solve(ref, rhs)))
+
+
+def test_block_factor_names_the_indefinite_block():
+    gram = _hpd_stack(8, 6, seed=3)
+    gram[5] = -gram[5]
+    with pytest.raises(scipy.linalg.LinAlgError, match="block 5 "):
+        scan._block_factor(gram)
+
+
+def test_non_finite_gram_is_a_numeric_failure_naming_its_block():
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    B = ffop.assemble_blocks("MAGNETIC", BALL2, 1.5, quad)
+    B.matrix[3, 2, 1] = np.nan
+    with pytest.raises(FloatingPointError, match="Gram in block 3 "):
+        scan._NormalSolver(B, "auto")
+    A = ffop.assemble("MAGNETIC", BALL2, 1.5, quad)
+    A.matrix[7, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite Gram of"):
+        scan._NormalSolver(A, 1e-3)
+    # the CLI reports an ArithmeticError as a numeric failure (exit 3)
+    assert issubclass(FloatingPointError, cli._NUMERIC_ERRORS)
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_non_finite_right_hand_side_is_a_numeric_failure(blocks):
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    build = ffop.assemble_blocks if blocks else ffop.assemble
+    solver = scan._NormalSolver(build("MAGNETIC", BALL2, 1.5, quad), 1e-3)
+    b = np.stack([_random_field(quad, seed=12).flat()] * 2, axis=1)
+    b[5, 1] = np.nan
+    match = "right-hand side in block 0 " if blocks else "non-finite right-hand side of"
+    with pytest.raises(FloatingPointError, match=match):
+        solver.solve(b)
+
+
+def test_stekloff_rectangle_evaluates_the_boundary_tables_once(monkeypatch):
+    k = 1.0
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    rect = np.linspace(-3.4, -0.6, 9)[None, :] + 1j * np.linspace(-0.1, 0.6, 9)[:, None]
+    forward.mie_coefficients(BALL2, k)  # the magnetic operator's own tables
+    forward._boundary_tables.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return riccati_all(*args)
+
+    monkeypatch.setattr(forward, "riccati_all", counted)
+    for s_kind in ("CURL_CURL", "IDENTITY"):
+        stekloff_scan(BALL2, 1.0, k, rect, quad, zs=ZS4, s_kind=s_kind)
+    assert len(calls) == 1
+    L = forward.truncation_degree(k, 1.0)
+    psi, dpsi, chi, dchi = riccati_all(L, k * 1.0 + 0j)
+    xi, dxi = psi + 1j * chi, dpsi + 1j * dchi
+    for lam in rect.ravel():
+        want_alpha = -(k * dpsi + lam * psi) / (k * dxi + lam * xi)
+        want = {"CURL_CURL": -psi / xi,
+                "IDENTITY": -(k * psi - lam * dpsi) / (k * xi - lam * dxi)}
+        for s_kind, want_beta in want.items():
+            c = forward.impedance_coefficients(ImpedanceBall(1.0, lam, s_kind), k)
+            for got, ref in ((c.alpha, want_alpha), (c.beta, want_beta)):
+                assert not got.flags.writeable
+                assert got[0] == 0
+                np.testing.assert_array_equal(_bits(got[1:]), _bits(ref[1:]))
+    assert len(calls) == 1
+    assert not any(t.flags.writeable for t in forward._boundary_tables(L, k * 1.0))
+    # a TM resonance of the IDENTITY branch still raises with the tables cached
+    with pytest.raises(forward.ResonantParameterError, match="TM"):
+        forward.impedance_coefficients(ImpedanceBall(1.0, k * xi[2] / dxi[2], "IDENTITY"), k)
 
 
 def test_tikhonov_large_alpha_asymptote():

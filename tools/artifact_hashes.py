@@ -35,6 +35,10 @@ RUNS = {
     "three_layer_estimate_shift": "estimate-shift --scene three_layer --B 1.2 --s-kind IDENTITY --rc 0.8",
     # the noisy Stekloff scan runs the dense normal-equation solver on a modified operator
     "stekloff_grid_noisy_8x16": "stekloff-scan --quad 8x16 --grid=-6.0:-0.5:0.05 --noise 0.01",
+    # the IDENTITY boundary makes the TM coefficients depend on lambda through the
+    # cached boundary tables; every other Stekloff run here uses CURL_CURL
+    "stekloff_rect_identity_6x12": "stekloff-scan --quad 6x12 --s-kind IDENTITY "
+                                   "--rect=-4.5:-0.5:-0.2:0.8:40",
 }
 for q in ("6x12", "8x16"):
     RUNS.update({
