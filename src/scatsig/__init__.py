@@ -9,6 +9,7 @@ in :mod:`scatsig.oracles`.
 """
 
 from .forward import (
+    ConvergenceError,
     DipoleSource,
     ImpedanceBall,
     MediumSpec,
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketError",
+    "ConvergenceError",
     "DipoleSource",
     "EigenSet",
     "FarFieldMatrix",

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import ffop, oracles, scan, spectra
 from .forward import (
+    ConvergenceError,
     ImpedanceBall,
     MediumSpec,
     ResonantParameterError,
@@ -35,7 +36,7 @@ _NUMERIC_ERRORS = (
     RecurrenceOverflowError,
     np.linalg.LinAlgError,
     ArithmeticError,
-    RuntimeError,
+    ConvergenceError,
 )
 
 

@@ -231,6 +231,24 @@ def gram_lower(x):
     return zherk(1.0, x.T, trans=0, lower=0).T
 
 
+def _candidate_blocks(grams, w):
+    """Mask of the blocks of a Gram stack whose H_q = W^-1/2 G_q W^-1/2 may hold max eig.
+
+    For Hermitian H, max_i H_ii <= lambda_max(H) <= ||H||_F. Every block
+    whose Frobenius norm lies below the largest diagonal entry of the
+    stack by more than the margin 1e-12, far above eigvalsh's roundoff,
+    cannot hold the computed maximum (docs section 11). Both bounds come
+    from the lower triangles of the unscaled Grams. A NaN bound keeps
+    its block.
+    """
+    inv_w = 1.0 / w
+    d = grams.diagonal(axis1=1, axis2=2).real * inv_w
+    low = np.tril(grams, -1)
+    off2 = ((low.real ** 2 + low.imag ** 2) @ inv_w) @ inv_w
+    fro = np.sqrt(np.sum(d * d, axis=1) + 2.0 * off2)
+    return ~(fro < d.max() * (1.0 - 1e-12))
+
+
 def gram_norm(gram, w):
     """Weighted operator norm sqrt(max eig W^-1/2 G W^-1/2) from a Gram G = A^H W A.
 
@@ -238,22 +256,27 @@ def gram_norm(gram, w):
     taken before any regularization shift; ``w`` holds the m row
     weights. Only the lower triangle of each Gram is read, so the
     triangle of ``gram_lower`` serves as well as a full Gram. Blocks of
-    up to _EIGVALSH_MAX_ROWS rows go to one batched eigvalsh. A larger
-    block gets symmetric Lanczos (eigsh) on the real form
+    up to _EIGVALSH_MAX_ROWS rows go to one batched eigvalsh, which a
+    stack runs only on the blocks that ``_candidate_blocks`` keeps; the
+    maximum keeps its bits, because each block gets the same zheevd
+    either way. A larger block gets symmetric Lanczos (eigsh) on the real form
     [[Re H, -Im H], [Im H, Re H]] of H = W^-1/2 G W^-1/2, which repeats
     each eigenvalue of H, from a fixed start vector of ones, so the
     result is deterministic. The real form is applied as H to
     x[:m] + i x[m:] without being built, by one zhemv on the triangle;
     it runs several times faster than complex Lanczos, most of all
-    under a multithreaded BLAS.
+    under a multithreaded BLAS. A block on which ARPACK does not
+    converge raises forward.ConvergenceError naming it.
     """
     s = 1.0 / np.sqrt(w)
     grams = gram.reshape(-1, w.size, w.size)
     if w.size <= _EIGVALSH_MAX_ROWS:
+        if len(grams) > 1:
+            grams = grams[_candidate_blocks(grams, w)]
         top = np.linalg.eigvalsh(grams * s[:, None] * s[None, :])[:, -1].max()
     else:
         from scipy.linalg.blas import zhemv
-        from scipy.sparse.linalg import LinearOperator, eigsh
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
         def real_form(g):
             # the Fortran view g.T holds conj(G) in its upper triangle, so
@@ -263,10 +286,16 @@ def gram_norm(gram, w):
                 return np.concatenate([y.real, -y.imag])
             return LinearOperator((2 * w.size, 2 * w.size), matvec=matvec, dtype=float)
 
+        def top_eig(q, g):
+            try:
+                return eigsh(real_form(g), k=1, which="LA", v0=np.ones(2 * w.size),
+                             return_eigenvectors=False)[0]
+            except ArpackNoConvergence as e:
+                raise forward.ConvergenceError(
+                    f"Lanczos norm of Gram block {q} ({w.size} rows) did not converge: {e}") from e
+
         # a zero block leaves Lanczos no start vector in its range; its norm is 0
-        top = max((eigsh(real_form(g), k=1, which="LA", v0=np.ones(2 * w.size),
-                         return_eigenvectors=False)[0]
-                   for g in grams if np.any(g)), default=0.0)
+        top = max((top_eig(q, g) for q, g in enumerate(grams) if np.any(g)), default=0.0)
     return float(np.sqrt(max(top, 0.0)))
 
 

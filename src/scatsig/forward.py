@@ -46,6 +46,10 @@ class ResonantParameterError(RuntimeError):
     """The impedance boundary system is singular for this parameter."""
 
 
+class ConvergenceError(RuntimeError):
+    """An iterative numeric method did not reach its tolerance in its step budget."""
+
+
 @dataclass(frozen=True)
 class MediumSpec:
     """Piecewise-constant radial relative permittivity profile.

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import forward
-from .forward import MediumSpec
+from .forward import ConvergenceError, MediumSpec
 from .sphfun import riccati_all
 
 _GRID_STEP = 0.01
@@ -85,6 +85,9 @@ def tev_determinant(medium, l, family, k):
 
     Zeros over k > 0 are the transmission eigenvalues of that mode. The
     expression is real for real n; no extra normalization is needed.
+    ``l`` may also be a 1-D array of degrees: the result then has one
+    row per degree, all read off one pair of Riccati tables up to the
+    largest of them.
     """
     a, n = _single_layer(medium)
     fam = family.family if isinstance(family, ModeFamily) else family
@@ -96,17 +99,22 @@ def tev_determinant(medium, l, family, k):
     root_n = np.sqrt(complex(n))
     x = k * a
     y = k * root_n * a
-    psi_x, dpsi_x, _, _ = riccati_all(l, x)
-    psi_y, dpsi_y, _, _ = riccati_all(l, y)
+    l = np.asarray(l)
+    l_top = int(l.max())
+    psi_x, dpsi_x, _, _ = riccati_all(l_top, x)
+    psi_y, dpsi_y, _, _ = riccati_all(l_top, y)
+    psi_x, dpsi_x, psi_y, dpsi_y = psi_x[l], dpsi_x[l], psi_y[l], dpsi_y[l]
     if fam == "TE":
-        det = psi_y[l] * dpsi_x[l] - root_n * psi_x[l] * dpsi_y[l]
+        det = psi_y * dpsi_x - root_n * psi_x * dpsi_y
     elif fam == "TM":
-        det = dpsi_y[l] * psi_x[l] - root_n * dpsi_x[l] * psi_y[l]
+        det = dpsi_y * psi_x - root_n * dpsi_x * psi_y
     else:
         raise ValueError("family must be 'TE' or 'TM'")
     if (not isinstance(n, complex)) or n.imag == 0:
         det = det.real + 0.0j
-    return complex(det[0]) if scalar else det
+    if not scalar:
+        return det
+    return complex(det[0]) if l.ndim == 0 else det[:, 0]
 
 
 def tev_min_singular(medium, l, family, k):
@@ -154,7 +162,7 @@ def _brentq(f, xa, xb, xtol):
     runs on float64 scalars under errstate, so a zero denominator gives
     inf or nan (and a bisection step) as in C instead of raising. Raises
     ValueError when f has the same sign at both ends or returns NaN,
-    and RuntimeError when it does not converge.
+    and ConvergenceError when it does not converge.
     """
     def value(x):
         fx = np.float64(f(float(x)))
@@ -201,12 +209,11 @@ def _brentq(f, xa, xb, xtol):
             xpre, fpre = xcur, fcur
             xcur = xcur + (scur if abs(scur) > delta else (delta if sbis > 0 else -delta))
             fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+    raise ConvergenceError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
-def _roots_on_grid(fn, grid):
-    """Brent refinement of every sign change of fn on the grid."""
-    vals = fn(grid)
+def _roots_on_grid(fn, grid, vals):
+    """Brent refinement by fn of every sign change of the values ``vals`` on the grid."""
     roots = []
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
@@ -221,7 +228,9 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
 
     Determinant sign changes on a grid of step <= 0.01 are refined by
     Brent's method to better than 1e-8. Returns a list of (k, l, family)
-    sorted by k.
+    sorted by k. The grid determinants of all degrees of a family come
+    from one tev_determinant call, so from one pair of Riccati tables up
+    to l_max; Brent evaluates tev_determinant per degree on scalars.
     """
     a, n = _single_layer(medium)
     if isinstance(n, complex) and n.imag != 0:
@@ -232,13 +241,16 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
+    if l_max < 1:
+        return []
     count = int(np.ceil((k_hi - k_lo) / step)) + 1
     grid = np.linspace(k_lo, k_hi, count)
     out = []
-    for l in range(1, l_max + 1):
-        for fam in ("TE", "TM"):
+    for fam in ("TE", "TM"):
+        dets = np.real(tev_determinant(medium, np.arange(1, l_max + 1), fam, grid))
+        for l, vals in enumerate(dets, start=1):
             fn = lambda k, l=l, fam=fam: np.real(tev_determinant(medium, l, fam, k))
-            for r in _roots_on_grid(fn, grid):
+            for r in _roots_on_grid(fn, grid, vals):
                 out.append((r, l, fam))
     out.sort(key=lambda t: (t[0], t[1], t[2]))
     return out

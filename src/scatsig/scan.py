@@ -26,7 +26,7 @@ from scipy.linalg.lapack import zpotrf, zpotrs
 
 from . import ffop, forward
 from .ffop import FarFieldBlocks, TangentVectorField
-from .forward import DipoleSource, ImpedanceBall, ResonantParameterError
+from .forward import ConvergenceError, DipoleSource, ImpedanceBall, ResonantParameterError
 from .spectra import grid_points
 
 _ALPHA_FLOOR = 1e-10
@@ -212,7 +212,8 @@ class _NormalSolver:
         """Node-space solution for a (2N,) right-hand side or a (2N, m) block of them.
 
         One cho_solve serves the block; columns whose weighted residual
-        misses _NORMAL_EQ_TOL get up to three refinement rounds.
+        misses _NORMAL_EQ_TOL get up to three refinement rounds, after
+        which ConvergenceError is raised.
         """
         rhs = self._rhs(b.reshape(b.shape[0], -1))
         _require_finite(rhs, "right-hand side")
@@ -224,7 +225,7 @@ class _NormalSolver:
             if not bad.any():
                 return (g if self.dense else self._merge(g)).reshape(b.shape)
             g[..., bad] -= cho_solve(self.factor, res[..., bad])
-        raise RuntimeError("normal equations did not reach the residual tolerance")
+        raise ConvergenceError("normal equations did not reach the residual tolerance")
 
 
 def tikhonov_solve(A, rhs, cfg=TikhonovConfig()):

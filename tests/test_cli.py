@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scatsig import MediumSpec, cli, oracles
+from scatsig import ConvergenceError, MediumSpec, cli, oracles, scan
 from scatsig.cli import ConfigError, export_csv, parse_config
 from scatsig.ffop import assemble, build_quadrature
 from scatsig.spectra import eig
@@ -397,6 +397,29 @@ def test_exit_code_3_for_numeric_failures(tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_exhausted_refinement_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
+    rc = cli.main(["tev-scan", "--quad", "4x8", "--grid", "3.0:3.1:0.1", "--zcount", "1",
+                   "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "residual tolerance" in err
+
+
+@pytest.mark.parametrize("error", [NotImplementedError, RecursionError])
+def test_stray_runtime_errors_are_not_numeric_failures(tmp_path, monkeypatch, error):
+    # internal bugs propagate with their traceback instead of exiting 3
+    def broken(*args, **kwargs):
+        raise error("internal bug")
+
+    monkeypatch.setattr(scan, "tev_scan", broken)
+    with pytest.raises(error, match="internal bug"):
+        cli.main(["tev-scan", "--quad", "4x8", "--grid", "3.0:3.1:0.1", "--zcount", "1",
+                  "--out", str(tmp_path)])
+    assert not issubclass(error, cli._NUMERIC_ERRORS)
+    assert issubclass(ConvergenceError, cli._NUMERIC_ERRORS)
 
 
 def test_exit_code_4_for_io_failures(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import os
 import struct
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scatsig.ffop import (
+    _EIGVALSH_MAX_ROWS,
     KINDS,
     _block_gather,
+    _candidate_blocks,
     FarFieldMatrix,
     SphereQuadrature,
     TangentVectorField,
@@ -30,6 +33,7 @@ from scatsig.ffop import (
     save_ffop,
 )
 from scatsig.forward import (
+    ConvergenceError,
     ImpedanceBall,
     MediumSpec,
     electric_far_field,
@@ -444,6 +448,108 @@ def test_block_gram_norm_matches_dense_svdvals():
     w = B.weight_vector()
     gram = B.matrix.conj().transpose(0, 2, 1) @ (w[:, None] * B.matrix)
     assert abs(gram_norm(gram, w) - ref) <= 1e-12 * ref
+
+
+def _full_stack_norm(grams, w):
+    # the batched eigvalsh over every block that gram_norm's candidate pruning replaces
+    s = 1.0 / np.sqrt(w)
+    top = np.linalg.eigvalsh(grams * s[:, None] * s[None, :])[:, -1].max()
+    return np.float64(np.sqrt(max(top, 0.0)))
+
+
+def _psd_stack(gen, n_blocks, m, scales):
+    x = gen.standard_normal((n_blocks, m, m)) + 1j * gen.standard_normal((n_blocks, m, m))
+    return (x.conj().transpose(0, 2, 1) @ x) * np.asarray(scales)[:, None, None]
+
+
+def _norm_cases():
+    gen = np.random.Generator(np.random.Philox(key=41))
+    w = gen.uniform(0.05, 1.0, 12)
+    spread = _psd_stack(gen, 20, 12, 10.0 ** gen.uniform(-8, 0, 20))
+    tied = np.repeat(_psd_stack(gen, 1, 12, [1.0]), 6, axis=0)
+    tied = np.concatenate([tied, _psd_stack(gen, 6, 12, np.full(6, 1e-3))])
+    # with unit weights, block 5 is diag(lb, 0, ...): its Frobenius norm equals
+    # the largest diagonal entry of the stack
+    diagonal = _psd_stack(gen, 8, 12, np.full(8, 1e-4))
+    diagonal[5] = 0.0
+    diagonal[5, 3, 3] = 7.0
+    diagonal[2] = np.diag(gen.uniform(0.0, 7.0, 12))
+    nan_upper = _psd_stack(gen, 16, 12, 10.0 ** gen.uniform(-3, 0, 16))
+    nan_upper[(slice(None),) + np.triu_indices(12, 1)] = np.nan
+    return {
+        "spread": (spread, w),
+        "tied": (tied, w),
+        "diagonal": (diagonal, np.ones(12)),
+        "zero": (np.zeros((6, 12, 12), dtype=complex), w),
+        "one": (_psd_stack(gen, 1, 12, [1.0]), w),
+        "nan_upper": (nan_upper, w),
+        "spread_unit_weights": (spread, np.ones(12)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_norm_cases()))
+def test_candidate_block_norm_equals_full_stack_eigvalsh_bit_for_bit(case):
+    grams, w = _norm_cases()[case]
+    got = np.float64(gram_norm(grams, w))
+    ref = _full_stack_norm(grams, w)
+    assert got.view(np.uint64) == ref.view(np.uint64), (case, got, ref)
+    if case == "diagonal":
+        assert ref == np.sqrt(7.0)
+        assert _candidate_blocks(grams, w)[5]
+    if case == "zero":
+        assert ref == 0.0 and _candidate_blocks(grams, w).all()
+    if case == "nan_upper":
+        # the bounds read the lower triangles only, so NaN above them prunes as a full Gram would
+        full = np.tril(grams) + np.conj(np.tril(grams, -1)).transpose(0, 2, 1)
+        keep = _candidate_blocks(grams, w)
+        assert 0 < keep.sum() < len(grams)
+        np.testing.assert_array_equal(keep, _candidate_blocks(full, w))
+
+
+@pytest.mark.parametrize("scene,blocks", [("stekloff_cell", 3), ("magnetic_12x24", 7)])
+def test_clean_block_norm_runs_eigvalsh_on_the_candidate_blocks_only(monkeypatch, scene, blocks):
+    if scene == "stekloff_cell":
+        # one cell of the benchmark's Stekloff rectangle, formed as stekloff_scan does
+        quad = build_quadrature("PRODUCT_GAUSS", 10)
+        F_m = assemble_blocks("MAGNETIC", MediumSpec(layers=((1.0, 2.0 + 2.0j),)), 1.0, quad)
+        F_s = assemble_blocks("IMPEDANCE", ImpedanceBall(R=1.0, lam=-1.6 + 0.45j), 1.0, quad)
+        A = replace(F_m, matrix=F_m.matrix - F_s.matrix, kind="MODIFIED")
+    else:
+        quad = build_quadrature("PRODUCT_GAUSS", 12)
+        A = assemble_blocks("MAGNETIC", MediumSpec.ball(1.0, 4.0), 3.1, quad)
+    w = A.weight_vector()
+    gram = A.matrix.conj().transpose(0, 2, 1) @ (w[:, None] * A.matrix)
+    ref = _full_stack_norm(gram, w)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    got = np.float64(gram_norm(gram, w))
+    assert sizes == [blocks] and len(gram) == 2 * quad.order
+    assert got.view(np.uint64) == ref.view(np.uint64)
+
+
+def test_lanczos_non_convergence_is_a_convergence_error_naming_the_block(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    eigsh = sla.eigsh
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", second_fails)
+    gen = np.random.Generator(np.random.Philox(key=5))
+    grams = _psd_stack(gen, 2, _EIGVALSH_MAX_ROWS + 2, [1.0, 1.0])
+    with pytest.raises(ConvergenceError, match="block 1 "):
+        gram_norm(grams, np.ones(_EIGVALSH_MAX_ROWS + 2))
 
 
 def test_operator_norm_matches_svd():

@@ -27,6 +27,7 @@ from scatsig import (
     tev_min_singular,
     tev_roots,
 )
+from scatsig import oracles
 from scatsig.oracles import _brentq
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
@@ -234,6 +235,56 @@ def test_tev_roots_persist_under_larger_l_max():
             for k, l, fam in big
         )
     assert len(big) >= len(small)
+
+
+def _per_degree_tev_roots(medium, l_max, k_range):
+    # the search before the shared tables: tev_determinant over the whole grid per (l, family)
+    count = int(np.ceil((k_range[1] - k_range[0]) / 0.01)) + 1
+    grid = np.linspace(k_range[0], k_range[1], count)
+    out = []
+    for l in range(1, l_max + 1):
+        for fam in ("TE", "TM"):
+            fn = lambda k, l=l, fam=fam: np.real(tev_determinant(medium, l, fam, k))
+            out += [(r, l, fam) for r in oracles._roots_on_grid(fn, grid, fn(grid))]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n,l_max,k_range", [
+    (4.0, 20, (3.06, 3.2)), (4.0, 10, (0.05, 8.0)), (0.5, 10, (0.05, 12.0)),
+    (2.0, 12, (0.05, 10.0)), (9.0, 15, (0.05, 6.0)),
+])
+def test_tev_roots_from_shared_tables_equal_the_per_degree_search(monkeypatch, n, l_max, k_range):
+    medium = MediumSpec.ball(1.0, n)
+    ref = _per_degree_tev_roots(medium, l_max, k_range)
+    tables = []
+    riccati_all = oracles.riccati_all
+
+    def counting(l, x):
+        tables.append((l, np.size(x)))
+        return riccati_all(l, x)
+
+    monkeypatch.setattr(oracles, "riccati_all", counting)
+    roots = tev_roots(medium, l_max, k_range)
+    assert roots == ref and roots
+    grid_size = int(np.ceil((k_range[1] - k_range[0]) / 0.01)) + 1
+    grid_tables = [t for t in tables if t[1] > 1]
+    # one (x, y) table pair up to l_max per family, then one scalar pair per Brent evaluation
+    assert grid_tables == [(l_max, grid_size)] * 4
+    assert len(tables) % 2 == 0 and all(t[0] <= l_max for t in tables)
+
+
+def test_determinant_rows_over_degrees_match_per_degree_calls():
+    k = np.linspace(0.05, 8.0, 796)
+    rows = tev_determinant(BALL4, np.arange(1, 11), "TM", k)
+    assert rows.shape == (10, k.size)
+    for l in range(1, 11):
+        ref = tev_determinant(BALL4, l, "TM", k)
+        assert np.max(np.abs(rows[l - 1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the shared table starts its recurrence above the largest degree, so rows
+    # equal the per-degree values to roundoff, not bit for bit
+    at_2 = tev_determinant(BALL4, np.array([1, 2]), "TE", 2.0)
+    assert at_2.shape == (2,)
+    assert_allclose(at_2, [tev_determinant(BALL4, l, "TE", 2.0) for l in (1, 2)], rtol=1e-12)
 
 
 def test_tev_roots_step_is_clamped():

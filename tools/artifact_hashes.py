@@ -25,6 +25,8 @@ SCENES = {
 }
 RUNS = {
     "oracle_tev": "oracle tev --scene ball4 --grid 3.0:3.6:0.01",
+    # 31 roots down to small k, where the high-degree rows of the shared grid tables are smallest
+    "oracle_tev_wide": "oracle tev --scene ball4 --grid 0.05:8.0:0.01 --lmax 10",
     "index_bound": "index-bound --k1 3.141592653589793 --n-lo 3 --n-hi 5",
     "oracle_stekloff": "oracle stekloff --s-kind IDENTITY --lmax 8",
     "estimate_shift": "estimate-shift --s-kind IDENTITY --lmax 8",
