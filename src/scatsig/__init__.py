@@ -14,7 +14,6 @@ from .forward import (
     ImpedanceBall,
     MediumSpec,
     ModalCoefficients,
-    PlaneWave,
     ResonantParameterError,
     TruncationError,
     electric_far_field,
@@ -86,7 +85,6 @@ __all__ = [
     "ModeFamily",
     "NeumannResonanceError",
     "PhaseTrack",
-    "PlaneWave",
     "RecurrenceOverflowError",
     "ResonantParameterError",
     "ScanResult",

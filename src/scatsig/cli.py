@@ -26,14 +26,12 @@ from .forward import (
     TruncationError,
 )
 from .oracles import BracketError, NeumannResonanceError
-from .sphfun import RecurrenceOverflowError
 
 _NUMERIC_ERRORS = (
     TruncationError,
     ResonantParameterError,
     NeumannResonanceError,
     BracketError,
-    RecurrenceOverflowError,
     np.linalg.LinAlgError,
     ArithmeticError,
     ConvergenceError,
@@ -86,7 +84,6 @@ class RunConfig:
     n_hi: float | None = None
     herglotz: bool = False
     floor: float = 1e-6
-    prominence: float = 2.0
 
     def to_json_dict(self):
         d = asdict(self)
@@ -265,6 +262,10 @@ def parse_config(argv=None):
         merged["grid"] = _parse_grid(merged["grid"])
     if merged["rect"] is not None:
         merged["rect"] = _parse_rect(merged["rect"])
+    for key, val in merged.items():
+        vals = val if isinstance(val, tuple) else (val,)
+        if any(isinstance(v, (float, complex)) and not np.isfinite(v) for v in vals):
+            raise ConfigError(f"{key} must be finite, got {val!r}")
     _parse_quad(merged["quad"])  # validate early
     merged["scene"] = _load_scene(merged["scene"])
     cfg = RunConfig(command=ns.command, which=getattr(ns, "which", None), **merged)

@@ -66,6 +66,8 @@ class MediumSpec:
             raise ValueError("MediumSpec needs at least one layer")
         norm = tuple((float(r), complex(n)) for r, n in self.layers)
         object.__setattr__(self, "layers", norm)
+        if not all(np.isfinite(r) and np.isfinite(n) for r, n in norm):
+            raise ValueError("layer radii and indices must be finite")
         radii = [r for r, _ in norm]
         if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("layer radii must be positive and strictly increasing")
@@ -97,25 +99,6 @@ class MediumSpec:
         data = json.loads(text)
         layers = tuple((lay["r"], complex(lay["n_re"], lay.get("n_im", 0.0))) for lay in data["layers"])
         return MediumSpec(layers)
-
-
-@dataclass(frozen=True, eq=False)
-class PlaneWave:
-    """Incident plane wave: direction d, polarization p, wave number k."""
-
-    d: np.ndarray
-    p: np.ndarray
-    k: float
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        p = np.asarray(self.p, dtype=complex)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-10:
-            raise ValueError("incidence direction must be a unit vector")
-        if self.k <= 0:
-            raise ValueError("wave number must be positive")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,17 +493,18 @@ def incident_field(k, d, p, x):
     return e, h
 
 
-def _modal_weights(k, L, d, p):
-    """Degrees l and incident-wave modal coefficients a_lm (TE), b_lm (TM).
+def _modal_weights(k, L, dirs, amps):
+    """Degrees l and incident modal coefficients a_lm (TE), b_lm (TM) of a plane-wave sum.
 
-        a_lm = 4 pi i^(l+1) k (p . conj V_lm(d))
-        b_lm = 4 pi i^(l+2) k (p . conj U_lm(d))
+        a_lm = 4 pi i^(l+1) k sum_j (p_j . conj V_lm(d_j))
+        b_lm = 4 pi i^(l+2) k sum_j (p_j . conj U_lm(d_j))
+
+    over directions d_j and amplitudes p_j, both of shape (n, 3).
     """
-    d = np.asarray(d, dtype=float)[None, :]
-    _, _, U_d, V_d = vsh_tables(L, d)
+    _, _, U, V = vsh_tables(L, dirs)
     ells = np.array([m.l for m in mode_list(L)])
-    pv = np.einsum("c,mc->m", np.asarray(p, complex), V_d[:, 0, :].conj())
-    pu = np.einsum("c,mc->m", np.asarray(p, complex), U_d[:, 0, :].conj())
+    pv = np.einsum("jc,mjc->m", amps, V.conj())
+    pu = np.einsum("jc,mjc->m", amps, U.conj())
     a = 4.0 * np.pi * 1j ** (ells + 1) * k * pv
     b = 4.0 * np.pi * 1j ** (ells + 2) * k * pu
     return ells, a, b
@@ -558,7 +542,7 @@ def interior_solutions(medium, k, L=None):
 
 def _layer_field(lay, points, k, L, d, p):
     """(E, H) of the plane wave (d, p) from one layer's profile at points in its range."""
-    ells, a, b = _modal_weights(k, L, d, p)
+    ells, a, b = _modal_weights(k, L, np.reshape(d, (1, 3)), np.reshape(p, (1, 3)))
     pts = np.asarray(points, dtype=float)
     r = np.linalg.norm(pts, axis=1)
     xhat = pts / r[:, None]

@@ -338,18 +338,18 @@ class StekloffMode:
             kap[sel] = lay.kappa
         return zeta, dzeta, kap
 
-    def boundary_residual(self):
-        """Relative residual of nu x curl w - lam * S w_T at r = R."""
-        z, dz, kap = self.profile(np.array([self.R]))
-        z, dz, kap = z[0], dz[0], kap[0]
+    def _boundary_trace(self):
+        """Amplitudes (nu x curl w, S w_T) of the mode's boundary trace at r = R."""
+        z, dz, kap = (v[0] for v in self.profile(np.array([self.R])))
         c_grad, c_curl = s_modal_multiplier(self.mode.l, self.R)
         if self.mode.family == "TE":
-            curl_term = -kap * dz / (kap * self.R)
-            s_term = c_curl * z / (kap * self.R)
-        else:
-            curl_term = -z / self.R
-            c_u = c_grad if self.s_kind == "CURL_CURL" else 1.0
-            s_term = -c_u * dz / (kap * self.R)
+            return -kap * dz / (kap * self.R), c_curl * z / (kap * self.R)
+        c_u = c_grad if self.s_kind == "CURL_CURL" else 1.0
+        return -z / self.R, c_u * (-dz / (kap * self.R))
+
+    def boundary_residual(self):
+        """Relative residual of nu x curl w - lam * S w_T at r = R."""
+        curl_term, s_term = self._boundary_trace()
         num = abs(curl_term - self.lam * s_term)
         scale = max(abs(curl_term), abs(self.lam * s_term))
         return num / scale if scale > 0 else num
@@ -367,15 +367,7 @@ class StekloffMode:
 
     def boundary_s_norm2(self):
         """<S w_T, S w_T> over the sphere r = R."""
-        z, dz, kap = self.profile(np.array([self.R]))
-        z, dz, kap = z[0], dz[0], kap[0]
-        c_grad, c_curl = s_modal_multiplier(self.mode.l, self.R)
-        if self.mode.family == "TE":
-            amp = c_curl * z / (kap * self.R)
-        else:
-            c_u = c_grad if self.s_kind == "CURL_CURL" else 1.0
-            amp = c_u * (-dz / (kap * self.R))
-        return abs(amp) ** 2 * self.R**2
+        return abs(self._boundary_trace()[1]) ** 2 * self.R**2
 
 
 def _scene_with_shell(scene, R):

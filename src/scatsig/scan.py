@@ -50,12 +50,6 @@ class TikhonovConfig:
         elif not self.alpha > 0:
             raise ValueError("alpha must be positive")
 
-    def resolve(self, A):
-        """Concrete alpha for a given operator matrix."""
-        if self.alpha == "auto":
-            return _auto_alpha(A.noise_eps, A.operator_norm())
-        return float(self.alpha)
-
 
 def _auto_alpha(noise_eps, norm):
     return max(noise_eps**2 * norm**2, _ALPHA_FLOOR * norm**2)

@@ -18,8 +18,8 @@ import scipy.linalg
 
 from . import ffop, forward
 from .ffop import FarFieldMatrix, TangentVectorField, inner_product
-# riccati_all stays importable here: bench/spans.py wraps it in this module by name
-from .sphfun import mode_list, riccati_all, vsh_tables  # noqa: F401
+# nothing here calls riccati_all or vsh_tables: bench/spans.py wraps them in this module by name
+from .sphfun import riccati_all, vsh_tables  # noqa: F401
 
 @dataclass(eq=False)
 class EigenSet:
@@ -34,9 +34,6 @@ class EigenSet:
     @property
     def count(self):
         return self.values.size
-
-    def top(self, n):
-        return self.values[:n]
 
 
 @dataclass(eq=False)
@@ -110,17 +107,6 @@ def circle_residual(eigset, kind=None, k=None):
     return np.abs(np.abs(vals - c) - r)
 
 
-def _modal_projections(g, quad, L):
-    """Herglotz-kernel modal weights: ahat on V modes, bhat on U modes."""
-    _, _, U, V = vsh_tables(L, quad.nodes)
-    gv = g.vectors()
-    wgt = quad.weights[:, None] * gv
-    inner_v = np.einsum("jc,mjc->m", wgt, V.conj())
-    inner_u = np.einsum("jc,mjc->m", wgt, U.conj())
-    ells = np.array([m.l for m in mode_list(L)])
-    return ells, inner_v, inner_u
-
-
 def energy_identity_residual(A, g, h, quad=None, medium=None, k=None, n_radial=48):
     """LHS minus RHS of the absorption energy identity.
 
@@ -144,14 +130,10 @@ def energy_identity_residual(A, g, h, quad=None, medium=None, k=None, n_radial=4
     else:
         coefs, layers = forward.interior_solutions(medium, k)
         L = coefs.L
-        ells, gv, gu = _modal_projections(g, quad, L)
-        _, hv, hu = _modal_projections(h, quad, L)
-        # incident modal weights 4 pi i^(l+1) k <g, V> and 4 pi i^(l+2) k <g, U>
-        pref = 4.0 * np.pi * k
-        a_g = pref * 1j ** (ells + 1) * gv
-        b_g = pref * 1j ** (ells + 2) * gu
-        a_h = pref * 1j ** (ells + 1) * hv
-        b_h = pref * 1j ** (ells + 2) * hu
+        # the Herglotz kernels g, h are plane-wave sums over the quadrature nodes
+        w = quad.weights[:, None]
+        ells, a_g, b_g = forward._modal_weights(k, L, quad.nodes, w * g.vectors())
+        _, a_h, b_h = forward._modal_weights(k, L, quad.nodes, w * h.vectors())
         lhs = 0.0 + 0.0j
         for lay, (_, n_layer) in zip(layers, medium.layers):
             if n_layer.imag == 0.0:

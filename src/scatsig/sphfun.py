@@ -268,7 +268,7 @@ def _legendre_ptilde_tau(l_max, u, s):
 
 
 def _sphere_angles(points):
-    """Angular data (u, s, cos phi, sin phi, phi, theta-hat, phi-hat) for unit vectors."""
+    """Angular data (u, s, phi, theta-hat, phi-hat) for unit vectors."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -281,7 +281,7 @@ def _sphere_angles(points):
     cphi, sphi = np.cos(phi), np.sin(phi)
     theta_hat = np.stack([u * cphi, u * sphi, -s], axis=1)
     phi_hat = np.stack([-sphi, cphi, np.zeros_like(sphi)], axis=1)
-    return u, s, cphi, sphi, phi, theta_hat, phi_hat
+    return u, s, phi, theta_hat, phi_hat
 
 
 def vsh_tables(l_max, points):
@@ -293,7 +293,7 @@ def vsh_tables(l_max, points):
     normalized harmonics.
     """
     modes = mode_list(l_max)
-    u, s, _, _, phi, theta_hat, phi_hat = _sphere_angles(points)
+    u, s, phi, theta_hat, phi_hat = _sphere_angles(points)
     n = u.shape[0]
     pbar0, ptilde, tau = _legendre_ptilde_tau(l_max, u, s)
     eim = np.exp(1j * np.outer(np.arange(l_max + 1), phi))  # (m, n)
@@ -326,28 +326,6 @@ def vsh_tables(l_max, points):
             V[idx] = vm
             idx += 1
     return modes, Y, U, V
-
-
-def scalar_harmonics(l_max, points):
-    """Y_lm tables including l = 0, shape (n_modes_full, n_pts).
-
-    Modes are ordered l-major, m ascending, starting at (0, 0).
-    """
-    u, s, _, _, phi, _, _ = _sphere_angles(points)
-    pbar0, ptilde, _ = _legendre_ptilde_tau(l_max, u, s)
-    eim = np.exp(1j * np.outer(np.arange(l_max + 1), phi))
-    out = np.zeros(((l_max + 1) ** 2, u.shape[0]), dtype=complex)
-    idx = 0
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            am = abs(m)
-            pb = pbar0[l] if am == 0 else s * ptilde[l, am]
-            ym = pb * eim[am]
-            if m < 0:
-                ym = (-1) ** am * np.conj(ym)
-            out[idx] = ym
-            idx += 1
-    return out
 
 
 def vector_spherical_harmonics(mode, xhat):

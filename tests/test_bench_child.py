@@ -6,6 +6,7 @@ other test still passes.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,14 +35,24 @@ def _traced_child(tmp_path, argv):
     return result["layers"]
 
 
+def _ball4_scene(tmp_path):
+    scene = tmp_path / "ball4.json"
+    scene.write_text(json.dumps({"layers": [{"r": 1.0, "n_re": 4.0, "n_im": 0.0}]}))
+    return str(scene)
+
+
 def test_traced_child_reports_layers(tmp_path):
-    layers = _traced_child(tmp_path, ["oracle", "tev", "--grid", "3.0:3.3:0.01", "--lmax", "2"])
+    # the n = 4 unit ball has its first transmission eigenvalue at k = pi
+    layers = _traced_child(tmp_path, ["oracle", "tev", "--grid", "3.0:3.3:0.01", "--lmax", "2",
+                                      "--scene", _ball4_scene(tmp_path)])
     for layer in ("sphfun", "forward", "ffop", "scan", "spectra", "oracles", "cli"):
         assert layer + ".self_s" in layers
     assert layers["oracles.tev_determinant.calls"] > 0
     assert layers["cli.parse_config.self_s"] > 0
     assert layers["cli.export.self_s"] > 0
-    assert (tmp_path / "oracle_tev.csv").exists()
+    rows = (tmp_path / "oracle_tev.csv").read_text().splitlines()[2:]
+    values = [float(row.split(",")[2]) for row in rows]
+    assert any(abs(v - math.pi) < 1e-10 for v in values), values
 
 
 def test_traced_tev_scan_solves_once_per_grid_point(tmp_path):
@@ -64,10 +75,8 @@ def test_traced_noisy_tev_scan_factors_the_dense_system_once_per_grid_point(tmp_
 
 
 def test_traced_phase_track_batches_one_eigensolve_per_k(tmp_path):
-    scene = tmp_path / "ball4.json"
-    scene.write_text(json.dumps({"layers": [{"r": 1.0, "n_re": 4.0, "n_im": 0.0}]}))
     layers = _traced_child(tmp_path, ["phase-track", "--quad", "6x12", "--grid", "3.1:3.2:0.05",
-                                      "--scene", str(scene)])
+                                      "--scene", _ball4_scene(tmp_path)])
     assert layers["spectra.eigvals.calls"] == 3
     assert (tmp_path / "phase_track.csv").exists()
 

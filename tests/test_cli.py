@@ -389,6 +389,35 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys):
                      "--noise", "0.01", "--seed", "-1", "--out", str(tmp_path)]) == 2
 
 
+NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["ffop-eigs", "--quad", "6x12", "--noise", "nan"], "noise"),
+    (["estimate-shift", "--rc", "nan"], "rc"),
+    (["phase-track", "--quad", "6x12", "--floor", "nan"], "floor"),
+    (["ffop-eigs", "--quad", "6x12", "--k", "inf"], "k"),
+    (["tev-scan", "--quad", "6x12", "--grid", "3:inf:0.05"], "grid"),
+    (["stekloff-scan", "--quad", "6x12", "--rect=-3:-1:-0.1:nan:3"], "rect"),
+    (["estimate-shift", "--delta-n", "nan+0.01j"], "delta_n"),
+    (["tev-scan", "--quad", "6x12", "--alpha", "inf"], "alpha"),
+    (["tev-scan", "--quad", "6x12", "--scene", "SCENE"], "radii"),
+    (["tev-scan", "--quad", "6x12", "--config", "CONFIG"], "lmax"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
+    # argparse floats accept nan and inf, and JSON files accept NaN
+    scene = tmp_path / "scene.json"
+    scene.write_text(NAN_SCENE_TEXT)
+    config = tmp_path / "config.json"
+    config.write_text('{"lmax": Infinity}')
+    argv = [{"SCENE": str(scene), "CONFIG": str(config)}.get(a, a) for a in argv]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not out.exists()
+
+
 def test_exit_code_3_for_numeric_failures(tmp_path, capsys):
     # k at the first root of psi_1' makes k^2 an interior Neumann
     # eigenvalue of the vacuum unit ball

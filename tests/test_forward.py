@@ -8,7 +8,6 @@ from scatsig.forward import (
     DipoleSource,
     ImpedanceBall,
     MediumSpec,
-    PlaneWave,
     ResonantParameterError,
     TruncationError,
     dipole_far_fields,
@@ -137,8 +136,10 @@ def test_medium_spec_validation():
         MediumSpec(((1.0, -2.0),))
     with pytest.raises(ValueError):
         MediumSpec(((1.0, 2.0 - 0.5j),))  # active medium rejected
-    with pytest.raises(ValueError):
-        PlaneWave(np.array([0, 0, 2.0]), np.array([1.0, 0, 0]), 1.0)
+    for layers in (((np.nan, 2.0),), ((1.0, np.nan),), ((0.5, 2.0), (np.inf, 3.0)),
+                   ((1.0, complex(2.0, np.inf)),)):
+        with pytest.raises(ValueError, match="finite"):
+            MediumSpec(layers)
     with pytest.raises(ValueError):
         DipoleSource(np.zeros(3), np.zeros(3), 1.0)
 

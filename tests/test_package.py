@@ -1,0 +1,61 @@
+"""The package surface: what ``scatsig`` exports, and the README examples run as written."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import numpy as np
+
+import scatsig
+from scatsig import oracles
+from scatsig.scan import find_peaks
+from scatsig.spectra import circle_residual
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_exports_resolve_and_equal_the_imports():
+    names = scatsig.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(scatsig, n)] == []
+    tree = ast.parse(Path(scatsig.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(names) == imported
+
+
+def _run_readme_block(index):
+    """Namespace left by the index-th ``python`` block of README.md, its prints swallowed."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 3
+    ns = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(blocks[index], ns)
+    return ns
+
+
+def _nearest_offsets(peaks, targets):
+    return [min(abs(p - t) for p in peaks) for t in targets]
+
+
+def test_readme_circle_law_example():
+    ns = _run_readme_block(0)
+    assert circle_residual(ns["es"])[ns["keep"]].max() < 1e-13
+
+
+def test_readme_transmission_example():
+    ns = _run_readme_block(1)
+    assert ns["first_tev"](ns["ball4"])[0] == np.pi
+    roots = [r[0] for r in oracles.tev_roots(ns["ball4"], 5, (0.5, 4.0))]
+    assert np.round(roots, 2).tolist() == [3.14, 3.49, 3.59, 3.69, 3.90]
+    assert max(_nearest_offsets(find_peaks(ns["res"]), roots)) < 0.01
+
+
+def test_readme_stekloff_example():
+    ns = _run_readme_block(2)
+    lams = [m.lam.real for m in ns["modes"][:2]]
+    assert [round(v, 4) for v in lams] == [-1.5749, -2.7047]
+    # within one grid step, the bound of acceptance criterion 10
+    assert max(_nearest_offsets(find_peaks(ns["res"]), lams)) < 0.05

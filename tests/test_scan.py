@@ -274,11 +274,9 @@ def test_tikhonov_config_validation():
 
 def test_auto_alpha_rule():
     quad = build_quadrature("PRODUCT_GAUSS", 4)
-    clean = _identity_operator(quad)
-    assert_allclose(TikhonovConfig().resolve(clean), 1e-10, rtol=1e-6)
-    noisy = _identity_operator(quad, noise_eps=0.1)
-    assert_allclose(TikhonovConfig().resolve(noisy), 0.01, rtol=1e-6)
-    assert TikhonovConfig(alpha=0.25).resolve(clean) == 0.25
+    for A, alpha in ((_identity_operator(quad), 1e-10),
+                     (_identity_operator(quad, noise_eps=0.1), 0.01)):
+        assert_allclose(scan._auto_alpha(A.noise_eps, A.operator_norm()), alpha, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from scatsig.sphfun import (
     bessel_y_all,
     mode_list,
     riccati_all,
-    scalar_harmonics,
     vector_spherical_harmonics,
     vsh_tables,
 )
@@ -192,15 +191,6 @@ def test_vsh_orthonormality():
     assert np.max(np.abs(gram_u - eye)) < 1e-12
     assert np.max(np.abs(gram_v - eye)) < 1e-12
     assert np.max(np.abs(cross)) < 1e-12
-
-
-def test_scalar_harmonics_include_monopole():
-    pts, w = _product_quadrature(10)
-    Y = scalar_harmonics(4, pts)
-    assert Y.shape[0] == 25
-    assert_allclose(Y[0], np.full(pts.shape[0], 1 / np.sqrt(4 * np.pi)), rtol=1e-14)
-    gram = (Y * w) @ Y.conj().T
-    assert np.max(np.abs(gram - np.eye(25))) < 1e-12
 
 
 def test_negative_order_symmetry():
