@@ -42,6 +42,14 @@ class ConfigError(ValueError):
     """Invalid command-line or configuration-file input."""
 
 
+# JSON types a config-file value may have, by RunConfig field type. An int
+# is a valid float; json.loads makes true and false bools, never ints
+_FILE_TYPES = {
+    "int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
+    "float | str": (int, float, str), "complex": (int, float, str, list), "str": (str,),
+    "bool": (bool,),
+}
+
 _GRID_DEFAULTS = {
     "tev-scan": (0.5, 4.0, 0.02),
     "phase-track": (0.5, 4.0, 0.02),
@@ -66,7 +74,7 @@ class RunConfig:
     quad: str = "16x32"
     noise: float = 0.0
     seed: int = 1
-    alpha: object = "auto"
+    alpha: float | str = "auto"
     grid: tuple | None = None
     rect: tuple | None = None
     out: str = "."
@@ -222,7 +230,9 @@ def _build_parser():
 def parse_config(argv=None):
     """Merge CLI flags over the optional config file over defaults."""
     ns = _build_parser().parse_args(argv)
-    defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("command", "which")}
+    keys = [f for f in fields(RunConfig) if f.name not in ("command", "which")]
+    defaults = {f.name: f.default for f in keys}
+    types = {f.name: f.type for f in keys}
     merged = dict(defaults)
     if ns.config:
         with open(ns.config, "r") as fh:
@@ -233,9 +243,12 @@ def parse_config(argv=None):
             raise ConfigError(f"malformed JSON in {ns.config!r} at byte offset {e.pos}: {e.msg}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key in file_cfg:
+        for key, val in file_cfg.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
+            want = _FILE_TYPES.get(types[key])
+            if want and type(val) not in want:
+                raise ConfigError(f"{key} must be of type {types[key]}, got {val!r}")
         merged.update(file_cfg)
     for key in defaults:
         flag_val = getattr(ns, key, None)
@@ -249,15 +262,11 @@ def parse_config(argv=None):
             raise ConfigError(f"alpha must be a number or 'auto', got {merged['alpha']!r}") from None
     if not isinstance(merged["alpha"], str) and not merged["alpha"] > 0:
         raise ConfigError("alpha must be positive")
-    if isinstance(merged["delta_n"], str):
-        try:
-            merged["delta_n"] = complex(merged["delta_n"])
-        except ValueError:
-            raise ConfigError(f"delta_n must parse as a complex number, got {merged['delta_n']!r}") from None
-    elif isinstance(merged["delta_n"], list):
-        merged["delta_n"] = complex(*merged["delta_n"])
-    else:
-        merged["delta_n"] = complex(merged["delta_n"])
+    delta_n = merged["delta_n"]  # a number, its text, or a config-file [re, im] list
+    try:
+        merged["delta_n"] = complex(*delta_n) if isinstance(delta_n, list) else complex(delta_n)
+    except (TypeError, ValueError):
+        raise ConfigError(f"delta_n must parse as a complex number, got {delta_n!r}") from None
     if merged["grid"] is not None:
         merged["grid"] = _parse_grid(merged["grid"])
     if merged["rect"] is not None:
@@ -308,10 +317,11 @@ def _scene_for_operator(cfg, kind):
 
 def _run_ffop_eigs(cfg):
     quad = _quad_of(cfg)
-    kind = cfg.kind.upper()
-    A = ffop.assemble(kind, _scene_for_operator(cfg, cfg.kind), cfg.k, quad)
-    if cfg.noise > 0:
-        A = ffop.add_noise(A, cfg.noise, cfg.seed)
+    kind, scene = cfg.kind.upper(), _scene_for_operator(cfg, cfg.kind)
+    if cfg.noise > 0:  # noise breaks the azimuthal block structure
+        A = ffop.add_noise(ffop.assemble(kind, scene, cfg.k, quad), cfg.noise, cfg.seed)
+    else:
+        A = ffop.assemble_blocks(kind, scene, cfg.k, quad)
     es = spectra.eig(A)
     try:
         res = spectra.circle_residual(es)

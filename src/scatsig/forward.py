@@ -633,28 +633,20 @@ def magnetic_herglotz_field(g, k, x):
 def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_radial=None, n_theta=12):
     """L2 norm of the (electric or magnetic) Herglotz field over a ball.
 
-    Product quadrature: Gauss-Legendre in radius, Gauss-Legendre in
-    cos(theta) times uniform azimuth on the angular factor.
+    Product quadrature: Gauss-Legendre in radius, and the PRODUCT_GAUSS
+    sphere rule of ``ffop.build_quadrature`` of order n_theta (Gauss-Legendre
+    in cos(theta) times uniform azimuth) on the angular factor.
     """
+    from .ffop import build_quadrature  # ffop imports this module at load time
+
     center = np.asarray(center, dtype=float)
     if n_radial is None:
         n_radial = max(8, int(np.ceil(2 + k * R_ball)))
     t, wt = np.polynomial.legendre.leggauss(n_radial)
     r = 0.5 * R_ball * (t + 1.0)
     wr = 0.5 * R_ball * wt
-    mu, wmu = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2.0 * np.pi * np.arange(2 * n_theta) / (2 * n_theta)
-    wphi = 2.0 * np.pi / (2 * n_theta)
-    st = np.sqrt(1.0 - mu**2)
-    dirs = np.stack(
-        [
-            np.outer(st, np.cos(phi)).ravel(),
-            np.outer(st, np.sin(phi)).ravel(),
-            np.outer(mu, np.ones_like(phi)).ravel(),
-        ],
-        axis=1,
-    )
-    wang = (np.outer(wmu, np.ones_like(phi)) * wphi).ravel()
+    sphere = build_quadrature("PRODUCT_GAUSS", n_theta)
+    dirs, wang = sphere.nodes, sphere.weights
     pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
     field = magnetic_herglotz_field(g, k, pts) if magnetic else herglotz_field(g, k, pts)
     dens = np.sum(np.abs(field) ** 2, axis=-1)

@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import zgemm, zhemm
 from scipy.linalg.lapack import zpotrf, zpotrs
 
@@ -113,15 +112,16 @@ def _require_finite(x, stage):
     raise FloatingPointError(f"non-finite {stage}{where} of the normal equations")
 
 
-def _block_factor(gram):
-    """Upper Cholesky factors of a Hermitian stack (n_blocks, m, m), one zpotrf per block.
+def _block_factor(gram, lower):
+    """Cholesky factors of a Hermitian stack (n_blocks, m, m), one zpotrf per block.
 
-    These are the LAPACK calls scipy's batched cho_factor(lower=False)
-    makes, without its per-slice Python wrapper and finite checks.
+    ``lower`` picks the triangle that is read and factored. These are
+    the LAPACK calls scipy's cho_factor makes, without its per-slice
+    Python wrapper and finite checks.
     """
     factors = []
     for q, g in enumerate(gram):
-        c, info = zpotrf(g, lower=0, clean=0)
+        c, info = zpotrf(g, lower=lower, clean=0)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"block {q} of the normal equations is not positive definite "
@@ -130,20 +130,19 @@ def _block_factor(gram):
     return factors
 
 
-def cho_solve(factor, rhs):
-    """Solve the factored normal equations for ``rhs``.
+def cho_solve(factors, rhs, lower):
+    """Solve the factored normal equations for ``rhs``, one zpotrs per block.
 
-    ``factor`` is scipy's (c, lower) pair of one dense system, with rhs
-    of shape (m, k), or the list of upper block factors of
-    ``_block_factor``, with rhs of shape (n_blocks, m, k). Finite checks
-    are the caller's.
+    ``factors`` are those of ``_block_factor``, and rhs has shape
+    (n_blocks, m, k), or (m, k) for a single factor. Finite checks are
+    the caller's.
     """
-    if isinstance(factor, tuple):
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    out = np.empty(rhs.shape, dtype=complex)
-    for q, c in enumerate(factor):
-        out[q] = zpotrs(c, rhs[q], lower=0)[0]
-    return out
+    stack = rhs.reshape((len(factors),) + rhs.shape[-2:])
+    # Fortran-ordered slices as zpotrs returns them: dense column norms depend on the layout
+    out = np.empty((len(factors), rhs.shape[-1], rhs.shape[-2]), dtype=complex).transpose(0, 2, 1)
+    for q, c in enumerate(factors):
+        out[q] = zpotrs(c, stack[q], lower=lower)[0]
+    return out.reshape(rhs.shape)
 
 
 class _NormalSolver:
@@ -156,9 +155,9 @@ class _NormalSolver:
     scipy's OpenBLAS thread pools (docs section 11). A
     FarFieldBlocks stack is n_phi blocks with the latitude weights, and
     right-hand sides are DFT'd over azimuth into it; Gram and products
-    are batched numpy calls, and each block is factored and solved by
-    its own zpotrf and zpotrs. A non-finite Gram or right-hand side
-    raises FloatingPointError, checked once per stack.
+    are batched numpy calls. Each block, or the one dense system, is
+    factored and solved by its own zpotrf and zpotrs. A non-finite Gram
+    or right-hand side raises FloatingPointError, checked once per stack.
     ``alpha`` is positive, or "auto" for the TikhonovConfig rule with
     ||A|| read off this Gram before the alpha shift.
     """
@@ -180,10 +179,8 @@ class _NormalSolver:
             alpha = _auto_alpha(A.noise_eps, ffop.gram_norm(self.gram, self.w))
         diag = np.arange(self.w.size)
         self.gram[..., diag, diag] += float(alpha) * self.w
-        if self.dense:
-            self.factor = scipy.linalg.cho_factor(self.gram, lower=True, check_finite=False)
-        else:
-            self.factor = _block_factor(self.gram)
+        self.lower = int(self.dense)  # gram_lower fills only the dense Gram's lower triangle
+        self.factor = _block_factor(self.gram.reshape((-1,) + self.gram.shape[-2:]), self.lower)
 
     def _norms(self, x):
         # per-column weighted norm summed over blocks: by Parseval the node-space
@@ -211,14 +208,14 @@ class _NormalSolver:
         """
         rhs = self._rhs(b.reshape(b.shape[0], -1))
         _require_finite(rhs, "right-hand side")
-        g = cho_solve(self.factor, rhs)
+        g = cho_solve(self.factor, rhs, self.lower)
         scale = self._norms(rhs)
         for _ in range(3):
             res = self._residual(g, rhs)
             bad = self._norms(res) > _NORMAL_EQ_TOL * np.maximum(scale, 1e-300)
             if not bad.any():
                 return (g if self.dense else self._merge(g)).reshape(b.shape)
-            g[..., bad] -= cho_solve(self.factor, res[..., bad])
+            g[..., bad] -= cho_solve(self.factor, res[..., bad], self.lower)
         raise ConvergenceError("normal equations did not reach the residual tolerance")
 
 

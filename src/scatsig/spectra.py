@@ -1,11 +1,11 @@
 """Eigenvalue diagnostics for discretized far field operators.
 
-Covers the dense eigendecomposition, the circle laws for the electric
-and magnetic operators, the absorption energy identity, positivity of
-Im((-ik F_e) g, g), and phase tracking of the magnetic spectrum across
-a wavenumber sweep. The phase indicators min_j |phase_j + 1| and
-min_j |phase_j - 1| dip near interior transmission eigenvalues, which
-is the operator-side detector the oracle roots are checked against.
+Covers the eigendecomposition, the circle laws for the electric and
+magnetic operators, the absorption energy identity, positivity of
+Im((-ik F_e) g, g), and phase tracking of the magnetic spectrum across a
+wavenumber sweep. The phase indicators min_j |phase_j + 1| and min_j
+|phase_j - 1| dip near interior transmission eigenvalues, which is the
+operator-side detector the oracle roots are checked against.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import ffop, forward
-from .ffop import FarFieldMatrix, TangentVectorField, inner_product
+from .ffop import FarFieldBlocks, FarFieldMatrix, TangentVectorField, inner_product
 # nothing here calls riccati_all or vsh_tables: bench/spans.py wraps them in this module by name
 from .sphfun import riccati_all, vsh_tables  # noqa: F401
 
@@ -53,36 +53,46 @@ def _sort_order(vals):
 
 
 def eig(A, compute_vectors=True):
-    """Dense eigendecomposition of the operator matrix.
+    """Eigendecomposition of an operator, on its azimuthal blocks when it comes as blocks.
 
-    Residuals are ||A v - lambda v|| / ||A|| with unit eigenvectors and
-    the spectral matrix norm, taken from the Gram triangle of
-    ``ffop.gram_lower`` by ``ffop.gram_norm`` (zero without vectors);
-    LAPACK failure surfaces as LinAlgError.
+    A FarFieldBlocks is a stack of n_phi blocks, a FarFieldMatrix or a
+    square array a stack of one, and the stack goes to one scipy eig
+    (eigvals without vectors). A block eigenvector comes back in node
+    space, as ``to_nodes`` of it placed in its own block, at unit norm.
+    Residuals are ||A v - lambda v|| / ||A|| per block, with the spectral
+    norm from ``ffop.gram_norm`` on the ``ffop.gram_lower`` stack (zero
+    without vectors); the DFT similarity is unitary, so both are the
+    dense ones (docs section 12). LAPACK failure surfaces as LinAlgError.
     """
-    mat = A.matrix if isinstance(A, FarFieldMatrix) else np.asarray(A, complex)
+    blocks = isinstance(A, FarFieldBlocks)
+    operator = blocks or isinstance(A, FarFieldMatrix)
+    mat = A.matrix if operator else np.asarray(A, complex)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
+    if not blocks and mat.ndim != 2:
+        raise ValueError(f"eig needs a square matrix, got shape {mat.shape}")
+    stack = mat if blocks else mat[None]
+    vecs, res = None, np.zeros(stack.shape[:2])
     if compute_vectors:
-        norm_a = ffop.gram_norm(ffop.gram_lower(mat), np.ones(mat.shape[0]))
-        vals, vecs = scipy.linalg.eig(mat)
-        order = _sort_order(vals)
-        vals = vals[order]
-        vecs = vecs[:, order]
-        if norm_a == 0.0:
-            res = np.zeros(vals.size)
-        else:
-            res = np.linalg.norm(mat @ vecs - vecs * vals[None, :], axis=0)
-            res /= norm_a * np.linalg.norm(vecs, axis=0)
+        grams = np.stack([ffop.gram_lower(b) for b in stack])
+        norm_a = ffop.gram_norm(grams, np.ones(stack.shape[-1]))
+        vals, vecs = scipy.linalg.eig(stack)
+        if norm_a != 0.0:
+            res = np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1)
+            res /= norm_a * np.linalg.norm(vecs, axis=1)
+        if blocks:
+            n, m = vecs.shape[:2]
+            placed = np.zeros((n, m, n, m), dtype=complex)
+            placed[np.arange(n), :, np.arange(n), :] = vecs
+            vecs = A.to_nodes(placed.reshape(n, m, n * m))
+            vecs /= np.linalg.norm(vecs, axis=0)
     else:
-        vals = scipy.linalg.eigvals(mat)
-        order = _sort_order(vals)
-        vals = vals[order]
-        vecs = None
-        res = np.zeros(vals.size)
-    kind = A.kind if isinstance(A, FarFieldMatrix) else "GENERIC"
-    k = A.k if isinstance(A, FarFieldMatrix) else 0.0
-    return EigenSet(values=vals, vectors=vecs, residuals=res, kind=kind, k=k)
+        vals = scipy.linalg.eigvals(stack)
+    order = _sort_order(vals.ravel())
+    if vecs is not None:
+        vecs = vecs.reshape(order.size, order.size)[:, order]
+    kind, k = (A.kind, A.k) if operator else ("GENERIC", 0.0)
+    return EigenSet(vals.ravel()[order], vecs, res.ravel()[order], kind, k)
 
 
 def circle_center_radius(kind, k):
@@ -198,9 +208,10 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     At each k the magnetic operator is assembled and eigenvalues with
     |lambda| >= floor * max|lambda| are kept. Reported per k: the retained
     phases and the dip indicators min_j |phase_j + 1|, min_j |phase_j - 1|.
-    The eigenvalues come from the operator's azimuthal DFT blocks
-    (``ffop.assemble_blocks``), one batched eigensolve per k; grid
-    points run serially, in grid order.
+    The eigenvalues come from ``eig`` without vectors on the operator's
+    azimuthal DFT blocks (``ffop.assemble_blocks``), one batched
+    eigvals per k, in eig's order; grid points run serially, in grid
+    order.
     """
     k_lo, k_hi, step = k_range
     if not k_lo > 0:
@@ -208,13 +219,11 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     ks = grid_points(k_lo, k_hi, step)
 
     def one(k):
-        blocks = ffop.assemble_blocks("MAGNETIC", medium, float(k), quad)
-        vals = scipy.linalg.eigvals(blocks.matrix).ravel()
-        vals = vals[_sort_order(vals)]
+        vals = eig(ffop.assemble_blocks("MAGNETIC", medium, float(k), quad),
+                   compute_vectors=False).values
         cut = floor * np.abs(vals[0]) if vals.size else 0.0
         kept = vals[np.abs(vals) >= cut]
-        phases = kept / np.abs(kept)
-        return phases
+        return kept / np.abs(kept)
 
     phase_lists = [one(k) for k in ks]
     dip_minus = np.array([np.min(np.abs(p + 1.0)) if p.size else np.inf for p in phase_lists])

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from scatsig import ConvergenceError, MediumSpec, cli, oracles, scan
 from scatsig.cli import ConfigError, export_csv, parse_config
-from scatsig.ffop import assemble, build_quadrature
+from scatsig.ffop import assemble_blocks, build_quadrature
 from scatsig.spectra import eig
 
 BALL4_SCENE = {"layers": [{"r": 1.0, "n_re": 4.0, "n_im": 0.0}]}
@@ -220,7 +220,9 @@ def test_ffop_eigs_artifact_rows(tmp_path):
     assert rc == 0
     lines = (tmp_path / "ffop_eigs.csv").read_text().splitlines()
     assert lines[1] == "re,im,abs,circle_residual"
-    es = eig(assemble("ELECTRIC", MediumSpec.ball(1.0, 2.0), 1.0, build_quadrature("PRODUCT_GAUSS", 5)))
+    # a clean ffop-eigs diagonalizes the azimuthal blocks
+    es = eig(assemble_blocks("ELECTRIC", MediumSpec.ball(1.0, 2.0), 1.0,
+                             build_quadrature("PRODUCT_GAUSS", 5)))
     assert len(lines) == 2 + es.count
     first = [float(tok) for tok in lines[2].split(",")]
     assert_allclose(first[0] + 1j * first[1], es.values[0], rtol=1e-15)
@@ -402,15 +404,25 @@ NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
     (["estimate-shift", "--delta-n", "nan+0.01j"], "delta_n"),
     (["tev-scan", "--quad", "6x12", "--alpha", "inf"], "alpha"),
     (["tev-scan", "--quad", "6x12", "--scene", "SCENE"], "radii"),
-    (["tev-scan", "--quad", "6x12", "--config", "CONFIG"], "lmax"),
+    (["tev-scan", "--quad", "6x12", "--config", '{"lmax": Infinity}'], "lmax"),
+    (["oracle", "tev", "--config", '{"lmax": 2.5}'], "lmax"),
+    (["tev-scan", "--quad", "6x12", "--config", '{"z_count": 2.5}'], "z_count"),
+    (["ffop-eigs", "--quad", "6x12", "--config", '{"k": "abc"}'], "k"),
+    (["tev-scan", "--config", '{"quad": 5}'], "quad"),
+    (["tev-scan", "--quad", "6x12", "--config", '{"alpha": true}'], "alpha"),
+    (["estimate-shift", "--config", '{"delta_n": [1, 2, 3]}'], "delta_n"),
+    (["tev-scan", "--quad", "6x12", "--config", '{"herglotz": "no"}'], "herglotz"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
-    # argparse floats accept nan and inf, and JSON files accept NaN
+    # argparse floats accept nan and inf, and JSON files accept NaN; a
+    # config-file value of the wrong type for its key fails the same way
     scene = tmp_path / "scene.json"
     scene.write_text(NAN_SCENE_TEXT)
-    config = tmp_path / "config.json"
-    config.write_text('{"lmax": Infinity}')
-    argv = [{"SCENE": str(scene), "CONFIG": str(config)}.get(a, a) for a in argv]
+    if argv[-2] == "--config":  # the last argument is the config file's text
+        config = tmp_path / "config.json"
+        config.write_text(argv[-1])
+        argv = argv[:-1] + [str(config)]
+    argv = [str(scene) if a == "SCENE" else a for a in argv]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err

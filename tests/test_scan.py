@@ -166,17 +166,31 @@ def test_block_factor_and_solve_equal_scipy_batched_cholesky_bit_for_bit(size, c
     gen = np.random.Generator(np.random.Philox(key=cols))
     rhs = gen.standard_normal((size, size, cols)) + 1j * gen.standard_normal((size, size, cols))
     ref = scipy.linalg.cho_factor(gram, lower=False)
-    factors = scan._block_factor(gram)
+    factors = scan._block_factor(gram, lower=0)
     np.testing.assert_array_equal(_bits(np.stack(factors)), _bits(ref[0]))
-    x = scan.cho_solve(factors, rhs)
+    x = scan.cho_solve(factors, rhs, lower=0)
     np.testing.assert_array_equal(_bits(x), _bits(scipy.linalg.cho_solve(ref, rhs)))
+
+
+def test_dense_factor_and_solve_equal_scipy_lower_cholesky_bit_for_bit():
+    # the dense Gram is a stack of one, factored on the lower triangle of gram_lower
+    A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, 3.1, QUAD8), 0.01, 1)
+    solver = scan._NormalSolver(A, "auto")
+    assert solver.lower == 1 and len(solver.factor) == 1
+    ref = scipy.linalg.cho_factor(solver.gram, lower=True, check_finite=False)
+    np.testing.assert_array_equal(_bits(solver.factor[0]), _bits(ref[0]))
+    rhs = solver._rhs(scan._dipole_rhs(QUAD8, ZSampling(count=3).points(), 3.1, magnetic=True))
+    x = scan.cho_solve(solver.factor, rhs, lower=1)
+    np.testing.assert_array_equal(_bits(x), _bits(scipy.linalg.cho_solve(ref, rhs)))
+    # scipy's layout too: the weighted column norms of the scans sum in a layout-dependent order
+    assert x.flags.f_contiguous
 
 
 def test_block_factor_names_the_indefinite_block():
     gram = _hpd_stack(8, 6, seed=3)
     gram[5] = -gram[5]
     with pytest.raises(scipy.linalg.LinAlgError, match="block 5 "):
-        scan._block_factor(gram)
+        scan._block_factor(gram, lower=0)
 
 
 def test_non_finite_gram_is_a_numeric_failure_naming_its_block():

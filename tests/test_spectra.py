@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from scatsig.ffop import (
     SphereQuadrature,
     TangentVectorField,
     add_noise,
     assemble,
+    assemble_blocks,
     build_quadrature,
 )
 from scatsig.forward import ImpedanceBall, MediumSpec
@@ -85,6 +87,12 @@ def test_eig_no_vectors_same_values():
 def test_eig_rejects_nonfinite():
     with pytest.raises(ValueError):
         eig(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_eig_takes_one_plain_matrix():
+    # only a FarFieldBlocks is a stack; a 3-D array is not batched
+    with pytest.raises(ValueError, match="square matrix"):
+        eig(np.zeros((2, 3, 3)), compute_vectors=False)
 
 
 def test_eig_ordering_deterministic():
@@ -288,6 +296,40 @@ def test_azimuthal_blocks_match_dense_spectrum(rule, order, kind, scene):
     tol = 1e-12 * np.abs(dense).max()
     for a, b in ((dense, blocks), (blocks, dense)):
         assert max(np.min(np.abs(b - v)) for v in a) <= tol
+
+
+def _assert_same_multiset(a, b, tol):
+    # clusters split where sorted moduli jump by more than tol; inside each,
+    # an assignment pairs the two sets and every pair must lie within tol
+    vals = np.concatenate([a, b])
+    side = np.repeat([0, 1], [a.size, b.size])
+    order = np.argsort(np.abs(vals))
+    cuts = np.flatnonzero(np.diff(np.abs(vals[order])) > tol) + 1
+    for idx in np.split(order, cuts):
+        ca, cb = vals[idx][side[idx] == 0], vals[idx][side[idx] == 1]
+        assert ca.size == cb.size
+        rows, cols = linear_sum_assignment(np.abs(ca[:, None] - cb[None, :]))
+        assert np.max(np.abs(ca[rows] - cb[cols])) <= tol
+
+
+@pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 10),
+                                        ("PRODUCT_GAUSS", 12), ("EQUAL_AREA", 8)])
+@pytest.mark.parametrize("kind,scene", [("ELECTRIC", LOSSY), ("MAGNETIC", LOSSY),
+                                        ("IMPEDANCE", IMP), ("MODIFIED", (LOSSY, IMP))])
+def test_block_eig_matches_dense_eig(rule, order, kind, scene):
+    # 6x12 aliases: the truncation degree L = 14 exceeds the rule's exactness t = 11
+    quad = build_quadrature(rule, order)
+    A = assemble(kind, scene, 2.5, quad)
+    es = eig(assemble_blocks(kind, scene, 2.5, quad))
+    dense = eig(A, compute_vectors=False)
+    assert es.kind == kind and es.k == 2.5 and es.count == dense.count == A.dim
+    _assert_same_multiset(es.values, dense.values, 1e-12 * np.abs(A.matrix).max())
+    # the node-space vectors are eigenvectors of the dense matrix
+    assert_allclose(np.linalg.norm(es.vectors, axis=0), 1.0, rtol=1e-12)
+    res = np.linalg.norm(A.matrix @ es.vectors - es.vectors * es.values, axis=0)
+    res /= np.linalg.norm(A.matrix, 2)
+    assert res.max() <= 1e-12
+    assert_allclose(es.residuals, res, rtol=0, atol=1e-14)
 
 
 def test_phase_track_matches_dense_eigensolve():
