@@ -261,8 +261,8 @@ def gram_norm(gram, w):
     maximum keeps its bits, because each block gets the same zheevd
     either way. A larger block gets symmetric Lanczos (eigsh) on the real form
     [[Re H, -Im H], [Im H, Re H]] of H = W^-1/2 G W^-1/2, which repeats
-    each eigenvalue of H, from a fixed start vector of ones, so the
-    result is deterministic. The real form is applied as H to
+    each eigenvalue of H, from one fixed Philox draw as start vector, so
+    the result is deterministic. The real form is applied as H to
     x[:m] + i x[m:] without being built, by one zhemv on the triangle;
     it runs several times faster than complex Lanczos, most of all
     under a multithreaded BLAS. A block on which ARPACK does not
@@ -286,10 +286,13 @@ def gram_norm(gram, w):
                 return np.concatenate([y.real, -y.imag])
             return LinearOperator((2 * w.size, 2 * w.size), matvec=matvec, dtype=float)
 
+        # a start vector of ones is constant over azimuth, so on a clean dense
+        # operator it lies in the frequency-0 block alone; one fixed draw does not
+        v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, 2 * w.size)
+
         def top_eig(q, g):
             try:
-                return eigsh(real_form(g), k=1, which="LA", v0=np.ones(2 * w.size),
-                             return_eigenvectors=False)[0]
+                return eigsh(real_form(g), k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
             except ArpackNoConvergence as e:
                 raise forward.ConvergenceError(
                     f"Lanczos norm of Gram block {q} ({w.size} rows) did not converge: {e}") from e
@@ -424,6 +427,8 @@ def assemble_blocks(kind, scene, k, quad):
     not its azimuth-0 meridian rotated about z raises ValueError.
     """
     medium, ball = _scene_parts(kind, scene)
+    if not k > 0:  # before the dual kinds divide by it
+        raise ValueError("wave number must be positive")
     dual = -4.0j * np.pi / k
     if kind == "ELECTRIC":
         sets = [(4.0 * np.pi, mie_coefficients(medium, k))]

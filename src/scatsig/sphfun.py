@@ -90,6 +90,16 @@ def _bessel_j_series(l_max, x):
     return out
 
 
+def _odd_over_x(count, inv_x):
+    """Rows (2l+1) * inv_x for l = 0..count-1, each the product the recurrences form."""
+    return (2 * np.arange(count) + 1).reshape((-1,) + (1,) * inv_x.ndim) * inv_x
+
+
+def _abs_max(a):
+    """Largest |a| as one reduction; NaN entries are skipped, as ``np.any(|a| > c)`` skips them."""
+    return np.fmax.reduce(np.abs(a), axis=None, initial=0.0)
+
+
 def _bessel_j_miller(l_max, x):
     """Backward (Miller) recurrence for j_0..j_lmax, arbitrary complex x.
 
@@ -105,14 +115,14 @@ def _bessel_j_miller(l_max, x):
     hi = np.zeros_like(x)
     lo = np.full_like(x, 1.0e-280)
     inv_x = 1.0 / x
+    odd = _odd_over_x(start + 1, inv_x)
     for l in range(start, 0, -1):
-        nxt = (2 * l + 1) * inv_x * lo - hi
-        hi, lo = lo, nxt
-        big = np.abs(lo) > _RESCALE
-        if np.any(big):
+        hi, lo = lo, odd[l] * lo - hi
+        if _abs_max(lo) > _RESCALE:
             # Rescale the running pair and everything already stored for
             # the affected arguments; stored rows may underflow to zero,
             # which is the correct representable limit there.
+            big = np.abs(lo) > _RESCALE
             hi[big] *= 1e-250
             lo[big] *= 1e-250
             out[:, big] *= 1e-250
@@ -170,9 +180,10 @@ def bessel_y_all(l_max, x):
     out[0] = -cos_x * inv_x
     if l_max >= 1:
         out[1] = (-cos_x * inv_x - sin_x) * inv_x
+    odd = _odd_over_x(l_max, inv_x)
     for l in range(1, l_max):
-        out[l + 1] = (2 * l + 1) * inv_x * out[l] - out[l - 1]
-        if np.any(np.abs(out[l + 1]) > 1.0e300):
+        out[l + 1] = odd[l] * out[l] - out[l - 1]
+        if _abs_max(out[l + 1]) > 1.0e300:
             raise RecurrenceOverflowError(
                 f"spherical Bessel y overflow at l={l + 1}, min|x|={np.abs(x).min():.3g}"
             )
@@ -223,47 +234,43 @@ def _legendre_ptilde_tau(l_max, u, s):
 
     u = cos(theta), s = sin(theta) >= 0, arrays of shape (n,). tau is the
     theta-derivative of Pbar_l^m; ptilde is Pbar_l^m / sin(theta) for
-    m >= 1 and is left zero for m = 0 (unused there).
+    m >= 1 and is left zero for m = 0 (unused there). Column m = 0
+    carries the plain Legendre values Pbar_l^0 through the same degree
+    recurrence until they are returned as pbar0.
     """
     n = u.shape[0]
     ptilde = np.zeros((l_max + 1, l_max + 1, n))
     tau = np.zeros((l_max + 1, l_max + 1, n))
-    pbar0 = np.zeros((l_max + 1, n))
-
-    # m = 0 column: plain normalized Legendre recurrence (pole safe).
-    pbar0[0] = 1.0 / np.sqrt(4.0 * np.pi)
-    if l_max >= 1:
-        pbar0[1] = np.sqrt(3.0 / (4.0 * np.pi)) * u
+    if l_max == 0:
+        return np.full((1, n), 1.0 / np.sqrt(4.0 * np.pi)), ptilde, tau
+    ptilde[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    ptilde[1, 0] = np.sqrt(3.0 / (4.0 * np.pi)) * u
+    # diagonal ptilde[m, m] = -sqrt((2m+1)/(2m)) s ptilde[m-1, m-1] as a running product
+    d = np.arange(1, l_max + 1)
+    step = -np.sqrt((2.0 * d + 1.0) / (2.0 * d))[:, None] * s
+    step[0] = -np.sqrt(3.0 / (8.0 * np.pi))
+    ptilde[d, d] = np.multiply.accumulate(step, axis=0)
+    # sub-diagonal ptilde[m+1, m] = a u ptilde[m, m]
+    a = np.sqrt((4.0 * d[1:] * d[1:] - 1.0) / (2 * d[1:] - 1))[:, None]
+    ptilde[d[1:], d[:-1]] = a * u * ptilde[d[:-1], d[:-1]]
+    # upward in l, all orders m <= l - 2 at once
+    coef = np.zeros((l_max + 1, l_max + 1, 1))
+    li, mi = np.tril_indices(l_max + 1, -1)
+    coef[li, mi, 0] = np.sqrt((4.0 * li * li - 1.0) / (li * li - mi * mi))
     for l in range(2, l_max + 1):
-        a_l = np.sqrt((4.0 * l * l - 1.0) / (l * l))
-        a_lm1 = np.sqrt((4.0 * (l - 1) ** 2 - 1.0) / ((l - 1) ** 2))
-        pbar0[l] = a_l * (u * pbar0[l - 1] - pbar0[l - 2] / a_lm1)
+        m = slice(0, l - 1)
+        ptilde[l, m] = coef[l, m] * (u * ptilde[l - 1, m] - ptilde[l - 2, m] / coef[l - 1, m])
+    pbar0 = ptilde[:, 0].copy()
+    ptilde[:, 0] = 0.0
 
-    # diagonal seeds ptilde[m, m]
-    if l_max >= 1:
-        ptilde[1, 1] = -np.sqrt(3.0 / (8.0 * np.pi))
-    for m in range(1, l_max):
-        ptilde[m + 1, m + 1] = -np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * ptilde[m, m]
-
-    # upward in l for each m >= 1
-    for m in range(1, l_max + 1):
-        if m + 1 <= l_max:
-            a = np.sqrt((4.0 * (m + 1) ** 2 - 1.0) / ((m + 1) ** 2 - m * m))
-            ptilde[m + 1, m] = a * u * ptilde[m, m]
-        for l in range(m + 2, l_max + 1):
-            a_l = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            a_lm1 = np.sqrt((4.0 * (l - 1) ** 2 - 1.0) / ((l - 1) ** 2 - m * m))
-            ptilde[l, m] = a_l * (u * ptilde[l - 1, m] - ptilde[l - 2, m] / a_lm1)
-
-    # tau tables
-    for l in range(1, l_max + 1):
-        # m = 0: tau = sqrt(l(l+1)) * Pbar_l^1 = sqrt(l(l+1)) * s * ptilde[l,1]
-        tau[l, 0] = np.sqrt(l * (l + 1.0)) * s * ptilde[l, 1]
-        for m in range(1, l + 1):
-            g = np.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0))
-            prev = ptilde[l - 1, m] if l - 1 >= m else 0.0
-            tau[l, m] = l * u * ptilde[l, m] - g * prev
-
+    # m = 0: tau = sqrt(l(l+1)) * Pbar_l^1 = sqrt(l(l+1)) * s * ptilde[l,1]
+    l = np.arange(1, l_max + 1)
+    tau[1:, 0] = np.sqrt(l * (l + 1.0))[:, None] * s * ptilde[1:, 1]
+    # m >= 1, where ptilde[l-1, l] = 0 stands in for the missing lower degree
+    li, mi = np.tril_indices(l_max + 1)
+    li, mi = li[mi > 0], mi[mi > 0]
+    g = np.sqrt((2.0 * li + 1.0) * (li * li - mi * mi) / (2.0 * li - 1.0))[:, None]
+    tau[li, mi] = li[:, None] * u * ptilde[li, mi] - g * ptilde[li - 1, mi]
     return pbar0, ptilde, tau
 
 
@@ -288,43 +295,39 @@ def vsh_tables(l_max, points):
     """Vector spherical harmonic tables at a batch of unit vectors.
 
     Returns (modes, Y, U, V) where modes = mode_list(l_max), Y has shape
-    (n_modes, n_pts) and U, V have shape (n_modes, n_pts, 3). Negative
-    orders come from U_{l,-m} = (-1)^m conj(U_{lm}), valid for these
-    normalized harmonics.
+    (n_modes, n_pts) and U, V have shape (n_modes, n_pts, 3). Every mode
+    row is first built at order |m|; the negative orders then become
+    U_{l,-m} = (-1)^m conj(U_{lm}), valid for these normalized harmonics.
     """
     modes = mode_list(l_max)
     u, s, phi, theta_hat, phi_hat = _sphere_angles(points)
-    n = u.shape[0]
     pbar0, ptilde, tau = _legendre_ptilde_tau(l_max, u, s)
-    eim = np.exp(1j * np.outer(np.arange(l_max + 1), phi))  # (m, n)
-
-    Y = np.zeros((len(modes), n), dtype=complex)
-    U = np.zeros((len(modes), n, 3), dtype=complex)
-    V = np.zeros((len(modes), n, 3), dtype=complex)
-
-    idx = 0
-    for l in range(1, l_max + 1):
-        inv_rt = 1.0 / np.sqrt(l * (l + 1.0))
-        block = {}
-        for m in range(0, l + 1):
-            pb = pbar0[l] if m == 0 else s * ptilde[l, m]
-            ym = pb * eim[m]
-            pi_m = m * ptilde[l, m]  # zero for m = 0
-            gu = (tau[l, m][:, None] * theta_hat + 1j * pi_m[:, None] * phi_hat) * eim[m][:, None]
-            um = gu * inv_rt
-            vm = (-1j * pi_m[:, None] * theta_hat + tau[l, m][:, None] * phi_hat) * eim[m][:, None] * inv_rt
-            block[m] = (ym, um, vm)
-        for m in range(-l, l + 1):
-            if m >= 0:
-                ym, um, vm = block[m]
-            else:
-                ym0, um0, vm0 = block[-m]
-                sign = (-1) ** (-m)
-                ym, um, vm = sign * np.conj(ym0), sign * np.conj(um0), sign * np.conj(vm0)
-            Y[idx] = ym
-            U[idx] = um
-            V[idx] = vm
-            idx += 1
+    ell = np.array([md.l for md in modes], dtype=int)
+    m = np.array([md.m for md in modes], dtype=int)
+    am = np.abs(m)
+    eim = np.exp(1j * np.outer(np.arange(l_max + 1), phi))[am][..., None]  # (M, n, 1)
+    pt = ptilde[ell, am]
+    pb = s * pt
+    pb[m == 0] = pbar0[ell[m == 0]]
+    Y = pb * eim[..., 0]
+    pi_m = (am[:, None] * pt)[..., None]  # zero for m = 0
+    tau_m = tau[ell, am][..., None]
+    inv_rt = (1.0 / np.sqrt(ell * (ell + 1.0)))[:, None, None]
+    # U = (tau thetahat + i pi phihat) e^{i m phi} / sqrt(l(l+1)) with the product
+    # operands in this order: numpy's complex product is not bit-commutative
+    U = 1j * pi_m * phi_hat
+    U += tau_m * theta_hat
+    U *= eim
+    U *= inv_rt
+    V = -1j * pi_m * theta_hat
+    V += tau_m * phi_hat
+    V *= eim
+    V *= inv_rt
+    neg = m < 0
+    sign = (-1) ** am[neg]
+    Y[neg] = sign[:, None] * np.conj(Y[neg])
+    U[neg] = sign[:, None, None] * np.conj(U[neg])
+    V[neg] = sign[:, None, None] * np.conj(V[neg])
     return modes, Y, U, V
 
 

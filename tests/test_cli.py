@@ -430,6 +430,21 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    *(["ffop-eigs", "--kind", kind, *noise] for kind in ("electric", "magnetic", "impedance", "modified")
+      for noise in ([], ["--noise", "0.01"])),
+    ["stekloff-scan", "--grid=-2:-1:0.5", "--zcount", "1"],
+    ["stekloff-scan", "--grid=-2:-1:0.5", "--zcount", "1", "--noise", "0.01"],
+])
+def test_non_positive_wave_number_is_a_config_error(tmp_path, capsys, argv, k):
+    # k = 0 used to reach the dual kinds' -4 pi i / k before any check and exit 3
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--quad", "4x8", "--k", k, "--out", str(out)]) == 2
+    assert "configuration error: wave number must be positive" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_exit_code_3_for_numeric_failures(tmp_path, capsys):
     # k at the first root of psi_1' makes k^2 an interior Neumann
     # eigenvalue of the vacuum unit ball

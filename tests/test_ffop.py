@@ -533,6 +533,23 @@ def test_clean_block_norm_runs_eigvalsh_on_the_candidate_blocks_only(monkeypatch
     assert got.view(np.uint64) == ref.view(np.uint64)
 
 
+@pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 8),
+                                        ("EQUAL_AREA", 8)])
+@pytest.mark.parametrize("kind,scene", [("ELECTRIC", BALL2), ("MAGNETIC", BALL2),
+                                        ("IMPEDANCE", IMP), ("MODIFIED", (BALL2, IMP))])
+def test_clean_dense_operator_norm_matches_svdvals(rule, order, kind, scene):
+    # above _EIGVALSH_MAX_ROWS rows the dense norm runs Lanczos; a start vector
+    # constant over azimuth lies in the frequency-0 block of a clean operator,
+    # and from one of ones ELECTRIC at k = 5 on 8x16 did not converge at all
+    quad = build_quadrature(rule, order)
+    assert 2 * quad.n_nodes > _EIGVALSH_MAX_ROWS
+    for k in (1.4, 3.1, 5.0):
+        A = assemble(kind, scene, k, quad)
+        sq = np.sqrt(A.weight_vector())
+        ref = scipy.linalg.svdvals((sq[:, None] * A.matrix) / sq[None, :])[0]
+        assert abs(A.operator_norm() - ref) <= 1e-12 * ref, k
+
+
 def test_lanczos_non_convergence_is_a_convergence_error_naming_the_block(monkeypatch):
     import scipy.sparse.linalg as sla
 

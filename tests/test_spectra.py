@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -26,7 +25,6 @@ from scatsig.spectra import (
     worker_count,
 )
 
-from block_oracle import azimuthal_blocks
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL4 = MediumSpec.ball(1.0, 4.0)
@@ -281,21 +279,6 @@ def test_phase_track_other_branch_low_contrast():
 
 def _kept(vals, floor=1e-6):
     return vals[np.abs(vals) >= floor * np.abs(vals).max()]
-
-
-@pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 10),
-                                        ("EQUAL_AREA", 8)])
-@pytest.mark.parametrize("kind,scene", [("ELECTRIC", LOSSY), ("MAGNETIC", LOSSY),
-                                        ("IMPEDANCE", IMP), ("MODIFIED", (LOSSY, IMP))])
-def test_azimuthal_blocks_match_dense_spectrum(rule, order, kind, scene):
-    # at 6x12 the truncation degree L = 14 exceeds the rule's exactness t = 11
-    A = assemble(kind, scene, 2.5, build_quadrature(rule, order))
-    dense = _kept(eig(A, compute_vectors=False).values)
-    blocks = _kept(scipy.linalg.eigvals(azimuthal_blocks(A)).ravel())
-    assert blocks.size == dense.size
-    tol = 1e-12 * np.abs(dense).max()
-    for a, b in ((dense, blocks), (blocks, dense)):
-        assert max(np.min(np.abs(b - v)) for v in a) <= tol
 
 
 def _assert_same_multiset(a, b, tol):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from scatsig import sphfun
+from scatsig.ffop import build_quadrature
 from scatsig.sphfun import (
     ModeIndex,
     RecurrenceOverflowError,
@@ -17,6 +19,8 @@ from scatsig.sphfun import (
     vector_spherical_harmonics,
     vsh_tables,
 )
+
+import sphfun_oracle as loop
 
 mp.mp.dps = 30
 
@@ -258,3 +262,107 @@ def test_addition_theorem():
         rows = [i for i, mo in enumerate(modes) if mo.l == l]
         total = np.sum(np.abs(Y[rows]) ** 2, axis=0)
         assert_allclose(total, (2 * l + 1) / (4 * np.pi), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The array forms of the table kernels against their per-mode loops
+# (tests/sphfun_oracle.py), bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    same_layout = a.shape == b.shape and a.dtype == b.dtype
+    return same_layout and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _point_sets():
+    sets = {}
+    for kind, order in (("PRODUCT_GAUSS", 10), ("PRODUCT_GAUSS", 12), ("EQUAL_AREA", 8)):
+        quad = build_quadrature(kind, order)
+        sets[f"{kind}{order}-meridian"] = quad.nodes[:: 2 * order]
+        sets[f"{kind}{order}-full"] = quad.nodes
+    pts = np.random.default_rng(5).normal(size=(40, 3))
+    sets["random"] = pts / np.linalg.norm(pts, axis=1)[:, None]
+    sets["poles"] = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    theta = np.array([1e-300, 1e-9, 1e-7, np.pi - 1e-7, np.pi - 1e-9])
+    sets["near-poles"] = np.stack([np.sin(theta), 0.0 * theta, np.cos(theta)], axis=1)
+    return sets
+
+
+POINT_SETS = _point_sets()
+TABLE_DEGREES = (0, 1, 2, 3, 11, 15, 16, 30)
+
+
+@pytest.mark.parametrize("name", sorted(POINT_SETS))
+def test_harmonic_tables_equal_loop_reference_bit_for_bit(name):
+    pts = POINT_SETS[name]
+    u, s = pts[:, 2], np.hypot(pts[:, 0], pts[:, 1])
+    for l_max in TABLE_DEGREES:
+        legendre = zip(sphfun._legendre_ptilde_tau(l_max, u, s), loop._legendre_ptilde_tau(l_max, u, s))
+        for got, want in legendre:
+            assert _same_bits(got, want), l_max
+        modes, *tables = vsh_tables(l_max, pts)
+        ref_modes, *ref_tables = loop.vsh_tables(l_max, pts)
+        assert modes == ref_modes
+        for got, want in zip(tables, ref_tables):
+            assert _same_bits(got, want), l_max
+
+
+_rng = np.random.default_rng(8)
+BESSEL_ARGS = {
+    "real": np.linspace(0.55, 40.0, 17) + 0j,
+    "complex": _rng.normal(size=9) * 6 + 1j * _rng.normal(size=9) * 3,
+    # the Miller branch starts just above the series cutoff; y takes the cutoff itself
+    "cutoff": np.array([0.5, 0.5 + 1e-15, 0.5000001 + 0j, 0.35 + 0.36j]),
+    "small-imaginary": np.array([1e-3 + 2j]),
+    # at l_max = 150 the recurrence rescales 0.6 alone at l = 71 and
+    # 0.7 + 0.3j alone at l = 62; the other two never rescale
+    "rescale": np.array([0.6, 0.7 + 0.3j, 2.0, 30.0 - 4j]),
+    "shaped": _rng.normal(size=(3, 4)) * 4 + 2 + 1j * _rng.normal(size=(3, 4)),
+}
+BESSEL_DEGREES = (0, 1, 2, 3, 11, 15, 16, 30, 60, 100, 150)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args), None
+    except RecurrenceOverflowError as e:
+        return None, str(e)
+
+
+@pytest.mark.parametrize("name", sorted(BESSEL_ARGS))
+def test_bessel_recurrences_equal_loop_reference_bit_for_bit(name):
+    x = BESSEL_ARGS[name]
+    for l_max in BESSEL_DEGREES:
+        miller = x if np.all(np.abs(x) > 0.5) else x[np.abs(x) > 0.5]  # bessel_j_all's split
+        got = sphfun._bessel_j_miller(l_max, miller)
+        assert _same_bits(got, loop._bessel_j_miller(l_max, miller)), l_max
+        got, got_err = _outcome(bessel_y_all, l_max, x)
+        want, want_err = _outcome(loop.bessel_y_all, l_max, x)
+        assert got_err == want_err, l_max
+        if want is not None:
+            assert _same_bits(got, want), l_max
+
+
+def test_miller_rescale_steps_equal_loop_reference(monkeypatch):
+    # a threshold of 1e10 rescales at most steps, each time for a different
+    # subset of the arguments; the stored rows must be scaled exactly alike
+    monkeypatch.setattr(sphfun, "_RESCALE", 1e10)
+    monkeypatch.setattr(loop, "_RESCALE", 1e10)
+    for x in (BESSEL_ARGS["rescale"], BESSEL_ARGS["shaped"], BESSEL_ARGS["real"]):
+        for l_max in (3, 30, 150):
+            assert _same_bits(sphfun._bessel_j_miller(l_max, x), loop._bessel_j_miller(l_max, x))
+
+
+@pytest.mark.parametrize("l_max,x", [(200, 1e-3), (150, 0.6), (100, np.array([0.05, 3.0])),
+                                     (5, np.nan), (200, np.array([np.nan, 1e-3]))])
+def test_overflow_errors_equal_loop_reference(l_max, x):
+    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    with np.errstate(invalid="ignore"):
+        got, got_err = _outcome(bessel_y_all, l_max, x)
+        _, want_err = _outcome(loop.bessel_y_all, l_max, x)
+        assert got is None and got_err == want_err
+        if np.any(np.isnan(x)):
+            _, got_err = _outcome(sphfun._bessel_j_miller, l_max, x)
+            assert got_err is not None and got_err == _outcome(loop._bessel_j_miller, l_max, x)[1]

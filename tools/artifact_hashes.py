@@ -43,6 +43,10 @@ RUNS = {
     # cached boundary tables; every other Stekloff run here uses CURL_CURL
     "stekloff_rect_identity_6x12": "stekloff-scan --quad 6x12 --s-kind IDENTITY "
                                    "--rect=-4.5:-0.5:-0.2:0.8:40",
+    # the phase_sweep benchmark window, where the truncation degree steps from 15 to 16
+    "phase_track_12x24": "phase-track --quad 12x24 --scene ball4 --grid 3.12:3.16:0.01",
+    # the one run on the EQUAL_AREA rule
+    "ffop_eigs_ea8": "ffop-eigs --quad ea8",
 }
 for q in ("6x12", "8x16"):
     RUNS.update({
