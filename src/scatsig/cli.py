@@ -2,8 +2,10 @@
 
 Every artifact embeds the fully resolved run configuration in a leading
 comment line, all randomness flows from explicit seeds, and reruns with
-the same configuration are byte-identical. Exit codes: 0 success,
-2 configuration problems, 3 numeric failures, 4 I/O failures.
+the same configuration are byte-identical. A command takes, as a flag or
+a config-file key, only the keys it reads (see its --help); any other key,
+or a grid together with a rect, is a configuration error. Exit codes:
+0 success, 2 configuration problems, 3 numeric failures, 4 I/O failures.
 """
 
 from __future__ import annotations
@@ -169,71 +171,84 @@ def _load_scene(value):
     raise ConfigError(f"scene must be a file path or an inline object, got {type(value).__name__}")
 
 
+# Flag spelling and argparse settings of each config key
+_FLAGS = {
+    "k": ("--k", dict(type=float, help="wave number")),
+    "scene": ("--scene", dict(help="scene JSON file path")),
+    "B": ("--B", dict(type=float, help="reference ball radius")),
+    "quad": ("--quad", dict(help="sphere rule: NxM product Gauss or eaN equal-area")),
+    "noise": ("--noise", dict(type=float, help="multiplicative noise level")),
+    "seed": ("--seed", dict(type=int, help="noise seed")),
+    "alpha": ("--alpha", dict(help="Tikhonov parameter or 'auto'")),
+    "grid": ("--grid", dict(help="lo:hi:step parameter grid")),
+    "rect": ("--rect", dict(help="reLo:reHi:imLo:imHi:n complex rectangle")),
+    "out": ("--out", dict(help="output directory")),
+    "kind": ("--kind", dict(choices=["electric", "magnetic", "impedance", "modified"])),
+    "s_kind": ("--s-kind", dict(choices=["IDENTITY", "CURL_CURL"])),
+    "lam": ("--lam", dict(type=float, help="impedance parameter for impedance/modified")),
+    "lmax": ("--lmax", dict(type=int)),
+    "z_count": ("--zcount", dict(type=int)),
+    "z_radius": ("--zradius", dict(type=float)),
+    "z_seed": ("--zseed", dict(type=int)),
+    "delta_n": ("--delta-n", dict(help="index perturbation (complex ok)")),
+    "rc": ("--rc", dict(type=float, help="perturbation region radius")),
+    "k1": ("--k1", dict(type=float, help="measured first transmission eigenvalue")),
+    "n_lo": ("--n-lo", dict(type=float)),
+    "n_hi": ("--n-hi", dict(type=float)),
+    "herglotz": ("--herglotz", dict(action="store_const", const=True)),
+    "floor": ("--floor", dict(type=float, help="relative eigenvalue floor")),
+}
+
+# The keys each command (and oracle target) reads besides out; any other is rejected
+_READS = {
+    "ffop-eigs": "k scene B quad noise seed kind s_kind lam",
+    "tev-scan": "scene quad noise seed alpha grid z_count z_radius z_seed herglotz",
+    "stekloff-scan": "k scene B quad noise seed alpha grid rect s_kind z_count z_radius z_seed",
+    "phase-track": "scene quad grid floor",
+    "oracle tev": "scene grid lmax",
+    "oracle stekloff": "k scene B lmax s_kind",
+    "estimate-shift": "k scene B lmax s_kind delta_n rc",
+    "index-bound": "scene lmax k1 n_lo n_hi",
+}
+
+_HELP = {
+    "ffop-eigs": "assemble an operator and export its spectrum",
+    "tev-scan": "transmission-eigenvalue indicator scan over k",
+    "stekloff-scan": "Stekloff indicator scan over lambda",
+    "phase-track": "magnetic eigenvalue phases over a k sweep",
+    "oracle": "analytic eigenvalue references",
+    "estimate-shift": "first-order Stekloff shifts for an index bump",
+    "index-bound": "constant-index bound from a measured first eigenvalue",
+}
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="scatsig", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--k", type=float)
-        p.add_argument("--scene", help="scene JSON file path")
-        p.add_argument("--B", type=float, help="reference ball radius")
-        p.add_argument("--quad", help="sphere rule: NxM product Gauss or eaN equal-area")
-        p.add_argument("--noise", type=float, help="multiplicative noise level")
-        p.add_argument("--seed", type=int, help="noise seed")
-        p.add_argument("--alpha", help="Tikhonov parameter or 'auto'")
-        p.add_argument("--grid", help="lo:hi:step parameter grid")
-        p.add_argument("--rect", help="reLo:reHi:imLo:imHi:n complex rectangle")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--lmax", type=int)
-        p.add_argument("--s-kind", dest="s_kind", choices=["IDENTITY", "CURL_CURL"])
-
-    p = sub.add_parser("ffop-eigs", help="assemble an operator and export its spectrum")
-    common(p)
-    p.add_argument("--kind", choices=["electric", "magnetic", "impedance", "modified"])
-    p.add_argument("--lam", type=float, help="impedance parameter for impedance/modified")
-
-    p = sub.add_parser("tev-scan", help="transmission-eigenvalue indicator scan over k")
-    common(p)
-    p.add_argument("--zcount", dest="z_count", type=int)
-    p.add_argument("--zradius", dest="z_radius", type=float)
-    p.add_argument("--zseed", dest="z_seed", type=int)
-    p.add_argument("--herglotz", action="store_const", const=True)
-
-    p = sub.add_parser("stekloff-scan", help="Stekloff indicator scan over lambda")
-    common(p)
-    p.add_argument("--zcount", dest="z_count", type=int)
-    p.add_argument("--zradius", dest="z_radius", type=float)
-    p.add_argument("--zseed", dest="z_seed", type=int)
-
-    p = sub.add_parser("phase-track", help="magnetic eigenvalue phases over a k sweep")
-    common(p)
-    p.add_argument("--floor", type=float, help="relative eigenvalue floor")
-
-    p = sub.add_parser("oracle", help="analytic eigenvalue references")
-    p.add_argument("which", choices=["tev", "stekloff"])
-    common(p)
-
-    p = sub.add_parser("estimate-shift", help="first-order Stekloff shifts for an index bump")
-    common(p)
-    p.add_argument("--delta-n", dest="delta_n", help="index perturbation (complex ok)")
-    p.add_argument("--rc", type=float, help="perturbation region radius")
-
-    p = sub.add_parser("index-bound", help="constant-index bound from a measured first eigenvalue")
-    common(p)
-    p.add_argument("--k1", type=float, help="measured first transmission eigenvalue")
-    p.add_argument("--n-lo", dest="n_lo", type=float)
-    p.add_argument("--n-hi", dest="n_hi", type=float)
+    for command, text in _HELP.items():
+        p = sub.add_parser(command, help=text, allow_abbrev=False)  # --k must not mean --k1
+        if command == "oracle":
+            p.add_argument("which", choices=["tev", "stekloff"])
+        keys = {"out"}.union(*(r.split() for name, r in _READS.items() if name.split()[0] == command))
+        p.add_argument("--config", help="JSON file with defaults for the keys this command reads")
+        for key, (flag, settings) in _FLAGS.items():
+            if key in keys:
+                p.add_argument(flag, dest=key, **settings)
     return ap
 
 
 def parse_config(argv=None):
     """Merge CLI flags over the optional config file over defaults."""
-    ns = _build_parser().parse_args(argv)
+    ns, extra = _build_parser().parse_known_args(argv)
+    which = getattr(ns, "which", None)
+    name = f"{ns.command} {which}" if which else ns.command
+    if extra:
+        raise ConfigError(f"{name} does not read {extra[0]}")
+    reads = {"out", *_READS[name].split()}
     keys = [f for f in fields(RunConfig) if f.name not in ("command", "which")]
     defaults = {f.name: f.default for f in keys}
     types = {f.name: f.type for f in keys}
-    merged = dict(defaults)
+    file_cfg = {}
     if ns.config:
         with open(ns.config, "r") as fh:
             text = fh.read()
@@ -243,17 +258,17 @@ def parse_config(argv=None):
             raise ConfigError(f"malformed JSON in {ns.config!r} at byte offset {e.pos}: {e.msg}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, val in file_cfg.items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            want = _FILE_TYPES.get(types[key])
-            if want and type(val) not in want:
-                raise ConfigError(f"{key} must be of type {types[key]}, got {val!r}")
-        merged.update(file_cfg)
-    for key in defaults:
-        flag_val = getattr(ns, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
+    flags = {key: val for key, val in vars(ns).items() if key in defaults and val is not None}
+    for key in {**file_cfg, **flags}:
+        if key not in reads:
+            raise ConfigError(f"{name} does not read {key!r}")
+    for key, val in file_cfg.items():
+        want = _FILE_TYPES.get(types[key])
+        if want and type(val) not in want:
+            raise ConfigError(f"{key} must be of type {types[key]}, got {val!r}")
+    merged = {**defaults, **file_cfg, **flags}
+    if merged["grid"] is not None and merged["rect"] is not None:
+        raise ConfigError("grid and rect exclude each other")
 
     if isinstance(merged["alpha"], str) and merged["alpha"] != "auto":
         try:
@@ -277,7 +292,7 @@ def parse_config(argv=None):
             raise ConfigError(f"{key} must be finite, got {val!r}")
     _parse_quad(merged["quad"])  # validate early
     merged["scene"] = _load_scene(merged["scene"])
-    cfg = RunConfig(command=ns.command, which=getattr(ns, "which", None), **merged)
+    cfg = RunConfig(command=ns.command, which=which, **merged)
     if cfg.noise < 0:
         raise ConfigError("noise level must be >= 0")
     return cfg
@@ -300,6 +315,7 @@ def export_csv(table, path):
 
 def _write_text(text, path):
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
     except OSError as e:
@@ -451,7 +467,6 @@ _RUNNERS = {
 
 def run(cfg):
     """Execute a resolved configuration; returns the artifact paths."""
-    os.makedirs(cfg.out, exist_ok=True)
     return _RUNNERS[cfg.command](cfg)
 
 

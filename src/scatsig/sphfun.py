@@ -64,7 +64,7 @@ def mode_list(l_max):
 def _check_bessel_domain(l_max, x):
     if l_max > _L_MAX_HARD:
         raise ValueError(f"degree {l_max} exceeds supported maximum {_L_MAX_HARD}")
-    if np.any(np.abs(x) >= _X_ABS_MAX):
+    if not np.all(np.abs(x) < _X_ABS_MAX):  # NaN fails too
         raise ValueError(f"|x| must be < {_X_ABS_MAX:g}")
 
 

@@ -4,6 +4,7 @@ exit codes, and byte-exact reruns."""
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_defaults():
 
 def test_flags_override_config_file(tmp_path):
     cfg_file = _write_json(tmp_path / "cfg.json", {"k": 3.0, "noise": 0.05})
-    cfg = parse_config(["tev-scan", "--config", cfg_file, "--k", "4.0"])
+    cfg = parse_config(["stekloff-scan", "--config", cfg_file, "--k", "4.0"])
     assert cfg.k == 4.0
     assert cfg.noise == 0.05
 
@@ -173,6 +174,93 @@ def test_run_config_json_dict():
     assert doc["grid"] == [1.0, 2.0, 0.5]
     assert doc["rect"] is None
     json.dumps(doc)  # must be serializable as-is
+
+
+# ---------------------------------------------------------------------------
+# the keys each command reads
+
+
+class _ReadLog:
+    """A RunConfig stand-in that logs the names a runner reads from it."""
+
+    def __init__(self, cfg):
+        self._cfg, self.names = cfg, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self._cfg, name)
+
+
+RUNS_BY_TARGET = {
+    "ffop-eigs": [["ffop-eigs", "--kind", kind, *noise]
+                  for kind in ("electric", "magnetic", "impedance", "modified")
+                  for noise in ([], ["--noise", "0.01"])],
+    "tev-scan": [["tev-scan", "--grid", "3.0:3.1:0.1", "--zcount", "1"]],
+    "stekloff-scan": [["stekloff-scan", "--grid=-2:-1:0.5", "--zcount", "1"],
+                      ["stekloff-scan", "--rect=-2:-1:-0.1:0.1:2", "--zcount", "1"]],
+    "phase-track": [["phase-track", "--grid", "3.0:3.1:0.1"]],
+    "oracle tev": [["oracle", "tev", "--grid", "3.0:3.3:0.01", "--lmax", "2"]],
+    "oracle stekloff": [["oracle", "stekloff", "--lmax", "2"]],
+    "estimate-shift": [["estimate-shift", "--lmax", "2"]],
+    "index-bound": [["index-bound", "--k1", repr(np.pi), "--n-lo", "3", "--n-hi", "5"]],
+}
+
+CONFIG_KEYS = [f.name for f in fields(cli.RunConfig) if f.name not in ("command", "which")]
+
+
+def test_runs_cover_every_command_and_oracle_target():
+    assert set(RUNS_BY_TARGET) == set(cli._READS)
+    assert sorted(cli._FLAGS) == sorted(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("target", sorted(RUNS_BY_TARGET))
+def test_command_table_equals_the_runner_reads(tmp_path, target):
+    read = set()
+    for argv in RUNS_BY_TARGET[target]:
+        quad = ["--quad", "4x8"] if "quad" in cli._READS[target].split() else []
+        log = _ReadLog(parse_config(argv + quad + ["--out", str(tmp_path)]))
+        cli.run(log)
+        read |= log.names & set(CONFIG_KEYS)
+    assert read == set(cli._READS[target].split()) | {"out"}
+
+
+FLAG_VALUES = {"kind": "magnetic", "s_kind": "IDENTITY", "grid": "1:2:0.5",
+               "rect": "-2:-1:-0.1:0.1:3", "herglotz": None}
+
+
+@pytest.mark.parametrize("target", sorted(RUNS_BY_TARGET))
+def test_unread_keys_are_rejected_by_flag_and_by_config_key(tmp_path, capsys, target):
+    out = tmp_path / "out"
+    unread = [key for key in CONFIG_KEYS if key not in cli._READS[target].split() + ["out"]]
+    assert unread
+    for key in unread:
+        flag = cli._FLAGS[key][0]
+        value = FLAG_VALUES.get(key, "1")
+        config = _write_json(tmp_path / "cfg.json", {key: 1})
+        for given in ([flag] + ([value] if value else []), ["--config", config]):
+            assert cli.main(target.split() + given + ["--out", str(out)]) == 2, (key, given)
+            err = capsys.readouterr().err
+            assert f"configuration error: {target} does not read" in err
+            assert flag in err or repr(key) in err, err
+            assert not out.exists()
+
+
+def test_grid_and_rect_exclude_each_other(tmp_path, capsys):
+    out = tmp_path / "out"
+    both = ["stekloff-scan", "--quad", "4x8", "--grid=-2:-1:0.5", "--rect=-2:-1:-0.1:0.1:3"]
+    grid_file = _write_json(tmp_path / "cfg.json", {"grid": [-2, -1, 0.5]})
+    for argv in (both, both[:3] + both[4:] + ["--config", grid_file]):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert "configuration error: grid and rect exclude each other" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_help_lists_only_the_flags_a_command_reads(capsys):
+    with pytest.raises(SystemExit):
+        parse_config(["phase-track", "--help"])
+    text = capsys.readouterr().out
+    assert "--floor" in text and "--grid" in text
+    assert "--noise" not in text and "--rect" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +492,7 @@ NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
     (["estimate-shift", "--delta-n", "nan+0.01j"], "delta_n"),
     (["tev-scan", "--quad", "6x12", "--alpha", "inf"], "alpha"),
     (["tev-scan", "--quad", "6x12", "--scene", "SCENE"], "radii"),
-    (["tev-scan", "--quad", "6x12", "--config", '{"lmax": Infinity}'], "lmax"),
+    (["estimate-shift", "--config", '{"lmax": Infinity}'], "lmax"),
     (["oracle", "tev", "--config", '{"lmax": 2.5}'], "lmax"),
     (["tev-scan", "--quad", "6x12", "--config", '{"z_count": 2.5}'], "z_count"),
     (["ffop-eigs", "--quad", "6x12", "--config", '{"k": "abc"}'], "k"),
@@ -442,7 +530,7 @@ def test_non_positive_wave_number_is_a_config_error(tmp_path, capsys, argv, k):
     out = tmp_path / "out"
     assert cli.main(argv + ["--quad", "4x8", "--k", k, "--out", str(out)]) == 2
     assert "configuration error: wave number must be positive" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_exit_code_3_for_numeric_failures(tmp_path, capsys):
@@ -476,6 +564,19 @@ def test_stray_runtime_errors_are_not_numeric_failures(tmp_path, monkeypatch, er
                   "--out", str(tmp_path)])
     assert not issubclass(error, cli._NUMERIC_ERRORS)
     assert issubclass(ConvergenceError, cli._NUMERIC_ERRORS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ffop-eigs", "--quad", "2x4"],
+    ["tev-scan", "--quad", "4x8", "--zcount", "0"],
+    ["index-bound", "--n-hi", "5"],
+    ["ffop-eigs", "--quad", "4x8", "--noise", "0.01", "--seed", "-1"],
+])
+def test_failed_runs_leave_no_out_directory(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_4_for_io_failures(tmp_path, capsys):

@@ -4,12 +4,13 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
 import scatsig
-from scatsig import oracles
+from scatsig import cli, oracles
 from scatsig.scan import find_peaks
 from scatsig.spectra import circle_residual
 
@@ -59,3 +60,23 @@ def test_readme_stekloff_example():
     assert [round(v, 4) for v in lams] == [-1.5749, -2.7047]
     # within one grid step, the bound of acceptance criterion 10
     assert max(_nearest_offsets(find_peaks(ns["res"]), lams)) < 0.05
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    # every scatsig line of the README's sh blocks passes only keys its command reads
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    commands = 0
+    for line in "".join(blocks).splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["echo"]:  # echo 'text' > file
+            Path(words[3]).write_text(words[1])
+        elif words[:1] == ["scatsig"]:
+            cli.parse_config(words[1:])
+            commands += 1
+    assert commands == 6
+
+
+def test_readme_key_table_equals_the_cli_table():
+    rows = re.findall(r"^\| `([a-z -]+)` +\| `([^`]+)` +\|$", (ROOT / "README.md").read_text(), re.M)
+    assert dict(rows) == cli._READS

@@ -157,6 +157,15 @@ def test_domain_guards():
         riccati_all(2, 0.0)
 
 
+@pytest.mark.parametrize("fn", [bessel_j_all, bessel_y_all, riccati_all])
+@pytest.mark.parametrize("x", [np.nan, complex(np.nan, 1.0), complex(1.0, np.nan),
+                               np.array([1.0, np.nan])])
+def test_nan_argument_fails_the_domain_guard(fn, x):
+    # |nan| >= 1e4 is False: the guard must reject what is not inside the domain
+    with pytest.raises(ValueError, match=r"\|x\| must be <"):
+        fn(5, x)
+
+
 def test_y_overflow_raises():
     with pytest.raises(RecurrenceOverflowError):
         bessel_y_all(200, 1e-3)
@@ -325,10 +334,11 @@ BESSEL_DEGREES = (0, 1, 2, 3, 11, 15, 16, 30, 60, 100, 150)
 
 
 def _outcome(f, *args):
+    # a NaN argument fails the domain guard, which both implementations share
     try:
         return f(*args), None
-    except RecurrenceOverflowError as e:
-        return None, str(e)
+    except (RecurrenceOverflowError, ValueError) as e:
+        return None, f"{type(e).__name__}: {e}"
 
 
 @pytest.mark.parametrize("name", sorted(BESSEL_ARGS))
