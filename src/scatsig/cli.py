@@ -44,6 +44,13 @@ class ConfigError(ValueError):
     """Invalid command-line or configuration-file input."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ConfigError instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 # JSON types a config-file value may have, by RunConfig field type. An int
 # is a valid float; json.loads makes true and false bools, never ints
 _FILE_TYPES = {
@@ -223,7 +230,7 @@ _HELP = {
 
 
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="scatsig", description=__doc__)
+    ap = _Parser(prog="scatsig", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for command, text in _HELP.items():
         p = sub.add_parser(command, help=text, allow_abbrev=False)  # --k must not mean --k1
@@ -500,22 +507,11 @@ def _keep_freed_heap():
 def main(argv=None):
     _keep_freed_heap()
     try:
-        cfg = parse_config(argv)
-    except ConfigError as e:
-        print(f"scatsig: configuration error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"scatsig: {e}", file=sys.stderr)
-        return 4
-    try:
-        paths = run(cfg)
-    except ConfigError as e:
-        print(f"scatsig: configuration error: {e}", file=sys.stderr)
-        return 2
+        paths = run(parse_config(argv))
     except _NUMERIC_ERRORS as e:
         print(f"scatsig: numeric failure: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except ValueError as e:  # ConfigError among them
         print(f"scatsig: configuration error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

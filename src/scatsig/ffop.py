@@ -154,7 +154,6 @@ class FarFieldMatrix:
     k: float
     quad: SphereQuadrature
     medium: MediumSpec | None = None
-    ball: ImpedanceBall | None = None
     noise_eps: float = 0.0
     seed: int = 0
 
@@ -343,7 +342,7 @@ def _mode_matrices(quad, L):
     """
     _check_rotation_layout(quad)
     n_phi = 2 * quad.order
-    _, _, U, V = vsh_tables(L, quad.nodes[::n_phi])
+    _, U, V = vsh_tables(L, quad.nodes[::n_phi])
     frames = np.stack([quad.e1[::n_phi], quad.e2[::n_phi]], axis=1)  # (n_theta, 2, 3)
     phi_u = np.einsum("jsc,mjc->jsm", frames, U).reshape(2 * quad.order, -1)
     phi_v = np.einsum("jsc,mjc->jsm", frames, V).reshape(2 * quad.order, -1)
@@ -361,9 +360,8 @@ def _block_gather(L, n_phi):
     copies of mode 0 up to the largest block's count. It depends only on
     (L, n_phi), so a scan builds it once. The arrays are read-only.
     """
-    modes = mode_list(L)
-    ells = np.array([m.l for m in modes])
-    q = np.array([m.m for m in modes]) % n_phi
+    ells, m = mode_list(L)
+    q = m % n_phi
     counts = np.bincount(q, minlength=n_phi)
     starts = np.cumsum(counts) - counts
     slot = np.arange(counts.max())
@@ -455,14 +453,14 @@ def assemble(kind, scene, k, quad):
     (s, t) is c_{(p - p') mod n_phi}[(i, s), (j, t)] (docs section 12).
     Needs a rotation-symmetric product rule, as ``assemble_blocks``.
     """
-    medium, ball = _scene_parts(kind, scene)
+    medium, _ = _scene_parts(kind, scene)
     blocks = assemble_blocks(kind, scene, k, quad).matrix
     n_theta, n_phi = quad.order, 2 * quad.order
     c = np.fft.ifft(blocks, axis=0).reshape(n_phi, n_theta, 2, n_theta, 2)
     p = np.arange(n_phi)
     full = c[(p[:, None] - p[None, :]) % n_phi]  # (p, p', i, s, j, t)
     mat = full.transpose(2, 0, 3, 4, 1, 5).reshape(2 * quad.n_nodes, 2 * quad.n_nodes)
-    return FarFieldMatrix(mat, kind, float(k), quad, medium=medium, ball=ball)
+    return FarFieldMatrix(mat, kind, float(k), quad, medium=medium)
 
 
 def add_noise(A, eps, seed, stream=0):
@@ -474,15 +472,13 @@ def add_noise(A, eps, seed, stream=0):
     the plain key ``seed``; scans use the grid index as the stream, so
     distinct seeds never share a draw.
     """
-    if eps < 0:
-        raise ValueError("noise level must be >= 0")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"noise level eps must be finite and >= 0, got {eps}")
     if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
         raise ValueError(f"noise seed and stream must lie in [0, 2**64), got {seed}, {stream}")
     if eps == 0:
-        return FarFieldMatrix(
-            A.matrix.copy(), A.kind, A.k, A.quad, medium=A.medium, ball=A.ball,
-            noise_eps=0.0, seed=int(seed),
-        )
+        return FarFieldMatrix(A.matrix.copy(), A.kind, A.k, A.quad, medium=A.medium,
+                              noise_eps=0.0, seed=int(seed))
     gen = np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
     zeta = gen.uniform(-1.0, 1.0, size=A.matrix.shape)
     mu = gen.uniform(-1.0, 1.0, size=A.matrix.shape)
@@ -499,32 +495,26 @@ def add_noise(A, eps, seed, stream=0):
     # A * factor in this operand order: numpy's complex product is not
     # bit-commutative, its SIMD loop rounds one of the two cross terms first
     np.multiply(A.matrix, factor, out=factor)
-    return FarFieldMatrix(
-        factor, A.kind, A.k, A.quad, medium=A.medium, ball=A.ball,
-        noise_eps=float(eps), seed=int(seed),
-    )
+    return FarFieldMatrix(factor, A.kind, A.k, A.quad, medium=A.medium,
+                          noise_eps=float(eps), seed=int(seed))
 
 
-def inner_product(u, v, quad=None):
-    """Discrete L2 inner product sum_j w_j u_j . conj(v_j)."""
-    quad = quad or u.quad
+def inner_product(u, v):
+    """Discrete L2 inner product sum_j w_j u_j . conj(v_j), with the weights of u's rule."""
     if u.quad.n_nodes != v.quad.n_nodes:
         raise ValueError("fields live on different quadratures")
-    return complex(np.sum(quad.weights[:, None] * u.coeffs * v.coeffs.conj()))
+    return complex(np.sum(u.quad.weights[:, None] * u.coeffs * v.coeffs.conj()))
 
 
-def adjoint(A, quad=None):
+def adjoint(A):
     """L2 adjoint of the operator matrix: A* = W^(-1) A^H W.
 
     Satisfies (A u, v) = (u, A* v) exactly in the discrete inner product.
     """
-    quad = quad or A.quad
-    w = np.repeat(quad.weights, 2)
+    w = A.weight_vector()
     mat = (A.matrix.conj().T * w[None, :]) / w[:, None]
-    return FarFieldMatrix(
-        mat, A.kind, A.k, quad, medium=A.medium, ball=A.ball,
-        noise_eps=A.noise_eps, seed=A.seed,
-    )
+    return FarFieldMatrix(mat, A.kind, A.k, A.quad, medium=A.medium,
+                          noise_eps=A.noise_eps, seed=A.seed)
 
 
 def save_ffop(A, path):
@@ -560,8 +550,8 @@ def save_ffop(A, path):
 def load_ffop(path):
     """Read a far field operator file written by save_ffop.
 
-    Scene metadata is not part of the format, so medium/ball come back
-    as None; the quadrature is reconstructed from the stored geometry.
+    Scene metadata is not part of the format, so medium comes back as
+    None; the quadrature is reconstructed from the stored geometry.
     A file that is truncated, carries trailing bytes, or holds an
     unknown magic, version or kind raises ValueError naming the cause.
     """

@@ -132,12 +132,14 @@ class ImpedanceBall:
     s_kind: str = "CURL_CURL"
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.R < np.inf:
+            raise ValueError(f"radius R must be positive and finite, got {self.R}")
         if self.s_kind not in ("IDENTITY", "CURL_CURL"):
             raise ValueError(f"unknown s_kind {self.s_kind!r}")
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "R", float(self.R))
+        if not np.isfinite(self.lam):
+            raise ValueError(f"impedance parameter lam must be finite, got {self.lam}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,20 +341,20 @@ def _boundary_tables(L, x):
     return tables
 
 
-def impedance_coefficients(ball, k, L=None):
+def impedance_coefficients(ball, k):
     """Scattering coefficients of the generalized impedance ball.
 
     TE family (both S kinds):   alpha_l = -(k psi' + lam psi)/(k xi' + lam xi)
     TM family, S = identity:    beta_l  = -(k psi - lam psi')/(k xi - lam xi')
     TM family, S = curl-curl:   beta_l  = -psi/xi
-    with all Riccati functions evaluated at kR, read from the tables
-    cached per (L, kR). A vanishing denominator means lam sits on the
-    measure-zero resonant set and raises ResonantParameterError.
+    for l up to L = truncation_degree(k, R), with all Riccati functions
+    evaluated at kR, read from the tables cached per (L, kR). A vanishing
+    denominator means lam sits on the measure-zero resonant set and
+    raises ResonantParameterError.
     """
     if k <= 0:
         raise ValueError("wave number must be positive")
-    if L is None:
-        L = truncation_degree(k, ball.R)
+    L = truncation_degree(k, ball.R)
     psi, dpsi, xi, dxi = _boundary_tables(L, float(k * ball.R))
     lam = ball.lam
     den_te = k * dxi + lam * xi
@@ -400,12 +402,12 @@ def _far_field_sum(alpha, beta, L, d, p, xhat, pairing="electric", scale=4.0 * n
     d_b = np.broadcast_to(d, shape).reshape(-1, 3)
     p_b = np.broadcast_to(p, shape).reshape(-1, 3)
     x_b = np.broadcast_to(xhat, shape).reshape(-1, 3)
-    _, _, U_d, V_d = vsh_tables(L, d_b)
-    _, _, U_x, V_x = vsh_tables(L, x_b)
+    _, U_d, V_d = vsh_tables(L, d_b)
+    _, U_x, V_x = vsh_tables(L, x_b)
     at_d = {"U": U_d, "V": V_d}
     at_x = {"U": U_x, "V": V_x}
     a_d, a_x, b_d, b_x = _PAIRINGS[pairing]
-    ells = np.array([m.l for m in mode_list(L)])
+    ells, _ = mode_list(L)
     w_a = alpha[ells, None] * np.einsum("pc,mpc->mp", p_b, at_d[a_d].conj())
     w_b = beta[ells, None] * np.einsum("pc,mpc->mp", p_b, at_d[b_d].conj())
     out = np.einsum("mp,mpc->pc", w_a, at_x[a_x]) + np.einsum("mp,mpc->pc", w_b, at_x[b_x])
@@ -501,8 +503,8 @@ def _modal_weights(k, L, dirs, amps):
 
     over directions d_j and amplitudes p_j, both of shape (n, 3).
     """
-    _, _, U, V = vsh_tables(L, dirs)
-    ells = np.array([m.l for m in mode_list(L)])
+    _, U, V = vsh_tables(L, dirs)
+    ells, _ = mode_list(L)
     pv = np.einsum("jc,mjc->m", amps, V.conj())
     pu = np.einsum("jc,mjc->m", amps, U.conj())
     a = 4.0 * np.pi * 1j ** (ells + 1) * k * pv
@@ -520,20 +522,17 @@ def _exterior_layer(coefs, k, a, incident):
     return RadialLayer(k, a, np.inf, c + (1.0 if incident else 0.0), 1j * c)
 
 
-def interior_solutions(medium, k, L=None):
+def interior_solutions(medium, k):
     """Per-layer radial profiles of the total interior field.
 
     Returns (coefs, layers) where layers[j] is the RadialLayer of layer
     j with (TE, TM) rows of zeta = A psi + B chi coefficients over
     degree, scaled so the exterior incident wave has unit modal
     amplitude. Exterior scattering coefficients come along as ``coefs``
-    for convenience.
+    for convenience; their truncation degree is the one used here.
     """
-    if L is None:
-        coefs = mie_coefficients(medium, k)
-        L = coefs.L
-    else:
-        coefs = mie_coefficients(medium, k, L)
+    coefs = mie_coefficients(medium, k)
+    L = coefs.L
     s_te, s_tm, layers = _interior_states(medium, k, L)
     _, _, tau_te, tau_tm = _solve_exterior(s_te, s_tm, k, medium.radius, L)
     tau = np.stack([tau_te, tau_tm])
@@ -546,7 +545,7 @@ def _layer_field(lay, points, k, L, d, p):
     pts = np.asarray(points, dtype=float)
     r = np.linalg.norm(pts, axis=1)
     xhat = pts / r[:, None]
-    _, Y, U, V = vsh_tables(L, xhat)
+    Y, U, V = vsh_tables(L, xhat)
     (zeta_te, zeta_tm), (dzeta_te, dzeta_tm) = radial_profile(lay, r, L)
     kap = lay.kappa
     kr = kap * r

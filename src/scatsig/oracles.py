@@ -256,9 +256,9 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
     return out
 
 
-def first_tev(medium, l_max=5, k_start=0.05, k_max=200.0):
-    """Smallest transmission eigenvalue, extending the search window as needed."""
-    lo = k_start
+def first_tev(medium, l_max=5, k_max=200.0):
+    """Smallest transmission eigenvalue above k = 0.05, extending the search window as needed."""
+    lo = 0.05
     width = 4.0 / medium.radius
     while lo < k_max:
         hi = min(lo + width, k_max)
@@ -354,14 +354,14 @@ class StekloffMode:
         scale = max(abs(curl_term), abs(self.lam * s_term))
         return num / scale if scale > 0 else num
 
-    def volume_norm2(self, r_max=None, n_radial=64):
-        """Integral of |w|^2 over the ball r < r_max (default: all of B)."""
+    def volume_norm2(self, r_max=None):
+        """Integral of |w|^2 over the ball r < r_max (default: all of B), by 64-point Gauss."""
         r_max = self.R if r_max is None else min(r_max, self.R)
         fam = 0 if self.mode.family == "TE" else 1
         total = 0.0
         for lay in self.layers:
             if lay.r_lo < r_max:
-                ints = forward.radial_energy(lay, self.mode.l, n_radial, r_max)
+                ints = forward.radial_energy(lay, self.mode.l, 64, r_max)
                 total += float(ints[fam][self.mode.l])
         return total
 
@@ -435,19 +435,18 @@ def stekloff_eigs_ball(scene, R, k, l_max, s_kind="CURL_CURL"):
     return modes
 
 
-def shift_estimate(mode, dn, r_c, k=None):
+def shift_estimate(mode, dn, r_c):
     """First-order prediction of lam - lam_perturbed for an index bump.
 
     The perturbation adds dn to the index on r < r_c. The linearized
     shift is -k^2 * dn * int_{r<r_c} |w|^2 dx / <S w_T, S w_T>. Modes in
     the kernel of S (TM with the curl-curl smoother) are rejected.
     """
-    k = mode.k if k is None else k
     denom = mode.boundary_s_norm2()
     if denom == 0.0:
         raise ValueError("mode lies in the kernel of S: shift undefined")
     if r_c <= 0 or r_c > mode.R:
         raise ValueError("perturbation radius must lie in (0, R]")
     num = mode.volume_norm2(r_max=r_c)
-    return -(k**2) * complex(dn) * num / denom
+    return -(mode.k**2) * complex(dn) * num / denom
 

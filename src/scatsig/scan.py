@@ -46,8 +46,8 @@ class TikhonovConfig:
         if isinstance(self.alpha, str):
             if self.alpha != "auto":
                 raise ValueError(f"alpha must be positive or 'auto', got {self.alpha!r}")
-        elif not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        elif not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def _auto_alpha(noise_eps, norm):
@@ -66,8 +66,10 @@ class ZSampling:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("need at least one sample point")
-        if self.r_z <= 0:
-            raise ValueError("sample ball radius must be positive")
+        if not 0 < self.r_z < np.inf:
+            raise ValueError(f"sample ball radius r_z must be positive and finite, got {self.r_z}")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"sample ball center must be finite, got {self.center}")
 
     def validate_inside(self, a):
         if self.r_z + float(np.linalg.norm(self.center)) >= a:

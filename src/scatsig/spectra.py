@@ -44,7 +44,6 @@ class PhaseTrack:
     phases: list
     dip_minus: np.ndarray
     dip_plus: np.ndarray
-    floor: float
 
 
 def _sort_order(vals):
@@ -117,23 +116,23 @@ def circle_residual(eigset, kind=None, k=None):
     return np.abs(np.abs(vals - c) - r)
 
 
-def energy_identity_residual(A, g, h, quad=None, medium=None, k=None, n_radial=48):
-    """LHS minus RHS of the absorption energy identity.
+def energy_identity_residual(A, g, h, medium=None):
+    """LHS minus RHS of the absorption energy identity at the operator's k.
 
     RHS = -2 pi (Ag, h) - 2 pi (g, Ah) - (Ag, Ah) in the discrete inner
     product. LHS = k * sum_layers Im(n) int |interior field cross term|,
-    evaluated mode by mode with the exact radial profiles; it vanishes
-    when the index is real. Returns the complex difference.
+    evaluated mode by mode with the exact radial profiles (48-point
+    Gauss per layer); it vanishes when the index is real. ``medium``
+    defaults to A.medium. Returns the complex difference.
     """
-    quad = quad or A.quad
+    quad, k = A.quad, A.k
     medium = medium if medium is not None else A.medium
-    k = k if k is not None else A.k
     ag = A.apply(g)
     ah = A.apply(h)
     rhs = (
-        -2.0 * np.pi * inner_product(ag, h, quad)
-        - 2.0 * np.pi * inner_product(g, ah, quad)
-        - inner_product(ag, ah, quad)
+        -2.0 * np.pi * inner_product(ag, h)
+        - 2.0 * np.pi * inner_product(g, ah)
+        - inner_product(ag, ah)
     )
     if all(abs(n.imag) == 0.0 for _, n in medium.layers):
         lhs = 0.0 + 0.0j
@@ -148,14 +147,14 @@ def energy_identity_residual(A, g, h, quad=None, medium=None, k=None, n_radial=4
         for lay, (_, n_layer) in zip(layers, medium.layers):
             if n_layer.imag == 0.0:
                 continue
-            i_te, i_tm = forward.radial_energy(lay, L, n_radial)
+            i_te, i_tm = forward.radial_energy(lay, L, 48)
             lhs += k * n_layer.imag * np.sum(
                 a_g * a_h.conj() * i_te[0, ells] + b_g * b_h.conj() * i_tm[1, ells]
             )
     return complex(lhs - rhs)
 
 
-def lidski_positivity(A, k=None, samples=32, seed=0):
+def lidski_positivity(A, samples=32, seed=0):
     """Minimum of Im((-ik A) g, g) over random unit kernels g.
 
     The scaled electric operator -ik F_e has nonnegative imaginary part
@@ -163,7 +162,6 @@ def lidski_positivity(A, k=None, samples=32, seed=0):
     upper half plane (trace-class positivity argument). Sampling uses a
     seeded Philox stream, so the same call returns the same minimum.
     """
-    k = k if k is not None else A.k
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     quad = A.quad
     worst = np.inf
@@ -174,7 +172,7 @@ def lidski_positivity(A, k=None, samples=32, seed=0):
         if nrm == 0.0:
             continue
         g = TangentVectorField(quad, c / nrm)
-        val = (-1j * k) * inner_product(A.apply(g), g, quad)
+        val = (-1j * A.k) * inner_product(A.apply(g), g)
         worst = min(worst, val.imag)
     return float(worst)
 
@@ -228,8 +226,7 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     phase_lists = [one(k) for k in ks]
     dip_minus = np.array([np.min(np.abs(p + 1.0)) if p.size else np.inf for p in phase_lists])
     dip_plus = np.array([np.min(np.abs(p - 1.0)) if p.size else np.inf for p in phase_lists])
-    return PhaseTrack(ks=ks, phases=phase_lists, dip_minus=dip_minus,
-                      dip_plus=dip_plus, floor=float(floor))
+    return PhaseTrack(ks=ks, phases=phase_lists, dip_minus=dip_minus, dip_plus=dip_plus)
 
 
 def phase_track_to_csv(track):

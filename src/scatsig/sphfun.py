@@ -18,13 +18,14 @@ Conventions, fixed once and used everywhere downstream:
   and xi_l(x) = x h1_l(x) = psi_l + i chi_l, with Wronskians
   psi chi' - psi' chi = 1 and psi xi' - psi' xi = i.
 
+* Tangential modes (l, m), 1 <= l <= L, |m| <= l, are ordered l-major
+  with m ascending, so mode (l, m) is row l(l+1) + m - 1 of every table.
+
 All functions are pure and accept numpy arrays for the argument where
 that is useful (radial quadratures, wave-number grids).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +39,18 @@ class RecurrenceOverflowError(ArithmeticError):
     """Intermediate recurrence values left the representable range."""
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    """Degree and order of one spherical harmonic mode."""
-
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError(f"degree l must be >= 0, got {self.l}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"order |m| <= l violated: l={self.l}, m={self.m}")
-
-
 def mode_list(l_max):
-    """All tangential modes (l, m) with 1 <= l <= l_max, |m| <= l.
+    """Degrees and orders (l, m) of all tangential modes with 1 <= l <= l_max, |m| <= l.
 
-    The ordering is l-major, m ascending; it is relied upon by the
-    operator assembly code, so do not change it.
+    Two read-only int arrays in l-major, m-ascending order, so row
+    l(l+1) + m - 1 is mode (l, m); the operator assembly code relies
+    on this order, so do not change it.
     """
-    return [ModeIndex(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+    l = np.repeat(np.arange(1, l_max + 1), 2 * np.arange(1, l_max + 1) + 1)
+    m = np.arange(l.size) - l * (l + 1) + 1
+    l.setflags(write=False)
+    m.setflags(write=False)
+    return l, m
 
 
 def _check_bessel_domain(l_max, x):
@@ -294,16 +286,14 @@ def _sphere_angles(points):
 def vsh_tables(l_max, points):
     """Vector spherical harmonic tables at a batch of unit vectors.
 
-    Returns (modes, Y, U, V) where modes = mode_list(l_max), Y has shape
-    (n_modes, n_pts) and U, V have shape (n_modes, n_pts, 3). Every mode
-    row is first built at order |m|; the negative orders then become
+    Returns (Y, U, V) with one row per mode of mode_list(l_max): Y has
+    shape (n_modes, n_pts) and U, V have shape (n_modes, n_pts, 3). Every
+    mode row is first built at order |m|; the negative orders then become
     U_{l,-m} = (-1)^m conj(U_{lm}), valid for these normalized harmonics.
     """
-    modes = mode_list(l_max)
+    ell, m = mode_list(l_max)
     u, s, phi, theta_hat, phi_hat = _sphere_angles(points)
     pbar0, ptilde, tau = _legendre_ptilde_tau(l_max, u, s)
-    ell = np.array([md.l for md in modes], dtype=int)
-    m = np.array([md.m for md in modes], dtype=int)
     am = np.abs(m)
     eim = np.exp(1j * np.outer(np.arange(l_max + 1), phi))[am][..., None]  # (M, n, 1)
     pt = ptilde[ell, am]
@@ -328,18 +318,20 @@ def vsh_tables(l_max, points):
     Y[neg] = sign[:, None] * np.conj(Y[neg])
     U[neg] = sign[:, None, None] * np.conj(U[neg])
     V[neg] = sign[:, None, None] * np.conj(V[neg])
-    return modes, Y, U, V
+    return Y, U, V
 
 
-def vector_spherical_harmonics(mode, xhat):
-    """(Y, U, V) of a single mode at a single unit vector.
+def vector_spherical_harmonics(l, m, xhat):
+    """(Y, U, V) of the single mode (l, m) at a single unit vector.
 
     U is the normalized surface gradient of Y, V = xhat x U; both are
     tangential. Evaluation arbitrarily close to the poles is safe: the
     Legendre recurrences never divide by sin(theta).
     """
-    if mode.l < 1:
-        raise ValueError("tangential harmonics need l >= 1")
-    modes, Y, U, V = vsh_tables(mode.l, np.asarray(xhat, dtype=float)[None, :])
-    pos = modes.index(mode)
-    return Y[pos, 0], U[pos, 0], V[pos, 0]
+    if l < 1:
+        raise ValueError(f"tangential harmonics need l >= 1, got l={l}")
+    if abs(m) > l:
+        raise ValueError(f"order |m| <= l violated: l={l}, m={m}")
+    Y, U, V = vsh_tables(l, np.asarray(xhat, dtype=float)[None, :])
+    row = l * (l + 1) + m - 1
+    return Y[row, 0], U[row, 0], V[row, 0]

@@ -36,8 +36,8 @@ def full_node_modal_sum(kind, scene, k, quad):
     col_w = np.repeat(quad.weights, 2)
     total = 0.0
     for scale, coefs in sets:
-        _, _, U, V = vsh_tables(coefs.L, quad.nodes)
-        ells = np.array([m.l for m in mode_list(coefs.L)])
+        _, U, V = vsh_tables(coefs.L, quad.nodes)
+        ells, _ = mode_list(coefs.L)
         phi_u = np.einsum("jsc,mjc->jsm", frames, U).reshape(2 * quad.n_nodes, -1)
         phi_v = np.einsum("jsc,mjc->jsm", frames, V).reshape(2 * quad.n_nodes, -1)
         phi_a, phi_b = (phi_v, phi_u) if kind == "ELECTRIC" else (phi_u, phi_v)

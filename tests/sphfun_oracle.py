@@ -16,7 +16,6 @@ from scatsig.sphfun import (
     RecurrenceOverflowError,
     _check_bessel_domain,
     _sphere_angles,
-    mode_list,
 )
 
 
@@ -143,20 +142,20 @@ def _legendre_ptilde_tau(l_max, u, s):
 def vsh_tables(l_max, points):
     """Vector spherical harmonic tables at a batch of unit vectors.
 
-    Returns (modes, Y, U, V) where modes = mode_list(l_max), Y has shape
-    (n_modes, n_pts) and U, V have shape (n_modes, n_pts, 3). Negative
-    orders come from U_{l,-m} = (-1)^m conj(U_{lm}), valid for these
-    normalized harmonics.
+    Returns (Y, U, V) with rows over the modes (l, m), l = 1..l_max and
+    m = -l..l, l-major: Y has shape (n_modes, n_pts) and U, V have shape
+    (n_modes, n_pts, 3). Negative orders come from
+    U_{l,-m} = (-1)^m conj(U_{lm}), valid for these normalized harmonics.
     """
-    modes = mode_list(l_max)
+    n_modes = l_max * (l_max + 2)
     u, s, phi, theta_hat, phi_hat = _sphere_angles(points)
     n = u.shape[0]
     pbar0, ptilde, tau = _legendre_ptilde_tau(l_max, u, s)
     eim = np.exp(1j * np.outer(np.arange(l_max + 1), phi))  # (m, n)
 
-    Y = np.zeros((len(modes), n), dtype=complex)
-    U = np.zeros((len(modes), n, 3), dtype=complex)
-    V = np.zeros((len(modes), n, 3), dtype=complex)
+    Y = np.zeros((n_modes, n), dtype=complex)
+    U = np.zeros((n_modes, n, 3), dtype=complex)
+    V = np.zeros((n_modes, n, 3), dtype=complex)
 
     idx = 0
     for l in range(1, l_max + 1):
@@ -181,4 +180,4 @@ def vsh_tables(l_max, points):
             U[idx] = um
             V[idx] = vm
             idx += 1
-    return modes, Y, U, V
+    return Y, U, V

@@ -218,7 +218,7 @@ def test_09_smoother_and_stekloff_oracle_structure():
         for l in (1, 2, 5, 20) for R in (0.5, 1.0, 2.0)
     )
     quad = build_quadrature("PRODUCT_GAUSS", 6)
-    _, _, _, V = vsh_tables(5, quad.nodes)
+    _, _, V = vsh_tables(5, quad.nodes)
 
     def apply_s(f):
         cv = np.einsum("jc,mjc->m", quad.weights[:, None] * f.vectors(), V.conj())

@@ -161,7 +161,7 @@ def test_negative_noise_rejected():
 
 
 def test_oracle_needs_which():
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError, match="which"):
         parse_config(["oracle"])
     assert parse_config(["oracle", "tev"]).which == "tev"
 
@@ -255,9 +255,27 @@ def test_grid_and_rect_exclude_each_other(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["stekloff-scan", "--quad", "--grid=-2:-1:0.5"],
+    ["ffop-eigs", "--kind", "acoustic"],
+    ["oracle", "stekloff", "--s-kind", "NONE"],
+    ["oracle"],
+    ["tev-scan", "--zcount", "2.5"],
+    ["no-such-command"],
+    [],
+])
+def test_argparse_usage_errors_return_2(tmp_path, capsys, argv):
+    # argparse used to raise SystemExit(2) out of cli.main for these
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert "scatsig: configuration error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_lists_only_the_flags_a_command_reads(capsys):
-    with pytest.raises(SystemExit):
-        parse_config(["phase-track", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["phase-track", "--help"])
+    assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "--floor" in text and "--grid" in text
     assert "--noise" not in text and "--rect" not in text

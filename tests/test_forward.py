@@ -144,6 +144,16 @@ def test_medium_spec_validation():
         DipoleSource(np.zeros(3), np.zeros(3), 1.0)
 
 
+@pytest.mark.parametrize("R, lam, name", [
+    (1.0, np.nan, "lam"), (1.0, complex(2.0, np.inf), "lam"), (1.0, complex(np.nan, 1.0), "lam"),
+    (np.nan, 2.0, "radius R"), (np.inf, 2.0, "radius R"), (0.0, 2.0, "radius R"),
+])
+def test_impedance_ball_rejects_non_finite_parameters(R, lam, name):
+    # a NaN lam used to pass and give NaN coefficients with only a RuntimeWarning
+    with pytest.raises(ValueError, match=name):
+        ImpedanceBall(R=R, lam=lam)
+
+
 # --------------------------------------------------------------------------
 # field-level physics
 # --------------------------------------------------------------------------

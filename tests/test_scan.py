@@ -283,6 +283,9 @@ def test_tikhonov_config_validation():
         TikhonovConfig(alpha=-1e-3)
     with pytest.raises(ValueError):
         TikhonovConfig(alpha="tiny")
+    for alpha in (np.nan, np.inf):  # inf used to give an all-zero solution
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            TikhonovConfig(alpha=alpha)
     TikhonovConfig(alpha="auto")
 
 
@@ -318,6 +321,13 @@ def test_z_sampling_validation():
     with pytest.raises(ValueError):
         ZSampling(r_z=0.5, center=(0.6, 0.0, 0.0)).validate_inside(1.0)
     ZSampling(r_z=0.5).validate_inside(1.0)
+    # non-finite values used to pass validate_inside and fail later in the solve
+    for r_z in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="r_z"):
+            ZSampling(r_z=r_z)
+    for center in ((np.nan, 0.0, 0.0), (0.0, 0.0, -np.inf)):
+        with pytest.raises(ValueError, match="center"):
+            ZSampling(r_z=0.5, center=center)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ the modal algebra: the only spectral fact used is the surface Laplacian
 eigenvalue of Y_lm, which is itself verified by FD first.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from scatsig.oracles import s_modal_multiplier
-from scatsig.sphfun import ModeIndex, vector_spherical_harmonics
+from scatsig.sphfun import vector_spherical_harmonics
 
 H = 1e-5
 
@@ -31,14 +33,14 @@ def _frame(theta, phi):
 
 def _y(mode, theta, phi):
     xhat, _, _ = _frame(theta, phi)
-    y, _, _ = vector_spherical_harmonics(mode, xhat)
+    y, _, _ = vector_spherical_harmonics(*mode, xhat)
     return y
 
 
 def _components(mode, which, theta, phi):
     """(u_theta, u_phi) of U_lm or V_lm at one point."""
     xhat, th, ph = _frame(theta, phi)
-    _, u, v = vector_spherical_harmonics(mode, xhat)
+    _, u, v = vector_spherical_harmonics(*mode, xhat)
     vec = u if which == "U" else v
     return vec @ th, vec @ ph
 
@@ -79,7 +81,8 @@ def _laplacian_fd(mode, theta, phi, R):
 
 
 SAMPLE_POINTS = [(0.7, 0.3), (1.2, 2.1), (1.9, 4.4), (2.4, 5.6)]
-MODES = [ModeIndex(1, 0), ModeIndex(2, 1), ModeIndex(3, -2), ModeIndex(5, 4)]
+Mode = namedtuple("Mode", "l m")
+MODES = [Mode(1, 0), Mode(2, 1), Mode(3, -2), Mode(5, 4)]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -113,7 +116,7 @@ def test_smoother_fixes_curl_traces(mode, R):
     lam = mode.l * (mode.l + 1)
     for theta, phi in SAMPLE_POINTS[:2]:
         xhat, th, ph = _frame(theta, phi)
-        _, _, v = vector_spherical_harmonics(mode, xhat)
+        _, _, v = vector_spherical_harmonics(*mode, xhat)
         w = _scalar_curl_fd(mode, "V", theta, phi, R)
         y0 = _y(mode, theta, phi)
         ratio = w / y0  # proportionality constant of curl_R V to Y
@@ -150,7 +153,7 @@ def test_smoother_positive_and_selfadjoint():
 
     quad = build_quadrature("PRODUCT_GAUSS", 6)
     L = 5
-    _, _, U, V = vsh_tables(L, quad.nodes)
+    _, U, V = vsh_tables(L, quad.nodes)
     rng = np.random.default_rng(4)
 
     def apply_s(gfield):

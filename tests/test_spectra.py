@@ -224,7 +224,7 @@ def test_energy_identity_diagonal_choice():
     A = assemble("ELECTRIC", ABSORB, 1.0, quad)
     g, _ = _random_fields(quad, 3)
     r1 = energy_identity_residual(A, g, g)
-    r2 = energy_identity_residual(A, g, g, quad=quad, medium=ABSORB, k=1.0)
+    r2 = energy_identity_residual(A, g, g, medium=ABSORB)
     assert r1 == r2
     assert abs(r1) < 1e-9
 

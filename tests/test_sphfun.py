@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from scatsig import sphfun
 from scatsig.ffop import build_quadrature
 from scatsig.sphfun import (
-    ModeIndex,
     RecurrenceOverflowError,
     bessel_j_all,
     bessel_y_all,
@@ -171,12 +170,22 @@ def test_y_overflow_raises():
         bessel_y_all(200, 1e-3)
 
 
-def test_mode_index_validation():
-    with pytest.raises(ValueError):
-        ModeIndex(2, 3)
-    with pytest.raises(ValueError):
-        ModeIndex(-1, 0)
-    assert len(mode_list(4)) == sum(2 * l + 1 for l in range(1, 5))
+def test_mode_list_order_row_formula_and_single_mode_checks():
+    ell, m = mode_list(4)
+    want = [(l, mm) for l in range(1, 5) for mm in range(-l, l + 1)]
+    assert list(zip(ell.tolist(), m.tolist())) == want
+    assert not (ell.flags.writeable or m.flags.writeable)
+    assert np.array_equal(ell * (ell + 1) + m - 1, np.arange(len(want)))
+    assert [a.size for a in mode_list(0)] == [0, 0]
+    xhat = np.array([0.0, 0.6, 0.8])
+    Y, U, V = vsh_tables(4, xhat[None, :])
+    for l, mm in [(1, -1), (3, 2), (4, -4), (4, 4)]:
+        row = l * (l + 1) + mm - 1
+        got = vector_spherical_harmonics(l, mm, xhat)
+        assert all(np.array_equal(g, t[row, 0]) for g, t in zip(got, (Y, U, V)))
+    for l, mm in [(2, 3), (2, -3), (0, 0), (-1, 0)]:
+        with pytest.raises(ValueError, match=r"l >= 1|\|m\| <= l"):
+            vector_spherical_harmonics(l, mm, xhat)
 
 
 def _product_quadrature(n_theta):
@@ -193,8 +202,8 @@ def _product_quadrature(n_theta):
 
 def test_vsh_orthonormality():
     pts, w = _product_quadrature(12)
-    modes, Y, U, V = vsh_tables(6, pts)
-    nm = len(modes)
+    Y, U, V = vsh_tables(6, pts)
+    nm = Y.shape[0]
     gram_y = (Y * w) @ Y.conj().T
     gram_u = np.einsum("ipc,p,jpc->ij", U, w, U.conj())
     gram_v = np.einsum("ipc,p,jpc->ij", V, w, V.conj())
@@ -210,8 +219,8 @@ def test_negative_order_symmetry():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(20, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    modes, Y, U, V = vsh_tables(5, pts)
-    lookup = {(mo.l, mo.m): i for i, mo in enumerate(modes)}
+    Y, U, V = vsh_tables(5, pts)
+    lookup = {lm: i for i, lm in enumerate(zip(*(a.tolist() for a in mode_list(5))))}
     for l in range(1, 6):
         for m in range(1, l + 1):
             i_p, i_n = lookup[(l, m)], lookup[(l, -m)]
@@ -225,7 +234,7 @@ def test_v_is_xhat_cross_u():
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(15, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    _, _, U, V = vsh_tables(4, pts)
+    _, U, V = vsh_tables(4, pts)
     crossed = np.cross(pts[None, :, :], U)
     assert np.max(np.abs(crossed - V)) < 1e-13
 
@@ -234,7 +243,7 @@ def test_tangency():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(25, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    _, _, U, V = vsh_tables(6, pts)
+    _, U, V = vsh_tables(6, pts)
     assert np.max(np.abs(np.einsum("mpc,pc->mp", U, pts))) < 1e-13
     assert np.max(np.abs(np.einsum("mpc,pc->mp", V, pts))) < 1e-13
 
@@ -244,7 +253,7 @@ def test_pole_proximity_is_finite_and_accurate(theta):
     # no sin(theta) division anywhere: values stay finite and match the
     # closed forms for l = 1 arbitrarily close to the poles
     xhat = np.array([np.sin(theta), 0.0, np.cos(theta)])
-    y, u, v = vector_spherical_harmonics(ModeIndex(1, 1), xhat)
+    y, u, v = vector_spherical_harmonics(1, 1, xhat)
     assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
     # closed form: U_11 = -sqrt(3/16pi) e^{i phi} (cos theta thetahat + i phihat) / sqrt... check via
     # explicit formula U_11 = grad Y_11 / sqrt(2)
@@ -257,7 +266,7 @@ def test_pole_proximity_is_finite_and_accurate(theta):
 
 def test_closed_form_y10():
     xhat = np.array([0.0, 0.6, 0.8])
-    y, _, _ = vector_spherical_harmonics(ModeIndex(1, 0), xhat)
+    y, _, _ = vector_spherical_harmonics(1, 0, xhat)
     assert_allclose(y, np.sqrt(3 / (4 * np.pi)) * 0.8, rtol=1e-14)
 
 
@@ -266,9 +275,10 @@ def test_addition_theorem():
     rng = np.random.default_rng(19)
     pts = rng.normal(size=(8, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    modes, Y, _, _ = vsh_tables(7, pts)
+    Y, _, _ = vsh_tables(7, pts)
+    ell, _ = mode_list(7)
     for l in range(1, 8):
-        rows = [i for i, mo in enumerate(modes) if mo.l == l]
+        rows = ell == l
         total = np.sum(np.abs(Y[rows]) ** 2, axis=0)
         assert_allclose(total, (2 * l + 1) / (4 * np.pi), rtol=1e-12)
 
@@ -311,10 +321,7 @@ def test_harmonic_tables_equal_loop_reference_bit_for_bit(name):
         legendre = zip(sphfun._legendre_ptilde_tau(l_max, u, s), loop._legendre_ptilde_tau(l_max, u, s))
         for got, want in legendre:
             assert _same_bits(got, want), l_max
-        modes, *tables = vsh_tables(l_max, pts)
-        ref_modes, *ref_tables = loop.vsh_tables(l_max, pts)
-        assert modes == ref_modes
-        for got, want in zip(tables, ref_tables):
+        for got, want in zip(vsh_tables(l_max, pts), loop.vsh_tables(l_max, pts)):
             assert _same_bits(got, want), l_max
 
 

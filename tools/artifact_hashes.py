@@ -48,6 +48,9 @@ RUNS = {
     # the one run on the EQUAL_AREA rule
     "ffop_eigs_ea8": "ffop-eigs --quad ea8",
 }
+# modified subtracts the impedance coefficient set from the magnetic one in assemble_blocks
+for kind in ("magnetic", "impedance", "modified"):
+    RUNS[f"ffop_eigs_{kind}_6x12"] = f"ffop-eigs --quad 6x12 --kind {kind}"
 for q in ("6x12", "8x16"):
     RUNS.update({
         f"ffop_eigs_{q}": f"ffop-eigs --quad {q}",
