@@ -39,7 +39,6 @@ from .ffop import (
 )
 from .oracles import (
     BracketError,
-    ModeFamily,
     NeumannResonanceError,
     StekloffMode,
     first_tev,
@@ -82,7 +81,6 @@ __all__ = [
     "ImpedanceBall",
     "MediumSpec",
     "ModalCoefficients",
-    "ModeFamily",
     "NeumannResonanceError",
     "PhaseTrack",
     "RecurrenceOverflowError",

@@ -346,9 +346,9 @@ def _run_ffop_eigs(cfg):
     else:
         A = ffop.assemble_blocks(kind, scene, cfg.k, quad)
     es = spectra.eig(A)
-    try:
+    if kind in ("ELECTRIC", "MAGNETIC"):  # the kinds with a circle law
         res = spectra.circle_residual(es)
-    except ValueError:
+    else:
         res = np.full(es.values.size, np.nan)
     rows = [[v.real, v.imag, abs(v), r] for v, r in zip(es.values, res)]
     path = os.path.join(cfg.out, "ffop_eigs.csv")
@@ -423,7 +423,7 @@ def _run_oracle(cfg):
     else:
         modes = oracles.stekloff_eigs_ball(cfg.scene, cfg.B, cfg.k, cfg.lmax, s_kind=cfg.s_kind)
         rows = [
-            [m.mode.family, m.mode.l, m.lam.real, m.lam.imag, m.boundary_residual()]
+            [m.family, m.l, m.lam.real, m.lam.imag, m.boundary_residual()]
             for m in modes
         ]
         path = os.path.join(cfg.out, "oracle_stekloff.csv")
@@ -437,7 +437,7 @@ def _run_estimate_shift(cfg):
     rows = []
     for m in modes:
         shift = oracles.shift_estimate(m, cfg.delta_n, r_c)
-        rows.append([m.mode.family, m.mode.l, m.lam.real, m.lam.imag, shift.real, shift.imag])
+        rows.append([m.family, m.l, m.lam.real, m.lam.imag, shift.real, shift.imag])
     path = os.path.join(cfg.out, "shift_estimate.csv")
     export_csv(
         (["family", "l", "lambda_re", "lambda_im", "shift_re", "shift_im"], rows,
@@ -485,14 +485,18 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_heap():
     """Let glibc keep freed heap memory for reuse; a no-op without glibc's mallopt.
 
-    A scan frees and re-allocates the same few hundred kB of arrays at
-    every grid point. By default glibc hands the top of the heap back to
-    the OS once 128 KiB of it is free and maps arrays of 128 KiB and more
-    afresh, until a large freed array raises both thresholds. A scan
-    whose arrays all stay small never raises them and re-faults its
-    arrays at every point, which cost a 10x20 Stekloff rectangle scan
-    about a tenth of its time. Here arrays up to 32 MiB come from the
-    heap, and its top is trimmed only beyond 64 MiB free.
+    A noisy scan on a 12x24 rule frees and re-allocates dense 576-row
+    complex arrays (5.3 MB each: the operator, its Gram matrix and its
+    factor) at every grid point. By default glibc maps arrays of 128 KiB
+    and more afresh and hands the top of the heap back to the OS once
+    128 KiB of it is free; a freed large array raises the map threshold
+    to its size and the trim threshold only to twice that, so the few
+    arrays a point frees together are still trimmed and re-faulted. Here
+    arrays up to 32 MiB come from the heap, and its top is trimmed only
+    beyond 64 MiB free. On a 2-core VM the call won 9 of 12 alternating
+    benchmark pairs on the noisy tev_sweep (median about 1% higher) and
+    7 of 12 on the clean stekloff_rect, whose block arrays are small
+    (medians equal).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

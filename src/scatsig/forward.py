@@ -56,7 +56,6 @@ class MediumSpec:
 
     ``layers`` is a tuple of (outer_radius, n) pairs with strictly
     increasing radii; the background outside the last radius has n = 1.
-    Hashable so solver results can be cached per medium.
     """
 
     layers: tuple
@@ -257,44 +256,35 @@ def _interior_states(medium, k, l_max):
     return s_te, s_tm, layers
 
 
-def _solve_exterior(s_te, s_tm, k, a, l_max):
-    """Match interior states to incident + scattered exterior waves.
+def _modal_solve(medium, k, L):
+    """Transfer the interior solution to r = a and match it to the exterior waves.
 
-    Solves tau * s - alpha * xi_col = psi_col per degree for both
-    families; returns (alpha, beta, tau_te, tau_tm).
+    Solves tau * s - c * xi_col = psi_col per degree for each family,
+    with the TE column (psi/k, psi') and the TM column (psi'/k, psi) of
+    the Riccati functions at ka. Returns (alpha, beta, tau, layers):
+    the scattering coefficients, the (TE, TM) rows of interior scalings
+    tau and the RadialLayer list of ``_interior_states``.
     """
-    x = k * a
-    psi, dpsi, chi, dchi = riccati_all(l_max, x + 0j)
+    s_te, s_tm, layers = _interior_states(medium, k, L)
+    psi, dpsi, chi, dchi = riccati_all(L, k * medium.radius + 0j)
     xi = psi + 1j * chi
     dxi = dpsi + 1j * dchi
-    alpha = np.zeros(l_max + 1, dtype=complex)
-    beta = np.zeros(l_max + 1, dtype=complex)
-    tau_te = np.zeros(l_max + 1, dtype=complex)
-    tau_tm = np.zeros(l_max + 1, dtype=complex)
-    for fam, s, rc, drc, tau, coef in (
-        ("TE", s_te, psi, dpsi, tau_te, alpha),
-        ("TM", s_tm, psi, dpsi, tau_tm, beta),
-    ):
-        if fam == "TE":
-            rhs0, rhs1 = rc / k, drc
-            xc0, xc1 = xi / k, dxi
-        else:
-            rhs0, rhs1 = drc / k, rc
-            xc0, xc1 = dxi / k, xi
+
+    def match(s, rhs0, rhs1, xc0, xc1):
         det = -s[0] * xc1 + s[1] * xc0
-        coef[:] = (s[0] * rhs1 - s[1] * rhs0) / det
-        tau[:] = (xc0 * rhs1 - xc1 * rhs0) / det
-    return alpha, beta, tau_te, tau_tm
+        return (s[0] * rhs1 - s[1] * rhs0) / det, (xc0 * rhs1 - xc1 * rhs0) / det
+
+    alpha, tau_te = match(s_te, psi / k, dpsi, xi / k, dxi)
+    beta, tau_tm = match(s_tm, dpsi / k, psi, dxi / k, xi)
+    return alpha, beta, np.stack([tau_te, tau_tm]), layers
 
 
-@lru_cache(maxsize=512)
-def _mie_cached(medium, k, L):
+def _mie(medium, k, L):
     if medium.is_vacuum:
         alpha = np.zeros(L + 1, dtype=complex)
         beta = np.zeros(L + 1, dtype=complex)
     else:
-        s_te, s_tm, _ = _interior_states(medium, k, L)
-        alpha, beta, _, _ = _solve_exterior(s_te, s_tm, k, medium.radius, L)
+        alpha, beta, _, _ = _modal_solve(medium, k, L)
         alpha[0] = 0.0
         beta[0] = 0.0
     alpha.flags.writeable = False
@@ -312,13 +302,13 @@ def mie_coefficients(medium, k, L=None):
     if k <= 0:
         raise ValueError("wave number must be positive")
     if L is not None:
-        coefs = _mie_cached(medium, float(k), int(L))
+        coefs = _mie(medium, float(k), int(L))
         if not (medium.is_vacuum or coefs.decayed):
             raise TruncationError(f"coefficients not decayed at l = {L}")
         return coefs
     L_try = truncation_degree(k, medium.radius)
     while True:
-        coefs = _mie_cached(medium, float(k), L_try)
+        coefs = _mie(medium, float(k), L_try)
         if medium.is_vacuum or coefs.decayed:
             return coefs
         if L_try >= 200:
@@ -532,10 +522,7 @@ def interior_solutions(medium, k):
     for convenience; their truncation degree is the one used here.
     """
     coefs = mie_coefficients(medium, k)
-    L = coefs.L
-    s_te, s_tm, layers = _interior_states(medium, k, L)
-    _, _, tau_te, tau_tm = _solve_exterior(s_te, s_tm, k, medium.radius, L)
-    tau = np.stack([tau_te, tau_tm])
+    _, _, tau, layers = _modal_solve(medium, k, coefs.L)
     return coefs, [replace(lay, A=tau * lay.A, B=tau * lay.B) for lay in layers]
 
 

@@ -34,20 +34,6 @@ class NeumannResonanceError(RuntimeError):
     """k^2 is (numerically) an interior Neumann eigenvalue of the ball."""
 
 
-@dataclass(frozen=True)
-class ModeFamily:
-    """Tangential family tag: TE (curl-type, V_lm) or TM (gradient-type, U_lm)."""
-
-    family: str
-    l: int
-
-    def __post_init__(self):
-        if self.family not in ("TE", "TM"):
-            raise ValueError("family must be 'TE' or 'TM'")
-        if self.l < 1:
-            raise ValueError("degree l must be >= 1")
-
-
 def s_modal_multiplier(l, R):
     """Eigenvalues of the boundary smoothing operator S on the two families.
 
@@ -90,7 +76,6 @@ def tev_determinant(medium, l, family, k):
     largest of them.
     """
     a, n = _single_layer(medium)
-    fam = family.family if isinstance(family, ModeFamily) else family
     k = np.asarray(k, dtype=float)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
@@ -104,13 +89,13 @@ def tev_determinant(medium, l, family, k):
     psi_x, dpsi_x, _, _ = riccati_all(l_top, x)
     psi_y, dpsi_y, _, _ = riccati_all(l_top, y)
     psi_x, dpsi_x, psi_y, dpsi_y = psi_x[l], dpsi_x[l], psi_y[l], dpsi_y[l]
-    if fam == "TE":
+    if family == "TE":
         det = psi_y * dpsi_x - root_n * psi_x * dpsi_y
-    elif fam == "TM":
+    elif family == "TM":
         det = dpsi_y * psi_x - root_n * dpsi_x * psi_y
     else:
         raise ValueError("family must be 'TE' or 'TM'")
-    if (not isinstance(n, complex)) or n.imag == 0:
+    if n.imag == 0:
         det = det.real + 0.0j
     if not scalar:
         return det
@@ -126,18 +111,17 @@ def tev_min_singular(medium, l, family, k):
     tev_determinant (which is proportional to the matrix determinant).
     """
     a, n = _single_layer(medium)
-    fam = family.family if isinstance(family, ModeFamily) else family
     root_n = np.sqrt(complex(n))
     x = complex(k * a)
     y = complex(k * root_n * a)
     psi_x, dpsi_x, _, _ = riccati_all(l, np.array([x]))
     psi_y, dpsi_y, _, _ = riccati_all(l, np.array([y]))
-    if fam == "TE":
+    if family == "TE":
         cols = np.array(
             [[psi_x[l, 0] / k, psi_y[l, 0] / (k * root_n)],
              [dpsi_x[l, 0], dpsi_y[l, 0]]]
         )
-    elif fam == "TM":
+    elif family == "TM":
         cols = np.array(
             [[dpsi_x[l, 0] / k, dpsi_y[l, 0] / (k * root_n)],
              [psi_x[l, 0], psi_y[l, 0]]]
@@ -233,10 +217,8 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
     to l_max; Brent evaluates tev_determinant per degree on scalars.
     """
     a, n = _single_layer(medium)
-    if isinstance(n, complex) and n.imag != 0:
+    if n.imag != 0:
         raise ValueError("transmission eigenvalue search needs a real index")
-    if n.real <= 0:
-        raise ValueError("index must be positive")
     step = min(step, _GRID_STEP)
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
@@ -311,10 +293,12 @@ class StekloffMode:
     The eigenfunction is w = (zeta(kappa r)/(kappa r)) V_lm for TE modes
     and the usual two-component form for TM modes, with zeta given per
     layer by A psi + B chi. ``layers`` holds forward.RadialLayer records
-    with scalar A, B covering (0, R].
+    with scalar A, B covering (0, R]. ``family`` is "TE" or "TM" and
+    ``l`` the degree.
     """
 
-    mode: ModeFamily
+    family: str
+    l: int
     lam: complex
     k: float
     R: float
@@ -327,7 +311,7 @@ class StekloffMode:
         zeta = np.zeros(r.shape, dtype=complex)
         dzeta = np.zeros(r.shape, dtype=complex)
         kap = np.zeros(r.shape, dtype=complex)
-        l = self.mode.l
+        l = self.l
         for lay in self.layers:
             sel = (r > lay.r_lo) & (r <= lay.r_hi) if lay.r_lo > 0 else (r <= lay.r_hi)
             if not np.any(sel):
@@ -341,8 +325,8 @@ class StekloffMode:
     def _boundary_trace(self):
         """Amplitudes (nu x curl w, S w_T) of the mode's boundary trace at r = R."""
         z, dz, kap = (v[0] for v in self.profile(np.array([self.R])))
-        c_grad, c_curl = s_modal_multiplier(self.mode.l, self.R)
-        if self.mode.family == "TE":
+        c_grad, c_curl = s_modal_multiplier(self.l, self.R)
+        if self.family == "TE":
             return -kap * dz / (kap * self.R), c_curl * z / (kap * self.R)
         c_u = c_grad if self.s_kind == "CURL_CURL" else 1.0
         return -z / self.R, c_u * (-dz / (kap * self.R))
@@ -357,12 +341,12 @@ class StekloffMode:
     def volume_norm2(self, r_max=None):
         """Integral of |w|^2 over the ball r < r_max (default: all of B), by 64-point Gauss."""
         r_max = self.R if r_max is None else min(r_max, self.R)
-        fam = 0 if self.mode.family == "TE" else 1
+        fam = 0 if self.family == "TE" else 1
         total = 0.0
         for lay in self.layers:
             if lay.r_lo < r_max:
-                ints = forward.radial_energy(lay, self.mode.l, 64, r_max)
-                total += float(ints[fam][self.mode.l])
+                ints = forward.radial_energy(lay, self.l, 64, r_max)
+                total += float(ints[fam][self.l])
         return total
 
     def boundary_s_norm2(self):
@@ -397,41 +381,22 @@ def stekloff_eigs_ball(scene, R, k, l_max, s_kind="CURL_CURL"):
     eff = _scene_with_shell(scene, R)
     s_te, s_tm, layers = forward._interior_states(eff, k, l_max)
     kap_out = layers[-1].kappa
-    modes = []
+    families = (("TE", 0, s_te, -1), ("TM", 1, s_tm, 1))
     for l in range(1, l_max + 1):
-        scale_te = abs(kap_out * s_te[0, l]) + abs(s_te[1, l])
-        scale_tm = abs(kap_out * s_tm[0, l]) + abs(s_tm[1, l])
-        if abs(s_te[1, l]) < 1e-8 * scale_te:
-            raise NeumannResonanceError(
-                f"TE Neumann data vanishes at l = {l}: k^2 is an interior Neumann eigenvalue"
-            )
-        if abs(s_tm[1, l]) < 1e-8 * scale_tm:
-            raise NeumannResonanceError(
-                f"TM Neumann data vanishes at l = {l}: k^2 is an interior Neumann eigenvalue"
-            )
-
-    def build_layers(l, family):
-        row = {"TE": 0, "TM": 1}[family]
-        return [replace(lay, A=lay.A[row, l], B=lay.B[row, l]) for lay in layers]
-
+        for family, _, s, _ in families:
+            if abs(s[1, l]) < 1e-8 * (abs(kap_out * s[0, l]) + abs(s[1, l])):
+                raise NeumannResonanceError(f"{family} Neumann data vanishes at l = {l}: "
+                                            "k^2 is an interior Neumann eigenvalue")
     real_scene = all(n.imag == 0 for _, n in eff.layers)
-    for l in range(1, l_max + 1):
-        lam_te = -s_te[1, l] / s_te[0, l]
-        if real_scene:
-            lam_te = lam_te.real + 0.0j
-        modes.append(
-            StekloffMode(ModeFamily("TE", l), complex(lam_te), float(k), float(R),
-                         s_kind, build_layers(l, "TE"))
-        )
-        if s_kind == "IDENTITY":
-            lam_tm = s_tm[1, l] / s_tm[0, l]
+    modes = []
+    for family, row, s, sign in families if s_kind == "IDENTITY" else families[:1]:
+        for l in range(1, l_max + 1):
+            lam = sign * s[1, l] / s[0, l]
             if real_scene:
-                lam_tm = lam_tm.real + 0.0j
-            modes.append(
-                StekloffMode(ModeFamily("TM", l), complex(lam_tm), float(k), float(R),
-                             s_kind, build_layers(l, "TM"))
-            )
-    modes.sort(key=lambda m: (abs(m.lam), m.mode.l, m.mode.family))
+                lam = lam.real + 0.0j
+            radial = [replace(lay, A=lay.A[row, l], B=lay.B[row, l]) for lay in layers]
+            modes.append(StekloffMode(family, l, complex(lam), float(k), float(R), s_kind, radial))
+    modes.sort(key=lambda m: (abs(m.lam), m.l, m.family))
     return modes
 
 

@@ -204,8 +204,9 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     """Magnetic-operator phases lambda/|lambda| along a wavenumber sweep.
 
     At each k the magnetic operator is assembled and eigenvalues with
-    |lambda| >= floor * max|lambda| are kept. Reported per k: the retained
-    phases and the dip indicators min_j |phase_j + 1|, min_j |phase_j - 1|.
+    |lambda| >= floor * max|lambda| are kept, for a floor in [0, 1].
+    Reported per k: the retained phases and the dip indicators
+    min_j |phase_j + 1|, min_j |phase_j - 1|.
     The eigenvalues come from ``eig`` without vectors on the operator's
     azimuthal DFT blocks (``ffop.assemble_blocks``), one batched
     eigvals per k, in eig's order; grid points run serially, in grid
@@ -214,6 +215,8 @@ def phase_track(medium, k_range, quad, floor=1e-6):
     k_lo, k_hi, step = k_range
     if not k_lo > 0:
         raise ValueError("need 0 < k_lo < k_hi")
+    if not 0 <= floor <= 1:  # NaN included: a floor above 1 keeps no eigenvalue
+        raise ValueError(f"floor must lie in [0, 1], got {floor}")
     ks = grid_points(k_lo, k_hi, step)
 
     def one(k):

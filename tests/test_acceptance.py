@@ -294,12 +294,12 @@ def test_11_complex_stekloff_detection():
 
 def test_12_shift_estimate_is_first_order():
     base = next(m for m in stekloff_eigs_ball(BALL2, 1.0, 1.0, 2)
-                if m.mode.l == 1)
+                if m.l == 1)
 
     def err(delta):
         pert = next(m for m in stekloff_eigs_ball(MediumSpec.ball(1.0, 2.0 + delta),
                                                   1.0, 1.0, 2)
-                    if m.mode.l == 1)
+                    if m.l == 1)
         return abs((base.lam - pert.lam) - shift_estimate(base, delta, 1.0))
 
     e = {d: err(d) for d in (0.02, 0.01, 0.005)}

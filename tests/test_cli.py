@@ -339,6 +339,19 @@ def test_ffop_eigs_artifact_rows(tmp_path):
     assert lines[2].split(",")[3] == "nan"
 
 
+def test_ffop_eigs_surfaces_a_circle_residual_error(tmp_path, monkeypatch, capsys):
+    # only the kinds without a circle law get the NaN column; any other
+    # ValueError is an error of the run
+    def broken(eigset):
+        raise ValueError("stray failure")
+
+    monkeypatch.setattr(cli.spectra, "circle_residual", broken)
+    out = tmp_path / "out"
+    assert cli.main(["ffop-eigs", "--quad", "4x8", "--out", str(out)]) == 2
+    assert "stray failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ffop_eigs_vacuum_all_zero(tmp_path):
     scene_file = _write_json(tmp_path / "scene.json", VACUUM_SCENE)
     rc = cli.main(["ffop-eigs", "--quad", "4x8", "--scene", scene_file,
@@ -471,7 +484,7 @@ def test_estimate_shift_artifact(tmp_path):
 
     modes = stekloff_eigs_ball(MediumSpec.ball(1.0, 2.0), 1.0, 1.0, 2)
     row = lines[2].split(",")
-    mode = next(m for m in modes if m.mode.l == int(row[1]))
+    mode = next(m for m in modes if m.l == int(row[1]))
     assert_allclose(float(row[4]), shift_estimate(mode, 0.01, 0.5).real, rtol=1e-12)
 
 
@@ -504,6 +517,7 @@ NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
     (["ffop-eigs", "--quad", "6x12", "--noise", "nan"], "noise"),
     (["estimate-shift", "--rc", "nan"], "rc"),
     (["phase-track", "--quad", "6x12", "--floor", "nan"], "floor"),
+    (["phase-track", "--quad", "6x12", "--floor", "2"], "floor"),
     (["ffop-eigs", "--quad", "6x12", "--k", "inf"], "k"),
     (["tev-scan", "--quad", "6x12", "--grid", "3:inf:0.05"], "grid"),
     (["stekloff-scan", "--quad", "6x12", "--rect=-3:-1:-0.1:nan:3"], "rect"),
@@ -521,7 +535,8 @@ NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
     # argparse floats accept nan and inf, and JSON files accept NaN; a
-    # config-file value of the wrong type for its key fails the same way
+    # config-file value of the wrong type for its key fails the same way,
+    # and so does a phase-track floor above 1, which would keep no eigenvalue
     scene = tmp_path / "scene.json"
     scene.write_text(NAN_SCENE_TEXT)
     if argv[-2] == "--config":  # the last argument is the config file's text

@@ -17,7 +17,6 @@ from scipy.special import spherical_jn
 from scatsig import (
     BracketError,
     MediumSpec,
-    ModeFamily,
     NeumannResonanceError,
     first_tev,
     index_bound_from_tev,
@@ -87,7 +86,7 @@ NEUMANN_K = 2.7437072699922694
 
 
 def _mode(modes, fam, l):
-    return next(m for m in modes if m.mode.family == fam and m.mode.l == l)
+    return next(m for m in modes if m.family == fam and m.l == l)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +122,6 @@ def test_determinant_exact_zero_at_special_wavenumbers():
     assert abs(tev_determinant(BALL_QUARTER, 1, "TE", 2 * np.pi)) < 1e-14
 
 
-def test_determinant_accepts_mode_family_tag():
-    tag = ModeFamily("TE", 2)
-    assert tev_determinant(BALL4, 2, tag, 1.5) == tev_determinant(BALL4, 2, "TE", 1.5)
-
-
 def test_determinant_validation():
     with pytest.raises(ValueError):
         tev_determinant(BALL4, 1, "XX", 1.0)
@@ -138,13 +132,6 @@ def test_determinant_validation():
     layered = MediumSpec(layers=((0.5, 3.0 + 0.0j), (1.0, 2.0 + 0.0j)))
     with pytest.raises(ValueError):
         tev_determinant(layered, 1, "TE", 1.0)
-
-
-def test_mode_family_validation():
-    with pytest.raises(ValueError):
-        ModeFamily("TX", 1)
-    with pytest.raises(ValueError):
-        ModeFamily("TE", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +352,7 @@ def test_index_bound_validation():
 
 def test_stekloff_ball_matches_reference():
     modes = stekloff_eigs_ball(BALL2, 1.0, 1.0, 5)
-    assert all(m.mode.family == "TE" for m in modes)
+    assert all(m.family == "TE" for m in modes)
     mags = [abs(m.lam) for m in modes]
     assert mags == sorted(mags)
     for l, lam_ref in enumerate(STEKLOFF_N2_TE, start=1):

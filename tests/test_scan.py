@@ -223,7 +223,8 @@ def test_stekloff_rectangle_evaluates_the_boundary_tables_once(monkeypatch):
     k = 1.0
     quad = build_quadrature("PRODUCT_GAUSS", 6)
     rect = np.linspace(-3.4, -0.6, 9)[None, :] + 1j * np.linspace(-0.1, 0.6, 9)[:, None]
-    forward.mie_coefficients(BALL2, k)  # the magnetic operator's own tables
+    coefs = forward.mie_coefficients(BALL2, k)  # the magnetic operator's own tables
+    monkeypatch.setattr(ffop, "mie_coefficients", lambda medium, k: coefs)
     forward._boundary_tables.cache_clear()
     calls = []
 

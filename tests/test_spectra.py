@@ -332,6 +332,9 @@ def test_phase_track_grid_and_floor():
         phase_track(BALL2, (2.0, 1.0, 0.1), quad)
     with pytest.raises(ValueError):
         phase_track(BALL2, (1.0, 2.0, -0.1), quad)
+    for floor in (float("nan"), -0.5, 2.0):  # above 1 or NaN, no eigenvalue would be kept
+        with pytest.raises(ValueError, match="floor"):
+            phase_track(BALL2, (1.0, 1.1, 0.05), quad, floor=floor)
     track = phase_track(BALL2, (1.0, 1.1, 0.05), quad, floor=1e-3)
     loose = phase_track(BALL2, (1.0, 1.1, 0.05), quad, floor=1e-9)
     assert all(a.size <= b.size for a, b in zip(track.phases, loose.phases))

@@ -28,7 +28,11 @@ RUNS = {
     # 31 roots down to small k, where the high-degree rows of the shared grid tables are smallest
     "oracle_tev_wide": "oracle tev --scene ball4 --grid 0.05:8.0:0.01 --lmax 10",
     "index_bound": "index-bound --k1 3.141592653589793 --n-lo 3 --n-hi 5",
+    # without --k1 the scene's own first eigenvalue comes from first_tev
+    "index_bound_first_tev": "index-bound --scene ball4 --n-lo 3 --n-hi 5",
     "oracle_stekloff": "oracle stekloff --s-kind IDENTITY --lmax 8",
+    # the default CURL_CURL smoother: TE modes only
+    "oracle_stekloff_curl_curl": "oracle stekloff --lmax 8",
     "estimate_shift": "estimate-shift --s-kind IDENTITY --lmax 8",
     "bench_stekloff_rect": "stekloff-scan --scene absorbing --k 1 --B 1 --quad 10x20 "
                            "--rect=-3.42:-0.54:-0.11:0.61:9 --zcount 10 --zseed 1",
