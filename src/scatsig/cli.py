@@ -486,17 +486,22 @@ def _keep_freed_heap():
     """Let glibc keep freed heap memory for reuse; a no-op without glibc's mallopt.
 
     A noisy scan on a 12x24 rule frees and re-allocates dense 576-row
-    complex arrays (5.3 MB each: the operator, its Gram matrix and its
-    factor) at every grid point. By default glibc maps arrays of 128 KiB
-    and more afresh and hands the top of the heap back to the OS once
-    128 KiB of it is free; a freed large array raises the map threshold
-    to its size and the trim threshold only to twice that, so the few
-    arrays a point frees together are still trimmed and re-faulted. Here
-    arrays up to 32 MiB come from the heap, and its top is trimmed only
-    beyond 64 MiB free. On a 2-core VM the call won 9 of 12 alternating
+    arrays at every grid point: the clean operator, the real buffer of
+    the noise draws (2.7 MB), the noisy operator, which the solver
+    weights in place, and the Gram, which it factors in place (5.3 MB
+    each). By default glibc maps arrays of 128 KiB and more afresh and
+    hands the top of the heap back to the OS once 128 KiB of it is
+    free; a freed large array raises the map threshold to its size and
+    the trim threshold only to twice that, so the few arrays a point
+    frees together are still trimmed and re-faulted. Here arrays up to
+    32 MiB come from the heap, and its top is trimmed only beyond
+    64 MiB free. On a 2-core VM the call won 9 of 12 alternating
     benchmark pairs on the noisy tev_sweep (median about 1% higher) and
     7 of 12 on the clean stekloff_rect, whose block arrays are small
-    (medians equal).
+    (medians equal), while a point still held four dense arrays in its
+    solver. With two it won 6 of 12 tev_sweep pairs: medians 18.6 and
+    18.9 points/s with and without it, within the spread of either set,
+    and the same peak RSS.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

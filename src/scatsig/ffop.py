@@ -463,6 +463,13 @@ def assemble(kind, scene, k, quad):
     return FarFieldMatrix(mat, kind, float(k), quad, medium=medium)
 
 
+def _require_dense(A, name):
+    """Raise TypeError unless A is a dense FarFieldMatrix; ``name`` is the caller."""
+    if not isinstance(A, FarFieldMatrix):
+        raise TypeError(f"{name} needs a dense FarFieldMatrix, made with ffop.assemble, "
+                        f"not a {type(A).__name__}")
+
+
 def add_noise(A, eps, seed, stream=0):
     """Multiplicative noise: every entry times 1 + eps (zeta + i mu)/sqrt(2).
 
@@ -472,6 +479,7 @@ def add_noise(A, eps, seed, stream=0):
     the plain key ``seed``; scans use the grid index as the stream, so
     distinct seeds never share a draw.
     """
+    _require_dense(A, "add_noise")
     if not 0 <= eps < np.inf:
         raise ValueError(f"noise level eps must be finite and >= 0, got {eps}")
     if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
@@ -480,18 +488,19 @@ def add_noise(A, eps, seed, stream=0):
         return FarFieldMatrix(A.matrix.copy(), A.kind, A.k, A.quad, medium=A.medium,
                               noise_eps=0.0, seed=int(seed))
     gen = np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
-    zeta = gen.uniform(-1.0, 1.0, size=A.matrix.shape)
-    mu = gen.uniform(-1.0, 1.0, size=A.matrix.shape)
     # 1 + eps (zeta + i mu) / sqrt(2) built in place: numpy divides a complex
     # by the real sqrt(2) as a product with 1 / sqrt(2), so these are its bits
     inv = 1.0 / np.sqrt(2.0)
     factor = np.empty(A.matrix.shape, dtype=complex)
-    re, im = factor.real, factor.imag
-    np.multiply(zeta, eps, out=re)
-    re *= inv
-    re += 1.0
-    np.multiply(mu, eps, out=im)
-    im *= inv
+    u = np.empty(A.matrix.shape)
+    for part in (factor.real, factor.imag):
+        # zeta, then mu, through one buffer: uniform(-1, 1) is -1 + 2 u of the same draws
+        gen.random(out=u)
+        u *= 2.0
+        u -= 1.0
+        np.multiply(u, eps, out=part)
+        part *= inv
+    factor.real += 1.0
     # A * factor in this operand order: numpy's complex product is not
     # bit-commutative, its SIMD loop rounds one of the two cross terms first
     np.multiply(A.matrix, factor, out=factor)
@@ -511,6 +520,7 @@ def adjoint(A):
 
     Satisfies (A u, v) = (u, A* v) exactly in the discrete inner product.
     """
+    _require_dense(A, "adjoint")
     w = A.weight_vector()
     mat = (A.matrix.conj().T * w[None, :]) / w[:, None]
     return FarFieldMatrix(mat, A.kind, A.k, A.quad, medium=A.medium,
@@ -524,6 +534,7 @@ def save_ffop(A, path):
     N_q u32, t u32, then nodes, weights, e1, e2 as f64 arrays, then the
     matrix entries row-major with interleaved (re, im) f64 pairs.
     """
+    _require_dense(A, "save_ffop")
     header = struct.pack(
         _FFOP_HEADER,
         _FFOP_MAGIC,

@@ -280,16 +280,41 @@ def _modal_solve(medium, k, L):
 
 
 def _mie(medium, k, L):
+    """Coefficients at degree L, with the (tau, layers) of their modal solve.
+
+    A vacuum ball has no modal solve, and its (tau, layers) are None.
+    """
+    interior = None
     if medium.is_vacuum:
         alpha = np.zeros(L + 1, dtype=complex)
         beta = np.zeros(L + 1, dtype=complex)
     else:
-        alpha, beta, _, _ = _modal_solve(medium, k, L)
+        alpha, beta, tau, layers = _modal_solve(medium, k, L)
+        interior = (tau, layers)
         alpha[0] = 0.0
         beta[0] = 0.0
     alpha.flags.writeable = False
     beta.flags.writeable = False
-    return ModalCoefficients(alpha=alpha, beta=beta, L=L)
+    return ModalCoefficients(alpha=alpha, beta=beta, L=L), interior
+
+
+def _truncated_mie(medium, k, L):
+    """``mie_coefficients`` with the (tau, layers) of its final ``_mie`` call."""
+    if k <= 0:
+        raise ValueError("wave number must be positive")
+    if L is not None:
+        coefs, interior = _mie(medium, float(k), int(L))
+        if not (medium.is_vacuum or coefs.decayed):
+            raise TruncationError(f"coefficients not decayed at l = {L}")
+        return coefs, interior
+    L_try = truncation_degree(k, medium.radius)
+    while True:
+        coefs, interior = _mie(medium, float(k), L_try)
+        if medium.is_vacuum or coefs.decayed:
+            return coefs, interior
+        if L_try >= 200:
+            raise TruncationError("no coefficient decay below l = 200")
+        L_try = int(L_try * 1.5) + 5
 
 
 def mie_coefficients(medium, k, L=None):
@@ -299,21 +324,7 @@ def mie_coefficients(medium, k, L=None):
     automatically until the coefficients decay below 1e-14 of their
     peak; an explicit L that has not decayed raises TruncationError.
     """
-    if k <= 0:
-        raise ValueError("wave number must be positive")
-    if L is not None:
-        coefs = _mie(medium, float(k), int(L))
-        if not (medium.is_vacuum or coefs.decayed):
-            raise TruncationError(f"coefficients not decayed at l = {L}")
-        return coefs
-    L_try = truncation_degree(k, medium.radius)
-    while True:
-        coefs = _mie(medium, float(k), L_try)
-        if medium.is_vacuum or coefs.decayed:
-            return coefs
-        if L_try >= 200:
-            raise TruncationError("no coefficient decay below l = 200")
-        L_try = int(L_try * 1.5) + 5
+    return _truncated_mie(medium, k, L)[0]
 
 
 @lru_cache(maxsize=64)
@@ -521,8 +532,9 @@ def interior_solutions(medium, k):
     amplitude. Exterior scattering coefficients come along as ``coefs``
     for convenience; their truncation degree is the one used here.
     """
-    coefs = mie_coefficients(medium, k)
-    _, _, tau, layers = _modal_solve(medium, k, coefs.L)
+    coefs, interior = _truncated_mie(medium, k, None)
+    # the coefficients' own modal solve, run again only for a vacuum ball
+    tau, layers = interior or _modal_solve(medium, k, coefs.L)[2:]
     return coefs, [replace(lay, A=tau * lay.A, B=tau * lay.B) for lay in layers]
 
 

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.blas import zgemm, zhemm
+from scipy.linalg.blas import zgemm
 from scipy.linalg.lapack import zpotrf, zpotrs
 
 from . import ffop, forward
@@ -119,17 +119,38 @@ def _block_factor(gram, lower):
 
     ``lower`` picks the triangle that is read and factored. These are
     the LAPACK calls scipy's cho_factor makes, without its per-slice
-    Python wrapper and finite checks.
+    Python wrapper and finite checks. A Fortran-ordered block is
+    factored in its own buffer; f2py copies any other block first.
     """
     factors = []
     for q, g in enumerate(gram):
-        c, info = zpotrf(g, lower=lower, clean=0)
+        c, info = zpotrf(g, lower=lower, clean=0, overwrite_a=1)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"block {q} of the normal equations is not positive definite "
                 f"(leading minor {info})")
         factors.append(c)
     return factors
+
+
+_TILE = 64
+
+
+def _transpose_in_place(a):
+    """Transpose the square array ``a`` in its own buffer, one tile pair at a time.
+
+    ``a[...] = a.T`` would first copy all of ``a``; here the temporaries
+    are _TILE x _TILE tiles.
+    """
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        a[rows, rows] = a[rows, rows].T.copy()
+        for j in range(i + _TILE, n, _TILE):
+            cols = slice(j, j + _TILE)
+            tile = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = tile.T
 
 
 def cho_solve(factors, rhs, lower):
@@ -150,18 +171,23 @@ def cho_solve(factors, rhs, lower):
 class _NormalSolver:
     """Factorized weighted normal equations (alpha W + A^H W A) G = A^H W B.
 
-    A dense FarFieldMatrix is one system with the node weights. Its
-    Gram is the lower triangle of X^H X with X = W^1/2 A, and Gram,
-    norm, factor, right-hand sides and residuals all run in scipy's
-    BLAS and LAPACK, so a grid point never switches between numpy's and
-    scipy's OpenBLAS thread pools (docs section 11). A
-    FarFieldBlocks stack is n_phi blocks with the latitude weights, and
-    right-hand sides are DFT'd over azimuth into it; Gram and products
-    are batched numpy calls. Each block, or the one dense system, is
-    factored and solved by its own zpotrf and zpotrs. A non-finite Gram
-    or right-hand side raises FloatingPointError, checked once per stack.
-    ``alpha`` is positive, or "auto" for the TikhonovConfig rule with
-    ||A|| read off this Gram before the alpha shift.
+    A dense FarFieldMatrix is one system with the node weights. The
+    solver takes over its matrix: X = W^1/2 A is formed in A's own
+    buffer, so A.matrix holds X afterwards and no second copy is kept.
+    The Gram is the lower triangle of X^H X in zherk's buffer, which is
+    then transposed in place so that zpotrf factors it without a copy;
+    a point holds two dense arrays, X and the factor. Gram, norm,
+    factor, right-hand sides and residuals, the last formed from X,
+    all run in scipy's BLAS and LAPACK, so a grid point never switches
+    between numpy's and scipy's OpenBLAS thread pools (docs section
+    11). A FarFieldBlocks stack is n_phi blocks with the latitude
+    weights, and right-hand sides are DFT'd over azimuth into it; Gram
+    and products are batched numpy calls. Each block, or the one dense
+    system, is factored and solved by its own zpotrf and zpotrs. A
+    non-finite Gram or right-hand side raises FloatingPointError,
+    checked once per stack. ``alpha`` is positive, or "auto" for the
+    TikhonovConfig rule with ||A|| read off this Gram before the alpha
+    shift.
     """
 
     def __init__(self, A, alpha):
@@ -169,20 +195,26 @@ class _NormalSolver:
         self.dense = not isinstance(A, FarFieldBlocks)
         if self.dense:
             self.sw = np.sqrt(self.w)
-            self.x = self.sw[:, None] * A.matrix
-            self.gram = ffop.gram_lower(self.x)
+            self.x = np.multiply(self.sw[:, None], A.matrix, out=A.matrix)
+            gram = ffop.gram_lower(self.x)
         else:
             self._split, self._merge = A.to_blocks, A.to_nodes
             ah = A.matrix.conj().transpose(0, 2, 1)
             self.ah_w = ah * self.w
-            self.gram = ah @ (self.w[:, None] * A.matrix)
-        _require_finite(self.gram, "Gram")
+            gram = self.gram = ah @ (self.w[:, None] * A.matrix)
+        _require_finite(gram, "Gram")
         if isinstance(alpha, str):
-            alpha = _auto_alpha(A.noise_eps, ffop.gram_norm(self.gram, self.w))
+            alpha = _auto_alpha(A.noise_eps, ffop.gram_norm(gram, self.w))
+        self.alpha_w = float(alpha) * self.w
         diag = np.arange(self.w.size)
-        self.gram[..., diag, diag] += float(alpha) * self.w
+        gram[..., diag, diag] += self.alpha_w
         self.lower = int(self.dense)  # gram_lower fills only the dense Gram's lower triangle
-        self.factor = _block_factor(self.gram.reshape((-1,) + self.gram.shape[-2:]), self.lower)
+        if self.dense:
+            # the Fortran view of the transposed buffer holds the lower triangle
+            # f2py's copy of the C-ordered triangle would hold
+            _transpose_in_place(gram)
+            gram = [gram.T]
+        self.factor = _block_factor(gram, self.lower)
 
     def _norms(self, x):
         # per-column weighted norm summed over blocks: by Parseval the node-space
@@ -197,8 +229,10 @@ class _NormalSolver:
 
     def _residual(self, g, rhs):
         if self.dense:
-            # (G g - rhs)^T = g^T conj(G) - rhs^T; gram.T holds conj(G) in its upper triangle
-            return zhemm(1.0, self.gram.T, g.T, beta=-1.0, c=rhs.T, side=1, lower=0).T
+            # X^H (X g) + alpha W g - rhs, the Gram being gone: zgemm reads X and
+            # X^T off the Fortran view x.T, and X^H v = conj(X^T conj(v))
+            xg = zgemm(1.0, self.x.T, g, trans_a=1)
+            return zgemm(1.0, self.x.T, xg.conj()).conj() + self.alpha_w[:, None] * g - rhs
         return self.gram @ g - rhs
 
     def solve(self, b):
@@ -225,9 +259,10 @@ def tikhonov_solve(A, rhs, cfg=TikhonovConfig()):
     """Regularized solution of A g = rhs: (alpha I + A*A) g = A* rhs.
 
     The adjoint is the weighted one, so the normal equations live in the
-    same discrete L2 geometry as the operator.
+    same discrete L2 geometry as the operator. The solver works on a
+    copy of A's matrix, so A is left as it was.
     """
-    g = _NormalSolver(A, cfg.alpha).solve(rhs.flat())
+    g = _NormalSolver(replace(A, matrix=A.matrix.copy()), cfg.alpha).solve(rhs.flat())
     return TangentVectorField.from_flat(A.quad, g)
 
 

@@ -232,6 +232,15 @@ def test_assemble_scene_type_errors():
         assemble("ACOUSTIC", BALL2, 1.0, quad)
 
 
+def test_dense_only_calls_reject_block_operators(tmp_path):
+    B = assemble_blocks("MAGNETIC", BALL2, 1.5, build_quadrature("PRODUCT_GAUSS", 4))
+    path = tmp_path / "op.ffop"
+    for call in (lambda: add_noise(B, 0.01, 1), lambda: adjoint(B), lambda: save_ffop(B, path)):
+        with pytest.raises(TypeError, match="dense FarFieldMatrix, made with ffop.assemble"):
+            call()
+    assert not path.exists()
+
+
 # --------------------------------------------------------------------------
 # noise model
 # --------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from scatsig.forward import (
     total_field,
     truncation_degree,
 )
+from scatsig import forward
 from scatsig.ffop import TangentVectorField, build_quadrature
 from scatsig.sphfun import bessel_j_all, riccati_all
 
@@ -216,6 +217,32 @@ def test_radial_profile_states_continuous_in_absorbing_three_layer_ball():
     assert len(pairs) == 3
     for inner, outer in pairs:
         assert np.all(np.abs(inner - outer) <= 1e-12 * np.abs(outer))
+
+
+def test_interior_solutions_reuse_the_modal_solve_of_their_coefficients(monkeypatch):
+    # one transfer-and-match: _interior_states and the match at ka each evaluate riccati_all once
+    coefs = mie_coefficients(BALL4, 3.1)
+    _, _, tau, ref_layers = forward._modal_solve(BALL4, 3.1, coefs.L)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return riccati_all(*args)
+
+    monkeypatch.setattr(forward, "riccati_all", counted)
+    mie_coefficients(BALL4, 3.1)
+    assert len(calls) == 2
+    calls.clear()
+    got, layers = interior_solutions(BALL4, 3.1)
+    assert len(calls) == 2
+    assert got.L == coefs.L
+    assert got.alpha.tobytes() == coefs.alpha.tobytes()
+    assert got.beta.tobytes() == coefs.beta.tobytes()
+    assert len(layers) == len(ref_layers) == 1
+    for lay, ref in zip(layers, ref_layers):
+        assert (lay.kappa, lay.r_lo, lay.r_hi) == (ref.kappa, ref.r_lo, ref.r_hi)
+        assert lay.A.tobytes() == (tau * ref.A).tobytes()
+        assert lay.B.tobytes() == (tau * ref.B).tobytes()
 
 
 def test_region_autoselection_matches_forced():

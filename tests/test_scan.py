@@ -6,6 +6,8 @@ on the weighted normal equations.
 """
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,7 +93,7 @@ def test_block_solve_matches_column_solves_and_dense_reference():
     shape = (2 * quad.n_nodes, 5)
     B = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
     alpha = 0.05
-    solver = scan._NormalSolver(A, alpha)
+    solver = scan._NormalSolver(replace(A, matrix=A.matrix.copy()), alpha)
     G = solver.solve(B)
     assert G.shape == B.shape
     for j in range(B.shape[1]):
@@ -99,6 +101,62 @@ def test_block_solve_matches_column_solves_and_dense_reference():
     w = np.repeat(quad.weights, 2)
     gram = A.matrix.conj().T @ (w[:, None] * A.matrix) + alpha * np.diag(w)
     assert_allclose(G, np.linalg.solve(gram, A.matrix.conj().T @ (w[:, None] * B)), rtol=1e-10)
+
+
+def test_tikhonov_solve_leaves_its_operator_unchanged():
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, 3.1, quad), 0.01, 2)
+    before = A.matrix.tobytes()
+    tikhonov_solve(A, _random_field(quad), TikhonovConfig(alpha=1e-3))
+    assert A.matrix.tobytes() == before
+
+
+def test_dense_solver_weights_its_operator_in_place():
+    # the solver takes A's buffer over for X = W^1/2 A, with the bits of the product
+    A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, 3.1, QUAD8), 0.01, 3)
+    x = np.sqrt(A.weight_vector())[:, None] * A.matrix
+    solver = scan._NormalSolver(A, "auto")
+    assert solver.x is A.matrix
+    assert A.matrix.tobytes() == x.tobytes()
+
+
+def test_dense_residual_from_x_matches_the_shifted_gram():
+    A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, 3.1, QUAD8), 0.01, 4)
+    w = A.weight_vector()
+    gram = 0.02 * np.diag(w) + A.matrix.conj().T @ (w[:, None] * A.matrix)
+    solver = scan._NormalSolver(A, 0.02)
+    gen = np.random.Generator(np.random.Philox(key=5))
+    g, rhs = (gen.standard_normal((A.dim, 3)) + 1j * gen.standard_normal((A.dim, 3))
+              for _ in range(2))
+    ref = gram @ g - rhs
+    assert np.max(np.abs(solver._residual(g, rhs) - ref)) <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 200])
+def test_transpose_in_place_equals_the_transpose(n):
+    gen = np.random.Generator(np.random.Philox(key=n))
+    a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    ref = a.T.copy()
+    scan._transpose_in_place(a)
+    assert a.tobytes() == ref.tobytes()
+
+
+def test_noisy_tev_scan_point_holds_fewer_than_three_dense_arrays():
+    # X = W^1/2 A in the noisy operator's buffer and the factor in zherk's: the
+    # peak is add_noise's, the clean and noisy operators plus one real draw buffer
+    quad = build_quadrature("PRODUCT_GAUSS", 12)
+
+    def run():
+        tev_scan(BALL4, [3.1], quad, zs=ZS4, noise_eps=0.01)
+
+    run()  # warm-up: imports and the cached mode tables
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (2 * quad.n_nodes) ** 2 * 16
 
 
 def test_block_solve_raises_when_refinement_is_exhausted(monkeypatch):
@@ -175,9 +233,12 @@ def test_block_factor_and_solve_equal_scipy_batched_cholesky_bit_for_bit(size, c
 def test_dense_factor_and_solve_equal_scipy_lower_cholesky_bit_for_bit():
     # the dense Gram is a stack of one, factored on the lower triangle of gram_lower
     A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, 3.1, QUAD8), 0.01, 1)
-    solver = scan._NormalSolver(A, "auto")
+    w = A.weight_vector()
+    gram = ffop.gram_lower(np.sqrt(w)[:, None] * A.matrix)
+    gram[np.diag_indices(w.size)] += scan._auto_alpha(A.noise_eps, ffop.gram_norm(gram, w)) * w
+    solver = scan._NormalSolver(replace(A, matrix=A.matrix.copy()), "auto")
     assert solver.lower == 1 and len(solver.factor) == 1
-    ref = scipy.linalg.cho_factor(solver.gram, lower=True, check_finite=False)
+    ref = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
     np.testing.assert_array_equal(_bits(solver.factor[0]), _bits(ref[0]))
     rhs = solver._rhs(scan._dipole_rhs(QUAD8, ZSampling(count=3).points(), 3.1, magnetic=True))
     x = scan.cho_solve(solver.factor, rhs, lower=1)

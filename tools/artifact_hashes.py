@@ -43,6 +43,11 @@ RUNS = {
     "three_layer_estimate_shift": "estimate-shift --scene three_layer --B 1.2 --s-kind IDENTITY --rc 0.8",
     # the noisy Stekloff scan runs the dense normal-equation solver on a modified operator
     "stekloff_grid_noisy_8x16": "stekloff-scan --quad 8x16 --grid=-6.0:-0.5:0.05 --noise 0.01",
+    # the noisy Stekloff scan on a complex rectangle: one dense solve per cell
+    "stekloff_rect_noisy_6x12": "stekloff-scan --quad 6x12 --rect=-4.5:-0.5:-0.2:0.8:12 --noise 0.01",
+    # the noisy dense solution read through its Herglotz field rather than its column norms
+    "tev_scan_herglotz_noisy_6x12": "tev-scan --quad 6x12 --scene ball4 --grid 3.0:3.2:0.05 "
+                                    "--noise 0.01 --zcount 3 --herglotz",
     # the IDENTITY boundary makes the TM coefficients depend on lambda through the
     # cached boundary tables; every other Stekloff run here uses CURL_CURL
     "stekloff_rect_identity_6x12": "stekloff-scan --quad 6x12 --s-kind IDENTITY "
