@@ -11,7 +11,6 @@ or a grid together with a rect, is a configuration error. Exit codes:
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -273,6 +272,8 @@ def parse_config(argv=None):
         want = _FILE_TYPES.get(types[key])
         if want and type(val) not in want:
             raise ConfigError(f"{key} must be of type {types[key]}, got {val!r}")
+        if isinstance(val, list) and any(isinstance(v, bool) for v in val):  # float(True) is 1.0
+            raise ConfigError(f"{key} must hold numbers, not true or false, got {val!r}")
     merged = {**defaults, **file_cfg, **flags}
     if merged["grid"] is not None and merged["rect"] is not None:
         raise ConfigError("grid and rect exclude each other")
@@ -364,7 +365,7 @@ def _run_tev_scan(cfg):
     quad = _quad_of(cfg)
     grid = cfg.grid or _GRID_DEFAULTS["tev-scan"]
     result = scan.tev_scan(
-        cfg.scene, tuple(grid), quad, _zs_of(cfg), scan.TikhonovConfig(cfg.alpha),
+        cfg.scene, spectra.grid_points(*grid), quad, _zs_of(cfg), scan.TikhonovConfig(cfg.alpha),
         noise_eps=cfg.noise, noise_seed=cfg.seed, herglotz=cfg.herglotz,
     )
     text = _config_line(cfg) + "\n" + scan.result_to_csv(result)
@@ -477,44 +478,7 @@ def run(cfg):
     return _RUNNERS[cfg.command](cfg)
 
 
-# glibc mallopt parameter codes (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap():
-    """Let glibc keep freed heap memory for reuse; a no-op without glibc's mallopt.
-
-    A noisy scan on a 12x24 rule frees and re-allocates dense 576-row
-    arrays at every grid point: the clean operator, the real buffer of
-    the noise draws (2.7 MB), the noisy operator, which the solver
-    weights in place, and the Gram, which it factors in place (5.3 MB
-    each). By default glibc maps arrays of 128 KiB and more afresh and
-    hands the top of the heap back to the OS once 128 KiB of it is
-    free; a freed large array raises the map threshold to its size and
-    the trim threshold only to twice that, so the few arrays a point
-    frees together are still trimmed and re-faulted. Here arrays up to
-    32 MiB come from the heap, and its top is trimmed only beyond
-    64 MiB free. On a 2-core VM the call won 9 of 12 alternating
-    benchmark pairs on the noisy tev_sweep (median about 1% higher) and
-    7 of 12 on the clean stekloff_rect, whose block arrays are small
-    (medians equal), while a point still held four dense arrays in its
-    solver. With two it won 6 of 12 tev_sweep pairs: medians 18.6 and
-    18.9 points/s with and without it, within the spread of either set,
-    and the same peak RSS.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None):
-    _keep_freed_heap()
     try:
         paths = run(parse_config(argv))
     except _NUMERIC_ERRORS as e:

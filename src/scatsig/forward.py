@@ -345,30 +345,31 @@ def _boundary_tables(L, x):
 def impedance_coefficients(ball, k):
     """Scattering coefficients of the generalized impedance ball.
 
-    TE family (both S kinds):   alpha_l = -(k psi' + lam psi)/(k xi' + lam xi)
-    TM family, S = identity:    beta_l  = -(k psi - lam psi')/(k xi - lam xi')
+    With the quotient q(lam, f, g, f_xi, g_xi) = -(k g + lam f)/(k g_xi + lam f_xi):
+
+    TE family (both S kinds):   alpha_l = q(lam, psi, psi', xi, xi')
+    TM family, S = identity:    beta_l  = q(-lam, psi', psi, xi', xi)
     TM family, S = curl-curl:   beta_l  = -psi/xi
     for l up to L = truncation_degree(k, R), with all Riccati functions
     evaluated at kR, read from the tables cached per (L, kR). A vanishing
     denominator means lam sits on the measure-zero resonant set and
-    raises ResonantParameterError.
+    raises ResonantParameterError naming the family.
     """
     if k <= 0:
         raise ValueError("wave number must be positive")
     L = truncation_degree(k, ball.R)
     psi, dpsi, xi, dxi = _boundary_tables(L, float(k * ball.R))
-    lam = ball.lam
-    den_te = k * dxi + lam * xi
-    scale_te = k * np.abs(dxi) + abs(lam) * np.abs(xi)
-    if np.any(np.abs(den_te[1:]) < 1e-12 * scale_te[1:]):
-        raise ResonantParameterError(f"TE boundary system singular at lam = {lam}")
-    alpha = -(k * dpsi + lam * psi) / den_te
+
+    def quotient(family, lam, f, g, f_xi, g_xi):
+        den = k * g_xi + lam * f_xi
+        scale = k * np.abs(g_xi) + abs(lam) * np.abs(f_xi)
+        if np.any(np.abs(den[1:]) < 1e-12 * scale[1:]):
+            raise ResonantParameterError(f"{family} boundary system singular at lam = {ball.lam}")
+        return -(k * g + lam * f) / den
+
+    alpha = quotient("TE", ball.lam, psi, dpsi, xi, dxi)
     if ball.s_kind == "IDENTITY":
-        den_tm = k * xi - lam * dxi
-        scale_tm = k * np.abs(xi) + abs(lam) * np.abs(dxi)
-        if np.any(np.abs(den_tm[1:]) < 1e-12 * scale_tm[1:]):
-            raise ResonantParameterError(f"TM boundary system singular at lam = {lam}")
-        beta = -(k * psi - lam * dpsi) / den_tm
+        beta = quotient("TM", -ball.lam, dpsi, psi, dxi, xi)
     else:
         beta = -psi / xi
     alpha[0] = 0.0

@@ -61,13 +61,22 @@ def _single_layer(medium):
     return a, n
 
 
+def _family_pair(family, psi, dpsi):
+    """The (f, g) pair of a mode family: (psi, psi') for TE, (psi', psi) for TM."""
+    if family == "TE":
+        return psi, dpsi
+    if family == "TM":
+        return dpsi, psi
+    raise ValueError("family must be 'TE' or 'TM'")
+
+
 def tev_determinant(medium, l, family, k):
     """Per-mode transmission eigenvalue determinant, vectorized over k.
 
-    With x = k a and y = k sqrt(n) a:
+    With x = k a, y = k sqrt(n) a and the family's (f, g) pair of
+    ``_family_pair``, (psi_l, psi_l') for TE and (psi_l', psi_l) for TM:
 
-        TE:  psi_l(y) psi_l'(x) - sqrt(n) psi_l(x) psi_l'(y)
-        TM:  psi_l'(y) psi_l(x) - sqrt(n) psi_l'(x) psi_l(y)
+        f(y) g(x) - sqrt(n) f(x) g(y)
 
     Zeros over k > 0 are the transmission eigenvalues of that mode. The
     expression is real for real n; no extra normalization is needed.
@@ -88,13 +97,9 @@ def tev_determinant(medium, l, family, k):
     l_top = int(l.max())
     psi_x, dpsi_x, _, _ = riccati_all(l_top, x)
     psi_y, dpsi_y, _, _ = riccati_all(l_top, y)
-    psi_x, dpsi_x, psi_y, dpsi_y = psi_x[l], dpsi_x[l], psi_y[l], dpsi_y[l]
-    if family == "TE":
-        det = psi_y * dpsi_x - root_n * psi_x * dpsi_y
-    elif family == "TM":
-        det = dpsi_y * psi_x - root_n * dpsi_x * psi_y
-    else:
-        raise ValueError("family must be 'TE' or 'TM'")
+    f_x, g_x = _family_pair(family, psi_x[l], dpsi_x[l])
+    f_y, g_y = _family_pair(family, psi_y[l], dpsi_y[l])
+    det = f_y * g_x - root_n * f_x * g_y
     if n.imag == 0:
         det = det.real + 0.0j
     if not scalar:
@@ -105,10 +110,11 @@ def tev_determinant(medium, l, family, k):
 def tev_min_singular(medium, l, family, k):
     """Smallest singular value of the column-normalized 2x2 matching matrix.
 
-    Columns are the Cauchy states (zeta/kappa, zeta') of the free-space
-    and interior solutions at r = a; a transmission eigenvalue makes the
-    columns parallel, so this is an independent root check for
-    tev_determinant (which is proportional to the matrix determinant).
+    Columns are the Cauchy states (f/kappa, g), with the family's (f, g)
+    pair of ``_family_pair``, of the free-space and interior solutions
+    at r = a; a transmission eigenvalue makes the columns parallel, so
+    this is an independent root check for tev_determinant (which is
+    proportional to the matrix determinant).
     """
     a, n = _single_layer(medium)
     root_n = np.sqrt(complex(n))
@@ -116,18 +122,9 @@ def tev_min_singular(medium, l, family, k):
     y = complex(k * root_n * a)
     psi_x, dpsi_x, _, _ = riccati_all(l, np.array([x]))
     psi_y, dpsi_y, _, _ = riccati_all(l, np.array([y]))
-    if family == "TE":
-        cols = np.array(
-            [[psi_x[l, 0] / k, psi_y[l, 0] / (k * root_n)],
-             [dpsi_x[l, 0], dpsi_y[l, 0]]]
-        )
-    elif family == "TM":
-        cols = np.array(
-            [[dpsi_x[l, 0] / k, dpsi_y[l, 0] / (k * root_n)],
-             [psi_x[l, 0], psi_y[l, 0]]]
-        )
-    else:
-        raise ValueError("family must be 'TE' or 'TM'")
+    f_x, g_x = _family_pair(family, psi_x[l, 0], dpsi_x[l, 0])
+    f_y, g_y = _family_pair(family, psi_y[l, 0], dpsi_y[l, 0])
+    cols = np.array([[f_x / k, f_y / (k * root_n)], [g_x, g_y]])
     cols = cols / np.linalg.norm(cols, axis=0)[None, :]
     return float(np.linalg.svd(cols, compute_uv=False)[-1])
 
@@ -224,7 +221,7 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
     if l_max < 1:
-        return []
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     count = int(np.ceil((k_hi - k_lo) / step)) + 1
     grid = np.linspace(k_lo, k_hi, count)
     out = []
@@ -378,6 +375,10 @@ def stekloff_eigs_ball(scene, R, k, l_max, s_kind="CURL_CURL"):
     """
     if s_kind not in ("IDENTITY", "CURL_CURL"):
         raise ValueError(f"unknown smoother kind {s_kind!r}")
+    if k <= 0:
+        raise ValueError("wave number must be positive")
+    if l_max < 1:
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     eff = _scene_with_shell(scene, R)
     s_te, s_tm, layers = forward._interior_states(eff, k, l_max)
     kap_out = layers[-1].kappa

@@ -26,7 +26,6 @@ from scipy.linalg.lapack import zpotrf, zpotrs
 from . import ffop, forward
 from .ffop import FarFieldBlocks, TangentVectorField
 from .forward import ConvergenceError, DipoleSource, ImpedanceBall, ResonantParameterError
-from .spectra import grid_points
 
 _ALPHA_FLOOR = 1e-10
 _NORMAL_EQ_TOL = 1e-10
@@ -282,16 +281,6 @@ def _dipole_rhs(quad, z_pts, k, magnetic):
     return np.stack([quad.frame_components(c).reshape(-1) for c in cols], axis=1)
 
 
-def _k_values(k_grid):
-    if isinstance(k_grid, tuple) and len(k_grid) == 3:
-        ks = grid_points(*k_grid)
-    else:
-        ks = np.asarray(k_grid, dtype=float)
-    if ks.size == 0 or np.any(ks <= 0):
-        raise ValueError("k grid must be positive and nonempty")
-    return ks
-
-
 def _scan_metadata(kind, medium, quad, zs, cfg, noise_eps, noise_seed, **extra):
     """Provenance shared by both scans, plus the scan's own keys."""
     return {
@@ -313,9 +302,9 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
              noise_eps=0.0, noise_seed=1, herglotz=False):
     """Transmission-eigenvalue scan of the magnetic far field equation.
 
-    For each k the magnetic operator is assembled, as azimuthal blocks
-    when clean and densely with multiplicative noise keyed by
-    (noise_seed, grid index) otherwise, and the equation
+    For each k value in ``k_grid`` the magnetic operator is assembled,
+    as azimuthal blocks when clean and densely with multiplicative noise
+    keyed by (noise_seed, grid index) otherwise, and the equation
     F_m g = H_{e,inf}(.; z, p), with fixed polarization p = (1,0,0), is
     solved for all sample points z in one block solve.
     The indicator is the z-averaged norm of g; with ``herglotz=True`` it
@@ -325,7 +314,9 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
     if any(n.imag != 0 for _, n in medium.layers):
         raise ValueError("transmission-eigenvalue scans require a real index")
     zs.validate_inside(medium.radius)
-    ks = _k_values(k_grid)
+    ks = np.asarray(k_grid, dtype=float)
+    if ks.size == 0 or np.any(ks <= 0):
+        raise ValueError("k grid must be positive and nonempty")
     z_pts = zs.points()
 
     def one(i, k):

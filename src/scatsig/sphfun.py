@@ -54,6 +54,8 @@ def mode_list(l_max):
 
 
 def _check_bessel_domain(l_max, x):
+    if l_max < 0:
+        raise ValueError(f"degree {l_max} must be >= 0")
     if l_max > _L_MAX_HARD:
         raise ValueError(f"degree {l_max} exceeds supported maximum {_L_MAX_HARD}")
     if not np.all(np.abs(x) < _X_ABS_MAX):  # NaN fails too

@@ -39,6 +39,7 @@ from scatsig.scan import find_peaks, stekloff_scan, tev_scan
 from scatsig.spectra import (
     circle_residual,
     energy_identity_residual,
+    grid_points,
     lidski_positivity,
     phase_track,
 )
@@ -185,7 +186,7 @@ def test_07_transmission_eigenvalue_cross_validation():
     quad = build_quadrature("PRODUCT_GAUSS", order)
     k1, _, _ = first_tev(BALL4)
 
-    res = tev_scan(BALL4, (0.5, 4.0, step), quad)
+    res = tev_scan(BALL4, grid_points(0.5, 4.0, step), quad)
     peaks = find_peaks(res)
     peak_dist = min(abs(p - k1) for p in peaks) if peaks else np.inf
 

@@ -532,11 +532,15 @@ NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
     (["estimate-shift", "--config", '{"delta_n": [1, 2, 3]}'], "delta_n"),
     (["tev-scan", "--quad", "6x12", "--config", '{"herglotz": "no"}'], "herglotz"),
     (["phase-track", "--quad", "6x12", "--floor", "2"], "floor"),
+    (["tev-scan", "--quad", "6x12", "--config", '{"grid": [true, 1.2, 0.1]}'], "grid"),
+    (["stekloff-scan", "--quad", "6x12", "--config", '{"rect": [-3, -1, false, 0.5, 3]}'], "rect"),
+    (["estimate-shift", "--config", '{"delta_n": [true, 0]}'], "delta_n"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
     # argparse floats accept nan and inf, and JSON files accept NaN; a
     # config-file value of the wrong type for its key fails the same way,
-    # and so does a phase-track floor above 1, which would keep no eigenvalue
+    # and so does a phase-track floor above 1, which would keep no eigenvalue,
+    # or true or false in a config-file list, which float() would read as 1 or 0
     scene = tmp_path / "scene.json"
     scene.write_text(NAN_SCENE_TEXT)
     if argv[-2] == "--config":  # the last argument is the config file's text
@@ -553,16 +557,36 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
 
 @pytest.mark.parametrize("k", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
-    *(["ffop-eigs", "--kind", kind, *noise] for kind in ("electric", "magnetic", "impedance", "modified")
+    *(["ffop-eigs", "--quad", "4x8", "--kind", kind, *noise]
+      for kind in ("electric", "magnetic", "impedance", "modified")
       for noise in ([], ["--noise", "0.01"])),
-    ["stekloff-scan", "--grid=-2:-1:0.5", "--zcount", "1"],
-    ["stekloff-scan", "--grid=-2:-1:0.5", "--zcount", "1", "--noise", "0.01"],
+    ["stekloff-scan", "--quad", "4x8", "--grid=-2:-1:0.5", "--zcount", "1"],
+    ["stekloff-scan", "--quad", "4x8", "--grid=-2:-1:0.5", "--zcount", "1", "--noise", "0.01"],
+    ["oracle", "stekloff"],
+    ["estimate-shift"],
 ])
 def test_non_positive_wave_number_is_a_config_error(tmp_path, capsys, argv, k):
-    # k = 0 used to reach the dual kinds' -4 pi i / k before any check and exit 3
+    # k = 0 used to reach the dual kinds' -4 pi i / k before any check and exit 3;
+    # the Stekloff oracles took k = -1 and wrote its modes
     out = tmp_path / "out"
-    assert cli.main(argv + ["--quad", "4x8", "--k", k, "--out", str(out)]) == 2
+    assert cli.main(argv + ["--k", k, "--out", str(out)]) == 2
     assert "configuration error: wave number must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lmax", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["oracle", "stekloff"],
+    ["oracle", "tev", "--grid", "3.0:3.3:0.01"],
+    ["estimate-shift"],
+    ["index-bound", "--k1", "3.14", "--n-lo", "3", "--n-hi", "5"],
+])
+def test_lmax_below_1_is_a_config_error(tmp_path, capsys, argv, lmax):
+    # lmax 0 used to write header-only artifacts (or search to k = 200 and
+    # exit 3), and lmax -1 to crash in the Bessel recurrence
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--lmax", lmax, "--out", str(out)]) == 2
+    assert "configuration error: l_max must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -132,6 +132,8 @@ def test_determinant_validation():
     layered = MediumSpec(layers=((0.5, 3.0 + 0.0j), (1.0, 2.0 + 0.0j)))
     with pytest.raises(ValueError):
         tev_determinant(layered, 1, "TE", 1.0)
+    with pytest.raises(ValueError, match="family must be 'TE' or 'TM'"):
+        tev_min_singular(BALL4, 1, "XX", 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from scatsig import (
 )
 from scatsig import cli, ffop, forward, scan
 from scatsig.scan import ScanResult, result_to_csv, result_to_json
+from scatsig.spectra import grid_points
 from scatsig.sphfun import riccati_all
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
@@ -398,7 +399,7 @@ def test_z_sampling_validation():
 
 def test_tev_scan_peak_at_first_eigenvalue():
     # oracle k_1 = pi for the n = 4 unit ball
-    res = tev_scan(BALL4, (3.04, 3.24, 0.02), QUAD8, zs=ZS4)
+    res = tev_scan(BALL4, grid_points(3.04, 3.24, 0.02), QUAD8, zs=ZS4)
     assert res.kind == "tev"
     assert res.param.shape == res.indicator.shape == (11,)
     assert res.per_z.shape == (11, 4)
@@ -410,13 +411,13 @@ def test_tev_scan_peak_at_first_eigenvalue():
 
 
 def test_tev_scan_flat_away_from_eigenvalues():
-    res = tev_scan(BALL4, (2.0, 2.2, 0.02), QUAD8, zs=ZS4)
+    res = tev_scan(BALL4, grid_points(2.0, 2.2, 0.02), QUAD8, zs=ZS4)
     assert res.indicator.max() / res.indicator.min() < 1.5
     assert find_peaks(res) == []
 
 
 def test_tev_scan_herglotz_indicator_peaks_at_same_place():
-    res = tev_scan(BALL4, (3.10, 3.18, 0.04), QUAD8,
+    res = tev_scan(BALL4, grid_points(3.10, 3.18, 0.04), QUAD8,
                    zs=ZSampling(count=2, r_z=0.3, seed=7), herglotz=True)
     assert int(np.argmax(res.indicator)) == 1
     assert res.indicator[1] > 5 * res.indicator[0]
@@ -439,30 +440,37 @@ def test_alpha_halving_dichotomy():
 
 def test_tev_scan_grid_and_scene_validation():
     with pytest.raises(ValueError):
-        tev_scan(MediumSpec.ball(1.0, 2.0 + 0.5j), (3.0, 3.2, 0.1), QUAD8, zs=ZS4)
+        tev_scan(MediumSpec.ball(1.0, 2.0 + 0.5j), grid_points(3.0, 3.2, 0.1), QUAD8, zs=ZS4)
     with pytest.raises(ValueError):
-        tev_scan(BALL4, (0.0, 1.0, 0.5), QUAD8, zs=ZS4)
+        tev_scan(BALL4, grid_points(0.0, 1.0, 0.5), QUAD8, zs=ZS4)
     with pytest.raises(ValueError):
         tev_scan(BALL4, np.array([]), QUAD8, zs=ZS4)
     with pytest.raises(ValueError):
-        tev_scan(BALL4, (3.0, 3.2, 0.1), QUAD8, zs=ZSampling(r_z=1.5))
+        tev_scan(BALL4, grid_points(3.0, 3.2, 0.1), QUAD8, zs=ZSampling(r_z=1.5))
 
 
 def test_tev_scan_tuple_grid_is_inclusive():
-    res = tev_scan(BALL4, (3.0, 3.2, 0.1), QUAD8, zs=ZSampling(count=1, r_z=0.2))
+    res = tev_scan(BALL4, grid_points(3.0, 3.2, 0.1), QUAD8, zs=ZSampling(count=1, r_z=0.2))
     assert_allclose(res.param, [3.0, 3.1, 3.2])
+
+
+def test_tev_scan_scans_the_k_values_of_a_3_tuple():
+    # a 3-tuple is three k values, not a (lo, hi, step) grid
+    res = tev_scan(BALL4, (3.0, 3.1, 3.2), QUAD8, zs=ZSampling(count=1, r_z=0.2))
+    assert res.per_z.shape == (3, 1)
+    assert list(res.param) == [3.0, 3.1, 3.2]
 
 
 def test_scan_determinism_and_thread_independence(monkeypatch):
     kwargs = dict(zs=ZS4, noise_eps=0.01, noise_seed=5)
-    a = tev_scan(BALL4, (3.0, 3.3, 0.05), QUAD8, **kwargs)
-    b = tev_scan(BALL4, (3.0, 3.3, 0.05), QUAD8, **kwargs)
+    a = tev_scan(BALL4, grid_points(3.0, 3.3, 0.05), QUAD8, **kwargs)
+    b = tev_scan(BALL4, grid_points(3.0, 3.3, 0.05), QUAD8, **kwargs)
     assert np.array_equal(a.per_z, b.per_z)
     monkeypatch.setenv("SCATSIG_THREADS", "1")
-    c = tev_scan(BALL4, (3.0, 3.3, 0.05), QUAD8, **kwargs)
+    c = tev_scan(BALL4, grid_points(3.0, 3.3, 0.05), QUAD8, **kwargs)
     assert np.array_equal(a.per_z, c.per_z)
     monkeypatch.delenv("SCATSIG_THREADS")
-    d = tev_scan(BALL4, (3.0, 3.3, 0.05), QUAD8, zs=ZS4, noise_eps=0.01, noise_seed=6)
+    d = tev_scan(BALL4, grid_points(3.0, 3.3, 0.05), QUAD8, zs=ZS4, noise_eps=0.01, noise_seed=6)
     assert not np.array_equal(a.per_z, d.per_z)
 
 
@@ -538,7 +546,7 @@ def test_stekloff_scan_validation():
 
 
 def test_scan_metadata_records_inputs():
-    res = tev_scan(BALL4, (3.0, 3.1, 0.1), QUAD8, zs=ZS4, noise_eps=0.02, noise_seed=9)
+    res = tev_scan(BALL4, grid_points(3.0, 3.1, 0.1), QUAD8, zs=ZS4, noise_eps=0.02, noise_seed=9)
     meta = res.metadata
     assert meta["kind"] == "tev"
     assert meta["noise_eps"] == 0.02 and meta["noise_seed"] == 9
@@ -572,7 +580,7 @@ def test_clean_tev_scan_block_path_matches_dense_path(order, herglotz):
     # at 6x12 the modes alias in the azimuth (L > t)
     quad = build_quadrature("PRODUCT_GAUSS", order)
     zs = ZSampling(count=2, r_z=0.3, seed=7) if herglotz else ZS4
-    grid = (3.10, 3.18, 0.04) if herglotz else (3.0, 3.3, 0.02)
+    grid = grid_points(3.10, 3.18, 0.04) if herglotz else grid_points(3.0, 3.3, 0.02)
     res = tev_scan(BALL4, grid, quad, zs=zs, herglotz=herglotz)
     per_z = np.array([
         _dense_norms(ffop.assemble("MAGNETIC", BALL4, float(k), quad),
@@ -649,7 +657,7 @@ def test_find_peaks_complex_rectangle_dominance():
 
 
 def test_result_csv_layout_and_round_trip():
-    res = tev_scan(BALL4, (3.0, 3.2, 0.1), QUAD8, zs=ZSampling(count=2, r_z=0.2))
+    res = tev_scan(BALL4, grid_points(3.0, 3.2, 0.1), QUAD8, zs=ZSampling(count=2, r_z=0.2))
     text = result_to_csv(res)
     lines = text.splitlines()
     assert lines[0].startswith("# ")

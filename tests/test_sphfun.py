@@ -148,6 +148,8 @@ def test_recurrence_relation_consistency():
 def test_domain_guards():
     with pytest.raises(ValueError):
         bessel_j_all(201, 1.0)
+    with pytest.raises(ValueError, match="degree -1 must be >= 0"):
+        riccati_all(-1, 1.0)
     with pytest.raises(ValueError):
         bessel_j_all(3, 1.0e4)
     with pytest.raises(ValueError):
