@@ -52,7 +52,6 @@ from .oracles import (
 )
 from .scan import (
     ScanResult,
-    TikhonovConfig,
     ZSampling,
     find_peaks,
     stekloff_scan,
@@ -89,7 +88,6 @@ __all__ = [
     "SphereQuadrature",
     "StekloffMode",
     "TangentVectorField",
-    "TikhonovConfig",
     "TruncationError",
     "ZSampling",
     "add_noise",

@@ -365,7 +365,7 @@ def _run_tev_scan(cfg):
     quad = _quad_of(cfg)
     grid = cfg.grid or _GRID_DEFAULTS["tev-scan"]
     result = scan.tev_scan(
-        cfg.scene, spectra.grid_points(*grid), quad, _zs_of(cfg), scan.TikhonovConfig(cfg.alpha),
+        cfg.scene, spectra.grid_points(*grid), quad, _zs_of(cfg), cfg.alpha,
         noise_eps=cfg.noise, noise_seed=cfg.seed, herglotz=cfg.herglotz,
     )
     text = _config_line(cfg) + "\n" + scan.result_to_csv(result)
@@ -386,7 +386,7 @@ def _run_stekloff_scan(cfg):
         lam_grid = spectra.grid_points(lo, hi, step)
     result = scan.stekloff_scan(
         cfg.scene, cfg.B, cfg.k, lam_grid, quad, _zs_of(cfg),
-        scan.TikhonovConfig(cfg.alpha), s_kind=cfg.s_kind,
+        cfg.alpha, s_kind=cfg.s_kind,
         noise_eps=cfg.noise, noise_seed=cfg.seed,
     )
     if cfg.rect:
@@ -404,7 +404,7 @@ def _run_stekloff_scan(cfg):
 def _run_phase_track(cfg):
     quad = _quad_of(cfg)
     grid = cfg.grid or _GRID_DEFAULTS["phase-track"]
-    track = spectra.phase_track(cfg.scene, tuple(grid), quad, floor=cfg.floor)
+    track = spectra.phase_track(cfg.scene, spectra.grid_points(*grid), quad, floor=cfg.floor)
     text = _config_line(cfg) + "\n" + spectra.phase_track_to_csv(track)
     path = os.path.join(cfg.out, "phase_track.csv")
     _write_text(text, path)

@@ -605,28 +605,21 @@ def scattered_field(medium, k, d, p, points):
     return _layer_field(lay, pts, k, coefs.L, d, p)
 
 
-def herglotz_field(g, k, x):
+def herglotz_field(g, k, x, magnetic=False):
     """Electric Herglotz function v_g(x) = -ik sum_j w_j g_j exp(-ik x.d_j).
 
-    ``g`` is a tangential field on a sphere quadrature (anything with
-    .quad and .vectors()). The quadrature rule of g fixes the accuracy.
+    ``magnetic`` gives its partner curl v_g / (ik), with ik and d_j x g_j
+    in place of -ik and g_j. ``g`` is a tangential field on a sphere
+    quadrature (anything with .quad and .vectors()), whose rule fixes
+    the accuracy.
     """
     x = np.asarray(x, dtype=float)
     nodes = g.quad.nodes
     w = g.quad.weights
-    vals = g.vectors()
+    vals = np.cross(nodes, g.vectors()) if magnetic else g.vectors()
     phase = np.exp(-1j * k * (x @ nodes.T))  # (..., N)
-    return -1j * k * np.einsum("...j,j,jc->...c", phase, w, vals)
-
-
-def magnetic_herglotz_field(g, k, x):
-    """Magnetic member of the Herglotz pair: curl v_g / (ik)."""
-    x = np.asarray(x, dtype=float)
-    nodes = g.quad.nodes
-    w = g.quad.weights
-    vals = np.cross(nodes, g.vectors())
-    phase = np.exp(-1j * k * (x @ nodes.T))
-    return 1j * k * np.einsum("...j,j,jc->...c", phase, w, vals)
+    prefactor = 1j * k if magnetic else -1j * k
+    return prefactor * np.einsum("...j,j,jc->...c", phase, w, vals)
 
 
 def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_radial=None, n_theta=12):
@@ -647,7 +640,7 @@ def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_r
     sphere = build_quadrature("PRODUCT_GAUSS", n_theta)
     dirs, wang = sphere.nodes, sphere.weights
     pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
-    field = magnetic_herglotz_field(g, k, pts) if magnetic else herglotz_field(g, k, pts)
+    field = herglotz_field(g, k, pts, magnetic=magnetic)
     dens = np.sum(np.abs(field) ** 2, axis=-1)
     val = np.einsum("i,j,ij->", wr * r**2, wang, dens)
     return float(np.sqrt(val))

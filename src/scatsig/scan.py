@@ -26,31 +26,13 @@ from scipy.linalg.lapack import zpotrf, zpotrs
 from . import ffop, forward
 from .ffop import FarFieldBlocks, TangentVectorField
 from .forward import ConvergenceError, DipoleSource, ImpedanceBall, ResonantParameterError
+from .spectra import wavenumbers
 
-_ALPHA_FLOOR = 1e-10
 _NORMAL_EQ_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TikhonovConfig:
-    """Regularization choice: a positive alpha, or the "auto" rule.
-
-    AUTO ties alpha to the data noise: alpha = eps^2 ||A||^2, floored at
-    1e-10 ||A||^2 so noiseless scans stay regularized.
-    """
-
-    alpha: float | str = "auto"
-
-    def __post_init__(self):
-        if isinstance(self.alpha, str):
-            if self.alpha != "auto":
-                raise ValueError(f"alpha must be positive or 'auto', got {self.alpha!r}")
-        elif not 0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-
-
 def _auto_alpha(noise_eps, norm):
-    return max(noise_eps**2 * norm**2, _ALPHA_FLOOR * norm**2)
+    return max(noise_eps**2 * norm**2, 1e-10 * norm**2)
 
 
 @dataclass(frozen=True)
@@ -184,12 +166,15 @@ class _NormalSolver:
     and products are batched numpy calls. Each block, or the one dense
     system, is factored and solved by its own zpotrf and zpotrs. A
     non-finite Gram or right-hand side raises FloatingPointError,
-    checked once per stack. ``alpha`` is positive, or "auto" for the
-    TikhonovConfig rule with ||A|| read off this Gram before the alpha
-    shift.
+    checked once per stack. ``alpha`` is positive and finite, or "auto"
+    for alpha = max(eps^2, 1e-10) ||A||^2 with A's noise level eps and
+    ||A|| read off this Gram before the alpha shift (docs section 11);
+    any other value raises ValueError before A is touched.
     """
 
     def __init__(self, A, alpha):
+        if not (alpha == "auto" if isinstance(alpha, str) else 0 < alpha < np.inf):
+            raise ValueError(f"alpha must be positive and finite, or 'auto', got {alpha!r}")
         self.w = A.weight_vector()
         self.dense = not isinstance(A, FarFieldBlocks)
         if self.dense:
@@ -254,14 +239,15 @@ class _NormalSolver:
         raise ConvergenceError("normal equations did not reach the residual tolerance")
 
 
-def tikhonov_solve(A, rhs, cfg=TikhonovConfig()):
+def tikhonov_solve(A, rhs, alpha="auto"):
     """Regularized solution of A g = rhs: (alpha I + A*A) g = A* rhs.
 
     The adjoint is the weighted one, so the normal equations live in the
-    same discrete L2 geometry as the operator. The solver works on a
-    copy of A's matrix, so A is left as it was.
+    same discrete L2 geometry as the operator; ``alpha`` is as in
+    ``_NormalSolver``. The solver works on a copy of A's matrix, so A is
+    left as it was.
     """
-    g = _NormalSolver(replace(A, matrix=A.matrix.copy()), cfg.alpha).solve(rhs.flat())
+    g = _NormalSolver(replace(A, matrix=A.matrix.copy()), alpha).solve(rhs.flat())
     return TangentVectorField.from_flat(A.quad, g)
 
 
@@ -281,13 +267,13 @@ def _dipole_rhs(quad, z_pts, k, magnetic):
     return np.stack([quad.frame_components(c).reshape(-1) for c in cols], axis=1)
 
 
-def _scan_metadata(kind, medium, quad, zs, cfg, noise_eps, noise_seed, **extra):
+def _scan_metadata(kind, medium, quad, zs, alpha, noise_eps, noise_seed, **extra):
     """Provenance shared by both scans, plus the scan's own keys."""
     return {
         "kind": kind,
         "medium": medium.to_json(),
         "quad": f"{quad.kind}:{quad.order}",
-        "alpha": cfg.alpha if isinstance(cfg.alpha, str) else float(cfg.alpha),
+        "alpha": alpha if isinstance(alpha, str) else float(alpha),
         "noise_eps": float(noise_eps),
         "noise_seed": int(noise_seed),
         "z_count": zs.count,
@@ -298,7 +284,7 @@ def _scan_metadata(kind, medium, quad, zs, cfg, noise_eps, noise_seed, **extra):
     }
 
 
-def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
+def tev_scan(medium, k_grid, quad, zs=ZSampling(), alpha="auto",
              noise_eps=0.0, noise_seed=1, herglotz=False):
     """Transmission-eigenvalue scan of the magnetic far field equation.
 
@@ -314,9 +300,7 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
     if any(n.imag != 0 for _, n in medium.layers):
         raise ValueError("transmission-eigenvalue scans require a real index")
     zs.validate_inside(medium.radius)
-    ks = np.asarray(k_grid, dtype=float)
-    if ks.size == 0 or np.any(ks <= 0):
-        raise ValueError("k grid must be positive and nonempty")
+    ks = wavenumbers(k_grid)
     z_pts = zs.points()
 
     def one(i, k):
@@ -326,7 +310,7 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
                                noise_seed, stream=i)
         else:
             A = ffop.assemble_blocks("MAGNETIC", medium, k, quad)
-        g = _NormalSolver(A, cfg.alpha).solve(_dipole_rhs(quad, z_pts, k, magnetic=True))
+        g = _NormalSolver(A, alpha).solve(_dipole_rhs(quad, z_pts, k, magnetic=True))
         if herglotz:
             fields = (TangentVectorField.from_flat(quad, col) for col in g.T)
             return np.array([forward.herglotz_ball_norm(f, k, medium.radius, magnetic=True)
@@ -335,12 +319,12 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
 
     rows = [one(i, k) for i, k in enumerate(ks)]
     per_z = np.vstack(rows)
-    meta = _scan_metadata("tev", medium, quad, zs, cfg, noise_eps, noise_seed,
+    meta = _scan_metadata("tev", medium, quad, zs, alpha, noise_eps, noise_seed,
                           herglotz=bool(herglotz))
     return ScanResult("tev", ks, per_z.mean(axis=1), per_z, meta)
 
 
-def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfig(),
+def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), alpha="auto",
                   s_kind="CURL_CURL", noise_eps=0.0, noise_seed=1):
     """Stekloff-eigenvalue scan of the modified far field equation.
 
@@ -357,8 +341,9 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfi
         raise ValueError("reference ball must contain the scatterer")
     zs.validate_inside(scene.radius)
     lam = np.asarray(lam_grid)
-    if lam.ndim not in (1, 2):
-        raise ValueError("lambda grid must be a 1-D list or 2-D rectangle")
+    if lam.ndim not in (1, 2) or lam.size == 0:
+        raise ValueError(f"lambda grid must be a nonempty 1-D list or 2-D rectangle, "
+                         f"got shape {lam.shape}")
     k = float(k)
     build = ffop.assemble if noise_eps > 0 else ffop.assemble_blocks
     F_m = build("MAGNETIC", scene, k, quad)
@@ -372,11 +357,11 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfi
         except ResonantParameterError:
             return np.full(rhs.shape[1], np.nan)
         A = replace(F_m, matrix=F_m.matrix - F_s.matrix, kind="MODIFIED")
-        return _column_norms(quad, _NormalSolver(A, cfg.alpha).solve(rhs))
+        return _column_norms(quad, _NormalSolver(A, alpha).solve(rhs))
 
     rows = [one(lam_val) for lam_val in lam.reshape(-1)]
     per_z = np.stack(rows).reshape(lam.shape + (rhs.shape[1],))
-    meta = _scan_metadata("stekloff", scene, quad, zs, cfg, noise_eps, noise_seed,
+    meta = _scan_metadata("stekloff", scene, quad, zs, alpha, noise_eps, noise_seed,
                           B=float(R), k=k, s_kind=s_kind)
     return ScanResult("stekloff", lam, per_z.mean(axis=-1), per_z, meta)
 
@@ -384,11 +369,12 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), cfg=TikhonovConfi
 def find_peaks(result, min_prominence=2.0):
     """Local indicator maxima exceeding min_prominence times the median.
 
-    Real grids use strict two-sided dominance, complex rectangles strict
-    8-neighborhood dominance; NaN gaps never produce peaks. Returns the
-    parameter values of the peaks. The default threshold is calibrated
-    so the reference scans detect their oracle eigenvalues without
-    flagging background wiggles; pass a higher value for noisy data.
+    A peak strictly dominates its 3-wide (grid) or 3x3 (rectangle)
+    neighbourhood, all finite, so NaN gaps never produce peaks. Returns
+    the peaks' parameter values in grid order, row-major on a rectangle.
+    The default threshold is calibrated so the reference scans detect
+    their oracle eigenvalues without flagging background wiggles; pass a
+    higher value for noisy data.
     """
     ind = result.indicator
     finite = np.isfinite(ind)
@@ -396,22 +382,12 @@ def find_peaks(result, min_prominence=2.0):
         return []
     thresh = min_prominence * float(np.median(ind[finite]))
     peaks = []
-    if ind.ndim == 1:
-        for i in range(1, ind.size - 1):
-            trio = ind[i - 1 : i + 2]
-            if np.all(np.isfinite(trio)) and ind[i] > trio[0] and ind[i] > trio[2] \
-                    and ind[i] >= thresh:
-                peaks.append(result.param[i])
-    else:
-        ny, nx = ind.shape
-        for i in range(1, ny - 1):
-            for j in range(1, nx - 1):
-                block = ind[i - 1 : i + 2, j - 1 : j + 2]
-                if not np.all(np.isfinite(block)):
-                    continue
-                c = ind[i, j]
-                if c >= thresh and np.sum(block >= c) == 1:
-                    peaks.append(result.param[i, j])
+    for corner in np.ndindex(*(max(n - 2, 0) for n in ind.shape)):
+        block = ind[tuple(slice(i, i + 3) for i in corner)]
+        centre = tuple(i + 1 for i in corner)
+        c = ind[centre]
+        if np.all(np.isfinite(block)) and c >= thresh and np.sum(block >= c) == 1:
+            peaks.append(result.param[centre])
     return peaks
 
 

@@ -188,6 +188,14 @@ def grid_points(lo, hi, step):
     return pts[pts <= hi + 1e-12 * max(1.0, abs(hi))]
 
 
+def wavenumbers(k_grid):
+    """The wavenumbers of ``k_grid`` as a float array; they must be positive and nonempty."""
+    ks = np.asarray(k_grid, dtype=float)
+    if ks.size == 0 or np.any(ks <= 0):
+        raise ValueError("k grid must be positive and nonempty")
+    return ks
+
+
 def worker_count():
     """Pool width SCATSIG_THREADS asks for (default min(4, cpu count)).
 
@@ -200,24 +208,20 @@ def worker_count():
     return min(4, os.cpu_count() or 1)
 
 
-def phase_track(medium, k_range, quad, floor=1e-6):
+def phase_track(medium, k_values, quad, floor=1e-6):
     """Magnetic-operator phases lambda/|lambda| along a wavenumber sweep.
 
-    At each k the magnetic operator is assembled and eigenvalues with
-    |lambda| >= floor * max|lambda| are kept, for a floor in [0, 1].
-    Reported per k: the retained phases and the dip indicators
-    min_j |phase_j + 1|, min_j |phase_j - 1|.
-    The eigenvalues come from ``eig`` without vectors on the operator's
-    azimuthal DFT blocks (``ffop.assemble_blocks``), one batched
-    eigvals per k, in eig's order; grid points run serially, in grid
-    order.
+    At each k of ``k_values`` the magnetic operator is assembled and
+    eigenvalues with |lambda| >= floor * max|lambda| are kept, for a
+    floor in [0, 1]. Reported per k: the retained phases and the dip
+    indicators min_j |phase_j + 1|, min_j |phase_j - 1|. The eigenvalues
+    come from ``eig`` without vectors on the operator's azimuthal DFT
+    blocks (``ffop.assemble_blocks``), one batched eigvals per k, in
+    eig's order; grid points run serially, in grid order.
     """
-    k_lo, k_hi, step = k_range
-    if not k_lo > 0:
-        raise ValueError("need 0 < k_lo < k_hi")
+    ks = wavenumbers(k_values)
     if not 0 <= floor <= 1:  # NaN included: a floor above 1 keeps no eigenvalue
         raise ValueError(f"floor must lie in [0, 1], got {floor}")
-    ks = grid_points(k_lo, k_hi, step)
 
     def one(k):
         vals = eig(ffop.assemble_blocks("MAGNETIC", medium, float(k), quad),

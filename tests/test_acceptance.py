@@ -190,7 +190,7 @@ def test_07_transmission_eigenvalue_cross_validation():
     peaks = find_peaks(res)
     peak_dist = min(abs(p - k1) for p in peaks) if peaks else np.inf
 
-    track = phase_track(BALL4, (0.5, 4.0, step), quad)
+    track = phase_track(BALL4, grid_points(0.5, 4.0, step), quad)
     near = np.abs(track.ks - k1) <= 0.01
     dip = float(track.dip_minus[near].min()) if near.any() else np.inf
 

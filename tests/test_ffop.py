@@ -627,6 +627,11 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_bytes(struct.pack("<4sIBddQII", b"FFOP", 1, len(KINDS), 1.0, 0.0, 0, 0, 0))
     with pytest.raises(ValueError, match="kind code"):
         load_ffop(path)
+    # header numbers no operator can have; eps = inf used to give an all-zero Tikhonov solution
+    for k, eps in ((np.nan, 0.0), (-1.0, 0.0), (1.0, np.inf), (1.0, -0.5)):
+        path.write_bytes(struct.pack("<4sIBddQII", b"FFOP", 1, 0, k, eps, 0, 0, 0))
+        with pytest.raises(ValueError, match=f"holds k = {k} and noise level {eps}: k must be"):
+            load_ffop(path)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 import shlex
@@ -25,6 +26,18 @@ def test_exports_resolve_and_equal_the_imports():
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert set(names) == imported
+
+
+def test_readme_api_list_equals_all():
+    section = (ROOT / "README.md").read_text().split("## Python API\n", 1)[1].split("\n## ")[0]
+    assert f"holds the {len(scatsig.__all__)} names" in section
+    listed = []
+    for bullet in re.findall(r"^\* (.*?)(?=^\* |\Z)", section, re.M | re.S):
+        module, *names = re.findall(r"`([^`]+)`", bullet)
+        mod = importlib.import_module(f"scatsig.{module}")
+        assert [n for n in names if not hasattr(mod, n)] == []
+        listed += names
+    assert sorted(listed) == sorted(scatsig.__all__)
 
 
 def _run_readme_block(index):

@@ -21,7 +21,6 @@ from scatsig import (
     ImpedanceBall,
     MediumSpec,
     TangentVectorField,
-    TikhonovConfig,
     ZSampling,
     build_quadrature,
     find_peaks,
@@ -71,7 +70,7 @@ def test_tikhonov_identity_closed_form():
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     A = _identity_operator(quad)
     b = _random_field(quad)
-    g = tikhonov_solve(A, b, TikhonovConfig(alpha=0.5))
+    g = tikhonov_solve(A, b, 0.5)
     assert_allclose(g.coeffs, b.coeffs / 1.5, rtol=1e-12)
 
 
@@ -83,7 +82,7 @@ def test_tikhonov_matches_direct_solve():
     w = np.repeat(quad.weights, 2)
     gram = A.matrix.conj().T @ (w[:, None] * A.matrix) + alpha * np.diag(w)
     g_ref = np.linalg.solve(gram, A.matrix.conj().T @ (w * b.flat()))
-    g = tikhonov_solve(A, b, TikhonovConfig(alpha=alpha))
+    g = tikhonov_solve(A, b, alpha)
     assert_allclose(g.flat(), g_ref, rtol=1e-10)
 
 
@@ -108,7 +107,7 @@ def test_tikhonov_solve_leaves_its_operator_unchanged():
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, 3.1, quad), 0.01, 2)
     before = A.matrix.tobytes()
-    tikhonov_solve(A, _random_field(quad), TikhonovConfig(alpha=1e-3))
+    tikhonov_solve(A, _random_field(quad), 1e-3)
     assert A.matrix.tobytes() == before
 
 
@@ -326,7 +325,7 @@ def test_tikhonov_large_alpha_asymptote():
     alpha = 1e8
     w = np.repeat(quad.weights, 2)
     approx = (A.matrix.conj().T @ (w * b.flat())) / (w * alpha)
-    g = tikhonov_solve(A, b, TikhonovConfig(alpha=alpha))
+    g = tikhonov_solve(A, b, alpha)
     assert_allclose(g.flat(), approx, rtol=1e-4)
 
 
@@ -334,22 +333,23 @@ def test_tikhonov_norm_monotone_in_alpha():
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     A = _random_operator(quad, seed=7)
     b = _random_field(quad, seed=8)
-    norms = [tikhonov_solve(A, b, TikhonovConfig(alpha=a)).norm()
-             for a in np.logspace(-6, 1, 12)]
+    norms = [tikhonov_solve(A, b, a).norm() for a in np.logspace(-6, 1, 12)]
     assert all(after <= before * (1 + 1e-12) for before, after in zip(norms, norms[1:]))
 
 
-def test_tikhonov_config_validation():
-    with pytest.raises(ValueError):
-        TikhonovConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        TikhonovConfig(alpha=-1e-3)
-    with pytest.raises(ValueError):
-        TikhonovConfig(alpha="tiny")
-    for alpha in (np.nan, np.inf):  # inf used to give an all-zero solution
-        with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            TikhonovConfig(alpha=alpha)
-    TikhonovConfig(alpha="auto")
+@pytest.mark.parametrize("alpha", [0.0, -1e-3, "tiny", np.nan, np.inf])
+def test_alpha_validation(alpha):
+    # inf used to give an all-zero solution
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, 3.1, quad), 0.01, 2)
+    before = A.matrix.tobytes()
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        tikhonov_solve(A, _random_field(quad), alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        scan._NormalSolver(A, alpha)
+    assert A.matrix.tobytes() == before  # rejected before the solver weights A in place
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        tev_scan(BALL4, [3.1], quad, zs=ZSampling(count=1, r_z=0.2), alpha=alpha)
 
 
 def test_auto_alpha_rule():
@@ -431,7 +431,7 @@ def test_alpha_halving_dichotomy():
     ind = {}
     for alpha in (1e-3, 5e-4):
         ind[alpha] = tev_scan(BALL4, ks, QUAD8, zs=ZS4,
-                              cfg=TikhonovConfig(alpha)).indicator
+                              alpha=alpha).indicator
     peak_ratio = ind[5e-4][0] / ind[1e-3][0]
     flat_ratio = ind[5e-4][1] / ind[1e-3][1]
     assert peak_ratio > 1.2
@@ -543,6 +543,10 @@ def test_stekloff_scan_validation():
         stekloff_scan(BALL2, 0.5, 1.0, np.array([-2.0]), QUAD8, zs=ZS4)
     with pytest.raises(ValueError):
         stekloff_scan(BALL2, 1.0, 1.0, np.zeros((2, 2, 2)), QUAD8, zs=ZS4)
+    # an empty grid used to die in np.stack with "need at least one array to stack"
+    for empty in ([], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="nonempty 1-D list or 2-D rectangle"):
+            stekloff_scan(BALL2, 1.0, 1.0, empty, QUAD8, zs=ZS4)
 
 
 def test_scan_metadata_records_inputs():
@@ -650,6 +654,52 @@ def test_find_peaks_complex_rectangle_dominance():
     edge = np.ones((3, 4))
     edge[0, 1] = 7.0  # boundary cells have no full neighborhood
     assert find_peaks(_synthetic(param, edge)) == []
+
+
+def _find_peaks_two_loops(result, min_prominence=2.0):
+    """The grid loop and the rectangle loop find_peaks ran before its one rule."""
+    ind = result.indicator
+    finite = np.isfinite(ind)
+    if not np.any(finite):
+        return []
+    thresh = min_prominence * float(np.median(ind[finite]))
+    peaks = []
+    if ind.ndim == 1:
+        for i in range(1, ind.size - 1):
+            trio = ind[i - 1 : i + 2]
+            if np.all(np.isfinite(trio)) and ind[i] > trio[0] and ind[i] > trio[2] \
+                    and ind[i] >= thresh:
+                peaks.append(result.param[i])
+    else:
+        ny, nx = ind.shape
+        for i in range(1, ny - 1):
+            for j in range(1, nx - 1):
+                block = ind[i - 1 : i + 2, j - 1 : j + 2]
+                if not np.all(np.isfinite(block)):
+                    continue
+                c = ind[i, j]
+                if c >= thresh and np.sum(block >= c) == 1:
+                    peaks.append(result.param[i, j])
+    return peaks
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(0, 12)),
+                       st.tuples(st.integers(0, 6), st.integers(0, 6))),
+       data=st.data())
+def test_find_peaks_equals_two_loop_reference(shape, data):
+    # few distinct values, so ties and NaN neighbours are common
+    values = st.sampled_from([np.nan, 0.5, 1.0, 1.0, 2.0, 2.5, 4.0, 9.0])
+    ind = np.array(data.draw(st.lists(values, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape)))), dtype=float)
+    ind = ind.reshape(shape)
+    if len(shape) == 1:
+        param = 1.0 + 0.1 * np.arange(shape[0])
+    else:
+        param = np.arange(shape[1])[None, :] + 1j * np.arange(shape[0])[:, None]
+    res = _synthetic(param, ind)
+    for prominence in (2.0, 1.2):
+        assert find_peaks(res, prominence) == _find_peaks_two_loops(res, prominence)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from scatsig.spectra import (
     circle_residual,
     eig,
     energy_identity_residual,
+    grid_points,
     lidski_positivity,
     phase_track,
     phase_track_to_csv,
@@ -249,7 +250,7 @@ def test_phase_track_flags_transmission_eigenvalue():
     # for the n = 4 ball the smallest transmission eigenvalue is exactly pi;
     # the -1 phase cluster indicator must dip there and only there
     quad = build_quadrature("PRODUCT_GAUSS", 8)
-    track = phase_track(BALL4, (3.06, 3.22, 0.04), quad)
+    track = phase_track(BALL4, grid_points(3.06, 3.22, 0.04), quad)
     assert track.ks.size == 5
     i_mid = 2  # k = 3.14
     assert track.dip_minus[i_mid] < 0.01
@@ -269,7 +270,7 @@ def test_phase_track_other_branch_low_contrast():
     quad = build_quadrature("PRODUCT_GAUSS", 14)
     med = MediumSpec.ball(1.0, 0.25)
     k0 = 2 * np.pi
-    track = phase_track(med, (k0 - 0.03, k0 + 0.03, 0.01), quad)
+    track = phase_track(med, grid_points(k0 - 0.03, k0 + 0.03, 0.01), quad)
     left = track.dip_plus[:3]  # strictly below 2 pi
     assert left.min() <= 0.01
     assert np.all(np.diff(left) < 0)  # closing in on +1 as k -> 2 pi
@@ -317,7 +318,7 @@ def test_block_eig_matches_dense_eig(rule, order, kind, scene):
 
 def test_phase_track_matches_dense_eigensolve():
     quad = build_quadrature("PRODUCT_GAUSS", 12)
-    track = phase_track(BALL4, (3.12, 3.16, 0.01), quad)
+    track = phase_track(BALL4, grid_points(3.12, 3.16, 0.01), quad)
     for i, k in enumerate(track.ks):
         kept = _kept(eig(assemble("MAGNETIC", BALL4, float(k), quad),
                          compute_vectors=False).values)
@@ -328,15 +329,14 @@ def test_phase_track_matches_dense_eigensolve():
 
 def test_phase_track_grid_and_floor():
     quad = build_quadrature("PRODUCT_GAUSS", 6)
-    with pytest.raises(ValueError):
-        phase_track(BALL2, (2.0, 1.0, 0.1), quad)
-    with pytest.raises(ValueError):
-        phase_track(BALL2, (1.0, 2.0, -0.1), quad)
+    for ks in ([], [0.0, 1.0], [1.0, -0.5]):
+        with pytest.raises(ValueError, match="k grid must be positive and nonempty"):
+            phase_track(BALL2, ks, quad)
     for floor in (float("nan"), -0.5, 2.0):  # above 1 or NaN, no eigenvalue would be kept
         with pytest.raises(ValueError, match="floor"):
-            phase_track(BALL2, (1.0, 1.1, 0.05), quad, floor=floor)
-    track = phase_track(BALL2, (1.0, 1.1, 0.05), quad, floor=1e-3)
-    loose = phase_track(BALL2, (1.0, 1.1, 0.05), quad, floor=1e-9)
+            phase_track(BALL2, grid_points(1.0, 1.1, 0.05), quad, floor=floor)
+    track = phase_track(BALL2, grid_points(1.0, 1.1, 0.05), quad, floor=1e-3)
+    loose = phase_track(BALL2, grid_points(1.0, 1.1, 0.05), quad, floor=1e-9)
     assert all(a.size <= b.size for a, b in zip(track.phases, loose.phases))
     assert np.all(np.abs(np.abs(np.concatenate(track.phases)) - 1.0) < 1e-12)
 
@@ -357,7 +357,7 @@ def test_worker_count_env(monkeypatch):
 
 def test_phase_track_csv():
     quad = build_quadrature("PRODUCT_GAUSS", 5)
-    track = phase_track(BALL2, (1.0, 1.05, 0.05), quad)
+    track = phase_track(BALL2, grid_points(1.0, 1.05, 0.05), quad)
     lines = phase_track_to_csv(track).splitlines()
     assert lines[0] == "k,dip_minus,dip_plus,n_kept"
     assert len(lines) == 3
