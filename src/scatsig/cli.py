@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,48 +58,46 @@ _FILE_TYPES = {
     "bool": (bool,),
 }
 
-_GRID_DEFAULTS = {
-    "tev-scan": (0.5, 4.0, 0.02),
-    "phase-track": (0.5, 4.0, 0.02),
-    "stekloff-scan": (-6.0, -0.5, 0.05),
-    "oracle": (0.5, 4.0, 0.01),
-}
+
+def _key(default, flag, **settings):
+    """A config key's default, with its flag and that flag's argparse settings as metadata."""
+    return field(default=default, metadata={"flag": flag, "argparse": settings})
 
 
 @dataclass
 class RunConfig:
     """Resolved parameters of one CLI invocation.
 
-    The field defaults are the CLI defaults; every field after
-    ``command`` and ``which`` is also a config-file key.
+    The field defaults are the CLI defaults; every field after ``command``
+    and ``which`` is also a config-file key, declared with its flag by _key.
     """
 
     command: str
     which: str | None = None
-    k: float = 1.0
-    scene: MediumSpec = MediumSpec.ball(1.0, 2.0)
-    B: float = 1.0
-    quad: str = "16x32"
-    noise: float = 0.0
-    seed: int = 1
-    alpha: float | str = "auto"
-    grid: tuple | None = None
-    rect: tuple | None = None
-    out: str = "."
-    kind: str = "electric"
-    s_kind: str = "CURL_CURL"
-    lam: float = 2.0
-    lmax: int = 4
-    z_count: int = 10
-    z_radius: float = 0.5
-    z_seed: int = 7
-    delta_n: complex = 0.01
-    rc: float | None = None
-    k1: float | None = None
-    n_lo: float | None = None
-    n_hi: float | None = None
-    herglotz: bool = False
-    floor: float = 1e-6
+    k: float = _key(1.0, "--k", type=float, help="wave number")
+    scene: MediumSpec = _key(MediumSpec.ball(1.0, 2.0), "--scene", help="scene JSON file path")
+    B: float = _key(1.0, "--B", type=float, help="reference ball radius")
+    quad: str = _key("16x32", "--quad", help="sphere rule: NxM product Gauss or eaN equal-area")
+    noise: float = _key(0.0, "--noise", type=float, help="multiplicative noise level")
+    seed: int = _key(1, "--seed", type=int, help="noise seed")
+    alpha: float | str = _key("auto", "--alpha", help="Tikhonov parameter or 'auto'")
+    grid: tuple | None = _key(None, "--grid", help="lo:hi:step parameter grid")
+    rect: tuple | None = _key(None, "--rect", help="reLo:reHi:imLo:imHi:n complex rectangle")
+    out: str = _key(".", "--out", help="output directory")
+    kind: str = _key("electric", "--kind", choices=["electric", "magnetic", "impedance", "modified"])
+    s_kind: str = _key("CURL_CURL", "--s-kind", choices=["IDENTITY", "CURL_CURL"])
+    lam: float = _key(2.0, "--lam", type=float, help="impedance parameter for impedance/modified")
+    lmax: int = _key(4, "--lmax", type=int)
+    z_count: int = _key(10, "--zcount", type=int)
+    z_radius: float = _key(0.5, "--zradius", type=float)
+    z_seed: int = _key(7, "--zseed", type=int)
+    delta_n: complex = _key(0.01, "--delta-n", help="index perturbation (complex ok)")
+    rc: float | None = _key(None, "--rc", type=float, help="perturbation region radius")
+    k1: float | None = _key(None, "--k1", type=float, help="measured first transmission eigenvalue")
+    n_lo: float | None = _key(None, "--n-lo", type=float)
+    n_hi: float | None = _key(None, "--n-hi", type=float)
+    herglotz: bool = _key(False, "--herglotz", action="store_const", const=True)
+    floor: float = _key(1e-6, "--floor", type=float, help="relative eigenvalue floor")
 
     def to_json_dict(self):
         d = asdict(self)
@@ -110,15 +108,20 @@ class RunConfig:
         return d
 
 
+def _parse_numbers(key, value, form):
+    """The numbers of "a:b:..." text or a config-file list, one per field of ``form``."""
+    parts = value.split(":") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != form.count(":") + 1:
+        raise ConfigError(f"{key} must be {form}, got {value!r}")
+    try:
+        return [float(p) for p in parts]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} values must be numbers, got {value!r}") from None
+
+
 def _parse_grid(value):
     """lo, hi, step from "lo:hi:step" text or a config-file [lo, hi, step] list."""
-    parts = value.split(":") if isinstance(value, str) else value
-    if not isinstance(parts, list) or len(parts) != 3:
-        raise ConfigError(f"grid must be lo:hi:step, got {value!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"grid values must be numbers, got {value!r}") from None
+    lo, hi, step = _parse_numbers("grid", value, "lo:hi:step")
     if step <= 0 or hi <= lo:
         raise ConfigError(f"grid needs lo < hi and step > 0, got {value!r}")
     return lo, hi, step
@@ -126,17 +129,10 @@ def _parse_grid(value):
 
 def _parse_rect(value):
     """reLo, reHi, imLo, imHi, n from "a:b:c:d:n" text or a config-file 5-element list."""
-    parts = value.split(":") if isinstance(value, str) else value
-    if not isinstance(parts, list) or len(parts) != 5:
-        raise ConfigError(f"rect must be reLo:reHi:imLo:imHi:n, got {value!r}")
-    try:
-        re_lo, re_hi, im_lo, im_hi = (float(p) for p in parts[:4])
-        n = int(parts[4])
-    except (TypeError, ValueError):
-        raise ConfigError(f"rect values must be numbers, got {value!r}") from None
-    if re_hi <= re_lo or im_hi <= im_lo or n < 2 or n != float(parts[4]):
+    re_lo, re_hi, im_lo, im_hi, n = _parse_numbers("rect", value, "reLo:reHi:imLo:imHi:n")
+    if re_hi <= re_lo or im_hi <= im_lo or n < 2 or not n.is_integer():
         raise ConfigError(f"rect needs increasing bounds and an integer n >= 2, got {value!r}")
-    return re_lo, re_hi, im_lo, im_hi, n
+    return re_lo, re_hi, im_lo, im_hi, int(n)
 
 
 def _parse_quad(text):
@@ -177,34 +173,6 @@ def _load_scene(value):
     raise ConfigError(f"scene must be a file path or an inline object, got {type(value).__name__}")
 
 
-# Flag spelling and argparse settings of each config key
-_FLAGS = {
-    "k": ("--k", dict(type=float, help="wave number")),
-    "scene": ("--scene", dict(help="scene JSON file path")),
-    "B": ("--B", dict(type=float, help="reference ball radius")),
-    "quad": ("--quad", dict(help="sphere rule: NxM product Gauss or eaN equal-area")),
-    "noise": ("--noise", dict(type=float, help="multiplicative noise level")),
-    "seed": ("--seed", dict(type=int, help="noise seed")),
-    "alpha": ("--alpha", dict(help="Tikhonov parameter or 'auto'")),
-    "grid": ("--grid", dict(help="lo:hi:step parameter grid")),
-    "rect": ("--rect", dict(help="reLo:reHi:imLo:imHi:n complex rectangle")),
-    "out": ("--out", dict(help="output directory")),
-    "kind": ("--kind", dict(choices=["electric", "magnetic", "impedance", "modified"])),
-    "s_kind": ("--s-kind", dict(choices=["IDENTITY", "CURL_CURL"])),
-    "lam": ("--lam", dict(type=float, help="impedance parameter for impedance/modified")),
-    "lmax": ("--lmax", dict(type=int)),
-    "z_count": ("--zcount", dict(type=int)),
-    "z_radius": ("--zradius", dict(type=float)),
-    "z_seed": ("--zseed", dict(type=int)),
-    "delta_n": ("--delta-n", dict(help="index perturbation (complex ok)")),
-    "rc": ("--rc", dict(type=float, help="perturbation region radius")),
-    "k1": ("--k1", dict(type=float, help="measured first transmission eigenvalue")),
-    "n_lo": ("--n-lo", dict(type=float)),
-    "n_hi": ("--n-hi", dict(type=float)),
-    "herglotz": ("--herglotz", dict(action="store_const", const=True)),
-    "floor": ("--floor", dict(type=float, help="relative eigenvalue floor")),
-}
-
 # The keys each command (and oracle target) reads besides out; any other is rejected
 _READS = {
     "ffop-eigs": "k scene B quad noise seed kind s_kind lam",
@@ -217,29 +185,19 @@ _READS = {
     "index-bound": "scene lmax k1 n_lo n_hi",
 }
 
-_HELP = {
-    "ffop-eigs": "assemble an operator and export its spectrum",
-    "tev-scan": "transmission-eigenvalue indicator scan over k",
-    "stekloff-scan": "Stekloff indicator scan over lambda",
-    "phase-track": "magnetic eigenvalue phases over a k sweep",
-    "oracle": "analytic eigenvalue references",
-    "estimate-shift": "first-order Stekloff shifts for an index bump",
-    "index-bound": "constant-index bound from a measured first eigenvalue",
-}
-
 
 def _build_parser():
     ap = _Parser(prog="scatsig", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, text in _HELP.items():
+    for command, (text, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text, allow_abbrev=False)  # --k must not mean --k1
         if command == "oracle":
             p.add_argument("which", choices=["tev", "stekloff"])
         keys = {"out"}.union(*(r.split() for name, r in _READS.items() if name.split()[0] == command))
         p.add_argument("--config", help="JSON file with defaults for the keys this command reads")
-        for key, (flag, settings) in _FLAGS.items():
-            if key in keys:
-                p.add_argument(flag, dest=key, **settings)
+        for f in fields(RunConfig):
+            if f.name in keys:
+                p.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argparse"])
     return ap
 
 
@@ -251,7 +209,7 @@ def parse_config(argv=None):
     if extra:
         raise ConfigError(f"{name} does not read {extra[0]}")
     reads = {"out", *_READS[name].split()}
-    keys = [f for f in fields(RunConfig) if f.name not in ("command", "which")]
+    keys = [f for f in fields(RunConfig) if f.metadata]
     defaults = {f.name: f.default for f in keys}
     types = {f.name: f.type for f in keys}
     file_cfg = {}
@@ -287,7 +245,8 @@ def parse_config(argv=None):
         raise ConfigError("alpha must be positive")
     delta_n = merged["delta_n"]  # a number, its text, or a config-file [re, im] list
     try:
-        merged["delta_n"] = complex(*delta_n) if isinstance(delta_n, list) else complex(delta_n)
+        pair = isinstance(delta_n, list) and len(delta_n) == 2
+        merged["delta_n"] = complex(*delta_n) if pair else complex(delta_n)
     except (TypeError, ValueError):
         raise ConfigError(f"delta_n must parse as a complex number, got {delta_n!r}") from None
     if merged["grid"] is not None:
@@ -363,7 +322,7 @@ def _zs_of(cfg):
 
 def _run_tev_scan(cfg):
     quad = _quad_of(cfg)
-    grid = cfg.grid or _GRID_DEFAULTS["tev-scan"]
+    grid = cfg.grid or (0.5, 4.0, 0.02)
     result = scan.tev_scan(
         cfg.scene, spectra.grid_points(*grid), quad, _zs_of(cfg), cfg.alpha,
         noise_eps=cfg.noise, noise_seed=cfg.seed, herglotz=cfg.herglotz,
@@ -382,7 +341,7 @@ def _run_stekloff_scan(cfg):
         im_ax = np.linspace(im_lo, im_hi, int(n))
         lam_grid = re_ax[None, :] + 1j * im_ax[:, None]
     else:
-        lo, hi, step = cfg.grid or _GRID_DEFAULTS["stekloff-scan"]
+        lo, hi, step = cfg.grid or (-6.0, -0.5, 0.05)
         lam_grid = spectra.grid_points(lo, hi, step)
     result = scan.stekloff_scan(
         cfg.scene, cfg.B, cfg.k, lam_grid, quad, _zs_of(cfg),
@@ -403,7 +362,7 @@ def _run_stekloff_scan(cfg):
 
 def _run_phase_track(cfg):
     quad = _quad_of(cfg)
-    grid = cfg.grid or _GRID_DEFAULTS["phase-track"]
+    grid = cfg.grid or (0.5, 4.0, 0.02)
     track = spectra.phase_track(cfg.scene, spectra.grid_points(*grid), quad, floor=cfg.floor)
     text = _config_line(cfg) + "\n" + spectra.phase_track_to_csv(track)
     path = os.path.join(cfg.out, "phase_track.csv")
@@ -413,7 +372,7 @@ def _run_phase_track(cfg):
 
 def _run_oracle(cfg):
     if cfg.which == "tev":
-        lo, hi, step = cfg.grid or _GRID_DEFAULTS["oracle"]
+        lo, hi, step = cfg.grid or (0.5, 4.0, 0.01)
         roots = oracles.tev_roots(cfg.scene, cfg.lmax, (lo, hi), step)
         rows = [
             [fam, l, kstar, oracles.tev_min_singular(cfg.scene, l, fam, kstar)]
@@ -462,20 +421,21 @@ def _run_index_bound(cfg):
     return [path]
 
 
-_RUNNERS = {
-    "ffop-eigs": _run_ffop_eigs,
-    "tev-scan": _run_tev_scan,
-    "stekloff-scan": _run_stekloff_scan,
-    "phase-track": _run_phase_track,
-    "oracle": _run_oracle,
-    "estimate-shift": _run_estimate_shift,
-    "index-bound": _run_index_bound,
+# The help text and runner of each command
+_COMMANDS = {
+    "ffop-eigs": ("assemble an operator and export its spectrum", _run_ffop_eigs),
+    "tev-scan": ("transmission-eigenvalue indicator scan over k", _run_tev_scan),
+    "stekloff-scan": ("Stekloff indicator scan over lambda", _run_stekloff_scan),
+    "phase-track": ("magnetic eigenvalue phases over a k sweep", _run_phase_track),
+    "oracle": ("analytic eigenvalue references", _run_oracle),
+    "estimate-shift": ("first-order Stekloff shifts for an index bump", _run_estimate_shift),
+    "index-bound": ("constant-index bound from a measured first eigenvalue", _run_index_bound),
 }
 
 
 def run(cfg):
     """Execute a resolved configuration; returns the artifact paths."""
-    return _RUNNERS[cfg.command](cfg)
+    return _COMMANDS[cfg.command][1](cfg)
 
 
 def main(argv=None):

@@ -564,8 +564,8 @@ def load_ffop(path):
     Scene metadata is not part of the format, so medium comes back as
     None; the quadrature is reconstructed from the stored geometry.
     A file that is truncated, carries trailing bytes, or holds an
-    unknown magic, version or kind, or a k or noise level no operator
-    can have, raises ValueError naming the cause.
+    unknown magic, version or kind, a k or noise level no operator
+    can have, or no nodes, raises ValueError naming the cause.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -583,6 +583,8 @@ def load_ffop(path):
     if not (0 < k < np.inf and 0 <= eps < np.inf):
         raise ValueError(f"far field operator file holds k = {k} and noise level {eps}: k must "
                          f"be finite and positive, the noise level finite and at least 0")
+    if n_q == 0:
+        raise ValueError("far field operator file holds 0 quadrature nodes")
     # nodes, weights, e1, e2 (10 values per node), then the complex matrix
     size = hdr_size + 8 * (10 * n_q + 2 * (2 * n_q) ** 2)
     if len(raw) != size:

@@ -220,6 +220,8 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
     count = int(np.ceil((k_hi - k_lo) / step)) + 1

@@ -189,10 +189,10 @@ def grid_points(lo, hi, step):
 
 
 def wavenumbers(k_grid):
-    """The wavenumbers of ``k_grid`` as a float array; they must be positive and nonempty."""
+    """The wavenumbers of ``k_grid`` as a float array; they must be finite, positive and nonempty."""
     ks = np.asarray(k_grid, dtype=float)
-    if ks.size == 0 or np.any(ks <= 0):
-        raise ValueError("k grid must be positive and nonempty")
+    if ks.size == 0 or not np.all((ks > 0) & (ks < np.inf)):
+        raise ValueError("k grid must be finite, positive and nonempty")
     return ks
 
 

@@ -107,6 +107,10 @@ def test_config_file_grid_list_follows_grid_rule(tmp_path, capsys):
 def test_rect_parsing(tmp_path):
     cfg = parse_config(["stekloff-scan", "--rect=-4.5:-0.5:-0.2:0.8:40"])
     assert cfg.rect == (-4.5, -0.5, -0.2, 0.8, 40)
+    # a count written as a float is read like the same number in a config-file list
+    for count in ("10.0", "1e1"):
+        rect = parse_config(["stekloff-scan", f"--rect=-4.5:-0.5:-0.2:0.8:{count}"]).rect
+        assert rect == (-4.5, -0.5, -0.2, 0.8, 10) and type(rect[4]) is int
     for bad in ["1:2:3:4", "-1:1:0:1:1", "2:1:0:1:5", "a:1:0:1:5"]:
         with pytest.raises(ConfigError):
             parse_config(["stekloff-scan", f"--rect={bad}"])
@@ -206,11 +210,11 @@ RUNS_BY_TARGET = {
 }
 
 CONFIG_KEYS = [f.name for f in fields(cli.RunConfig) if f.name not in ("command", "which")]
+FLAGS = {f.name: f.metadata["flag"] for f in fields(cli.RunConfig) if f.metadata}
 
 
 def test_runs_cover_every_command_and_oracle_target():
     assert set(RUNS_BY_TARGET) == set(cli._READS)
-    assert sorted(cli._FLAGS) == sorted(CONFIG_KEYS)
 
 
 @pytest.mark.parametrize("target", sorted(RUNS_BY_TARGET))
@@ -234,7 +238,7 @@ def test_unread_keys_are_rejected_by_flag_and_by_config_key(tmp_path, capsys, ta
     unread = [key for key in CONFIG_KEYS if key not in cli._READS[target].split() + ["out"]]
     assert unread
     for key in unread:
-        flag = cli._FLAGS[key][0]
+        flag = FLAGS[key]
         value = FLAG_VALUES.get(key, "1")
         config = _write_json(tmp_path / "cfg.json", {key: 1})
         for given in ([flag] + ([value] if value else []), ["--config", config]):
@@ -535,6 +539,8 @@ NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
     (["tev-scan", "--quad", "6x12", "--config", '{"grid": [true, 1.2, 0.1]}'], "grid"),
     (["stekloff-scan", "--quad", "6x12", "--config", '{"rect": [-3, -1, false, 0.5, 3]}'], "rect"),
     (["estimate-shift", "--config", '{"delta_n": [true, 0]}'], "delta_n"),
+    (["estimate-shift", "--config", '{"delta_n": []}'], "delta_n"),
+    (["estimate-shift", "--config", '{"delta_n": [0.5]}'], "delta_n"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
     # argparse floats accept nan and inf, and JSON files accept NaN; a

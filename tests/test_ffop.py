@@ -632,6 +632,10 @@ def test_load_rejects_foreign_files(tmp_path):
         path.write_bytes(struct.pack("<4sIBddQII", b"FFOP", 1, 0, k, eps, 0, 0, 0))
         with pytest.raises(ValueError, match=f"holds k = {k} and noise level {eps}: k must be"):
             load_ffop(path)
+    # a valid header for no nodes used to load as a 0x0 operator
+    path.write_bytes(struct.pack("<4sIBddQII", b"FFOP", 1, 0, 1.0, 0.0, 0, 0, 0))
+    with pytest.raises(ValueError, match="0 quadrature nodes"):
+        load_ffop(path)
 
 
 @settings(max_examples=25, deadline=None)

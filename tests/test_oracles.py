@@ -290,6 +290,9 @@ def test_tev_roots_validation():
         tev_roots(BALL4, 2, (2.0, 1.0))
     with pytest.raises(ValueError):
         tev_roots(BALL4, 2, (-1.0, 1.0))
+    for step in (0.0, -0.01, np.nan):
+        with pytest.raises(ValueError, match="step must be positive"):
+            tev_roots(BALL4, 2, (2.0, 4.0), step)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import importlib
 import io
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,16 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch):
             cli.parse_config(words[1:])
             commands += 1
     assert commands == 6
+
+
+def test_readme_flag_exceptions_equal_the_field_flags():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    names, flags = re.search(r"A key's flag is `--` and its name, except for (.*?), "
+                             r"whose flags are (.*?)\. ", text).groups()
+    odd = {f.name: f.metadata["flag"] for f in fields(cli.RunConfig)
+           if f.metadata and f.metadata["flag"] != "--" + f.name}
+    assert re.findall(r"`([^`]+)`", names) == list(odd)
+    assert re.findall(r"`([^`]+)`", flags) == list(odd.values())
 
 
 def test_readme_key_table_equals_the_cli_table():

@@ -445,6 +445,9 @@ def test_tev_scan_grid_and_scene_validation():
         tev_scan(BALL4, grid_points(0.0, 1.0, 0.5), QUAD8, zs=ZS4)
     with pytest.raises(ValueError):
         tev_scan(BALL4, np.array([]), QUAD8, zs=ZS4)
+    for ks in ([np.inf], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="k grid must be finite"):
+            tev_scan(BALL4, ks, QUAD8, zs=ZS4)
     with pytest.raises(ValueError):
         tev_scan(BALL4, grid_points(3.0, 3.2, 0.1), QUAD8, zs=ZSampling(r_z=1.5))
 

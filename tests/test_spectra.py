@@ -329,8 +329,8 @@ def test_phase_track_matches_dense_eigensolve():
 
 def test_phase_track_grid_and_floor():
     quad = build_quadrature("PRODUCT_GAUSS", 6)
-    for ks in ([], [0.0, 1.0], [1.0, -0.5]):
-        with pytest.raises(ValueError, match="k grid must be positive and nonempty"):
+    for ks in ([], [0.0, 1.0], [1.0, -0.5], [np.inf], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="k grid must be finite, positive and nonempty"):
             phase_track(BALL2, ks, quad)
     for floor in (float("nan"), -0.5, 2.0):  # above 1 or NaN, no eigenvalue would be kept
         with pytest.raises(ValueError, match="floor"):

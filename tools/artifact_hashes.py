@@ -73,19 +73,32 @@ for q in ("6x12", "8x16"):
         f"stekloff_rect_{q}": f"stekloff-scan --quad {q} --rect=-4.5:-0.5:-0.2:0.8:40",
         f"phase_track_{q}": f"phase-track --quad {q} --scene ball4 --grid 3.0:3.3:0.02",
     })
+# keys passed through --config: each doc is written to <label>.json next to the scenes
+CONFIGS = {
+    "tev_scan_config_6x12": ("tev-scan", {
+        "quad": "6x12", "scene": {"layers": [{"r": 1.0, "n_re": 4.0, "n_im": 0.0}]},
+        "grid": [3.0, 3.3, 0.02], "z_count": 3, "alpha": 1e-4}),
+    "stekloff_rect_config_6x12": ("stekloff-scan", {
+        "quad": "6x12", "rect": [-4.5, -0.5, -0.2, 0.8, 12], "s_kind": "IDENTITY", "z_seed": 3}),
+    "estimate_shift_config": ("estimate-shift", {
+        "s_kind": "IDENTITY", "lmax": 8, "delta_n": [0.01, 0.002], "rc": 0.8}),
+}
+RUNS.update({label: f"{command} --config {label}" for label, (command, _) in CONFIGS.items()})
 
 
 def main(src=Path(__file__).resolve().parent.parent / "src"):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                SCATSIG_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     hashes = {}
+    files = {name: {"layers": [{"r": r, "n_re": re, "n_im": im} for r, re, im in layers]}
+             for name, layers in SCENES.items()}
+    files.update({label: doc for label, (_, doc) in CONFIGS.items()})
     with tempfile.TemporaryDirectory() as tmp:
-        for name, layers in SCENES.items():
-            doc = {"layers": [{"r": r, "n_re": re, "n_im": im} for r, re, im in layers]}
+        for name, doc in files.items():
             Path(tmp, name + ".json").write_text(json.dumps(doc))
         for label, argv in RUNS.items():
             # relative paths: the artifacts record --out in their config line
-            argv = [a + ".json" if a in SCENES else a for a in argv.split()]
+            argv = [a + ".json" if a in files else a for a in argv.split()]
             cmd = [sys.executable, "-m", "scatsig.cli", *argv, "--out", label]
             subprocess.run(cmd, env=env, cwd=tmp, check=True, stdout=subprocess.DEVNULL)
             for path in sorted(Path(tmp, label).iterdir()):
