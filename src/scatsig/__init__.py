@@ -16,13 +16,8 @@ from .forward import (
     ModalCoefficients,
     ResonantParameterError,
     TruncationError,
-    electric_far_field,
     impedance_coefficients,
-    impedance_far_field,
-    magnetic_far_field,
     mie_coefficients,
-    scattered_field,
-    total_field,
     truncation_degree,
 )
 from .ffop import (
@@ -30,7 +25,6 @@ from .ffop import (
     SphereQuadrature,
     TangentVectorField,
     add_noise,
-    adjoint,
     assemble,
     build_quadrature,
     inner_product,
@@ -56,7 +50,6 @@ from .scan import (
     find_peaks,
     stekloff_scan,
     tev_scan,
-    tikhonov_solve,
 )
 from .spectra import (
     EigenSet,
@@ -91,27 +84,22 @@ __all__ = [
     "TruncationError",
     "ZSampling",
     "add_noise",
-    "adjoint",
     "assemble",
     "build_quadrature",
     "circle_residual",
     "eig",
-    "electric_far_field",
     "energy_identity_residual",
     "find_peaks",
     "first_tev",
     "impedance_coefficients",
-    "impedance_far_field",
     "index_bound_from_tev",
     "inner_product",
     "lidski_positivity",
     "load_ffop",
-    "magnetic_far_field",
     "mie_coefficients",
     "phase_track",
     "s_modal_multiplier",
     "save_ffop",
-    "scattered_field",
     "shift_estimate",
     "stekloff_eigs_ball",
     "stekloff_scan",
@@ -119,7 +107,5 @@ __all__ = [
     "tev_min_singular",
     "tev_roots",
     "tev_scan",
-    "tikhonov_solve",
-    "total_field",
     "truncation_degree",
 ]

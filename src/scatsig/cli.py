@@ -115,7 +115,7 @@ def _parse_numbers(key, value, form):
         raise ConfigError(f"{key} must be {form}, got {value!r}")
     try:
         return [float(p) for p in parts]
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"{key} values must be numbers, got {value!r}") from None
 
 
@@ -230,8 +230,9 @@ def parse_config(argv=None):
         want = _FILE_TYPES.get(types[key])
         if want and type(val) not in want:
             raise ConfigError(f"{key} must be of type {types[key]}, got {val!r}")
-        if isinstance(val, list) and any(isinstance(v, bool) for v in val):  # float(True) is 1.0
-            raise ConfigError(f"{key} must hold numbers, not true or false, got {val!r}")
+        # float() would read "3.0" as 3.0 and true as 1.0
+        if isinstance(val, list) and any(type(v) not in (int, float) for v in val):
+            raise ConfigError(f"{key} must hold numbers only, got {val!r}")
     merged = {**defaults, **file_cfg, **flags}
     if merged["grid"] is not None and merged["rect"] is not None:
         raise ConfigError("grid and rect exclude each other")

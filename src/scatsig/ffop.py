@@ -10,7 +10,7 @@ so that A applied to coefficient vectors approximates (F g)(xh_i) in the
 frame components. Quadrature weights are folded into the matrix, which
 makes matrix eigenvalues direct approximations of operator eigenvalues;
 the price is that the L2 adjoint is the weight-conjugated transpose
-rather than the plain conjugate transpose (see ``adjoint``).
+W^-1 A^H W rather than the plain conjugate transpose (docs section 11).
 
 Assembly never loops over matrix entries. Every operator kind is a sum
 of rank-one mode products over the harmonics, and every scene is a ball
@@ -123,11 +123,6 @@ class TangentVectorField:
             raise ValueError(f"coefficients must have shape (N, 2), got {c.shape}")
         self.coeffs = c
 
-    @staticmethod
-    def from_vectors(quad, vectors):
-        """Project ambient vectors at the nodes onto the tangent frames."""
-        return TangentVectorField(quad, quad.frame_components(np.asarray(vectors, complex)))
-
     def vectors(self):
         """Ambient 3-vector values at the nodes."""
         return self.coeffs[:, 0, None] * self.quad.e1 + self.coeffs[:, 1, None] * self.quad.e2
@@ -156,10 +151,6 @@ class FarFieldMatrix:
     medium: MediumSpec | None = None
     noise_eps: float = 0.0
     seed: int = 0
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
     def weight_vector(self):
         """Per-row quadrature weights (length 2N)."""
@@ -418,31 +409,28 @@ def assemble_blocks(kind, scene, k, quad):
 
     ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC, an ImpedanceBall
     for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED,
-    whose blocks are the magnetic ones minus the impedance ones. The
-    operator is a scaled sum of mode products, one ``_mode_product`` per
-    coefficient set. Modes with |m| >= n_phi / 2 alias into shared
-    blocks, the same sum the dense matrix holds. A quadrature that is
-    not its azimuth-0 meridian rotated about z raises ValueError.
+    whose blocks are the magnetic ones minus the impedance ones. Every
+    other kind is one coefficient set's scaled ``_mode_product``. Modes
+    with |m| >= n_phi / 2 alias into shared blocks, the same sum the
+    dense matrix holds. A quadrature that is not its azimuth-0 meridian
+    rotated about z raises ValueError.
     """
     medium, ball = _scene_parts(kind, scene)
+    if kind == "MODIFIED":
+        magnetic = assemble_blocks("MAGNETIC", medium, k, quad).matrix
+        return FarFieldBlocks(magnetic - assemble_blocks("IMPEDANCE", ball, k, quad).matrix,
+                              kind, float(k), quad)
     if not k > 0:  # before the dual kinds divide by it
         raise ValueError("wave number must be positive")
-    dual = -4.0j * np.pi / k
     if kind == "ELECTRIC":
-        sets = [(4.0 * np.pi, mie_coefficients(medium, k))]
-    elif kind == "MAGNETIC":
-        sets = [(dual, mie_coefficients(medium, k))]
-    elif kind == "IMPEDANCE":
-        sets = [(dual, impedance_coefficients(ball, k))]
+        scale, coefs = 4.0 * np.pi, mie_coefficients(medium, k)
     else:
-        sets = [(dual, mie_coefficients(medium, k)), (-dual, impedance_coefficients(ball, k))]
-    total = None
-    for scale, coefs in sets:
-        phi_u, phi_v = _mode_matrices(quad, coefs.L)
-        pair = (phi_v, phi_u) if kind == "ELECTRIC" else (phi_u, phi_v)
-        term = scale * _mode_product(*pair, coefs.alpha, coefs.beta, coefs.L, quad)
-        total = term if total is None else total + term
-    return FarFieldBlocks(total, kind, float(k), quad)
+        coefs = mie_coefficients(medium, k) if kind == "MAGNETIC" else impedance_coefficients(ball, k)
+        scale = -4.0j * np.pi / k
+    phi_u, phi_v = _mode_matrices(quad, coefs.L)
+    pair = (phi_v, phi_u) if kind == "ELECTRIC" else (phi_u, phi_v)
+    blocks = scale * _mode_product(*pair, coefs.alpha, coefs.beta, coefs.L, quad)
+    return FarFieldBlocks(blocks, kind, float(k), quad)
 
 
 def assemble(kind, scene, k, quad):
@@ -513,18 +501,6 @@ def inner_product(u, v):
     if u.quad.n_nodes != v.quad.n_nodes:
         raise ValueError("fields live on different quadratures")
     return complex(np.sum(u.quad.weights[:, None] * u.coeffs * v.coeffs.conj()))
-
-
-def adjoint(A):
-    """L2 adjoint of the operator matrix: A* = W^(-1) A^H W.
-
-    Satisfies (A u, v) = (u, A* v) exactly in the discrete inner product.
-    """
-    _require_dense(A, "adjoint")
-    w = A.weight_vector()
-    mat = (A.matrix.conj().T * w[None, :]) / w[:, None]
-    return FarFieldMatrix(mat, A.kind, A.k, A.quad, medium=A.medium,
-                          noise_eps=A.noise_eps, seed=A.seed)
 
 
 def save_ffop(A, path):

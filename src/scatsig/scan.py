@@ -239,18 +239,6 @@ class _NormalSolver:
         raise ConvergenceError("normal equations did not reach the residual tolerance")
 
 
-def tikhonov_solve(A, rhs, alpha="auto"):
-    """Regularized solution of A g = rhs: (alpha I + A*A) g = A* rhs.
-
-    The adjoint is the weighted one, so the normal equations live in the
-    same discrete L2 geometry as the operator; ``alpha`` is as in
-    ``_NormalSolver``. The solver works on a copy of A's matrix, so A is
-    left as it was.
-    """
-    g = _NormalSolver(replace(A, matrix=A.matrix.copy()), alpha).solve(rhs.flat())
-    return TangentVectorField.from_flat(A.quad, g)
-
-
 def _column_norms(quad, g):
     """Weighted L2 norms sqrt(sum_j w_j |g_j|^2) of the (2N, m) solution columns."""
     return np.sqrt(np.repeat(quad.weights, 2) @ np.abs(g) ** 2)

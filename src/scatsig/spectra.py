@@ -31,10 +31,6 @@ class EigenSet:
     kind: str
     k: float
 
-    @property
-    def count(self):
-        return self.values.size
-
 
 @dataclass(eq=False)
 class PhaseTrack:
@@ -179,6 +175,8 @@ def lidski_positivity(A, samples=32, seed=0):
 
 def grid_points(lo, hi, step):
     """Points lo, lo + step, ... up to hi inclusive (to 1e-12 max(1, |hi|))."""
+    if not np.all(np.isfinite((lo, hi, step))):
+        raise ValueError(f"grid needs a finite lo, hi and step, got {lo}, {hi} and {step}")
     if not lo < hi:
         raise ValueError(f"grid needs lo < hi, got {lo} and {hi}")
     if not step > 0:

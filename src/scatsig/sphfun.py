@@ -322,18 +322,3 @@ def vsh_tables(l_max, points):
     V[neg] = sign[:, None, None] * np.conj(V[neg])
     return Y, U, V
 
-
-def vector_spherical_harmonics(l, m, xhat):
-    """(Y, U, V) of the single mode (l, m) at a single unit vector.
-
-    U is the normalized surface gradient of Y, V = xhat x U; both are
-    tangential. Evaluation arbitrarily close to the poles is safe: the
-    Legendre recurrences never divide by sin(theta).
-    """
-    if l < 1:
-        raise ValueError(f"tangential harmonics need l >= 1, got l={l}")
-    if abs(m) > l:
-        raise ValueError(f"order |m| <= l violated: l={l}, m={m}")
-    Y, U, V = vsh_tables(l, np.asarray(xhat, dtype=float)[None, :])
-    row = l * (l + 1) + m - 1
-    return Y[row, 0], U[row, 0], V[row, 0]

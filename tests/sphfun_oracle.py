@@ -7,10 +7,13 @@ harmonic tables ``vsh_tables``, Miller's backward recurrence
 steps over degree and order one pair at a time, with the operand order
 of every floating-point operation that the package's array forms keep,
 so the tests can compare the package's tables with these bit for bit.
+``vector_spherical_harmonics`` reads one mode at one point off the
+package's own ``vsh_tables``, for the closed-form and pole checks.
 """
 
 import numpy as np
 
+from scatsig import sphfun
 from scatsig.sphfun import (
     _RESCALE,
     RecurrenceOverflowError,
@@ -181,3 +184,19 @@ def vsh_tables(l_max, points):
             V[idx] = vm
             idx += 1
     return Y, U, V
+
+
+def vector_spherical_harmonics(l, m, xhat):
+    """(Y, U, V) of the single mode (l, m) at a single unit vector.
+
+    U is the normalized surface gradient of Y, V = xhat x U; both are
+    tangential. Evaluation arbitrarily close to the poles is safe: the
+    Legendre recurrences never divide by sin(theta).
+    """
+    if l < 1:
+        raise ValueError(f"tangential harmonics need l >= 1, got l={l}")
+    if abs(m) > l:
+        raise ValueError(f"order |m| <= l violated: l={l}, m={m}")
+    Y, U, V = sphfun.vsh_tables(l, np.asarray(xhat, dtype=float)[None, :])
+    row = l * (l + 1) + m - 1
+    return Y[row, 0], U[row, 0], V[row, 0]

@@ -45,6 +45,8 @@ from scatsig.spectra import (
 )
 from scatsig.sphfun import vsh_tables
 
+from field_oracle import from_vectors
+
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL4 = MediumSpec.ball(1.0, 4.0)
 ABSORBING = MediumSpec.ball(1.0, 2.0 + 2.0j)
@@ -223,7 +225,7 @@ def test_09_smoother_and_stekloff_oracle_structure():
 
     def apply_s(f):
         cv = np.einsum("jc,mjc->m", quad.weights[:, None] * f.vectors(), V.conj())
-        return TangentVectorField.from_vectors(quad, np.einsum("m,mjc->jc", cv, V))
+        return from_vectors(quad, np.einsum("m,mjc->jc", cv, V))
 
     gen = np.random.Generator(np.random.Philox(key=9))
     proj_err = 0.0

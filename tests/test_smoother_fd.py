@@ -17,7 +17,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from scatsig.oracles import s_modal_multiplier
-from scatsig.sphfun import vector_spherical_harmonics
+
+from field_oracle import from_vectors
+from sphfun_oracle import vector_spherical_harmonics
 
 H = 1e-5
 
@@ -161,7 +163,7 @@ def test_smoother_positive_and_selfadjoint():
         wgt = quad.weights[:, None] * gv
         coeff_v = np.einsum("jc,mjc->m", wgt, V.conj())
         out = np.einsum("m,mjc->jc", coeff_v, V)
-        return TangentVectorField.from_vectors(quad, out)
+        return from_vectors(quad, out)
 
     for _ in range(5):
         gu = TangentVectorField(quad, rng.normal(size=(quad.n_nodes, 2))

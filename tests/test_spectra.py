@@ -306,7 +306,7 @@ def test_block_eig_matches_dense_eig(rule, order, kind, scene):
     A = assemble(kind, scene, 2.5, quad)
     es = eig(assemble_blocks(kind, scene, 2.5, quad))
     dense = eig(A, compute_vectors=False)
-    assert es.kind == kind and es.k == 2.5 and es.count == dense.count == A.dim
+    assert es.kind == kind and es.k == 2.5 and es.values.size == dense.values.size == A.matrix.shape[0]
     _assert_same_multiset(es.values, dense.values, 1e-12 * np.abs(A.matrix).max())
     # the node-space vectors are eigenvectors of the dense matrix
     assert_allclose(np.linalg.norm(es.vectors, axis=0), 1.0, rtol=1e-12)
@@ -339,6 +339,20 @@ def test_phase_track_grid_and_floor():
     loose = phase_track(BALL2, grid_points(1.0, 1.1, 0.05), quad, floor=1e-9)
     assert all(a.size <= b.size for a, b in zip(track.phases, loose.phases))
     assert np.all(np.abs(np.abs(np.concatenate(track.phases)) - 1.0) < 1e-12)
+
+
+def test_grid_points_rejections():
+    # an infinite step used to give an empty grid, an infinite hi an OverflowError
+    inf = np.inf
+    for lo, hi, step, cause in ((1.0, 1.0, 0.1, "lo < hi"), (2.0, 1.0, 0.1, "lo < hi"),
+                                (0.0, 1.0, 0.0, "step must be positive"),
+                                (0.0, 1.0, -0.1, "step must be positive"),
+                                (0.0, 1.0, inf, "finite"), (0.0, inf, 1.0, "finite"),
+                                (-inf, 1.0, 1.0, "finite"), (np.nan, 1.0, 0.1, "finite"),
+                                (0.0, np.nan, 0.1, "finite"), (0.0, 1.0, np.nan, "finite")):
+        with pytest.raises(ValueError, match=f"grid.*{cause}"):
+            grid_points(lo, hi, step)
+    assert_allclose(grid_points(0.0, 1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=0)
 
 
 def test_worker_count_env(monkeypatch):

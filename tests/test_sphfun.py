@@ -15,11 +15,11 @@ from scatsig.sphfun import (
     bessel_y_all,
     mode_list,
     riccati_all,
-    vector_spherical_harmonics,
     vsh_tables,
 )
 
 import sphfun_oracle as loop
+from sphfun_oracle import vector_spherical_harmonics
 
 mp.mp.dps = 30
 

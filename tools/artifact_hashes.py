@@ -86,20 +86,27 @@ CONFIGS = {
 RUNS.update({label: f"{command} --config {label}" for label, (command, _) in CONFIGS.items()})
 
 
+def write_inputs(tmp):
+    """Write the scene and config files into ``tmp``; return each run's CLI argv, by label.
+
+    Paths are relative to ``tmp``: the artifacts record --out in their config line.
+    """
+    files = {name: {"layers": [{"r": r, "n_re": re, "n_im": im} for r, re, im in layers]}
+             for name, layers in SCENES.items()}
+    files.update({label: doc for label, (_, doc) in CONFIGS.items()})
+    for name, doc in files.items():
+        Path(tmp, name + ".json").write_text(json.dumps(doc))
+    return {label: [a + ".json" if a in files else a for a in argv.split()] + ["--out", label]
+            for label, argv in RUNS.items()}
+
+
 def main(src=Path(__file__).resolve().parent.parent / "src"):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                SCATSIG_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     hashes = {}
-    files = {name: {"layers": [{"r": r, "n_re": re, "n_im": im} for r, re, im in layers]}
-             for name, layers in SCENES.items()}
-    files.update({label: doc for label, (_, doc) in CONFIGS.items()})
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in files.items():
-            Path(tmp, name + ".json").write_text(json.dumps(doc))
-        for label, argv in RUNS.items():
-            # relative paths: the artifacts record --out in their config line
-            argv = [a + ".json" if a in files else a for a in argv.split()]
-            cmd = [sys.executable, "-m", "scatsig.cli", *argv, "--out", label]
+        for label, argv in write_inputs(tmp).items():
+            cmd = [sys.executable, "-m", "scatsig.cli", *argv]
             subprocess.run(cmd, env=env, cwd=tmp, check=True, stdout=subprocess.DEVNULL)
             for path in sorted(Path(tmp, label).iterdir()):
                 hashes[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
