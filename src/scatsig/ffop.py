@@ -23,9 +23,13 @@ section 12).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -204,6 +208,16 @@ class FarFieldBlocks:
 # Gram blocks up to this many rows get dense eigvalsh, larger ones Lanczos
 _EIGVALSH_MAX_ROWS = 128
 
+# the keys of the state dict that _arpacklib's reverse-communication calls read and write
+_ARPACK_STATE = (
+    "tol", "getv0_rnorm0", "aitr_betaj", "aitr_rnorm1", "aitr_wnorm", "aup2_rnorm", "ido",
+    "which", "bmat", "info", "iter", "maxiter", "mode", "n", "nconv", "ncv", "nev", "np",
+    "shift", "getv0_first", "getv0_iter", "getv0_itry", "getv0_orth", "aitr_iter", "aitr_j",
+    "aitr_orth1", "aitr_orth2", "aitr_restart", "aitr_step3", "aitr_step4", "aitr_ierr",
+    "aup2_initv", "aup2_iter", "aup2_getv0", "aup2_cnorm", "aup2_kplusp", "aup2_nev",
+    "aup2_nev0", "aup2_np0", "aup2_numcnv", "aup2_update", "aup2_ushift",
+)
+
 
 def gram_lower(x):
     """Lower triangle of the Gram X^H X in C order, by one Hermitian rank-k update.
@@ -239,6 +253,93 @@ def _candidate_blocks(grams, w):
     return ~(fro < d.max() * (1.0 - 1e-12))
 
 
+_ARPACKLIB = "scipy.sparse.linalg._eigen.arpack._arpacklib"
+
+
+@lru_cache(maxsize=1)
+def _arpacklib():
+    """scipy's ARPACK extension module, or None for a scipy that has none.
+
+    The module is loaded by file under its canonical name, which skips
+    the ``scipy.sparse`` packages: their import loads all of
+    scipy.linalg. A later ``import scipy.sparse.linalg`` finds it in
+    sys.modules and reuses it.
+    """
+    if _ARPACKLIB in sys.modules:
+        return sys.modules[_ARPACKLIB]
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "sparse" / "linalg" / "_eigen" / "arpack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_arpacklib{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(_ARPACKLIB, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return sys.modules.setdefault(_ARPACKLIB, module)
+    return None
+
+
+def _lanczos_top(matvec, n, lib):
+    """Largest eigenvalue of a real symmetric n x n operator, by ARPACK's dsaupd and dseupd.
+
+    This is scipy 1.17's eigsh(k=1, which="LA", return_eigenvectors=False)
+    in mode 1: ncv = min(20, n), maxiter = 10 n, tol 0, and the same
+    ARPACK calls on the same arrays, so the same bits. The start vector
+    and every restart vector ARPACK asks for (ido 4) come from one fixed
+    Philox stream, where eigsh draws the restarts from an unseeded
+    generator. Returns None when ARPACK stops without converging (docs
+    section 11).
+    """
+    gen = np.random.Generator(np.random.Philox(0))
+    # a start vector of ones is constant over azimuth, so on a clean dense
+    # operator it lies in the frequency-0 block alone; one fixed draw does not
+    resid = gen.uniform(-1.0, 1.0, n)
+    ncv = min(20, n)
+    state = dict.fromkeys(_ARPACK_STATE, 0)
+    state.update(tol=0.0, which=6, info=1, maxiter=10 * n, mode=1, n=n, ncv=ncv, nev=1, shift=1)
+    v = np.zeros((n, ncv))
+    ipntr = np.zeros(11, dtype=np.int32)
+    workd = np.zeros(3 * n)
+    workl = np.zeros(ncv * (ncv + 8))
+    while True:
+        lib.dsaupd_wrap(state, resid, v, ipntr, workd, workl)
+        if state["ido"] in (1, 5):  # both ask for y = OP x
+            workd[ipntr[1]:ipntr[1] + n] = matvec(workd[ipntr[0]:ipntr[0] + n])
+        elif state["ido"] == 4:
+            resid[:] = gen.uniform(-1.0, 1.0, n)
+        elif state["ido"] == 99:
+            break
+        else:
+            raise RuntimeError(f"ARPACK asked for step ido = {state['ido']}, which mode 1 never takes")
+    if state["info"] == 1:
+        return None
+    if state["info"] != 0:
+        raise RuntimeError(f"ARPACK dsaupd failed with info = {state['info']}")
+    state["info"] = 0
+    d = np.zeros(1)
+    lib.dseupd_wrap(state, False, 0, np.zeros(ncv, dtype=np.int32), d,
+                    np.zeros((n, ncv), order="F"), 0, resid, v, ipntr, workd, workl)
+    if state["info"] != 0:
+        raise RuntimeError(f"ARPACK dseupd failed with info = {state['info']}")
+    return d[0]
+
+
+def _eigsh_top(matvec, n):
+    """``_lanczos_top`` through scipy's eigsh, for a scipy without ``_arpacklib``.
+
+    The start vector is the same fixed draw; a restart (ido 4) is not.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, n)
+    try:
+        return eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k=1, which="LA",
+                     v0=v0, return_eigenvectors=False)[0]
+    except ArpackNoConvergence:
+        return None
+
+
 def gram_norm(gram, w):
     """Weighted operator norm sqrt(max eig W^-1/2 G W^-1/2) from a Gram G = A^H W A.
 
@@ -249,14 +350,16 @@ def gram_norm(gram, w):
     up to _EIGVALSH_MAX_ROWS rows go to one batched eigvalsh, which a
     stack runs only on the blocks that ``_candidate_blocks`` keeps; the
     maximum keeps its bits, because each block gets the same zheevd
-    either way. A larger block gets symmetric Lanczos (eigsh) on the real form
-    [[Re H, -Im H], [Im H, Re H]] of H = W^-1/2 G W^-1/2, which repeats
-    each eigenvalue of H, from one fixed Philox draw as start vector, so
-    the result is deterministic. The real form is applied as H to
-    x[:m] + i x[m:] without being built, by one zhemv on the triangle;
-    it runs several times faster than complex Lanczos, most of all
-    under a multithreaded BLAS. A block on which ARPACK does not
-    converge raises forward.ConvergenceError naming it.
+    either way. A larger block gets symmetric Lanczos (``_lanczos_top``)
+    on the real form [[Re H, -Im H], [Im H, Re H]] of
+    H = W^-1/2 G W^-1/2, which repeats each eigenvalue of H, from fixed
+    Philox draws, so the result is a pure function of the input (for a
+    scipy that has ``_arpacklib``, see ``_eigsh_top``). The
+    real form is applied as H to x[:m] + i x[m:] without being built, by
+    one zhemv on the triangle; it runs several times faster than
+    complex Lanczos, most of all under a multithreaded BLAS. A block on
+    which ARPACK does not converge raises forward.ConvergenceError
+    naming it.
     """
     s = 1.0 / np.sqrt(w)
     grams = gram.reshape(-1, w.size, w.size)
@@ -266,26 +369,24 @@ def gram_norm(gram, w):
         top = np.linalg.eigvalsh(grams * s[:, None] * s[None, :])[:, -1].max()
     else:
         from scipy.linalg.blas import zhemv
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-        def real_form(g):
+        lib = _arpacklib()
+
+        def top_eig(q, g):
             # the Fortran view g.T holds conj(G) in its upper triangle, so
             # conj(H z) = s conj(G) (s conj(z)), with conj(z) = x[:m] - i x[m:]
             def matvec(x):
                 y = s * zhemv(1.0, g.T, s * (x[: w.size] - 1j * x[w.size:]), lower=0)
                 return np.concatenate([y.real, -y.imag])
-            return LinearOperator((2 * w.size, 2 * w.size), matvec=matvec, dtype=float)
 
-        # a start vector of ones is constant over azimuth, so on a clean dense
-        # operator it lies in the frequency-0 block alone; one fixed draw does not
-        v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, 2 * w.size)
-
-        def top_eig(q, g):
-            try:
-                return eigsh(real_form(g), k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-            except ArpackNoConvergence as e:
-                raise forward.ConvergenceError(
-                    f"Lanczos norm of Gram block {q} ({w.size} rows) did not converge: {e}") from e
+            if lib is None:
+                top = _eigsh_top(matvec, 2 * w.size)
+            else:
+                top = _lanczos_top(matvec, 2 * w.size, lib)
+            if top is None:
+                raise forward.ConvergenceError(f"Lanczos norm of Gram block {q} ({w.size} rows) "
+                                               f"did not converge in {20 * w.size} iterations")
+            return top
 
         # a zero block leaves Lanczos no start vector in its range; its norm is 0
         top = max((top_eig(q, g) for q, g in enumerate(grams) if np.any(g)), default=0.0)
@@ -445,9 +546,15 @@ def assemble(kind, scene, k, quad):
     blocks = assemble_blocks(kind, scene, k, quad).matrix
     n_theta, n_phi = quad.order, 2 * quad.order
     c = np.fft.ifft(blocks, axis=0).reshape(n_phi, n_theta, 2, n_theta, 2)
-    p = np.arange(n_phi)
-    full = c[(p[:, None] - p[None, :]) % n_phi]  # (p, p', i, s, j, t)
-    mat = full.transpose(2, 0, 3, 4, 1, 5).reshape(2 * quad.n_nodes, 2 * quad.n_nodes)
+    # c[(p - p') mod n_phi] is c2[n_phi + p - p'] of the doubled stack, so the
+    # expansion is a read-only view that steps back one block per column azimuth
+    c2 = np.concatenate([c, c])
+    s_d, s_i, s_s, s_j, s_t = c2.strides
+    full = np.lib.stride_tricks.as_strided(
+        c2[n_phi:], shape=(n_theta, n_phi, 2, n_theta, n_phi, 2),
+        strides=(s_i, s_d, s_s, s_j, -s_d, s_t), writeable=False)  # (i, p, s, j, p', t)
+    mat = np.empty((2 * quad.n_nodes, 2 * quad.n_nodes), dtype=complex)
+    mat.reshape(full.shape)[...] = full
     return FarFieldMatrix(mat, kind, float(k), quad, medium=medium)
 
 
@@ -456,6 +563,10 @@ def _require_dense(A, name):
     if not isinstance(A, FarFieldMatrix):
         raise TypeError(f"{name} needs a dense FarFieldMatrix, made with ffop.assemble, "
                         f"not a {type(A).__name__}")
+
+
+# add_noise draws its uniforms through a buffer of this many rows
+_NOISE_ROWS = 16
 
 
 def add_noise(A, eps, seed, stream=0):
@@ -480,14 +591,19 @@ def add_noise(A, eps, seed, stream=0):
     # by the real sqrt(2) as a product with 1 / sqrt(2), so these are its bits
     inv = 1.0 / np.sqrt(2.0)
     factor = np.empty(A.matrix.shape, dtype=complex)
-    u = np.empty(A.matrix.shape)
+    u = np.empty((_NOISE_ROWS,) + factor.shape[1:])
     for part in (factor.real, factor.imag):
-        # zeta, then mu, through one buffer: uniform(-1, 1) is -1 + 2 u of the same draws
-        gen.random(out=u)
-        u *= 2.0
-        u -= 1.0
-        np.multiply(u, eps, out=part)
-        part *= inv
+        # all of zeta, then all of mu, through one buffer of a few rows: the
+        # Philox stream runs in row-major order, as one full-size draw would;
+        # uniform(-1, 1) is -1 + 2 u of the same draws
+        for r in range(0, len(part), len(u)):
+            rows = part[r:r + len(u)]
+            block = u[:len(rows)]
+            gen.random(out=block)
+            block *= 2.0
+            block -= 1.0
+            np.multiply(block, eps, out=rows)
+            rows *= inv
     factor.real += 1.0
     # A * factor in this operand order: numpy's complex product is not
     # bit-commutative, its SIMD loop rounds one of the two cross terms first

@@ -173,6 +173,10 @@ def lidski_positivity(A, samples=32, seed=0):
     return float(worst)
 
 
+# a grid of more points than this is an input error, not a scan (each point costs a solve)
+_MAX_GRID_POINTS = 10**7
+
+
 def grid_points(lo, hi, step):
     """Points lo, lo + step, ... up to hi inclusive (to 1e-12 max(1, |hi|))."""
     if not np.all(np.isfinite((lo, hi, step))):
@@ -181,7 +185,11 @@ def grid_points(lo, hi, step):
         raise ValueError(f"grid needs lo < hi, got {lo} and {hi}")
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    count = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step  # inf when it overflows
+    if not span < _MAX_GRID_POINTS:
+        raise ValueError(f"grid {lo}:{hi}:{step} would hold {span:.3g} points, "
+                         f"more than {_MAX_GRID_POINTS}")
+    count = int(round(span)) + 1
     pts = lo + step * np.arange(count)
     return pts[pts <= hi + 1e-12 * max(1.0, abs(hi))]
 

@@ -77,3 +77,19 @@ def azimuthal_blocks(A):
                            f"the azimuth: deviation {dev:.3e} > {tol:.3e}")
     blocks = np.fft.fft(C, axis=3)  # (i_theta, s, j_theta, m, t)
     return blocks.transpose(3, 0, 1, 2, 4).reshape(n_phi, 2 * n_theta, 2 * n_theta)
+
+
+def gather_expansion(blocks, quad):
+    """Dense matrix of a DFT block stack by an index gather over azimuth pairs (docs section 12).
+
+    With c_d the inverse DFT of ``blocks`` over the block axis, entry
+    ((i, p, s), (j, p', t)) is c_{(p - p') mod n_phi}[(i, s), (j, t)]: the
+    gather builds the full (p, p', ...) array and one transpose-reshape
+    puts it in node order. This was ``ffop.assemble``'s expansion before
+    it became a strided view.
+    """
+    n_theta, n_phi = quad.order, 2 * quad.order
+    c = np.fft.ifft(blocks, axis=0).reshape(n_phi, n_theta, 2, n_theta, 2)
+    p = np.arange(n_phi)
+    full = c[(p[:, None] - p[None, :]) % n_phi]  # (p, p', i, s, j, t)
+    return full.transpose(2, 0, 3, 4, 1, 5).reshape(2 * quad.n_nodes, 2 * quad.n_nodes)

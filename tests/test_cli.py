@@ -563,6 +563,20 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["tev-scan", "--quad", "4x8", "--grid", "1:1e300:1e-300"],
+    ["phase-track", "--quad", "4x8", "--grid", "1:1e300:1e-300"],
+    ["stekloff-scan", "--quad", "4x8", "--grid=-1e300:-1:1e-300", "--zcount", "1"],
+])
+def test_grid_with_too_many_points_is_a_config_error(tmp_path, capsys, argv):
+    # a finite grid whose point count overflows used to raise OverflowError and exit 3
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: grid" in err and "points" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     *(["ffop-eigs", "--quad", "4x8", "--kind", kind, *noise]
@@ -664,15 +678,24 @@ def test_console_entry_point(tmp_path):
 
 def test_cli_start_loads_neither_scipy_optimize_nor_scipy_sparse(tmp_path):
     # every CLI call pays for what importing scatsig.cli and a short run
-    # load: scipy.optimize alone costs about 0.3 s of a start
+    # load: scipy.optimize alone costs about 0.3 s of a start. The noisy
+    # 8x16 scan takes the Lanczos norm, whose ARPACK extension is loaded by
+    # file under its own name, without the scipy.sparse packages
     code = (
         "import sys\n"
         "from scatsig import cli\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))\n"
         f"rc = cli.main(['oracle', 'tev', '--grid', '3.0:3.3:0.01', '--out', {str(tmp_path)!r}])\n"
         "assert rc == 0, rc\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))\n"
+        "loaded()\n"
+        "rc = cli.main(['tev-scan', '--quad', '8x16', '--grid', '3.0:3.1:0.05', '--noise', '0.01',\n"
+        f"               '--out', {str(tmp_path)!r}])\n"
+        "assert rc == 0, rc\n"
+        "loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "oracle_tev.csv").exists()
+    assert proc.stdout.splitlines()[-3] == "[]"
+    assert proc.stdout.splitlines()[-1] == "['scipy.sparse.linalg._eigen.arpack._arpacklib']"
+    assert (tmp_path / "oracle_tev.csv").exists() and (tmp_path / "tev_scan.csv").exists()

@@ -2,7 +2,10 @@
 
 import os
 import struct
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from scatsig import ffop
 from scatsig.ffop import (
     _EIGVALSH_MAX_ROWS,
     KINDS,
@@ -34,7 +38,7 @@ from scatsig.ffop import (
 from scatsig.forward import ConvergenceError, ImpedanceBall, MediumSpec
 from scatsig.sphfun import mode_list, vsh_tables
 
-from block_oracle import azimuthal_blocks, full_node_modal_sum
+from block_oracle import azimuthal_blocks, full_node_modal_sum, gather_expansion
 from field_oracle import (
     electric_far_field,
     from_vectors,
@@ -285,12 +289,17 @@ def test_add_noise_matches_the_complex_expression_bit_for_bit():
     # A * (1 + eps (zeta + i mu) / sqrt(2)) in numpy's complex arithmetic
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     gen = np.random.Generator(np.random.Philox(key=17))
-    for draw in range(120):
+    block = ffop._NOISE_ROWS
+    row_counts = (block - 1, block, block + 1, 2 * block + 3)
+    for draw in range(120 + len(row_counts)):
         seed, stream = (int(v) for v in gen.integers(0, 2**64, size=2, dtype=np.uint64))
         if draw < 2:
             seed, stream = (0, 0) if draw == 0 else (2**64 - 1, 2**64 - 1)
         eps = float(gen.choice([0.01, 1.0, 3.0])) if draw % 3 == 0 else float(gen.uniform(1e-4, 0.5))
         shape = tuple(int(v) for v in gen.integers(1, 40, size=2))
+        if draw >= 120:
+            # around the draw buffer's row block: one short, full, one over, two and a part
+            shape = (row_counts[draw - 120], shape[1])
         mat = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
         out = add_noise(FarFieldMatrix(mat, "CUSTOM", 1.0, quad), eps, seed, stream).matrix
         ref_gen = np.random.Generator(np.random.Philox(key=[seed, stream]))
@@ -364,6 +373,30 @@ def test_assemble_blocks_match_split_dense_matrix(rule, order, kind, scene):
     x = np.random.default_rng(order).standard_normal((A.matrix.shape[0], 3)) + 0j
     y = B.to_nodes(B.matrix @ B.to_blocks(x))
     assert_allclose(y, A.matrix @ x, rtol=0, atol=1e-13 * np.abs(A.matrix @ x).max())
+
+
+@pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 12),
+                                        ("EQUAL_AREA", 8)])
+@ORACLE_KINDS
+def test_strided_expansion_equals_the_index_gather_byte_for_byte(rule, order, kind, scene):
+    quad = build_quadrature(rule, order)
+    ref = gather_expansion(assemble_blocks(kind, scene, 2.5, quad).matrix, quad)
+    assert assemble(kind, scene, 2.5, quad).matrix.tobytes() == ref.tobytes()
+
+
+def test_dense_assemble_peaks_below_1_2_dense_arrays():
+    # the strided expansion writes the output once; the gather it replaced
+    # held the (p, p', ...) array and its transposed copy, 2.08 arrays
+    quad = build_quadrature("PRODUCT_GAUSS", 12)
+    scene = MediumSpec.ball(1.0, 4.0)
+    assemble("MAGNETIC", scene, 3.1, quad)  # warm-up: the cached mode tables
+    tracemalloc.start()
+    try:
+        assemble("MAGNETIC", scene, 3.1, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (2 * quad.n_nodes) ** 2 * 16
 
 
 @pytest.mark.parametrize("L,n_phi", [(5, 12), (14, 12), (15, 24)])
@@ -543,23 +576,112 @@ def test_clean_dense_operator_norm_matches_svdvals(rule, order, kind, scene):
         assert abs(A.operator_norm() - ref) <= 1e-12 * ref, k
 
 
+class _RecordingArpack:
+    """scipy's ARPACK extension with a hook on each dsaupd call of the Lanczos loop.
+
+    It records every ido ARPACK returns, and each start vector the loop
+    hands back after an ido 4.
+    """
+
+    def __init__(self, before=None):
+        self.lib = ffop._arpacklib()
+        self.before = before
+        self.idos = []
+        self.restarts = []
+        self.dseupd_wrap = self.lib.dseupd_wrap
+
+    def dsaupd_wrap(self, state, resid, *args):
+        if self.before is not None:
+            self.before(state)
+        if self.idos and self.idos[-1] == 4:
+            self.restarts.append(resid.copy())
+        self.lib.dsaupd_wrap(state, resid, *args)
+        self.idos.append(state["ido"])
+
+
 def test_lanczos_non_convergence_is_a_convergence_error_naming_the_block(monkeypatch):
-    import scipy.sparse.linalg as sla
+    # the second block's loop enters ARPACK with a budget of one restart
+    entries = []
 
-    eigsh = sla.eigsh
-    calls = []
+    def second_gets_one_iteration(state):
+        if state["ido"] == 0:
+            entries.append(1)
+            if len(entries) == 2:
+                state["maxiter"] = 1
 
-    def second_fails(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(sla, "eigsh", second_fails)
+    recording = _RecordingArpack(second_gets_one_iteration)
+    monkeypatch.setattr(ffop, "_arpacklib", lambda: recording)
     gen = np.random.Generator(np.random.Philox(key=5))
     grams = _psd_stack(gen, 2, _EIGVALSH_MAX_ROWS + 2, [1.0, 1.0])
     with pytest.raises(ConvergenceError, match="block 1 "):
         gram_norm(grams, np.ones(_EIGVALSH_MAX_ROWS + 2))
+    assert len(entries) == 2
+
+
+def _dense_gram(A):
+    w = A.weight_vector()
+    return gram_lower(np.sqrt(w)[:, None] * A.matrix), w
+
+
+@pytest.mark.parametrize("case", ["noisy_6x12", "noisy_12x24", "electric_8x16"])
+def test_lanczos_loop_equals_eigsh_bit_for_bit(monkeypatch, case):
+    # on Grams whose Lanczos run never restarts from a random vector (ido 4),
+    # eigsh draws nothing unseeded, and the loop makes its calls on its arrays
+    if case == "electric_8x16":
+        A = assemble("ELECTRIC", BALL2, 5.0, build_quadrature("PRODUCT_GAUSS", 8))
+    else:
+        quad = build_quadrature("PRODUCT_GAUSS", 6 if case == "noisy_6x12" else 12)
+        A = add_noise(assemble("MAGNETIC", MediumSpec.ball(1.0, 4.0), 3.1, quad), 0.01, seed=1)
+    gram, w = _dense_gram(A)
+    assert w.size > _EIGVALSH_MAX_ROWS
+    recording = _RecordingArpack()
+    monkeypatch.setattr(ffop, "_arpacklib", lambda: recording)
+    got = np.float64(gram_norm(gram, w))
+    assert recording.idos[-1] == 99 and 4 not in recording.idos
+    monkeypatch.setattr(ffop, "_arpacklib", lambda: None)  # a scipy without _arpacklib
+    ref = np.float64(gram_norm(gram, w))
+    assert got.view(np.uint64) == ref.view(np.uint64)
+
+
+def test_lanczos_restart_vectors_are_fixed_draws(monkeypatch):
+    # a clean dense 10x20 cell of the benchmark's Stekloff window whose Lanczos
+    # run asks for a fresh start vector, which eigsh draws unseeded
+    quad = build_quadrature("PRODUCT_GAUSS", 10)
+    F_m = assemble("MAGNETIC", MediumSpec.ball(1.0, 2.0 + 2.0j), 1.0, quad)
+    F_s = assemble("IMPEDANCE", ImpedanceBall(R=1.0, lam=-1.98 - 0.02j), 1.0, quad)
+    A = FarFieldMatrix(F_m.matrix - F_s.matrix, "MODIFIED", 1.0, quad)
+    gram, w = _dense_gram(A)
+    recording = _RecordingArpack()
+    monkeypatch.setattr(ffop, "_arpacklib", lambda: recording)
+    first = np.float64(gram_norm(gram, w))
+    assert recording.idos.count(4) == 1
+    # the restart is the draw after the start vector in the Philox stream of seed 0
+    draws = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, (2, 2 * w.size))
+    assert np.array_equal(recording.restarts[0], draws[1])
+    second = np.float64(gram_norm(gram, w))
+    assert first.view(np.uint64) == second.view(np.uint64)
+    sq = np.sqrt(w)
+    ref = scipy.linalg.svdvals((sq[:, None] * A.matrix) / sq[None, :])[0]
+    assert abs(first - ref) <= 1e-12 * ref
+
+
+def test_arpack_module_loaded_by_file_is_the_one_scipy_sparse_imports():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from scatsig import ffop\n"
+        "m = ffop._EIGVALSH_MAX_ROWS + 2\n"
+        "x = np.random.Generator(np.random.Philox(3)).standard_normal((m, m)) + 0j\n"
+        "assert ffop.gram_norm(x.T @ x, np.ones(m)) > 0\n"
+        "loaded = sys.modules[ffop._ARPACKLIB]\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "import scipy.sparse.linalg\n"
+        "from scipy.sparse.linalg._eigen.arpack import arpack\n"
+        "assert arpack._arpacklib is loaded\n"
+        "assert ffop._arpacklib() is loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_operator_norm_matches_svd():

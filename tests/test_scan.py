@@ -135,8 +135,8 @@ def test_transpose_in_place_equals_the_transpose(n):
 
 
 def test_noisy_tev_scan_point_holds_fewer_than_three_dense_arrays():
-    # X = W^1/2 A in the noisy operator's buffer and the factor in zherk's: the
-    # peak is add_noise's, the clean and noisy operators plus one real draw buffer
+    # X = W^1/2 A in the noisy operator's buffer and the factor in zherk's; add_noise
+    # holds the clean and noisy operators and draws through a buffer of a few rows
     quad = build_quadrature("PRODUCT_GAUSS", 12)
 
     def run():
@@ -149,7 +149,7 @@ def test_noisy_tev_scan_point_holds_fewer_than_three_dense_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (2 * quad.n_nodes) ** 2 * 16
+    assert peak <= 2.1 * (2 * quad.n_nodes) ** 2 * 16
 
 
 def test_block_solve_raises_when_refinement_is_exhausted(monkeypatch):

@@ -342,14 +342,18 @@ def test_phase_track_grid_and_floor():
 
 
 def test_grid_points_rejections():
-    # an infinite step used to give an empty grid, an infinite hi an OverflowError
+    # an infinite step used to give an empty grid, an infinite hi or a finite grid
+    # of too many points an OverflowError
     inf = np.inf
     for lo, hi, step, cause in ((1.0, 1.0, 0.1, "lo < hi"), (2.0, 1.0, 0.1, "lo < hi"),
                                 (0.0, 1.0, 0.0, "step must be positive"),
                                 (0.0, 1.0, -0.1, "step must be positive"),
                                 (0.0, 1.0, inf, "finite"), (0.0, inf, 1.0, "finite"),
                                 (-inf, 1.0, 1.0, "finite"), (np.nan, 1.0, 0.1, "finite"),
-                                (0.0, np.nan, 0.1, "finite"), (0.0, 1.0, np.nan, "finite")):
+                                (0.0, np.nan, 0.1, "finite"), (0.0, 1.0, np.nan, "finite"),
+                                (0.0, 1e300, 1e-300, "inf points"),
+                                (-1e308, 1e308, 1.0, "inf points"),
+                                (0.0, 1.0, 1e-8, "1e\\+08 points")):
         with pytest.raises(ValueError, match=f"grid.*{cause}"):
             grid_points(lo, hi, step)
     assert_allclose(grid_points(0.0, 1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=0)

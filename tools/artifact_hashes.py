@@ -54,8 +54,9 @@ RUNS = {
                                    "--rect=-4.5:-0.5:-0.2:0.8:40",
     # the phase_sweep benchmark window, where the truncation degree steps from 15 to 16
     "phase_track_12x24": "phase-track --quad 12x24 --scene ball4 --grid 3.12:3.16:0.01",
-    # the one run on the EQUAL_AREA rule
+    # the EQUAL_AREA rule through the block eig path and, noisy, through the dense assemble
     "ffop_eigs_ea8": "ffop-eigs --quad ea8",
+    "ffop_eigs_noisy_ea8": "ffop-eigs --quad ea8 --noise 0.01",
     # an explicit alpha through the clean block solver and through the noisy dense one
     "tev_scan_alpha_6x12": "tev-scan --quad 6x12 --scene ball4 --grid 3.0:3.3:0.02 --alpha 1e-4",
     "stekloff_grid_alpha_noisy_6x12": "stekloff-scan --quad 6x12 --grid=-4.0:-1.0:0.1 "
