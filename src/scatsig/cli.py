@@ -132,6 +132,9 @@ def _parse_rect(value):
     re_lo, re_hi, im_lo, im_hi, n = _parse_numbers("rect", value, "reLo:reHi:imLo:imHi:n")
     if re_hi <= re_lo or im_hi <= im_lo or n < 2 or not n.is_integer():
         raise ConfigError(f"rect needs increasing bounds and an integer n >= 2, got {value!r}")
+    if int(n) ** 2 > spectra._MAX_GRID_POINTS:
+        raise ConfigError(f"rect {value!r} would hold {int(n) ** 2} cells, "
+                          f"more than {spectra._MAX_GRID_POINTS}")
     return re_lo, re_hi, im_lo, im_hi, int(n)
 
 

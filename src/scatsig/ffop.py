@@ -23,17 +23,13 @@ section 12).
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import struct
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from . import forward
+from . import _extension, forward
 from .forward import ImpedanceBall, MediumSpec, impedance_coefficients, mie_coefficients
 from .sphfun import mode_list, vsh_tables
 
@@ -256,28 +252,9 @@ def _candidate_blocks(grams, w):
 _ARPACKLIB = "scipy.sparse.linalg._eigen.arpack._arpacklib"
 
 
-@lru_cache(maxsize=1)
 def _arpacklib():
-    """scipy's ARPACK extension module, or None for a scipy that has none.
-
-    The module is loaded by file under its canonical name, which skips
-    the ``scipy.sparse`` packages: their import loads all of
-    scipy.linalg. A later ``import scipy.sparse.linalg`` finds it in
-    sys.modules and reuses it.
-    """
-    if _ARPACKLIB in sys.modules:
-        return sys.modules[_ARPACKLIB]
-    import scipy
-
-    folder = Path(scipy.__file__).parent / "sparse" / "linalg" / "_eigen" / "arpack"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = folder / f"_arpacklib{suffix}"
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location(_ARPACKLIB, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return sys.modules.setdefault(_ARPACKLIB, module)
-    return None
+    """scipy's ARPACK extension module, loaded by file, or None for a scipy that has none."""
+    return _extension.load(_ARPACKLIB)
 
 
 def _lanczos_top(matvec, n, lib):
@@ -318,18 +295,16 @@ def _lanczos_top(matvec, n, lib):
         raise RuntimeError(f"ARPACK dsaupd failed with info = {state['info']}")
     state["info"] = 0
     d = np.zeros(1)
+    # without eigenvectors ARPACK never reads z, so a 1 x 1 one does (LDZ >= 1)
     lib.dseupd_wrap(state, False, 0, np.zeros(ncv, dtype=np.int32), d,
-                    np.zeros((n, ncv), order="F"), 0, resid, v, ipntr, workd, workl)
+                    np.zeros((1, 1), order="F"), 0, resid, v, ipntr, workd, workl)
     if state["info"] != 0:
         raise RuntimeError(f"ARPACK dseupd failed with info = {state['info']}")
     return d[0]
 
 
 def _eigsh_top(matvec, n):
-    """``_lanczos_top`` through scipy's eigsh, for a scipy without ``_arpacklib``.
-
-    The start vector is the same fixed draw; a restart (ido 4) is not.
-    """
+    """``_lanczos_top`` by eigsh, for a scipy without ``_arpacklib``: the restarts (ido 4) are unseeded."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, n)
@@ -353,13 +328,12 @@ def gram_norm(gram, w):
     either way. A larger block gets symmetric Lanczos (``_lanczos_top``)
     on the real form [[Re H, -Im H], [Im H, Re H]] of
     H = W^-1/2 G W^-1/2, which repeats each eigenvalue of H, from fixed
-    Philox draws, so the result is a pure function of the input (for a
-    scipy that has ``_arpacklib``, see ``_eigsh_top``). The
-    real form is applied as H to x[:m] + i x[m:] without being built, by
-    one zhemv on the triangle; it runs several times faster than
-    complex Lanczos, most of all under a multithreaded BLAS. A block on
-    which ARPACK does not converge raises forward.ConvergenceError
-    naming it.
+    Philox draws, so the result is a pure function of the input (see
+    ``_eigsh_top`` for a scipy without ARPACK's module). The real form
+    is applied as H to x[:m] + i x[m:] without being built, by one zhemv
+    on the triangle; it runs several times faster than complex Lanczos,
+    most of all under a multithreaded BLAS. A block on which ARPACK does
+    not converge raises forward.ConvergenceError naming it.
     """
     s = 1.0 / np.sqrt(w)
     grams = gram.reshape(-1, w.size, w.size)
@@ -565,6 +539,12 @@ def _require_dense(A, name):
                         f"not a {type(A).__name__}")
 
 
+def _require_noise_level(eps):
+    """Raise ValueError unless the noise level eps is finite and >= 0."""
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"noise level eps must be finite and >= 0, got {eps}")
+
+
 # add_noise draws its uniforms through a buffer of this many rows
 _NOISE_ROWS = 16
 
@@ -579,8 +559,7 @@ def add_noise(A, eps, seed, stream=0):
     distinct seeds never share a draw.
     """
     _require_dense(A, "add_noise")
-    if not 0 <= eps < np.inf:
-        raise ValueError(f"noise level eps must be finite and >= 0, got {eps}")
+    _require_noise_level(eps)
     if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
         raise ValueError(f"noise seed and stream must lie in [0, 2**64), got {seed}, {stream}")
     if eps == 0:

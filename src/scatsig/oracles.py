@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import forward
+from . import _extension, forward
 from .forward import ConvergenceError, MediumSpec
 from .sphfun import riccati_all
 
@@ -131,66 +131,31 @@ def tev_min_singular(medium, l, family, k):
 
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
+_ZEROS = "scipy.optimize._zeros"
 
 
 def _brentq(f, xa, xb, xtol):
-    """Root of f bracketed by [xa, xb], by Brent's method.
+    """Root of f bracketed by [xa, xb], by the call scipy.optimize.brentq makes.
 
-    A step-for-step port of scipy's brentq.c (rtol 4 eps, 100
-    iterations, the same interpolate / extrapolate / bisect rules), so
-    roots equal scipy's brentq bit for bit without importing its
-    optimize package, which costs a CLI start about 0.3 s. The arithmetic
-    runs on float64 scalars under errstate, so a zero denominator gives
-    inf or nan (and a bisection step) as in C instead of raising. Raises
-    ValueError when f has the same sign at both ends or returns NaN,
-    and ConvergenceError when it does not converge.
+    The compiled routine (rtol 4 eps, 100 iterations, full output, whose
+    flag reports non-convergence) comes from its module loaded by file. Raises
+    ValueError when f has the same sign at both ends or returns NaN, and
+    ConvergenceError when it does not converge.
     """
+    zeros = _extension.load(_ZEROS)
+    if zeros is None:
+        import scipy.optimize._zeros as zeros
+
     def value(x):
-        fx = np.float64(f(float(x)))
+        fx = f(x)
         if np.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur = np.float64(xa), np.float64(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return float(xpre)
-    if fcur == 0:
-        return float(xcur)
-    if np.signbit(fpre) == np.signbit(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = np.float64(0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        for _ in range(_BRENT_MAXITER):
-            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-                xblk, fblk = xpre, fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            if fcur == 0 or abs(sbis) < delta:
-                return float(xcur)
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                    spre, scur = scur, stry  # good short step
-                else:
-                    spre = scur = sbis
-            else:
-                spre = scur = sbis
-            xpre, fpre = xcur, fcur
-            xcur = xcur + (scur if abs(scur) > delta else (delta if sbis > 0 else -delta))
-            fcur = value(xcur)
-    raise ConvergenceError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+    root, _, _, flag = zeros._brentq(value, xa, xb, xtol, _BRENT_RTOL, _BRENT_MAXITER, (), True, False)
+    if flag != 0:
+        raise ConvergenceError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {root}")
+    return root
 
 
 def _roots_on_grid(fn, grid, vals):

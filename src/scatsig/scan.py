@@ -288,6 +288,7 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), alpha="auto",
     if any(n.imag != 0 for _, n in medium.layers):
         raise ValueError("transmission-eigenvalue scans require a real index")
     zs.validate_inside(medium.radius)
+    ffop._require_noise_level(noise_eps)
     ks = wavenumbers(k_grid)
     z_pts = zs.points()
 
@@ -328,6 +329,7 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), alpha="auto",
     if R < scene.radius:
         raise ValueError("reference ball must contain the scatterer")
     zs.validate_inside(scene.radius)
+    ffop._require_noise_level(noise_eps)
     lam = np.asarray(lam_grid)
     if lam.ndim not in (1, 2) or lam.size == 0:
         raise ValueError(f"lambda grid must be a nonempty 1-D list or 2-D rectangle, "

@@ -543,12 +543,14 @@ NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
     (["estimate-shift", "--config", '{"delta_n": [true, 0]}'], "delta_n"),
     (["estimate-shift", "--config", '{"delta_n": []}'], "delta_n"),
     (["estimate-shift", "--config", '{"delta_n": [0.5]}'], "delta_n"),
+    (["stekloff-scan", "--quad", "4x8", "--rect=-2:-1:-0.1:0.1:100000"], "rect"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
     # argparse floats accept nan and inf, and JSON files accept NaN; a
     # config-file value of the wrong type for its key fails the same way,
     # and so does a phase-track floor above 1, which would keep no eigenvalue,
-    # or true or false in a config-file list, which float() would read as 1 or 0
+    # or true or false in a config-file list, which float() would read as 1 or 0,
+    # or a rect of more than 10^7 cells, whose lambda array used to exhaust memory
     scene = tmp_path / "scene.json"
     scene.write_text(NAN_SCENE_TEXT)
     if argv[-2] == "--config":  # the last argument is the config file's text
@@ -678,24 +680,35 @@ def test_console_entry_point(tmp_path):
 
 def test_cli_start_loads_neither_scipy_optimize_nor_scipy_sparse(tmp_path):
     # every CLI call pays for what importing scatsig.cli and a short run
-    # load: scipy.optimize alone costs about 0.3 s of a start. The noisy
-    # 8x16 scan takes the Lanczos norm, whose ARPACK extension is loaded by
-    # file under its own name, without the scipy.sparse packages
+    # load: the scipy.optimize package alone costs about 0.3 s of a start.
+    # Brent's method on the n = 4 ball's root at pi and the Lanczos norm of
+    # the noisy 8x16 scan each load one extension module by file under its
+    # own name, without the packages above it
+    scene = _write_json(tmp_path / "scene.json", BALL4_SCENE)
     code = (
         "import sys\n"
         "from scatsig import cli\n"
         "def loaded():\n"
         "    print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))\n"
-        f"rc = cli.main(['oracle', 'tev', '--grid', '3.0:3.3:0.01', '--out', {str(tmp_path)!r}])\n"
+        f"rc = cli.main(['oracle', 'tev', '--scene', {scene!r}, '--grid', '3.0:3.3:0.01',\n"
+        f"               '--out', {str(tmp_path)!r}])\n"
         "assert rc == 0, rc\n"
         "loaded()\n"
         "rc = cli.main(['tev-scan', '--quad', '8x16', '--grid', '3.0:3.1:0.05', '--noise', '0.01',\n"
         f"               '--out', {str(tmp_path)!r}])\n"
         "assert rc == 0, rc\n"
         "loaded()\n"
+        "zeros = sys.modules['scipy.optimize._zeros']\n"
+        "import scipy.optimize\n"
+        "assert scipy.optimize._zeros_py._zeros is zeros\n"
+        "from scipy.optimize import _zeros\n"
+        "assert _zeros is zeros\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3] == "[]"
-    assert proc.stdout.splitlines()[-1] == "['scipy.sparse.linalg._eigen.arpack._arpacklib']"
-    assert (tmp_path / "oracle_tev.csv").exists() and (tmp_path / "tev_scan.csv").exists()
+    assert proc.stdout.splitlines()[-3] == "['scipy.optimize._zeros']"
+    assert proc.stdout.splitlines()[-1] == ("['scipy.optimize._zeros', "
+                                            "'scipy.sparse.linalg._eigen.arpack._arpacklib']")
+    rows = (tmp_path / "oracle_tev.csv").read_text().splitlines()
+    assert any(abs(float(row.split(",")[2]) - np.pi) < 1e-10 for row in rows[2:])
+    assert (tmp_path / "tev_scan.csv").exists()

@@ -643,6 +643,23 @@ def test_lanczos_loop_equals_eigsh_bit_for_bit(monkeypatch, case):
     assert got.view(np.uint64) == ref.view(np.uint64)
 
 
+def test_lanczos_hands_dseupd_a_1x1_eigenvector_array(monkeypatch):
+    # ARPACK never reads z without eigenvectors; an (n, ncv) one cost 0.37 MB per norm at 12x24
+    A = add_noise(assemble("MAGNETIC", MediumSpec.ball(1.0, 4.0), 3.1,
+                           build_quadrature("PRODUCT_GAUSS", 6)), 0.01, seed=1)
+    recording = _RecordingArpack()
+    shapes = []
+
+    def dseupd_wrap(*args):
+        shapes.append(args[5].shape)
+        return recording.lib.dseupd_wrap(*args)
+
+    recording.dseupd_wrap = dseupd_wrap
+    monkeypatch.setattr(ffop, "_arpacklib", lambda: recording)
+    assert gram_norm(*_dense_gram(A)) > 0
+    assert shapes == [(1, 1)]
+
+
 def test_lanczos_restart_vectors_are_fixed_draws(monkeypatch):
     # a clean dense 10x20 cell of the benchmark's Stekloff window whose Lanczos
     # run asks for a fresh start vector, which eigsh draws unseeded

@@ -7,6 +7,7 @@ they share no code with the package.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from scatsig import (
     tev_min_singular,
     tev_roots,
 )
-from scatsig import oracles
+from scatsig import _extension, oracles
 from scatsig.oracles import _brentq
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
@@ -198,6 +199,21 @@ def test_brentq_port_error_paths():
     step = lambda x: 1.0 if x > 1e-200 else -1.0
     with pytest.raises(RuntimeError, match="100 iterations"):
         _brentq(step, -1e300, 1e300, 1e-300)
+
+
+def test_extension_loader_reuses_a_loaded_module_and_returns_none_without_a_file():
+    assert _extension.load(oracles._ZEROS) is sys.modules[oracles._ZEROS]
+    assert _extension.load("scipy.optimize._no_such_extension") is None
+    assert "scipy.optimize._no_such_extension" not in sys.modules
+
+
+def test_brentq_falls_back_to_the_ordinary_import(monkeypatch):
+    # a scipy without the extension file gets the same routine through its package
+    by_file = tev_roots(BALL4, 2, (0.5, 4.0))
+    asked = []
+    monkeypatch.setattr(_extension, "load", lambda name: asked.append(name))
+    assert tev_roots(BALL4, 2, (0.5, 4.0)) == by_file
+    assert asked and set(asked) == {oracles._ZEROS}
 
 
 def test_tev_roots_n4_window():

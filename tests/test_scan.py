@@ -509,6 +509,21 @@ def test_stekloff_scan_noise_keeps_first_peak():
     assert min(abs(p - p_clean[0]) for p in p_noisy) <= 2 * 0.05 + 1e-9
 
 
+@pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
+def test_scans_reject_a_bad_noise_level_before_any_assembly(monkeypatch, eps):
+    # -0.1 and nan failed eps > 0, so both scans took the clean path and
+    # wrote the bad level into their metadata
+    def no_assembly(*args):
+        raise AssertionError("assembled before checking the noise level")
+
+    monkeypatch.setattr(ffop, "assemble", no_assembly)
+    monkeypatch.setattr(ffop, "assemble_blocks", no_assembly)
+    with pytest.raises(ValueError, match="noise level eps must be finite and >= 0"):
+        tev_scan(BALL4, [3.1], QUAD8, zs=ZS4, noise_eps=eps)
+    with pytest.raises(ValueError, match="noise level eps must be finite and >= 0"):
+        stekloff_scan(BALL2, 1.0, 1.0, [-1.5], QUAD8, zs=ZS4, noise_eps=eps)
+
+
 def test_stekloff_scan_resonant_lambda_is_nan_gap():
     # lambda = -xi_1'(k R) / xi_1(k R) * k makes the impedance ball
     # assembly singular; the scan records NaN instead of failing
