@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -176,27 +177,16 @@ def _load_scene(value):
     raise ConfigError(f"scene must be a file path or an inline object, got {type(value).__name__}")
 
 
-# The keys each command (and oracle target) reads besides out; any other is rejected
-_READS = {
-    "ffop-eigs": "k scene B quad noise seed kind s_kind lam",
-    "tev-scan": "scene quad noise seed alpha grid z_count z_radius z_seed herglotz",
-    "stekloff-scan": "k scene B quad noise seed alpha grid rect s_kind z_count z_radius z_seed",
-    "phase-track": "scene quad grid floor",
-    "oracle tev": "scene grid lmax",
-    "oracle stekloff": "k scene B lmax s_kind",
-    "estimate-shift": "k scene B lmax s_kind delta_n rc",
-    "index-bound": "scene lmax k1 n_lo n_hi",
-}
-
-
 def _build_parser():
     ap = _Parser(prog="scatsig", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (text, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text, allow_abbrev=False)  # --k must not mean --k1
-        if command == "oracle":
-            p.add_argument("which", choices=["tev", "stekloff"])
-        keys = {"out"}.union(*(r.split() for name, r in _READS.items() if name.split()[0] == command))
+    for command in dict.fromkeys(name.split()[0] for name in _COMMANDS):
+        names = [name for name in _COMMANDS if name.split()[0] == command]
+        # allow_abbrev=False: --k must not mean --k1
+        p = sub.add_parser(command, help=_COMMANDS[names[0]].help, allow_abbrev=False)
+        if names != [command]:  # the targets are the second words of the command's rows
+            p.add_argument("which", choices=[name.split()[1] for name in names])
+        keys = {"out"}.union(*(_COMMANDS[name].reads.split() for name in names))
         p.add_argument("--config", help="JSON file with defaults for the keys this command reads")
         for f in fields(RunConfig):
             if f.name in keys:
@@ -211,7 +201,7 @@ def parse_config(argv=None):
     name = f"{ns.command} {which}" if which else ns.command
     if extra:
         raise ConfigError(f"{name} does not read {extra[0]}")
-    reads = {"out", *_READS[name].split()}
+    reads = {"out", *_COMMANDS[name].reads.split()}
     keys = [f for f in fields(RunConfig) if f.metadata]
     defaults = {f.name: f.default for f in keys}
     types = {f.name: f.type for f in keys}
@@ -255,6 +245,8 @@ def parse_config(argv=None):
         raise ConfigError(f"delta_n must parse as a complex number, got {delta_n!r}") from None
     if merged["grid"] is not None:
         merged["grid"] = _parse_grid(merged["grid"])
+    elif merged["rect"] is None:
+        merged["grid"] = _COMMANDS[name].grid
     if merged["rect"] is not None:
         merged["rect"] = _parse_rect(merged["rect"])
     for key, val in merged.items():
@@ -278,10 +270,9 @@ def _config_line(cfg):
     return "# config " + json.dumps(cfg.to_json_dict(), sort_keys=True)
 
 
-def export_csv(table, path):
-    """Write (header, rows, comments) as CSV text (see ffop.csv_text)."""
-    header, rows, comments = table
-    _write_text(ffop.csv_text(header, rows, comments), path)
+def export_csv(cfg, header, rows):
+    """A table's CSV text under the run's config line (see ffop.csv_text)."""
+    return ffop.csv_text(header, rows, [_config_line(cfg)])
 
 
 def _write_text(text, path):
@@ -315,9 +306,7 @@ def _run_ffop_eigs(cfg):
     else:
         res = np.full(es.values.size, np.nan)
     rows = [[v.real, v.imag, abs(v), r] for v, r in zip(es.values, res)]
-    path = os.path.join(cfg.out, "ffop_eigs.csv")
-    export_csv((["re", "im", "abs", "circle_residual"], rows, [_config_line(cfg)]), path)
-    return [path]
+    return "ffop_eigs.csv", export_csv(cfg, ["re", "im", "abs", "circle_residual"], rows)
 
 
 def _zs_of(cfg):
@@ -325,16 +314,11 @@ def _zs_of(cfg):
 
 
 def _run_tev_scan(cfg):
-    quad = _quad_of(cfg)
-    grid = cfg.grid or (0.5, 4.0, 0.02)
     result = scan.tev_scan(
-        cfg.scene, spectra.grid_points(*grid), quad, _zs_of(cfg), cfg.alpha,
+        cfg.scene, spectra.grid_points(*cfg.grid), _quad_of(cfg), _zs_of(cfg), cfg.alpha,
         noise_eps=cfg.noise, noise_seed=cfg.seed, herglotz=cfg.herglotz,
     )
-    text = _config_line(cfg) + "\n" + scan.result_to_csv(result)
-    path = os.path.join(cfg.out, "tev_scan.csv")
-    _write_text(text, path)
-    return [path]
+    return "tev_scan.csv", _config_line(cfg) + "\n" + scan.result_to_csv(result)
 
 
 def _run_stekloff_scan(cfg):
@@ -345,8 +329,7 @@ def _run_stekloff_scan(cfg):
         im_ax = np.linspace(im_lo, im_hi, int(n))
         lam_grid = re_ax[None, :] + 1j * im_ax[:, None]
     else:
-        lo, hi, step = cfg.grid or (-6.0, -0.5, 0.05)
-        lam_grid = spectra.grid_points(lo, hi, step)
+        lam_grid = spectra.grid_points(*cfg.grid)
     result = scan.stekloff_scan(
         cfg.scene, cfg.B, cfg.k, lam_grid, quad, _zs_of(cfg),
         cfg.alpha, s_kind=cfg.s_kind,
@@ -355,44 +338,31 @@ def _run_stekloff_scan(cfg):
     if cfg.rect:
         doc = json.loads(scan.result_to_json(result))
         doc["config"] = cfg.to_json_dict()
-        path = os.path.join(cfg.out, "stekloff_scan.json")
-        _write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", path)
-    else:
-        text = _config_line(cfg) + "\n" + scan.result_to_csv(result)
-        path = os.path.join(cfg.out, "stekloff_scan.csv")
-        _write_text(text, path)
-    return [path]
+        return "stekloff_scan.json", json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return "stekloff_scan.csv", _config_line(cfg) + "\n" + scan.result_to_csv(result)
 
 
 def _run_phase_track(cfg):
-    quad = _quad_of(cfg)
-    grid = cfg.grid or (0.5, 4.0, 0.02)
-    track = spectra.phase_track(cfg.scene, spectra.grid_points(*grid), quad, floor=cfg.floor)
-    text = _config_line(cfg) + "\n" + spectra.phase_track_to_csv(track)
-    path = os.path.join(cfg.out, "phase_track.csv")
-    _write_text(text, path)
-    return [path]
+    track = spectra.phase_track(cfg.scene, spectra.grid_points(*cfg.grid), _quad_of(cfg), floor=cfg.floor)
+    return "phase_track.csv", _config_line(cfg) + "\n" + spectra.phase_track_to_csv(track)
 
 
-def _run_oracle(cfg):
-    if cfg.which == "tev":
-        lo, hi, step = cfg.grid or (0.5, 4.0, 0.01)
-        roots = oracles.tev_roots(cfg.scene, cfg.lmax, (lo, hi), step)
-        rows = [
-            [fam, l, kstar, oracles.tev_min_singular(cfg.scene, l, fam, kstar)]
-            for kstar, l, fam in roots
-        ]
-        path = os.path.join(cfg.out, "oracle_tev.csv")
-        export_csv((["family", "l", "value", "residual"], rows, [_config_line(cfg)]), path)
-    else:
-        modes = oracles.stekloff_eigs_ball(cfg.scene, cfg.B, cfg.k, cfg.lmax, s_kind=cfg.s_kind)
-        rows = [
-            [m.family, m.l, m.lam.real, m.lam.imag, m.boundary_residual()]
-            for m in modes
-        ]
-        path = os.path.join(cfg.out, "oracle_stekloff.csv")
-        export_csv((["family", "l", "re", "im", "residual"], rows, [_config_line(cfg)]), path)
-    return [path]
+def _run_oracle_tev(cfg):
+    roots = oracles.tev_roots(cfg.scene, cfg.lmax, cfg.grid[:2], cfg.grid[2])
+    rows = [
+        [fam, l, kstar, oracles.tev_min_singular(cfg.scene, l, fam, kstar)]
+        for kstar, l, fam in roots
+    ]
+    return "oracle_tev.csv", export_csv(cfg, ["family", "l", "value", "residual"], rows)
+
+
+def _run_oracle_stekloff(cfg):
+    modes = oracles.stekloff_eigs_ball(cfg.scene, cfg.B, cfg.k, cfg.lmax, s_kind=cfg.s_kind)
+    rows = [
+        [m.family, m.l, m.lam.real, m.lam.imag, m.boundary_residual()]
+        for m in modes
+    ]
+    return "oracle_stekloff.csv", export_csv(cfg, ["family", "l", "re", "im", "residual"], rows)
 
 
 def _run_estimate_shift(cfg):
@@ -402,13 +372,8 @@ def _run_estimate_shift(cfg):
     for m in modes:
         shift = oracles.shift_estimate(m, cfg.delta_n, r_c)
         rows.append([m.family, m.l, m.lam.real, m.lam.imag, shift.real, shift.imag])
-    path = os.path.join(cfg.out, "shift_estimate.csv")
-    export_csv(
-        (["family", "l", "lambda_re", "lambda_im", "shift_re", "shift_im"], rows,
-         [_config_line(cfg)]),
-        path,
-    )
-    return [path]
+    header = ["family", "l", "lambda_re", "lambda_im", "shift_re", "shift_im"]
+    return "shift_estimate.csv", export_csv(cfg, header, rows)
 
 
 def _run_index_bound(cfg):
@@ -420,26 +385,41 @@ def _run_index_bound(cfg):
     n_est = oracles.index_bound_from_tev(k1, cfg.scene.radius, (cfg.n_lo, cfg.n_hi),
                                          l_max=cfg.lmax)
     rows = [[n_est, k1, cfg.scene.radius, cfg.n_lo, cfg.n_hi]]
-    path = os.path.join(cfg.out, "index_bound.csv")
-    export_csv((["n_est", "k1", "a", "n_lo", "n_hi"], rows, [_config_line(cfg)]), path)
-    return [path]
+    return "index_bound.csv", export_csv(cfg, ["n_est", "k1", "a", "n_lo", "n_hi"], rows)
 
 
-# The help text and runner of each command
+# One row per command and oracle target: help text, the keys it reads besides out, the grid
+# it scans given neither grid nor rect, and its runner, which returns (file name, text)
+_Command = namedtuple("_Command", "help reads grid runner")
 _COMMANDS = {
-    "ffop-eigs": ("assemble an operator and export its spectrum", _run_ffop_eigs),
-    "tev-scan": ("transmission-eigenvalue indicator scan over k", _run_tev_scan),
-    "stekloff-scan": ("Stekloff indicator scan over lambda", _run_stekloff_scan),
-    "phase-track": ("magnetic eigenvalue phases over a k sweep", _run_phase_track),
-    "oracle": ("analytic eigenvalue references", _run_oracle),
-    "estimate-shift": ("first-order Stekloff shifts for an index bump", _run_estimate_shift),
-    "index-bound": ("constant-index bound from a measured first eigenvalue", _run_index_bound),
+    "ffop-eigs": _Command("assemble an operator and export its spectrum",
+                          "k scene B quad noise seed kind s_kind lam", None, _run_ffop_eigs),
+    "tev-scan": _Command("transmission-eigenvalue indicator scan over k",
+                         "scene quad noise seed alpha grid z_count z_radius z_seed herglotz",
+                         (0.5, 4.0, 0.02), _run_tev_scan),
+    "stekloff-scan": _Command(
+        "Stekloff indicator scan over lambda",
+        "k scene B quad noise seed alpha grid rect s_kind z_count z_radius z_seed",
+        (-6.0, -0.5, 0.05), _run_stekloff_scan),
+    "phase-track": _Command("magnetic eigenvalue phases over a k sweep", "scene quad grid floor",
+                            (0.5, 4.0, 0.02), _run_phase_track),
+    "oracle tev": _Command("analytic eigenvalue references", "scene grid lmax",
+                           (0.5, 4.0, 0.01), _run_oracle_tev),
+    "oracle stekloff": _Command("analytic eigenvalue references", "k scene B lmax s_kind",
+                                None, _run_oracle_stekloff),
+    "estimate-shift": _Command("first-order Stekloff shifts for an index bump",
+                               "k scene B lmax s_kind delta_n rc", None, _run_estimate_shift),
+    "index-bound": _Command("constant-index bound from a measured first eigenvalue",
+                            "scene lmax k1 n_lo n_hi", None, _run_index_bound),
 }
 
 
 def run(cfg):
-    """Execute a resolved configuration; returns the artifact paths."""
-    return _COMMANDS[cfg.command][1](cfg)
+    """Execute a resolved configuration; writes its artifact and returns [its path]."""
+    name, text = _COMMANDS[f"{cfg.command} {cfg.which}" if cfg.which else cfg.command].runner(cfg)
+    path = os.path.join(cfg.out, name)
+    _write_text(text, path)
+    return [path]
 
 
 def main(argv=None):

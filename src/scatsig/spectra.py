@@ -217,10 +217,11 @@ def worker_count():
 def phase_track(medium, k_values, quad, floor=1e-6):
     """Magnetic-operator phases lambda/|lambda| along a wavenumber sweep.
 
-    At each k of ``k_values`` the magnetic operator is assembled and
-    eigenvalues with |lambda| >= floor * max|lambda| are kept, for a
-    floor in [0, 1]. Reported per k: the retained phases and the dip
-    indicators min_j |phase_j + 1|, min_j |phase_j - 1|. The eigenvalues
+    At each k of ``k_values`` the magnetic operator is assembled and the
+    nonzero eigenvalues with |lambda| >= floor * max|lambda| are kept, for
+    a floor in [0, 1]; a zero eigenvalue has no phase. Reported per k: the
+    retained phases and the dip indicators min_j |phase_j + 1|,
+    min_j |phase_j - 1|, both inf when none is kept. The eigenvalues
     come from ``eig`` without vectors on the operator's azimuthal DFT
     blocks (``ffop.assemble_blocks``), one batched eigvals per k, in
     eig's order; grid points run serially, in grid order.
@@ -233,7 +234,7 @@ def phase_track(medium, k_values, quad, floor=1e-6):
         vals = eig(ffop.assemble_blocks("MAGNETIC", medium, float(k), quad),
                    compute_vectors=False).values
         cut = floor * np.abs(vals[0]) if vals.size else 0.0
-        kept = vals[np.abs(vals) >= cut]
+        kept = vals[(np.abs(vals) >= cut) & (vals != 0)]
         return kept / np.abs(kept)
 
     phase_lists = [one(k) for k in ks]

@@ -38,7 +38,7 @@ def test_defaults():
     assert cfg.scene.layers == ((1.0, 2.0 + 0.0j),)
     assert cfg.z_count == 10 and cfg.z_seed == 7
     assert cfg.alpha == "auto"
-    assert cfg.grid is None
+    assert cfg.grid == (0.5, 4.0, 0.02)  # the command's own default grid, resolved
 
 
 def test_flags_override_config_file(tmp_path):
@@ -84,6 +84,23 @@ def test_grid_parsing_accepts_negative_values():
     # equals syntax keeps argparse from reading the value as a flag
     cfg = parse_config(["stekloff-scan", "--grid=-6:-0.5:0.05"])
     assert cfg.grid == (-6.0, -0.5, 0.05)
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["tev-scan"], (0.5, 4.0, 0.02)),
+    (["phase-track"], (0.5, 4.0, 0.02)),
+    (["oracle", "tev"], (0.5, 4.0, 0.01)),
+    (["stekloff-scan"], (-6.0, -0.5, 0.05)),
+    (["stekloff-scan", "--rect=-2:-1:-0.1:0.1:3"], None),
+    (["ffop-eigs"], None),
+    (["oracle", "stekloff"], None),
+])
+def test_default_grid_is_resolved_into_the_config_line(argv, grid):
+    # the config line used to record "grid": null for the runners' private defaults
+    cfg = parse_config(argv)
+    assert cfg.grid == grid
+    doc = json.loads(cli._config_line(cfg)[len("# config "):])
+    assert doc["grid"] == (list(grid) if grid else None)
 
 
 @pytest.mark.parametrize("text", ["1:2", "a:b:c", "2:1:0.1", "1:2:0"])
@@ -215,19 +232,23 @@ CONFIG_KEYS = [f.name for f in fields(cli.RunConfig) if f.name not in ("command"
 FLAGS = {f.name: f.metadata["flag"] for f in fields(cli.RunConfig) if f.metadata}
 
 
+def _reads(target):
+    return cli._COMMANDS[target].reads.split()
+
+
 def test_runs_cover_every_command_and_oracle_target():
-    assert set(RUNS_BY_TARGET) == set(cli._READS)
+    assert set(RUNS_BY_TARGET) == set(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("target", sorted(RUNS_BY_TARGET))
 def test_command_table_equals_the_runner_reads(tmp_path, target):
     read = set()
     for argv in RUNS_BY_TARGET[target]:
-        quad = ["--quad", "4x8"] if "quad" in cli._READS[target].split() else []
+        quad = ["--quad", "4x8"] if "quad" in _reads(target) else []
         log = _ReadLog(parse_config(argv + quad + ["--out", str(tmp_path)]))
         cli.run(log)
         read |= log.names & set(CONFIG_KEYS)
-    assert read == set(cli._READS[target].split()) | {"out"}
+    assert read == set(_reads(target)) | {"out"}
 
 
 FLAG_VALUES = {"kind": "magnetic", "s_kind": "IDENTITY", "grid": "1:2:0.5",
@@ -237,7 +258,7 @@ FLAG_VALUES = {"kind": "magnetic", "s_kind": "IDENTITY", "grid": "1:2:0.5",
 @pytest.mark.parametrize("target", sorted(RUNS_BY_TARGET))
 def test_unread_keys_are_rejected_by_flag_and_by_config_key(tmp_path, capsys, target):
     out = tmp_path / "out"
-    unread = [key for key in CONFIG_KEYS if key not in cli._READS[target].split() + ["out"]]
+    unread = [key for key in CONFIG_KEYS if key not in _reads(target) + ["out"]]
     assert unread
     for key in unread:
         flag = FLAGS[key]
@@ -291,20 +312,18 @@ def test_help_lists_only_the_flags_a_command_reads(capsys):
 # CSV writer
 
 
-def test_export_csv_formatting(tmp_path):
-    path = tmp_path / "t.csv"
-    export_csv((["name", "count", "value"],
-                [["a", 3, 0.1], ["b", -1, 2.0], ["TE", 1, np.pi]],
-                ["# comment"]), str(path))
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode().splitlines()
-    assert lines[0] == "# comment"
+def test_export_csv_formatting():
+    cfg = parse_config(["index-bound"])
+    text = export_csv(cfg, ["name", "count", "value"],
+                      [["a", 3, 0.1], ["b", -1, 2.0], ["TE", 1, np.pi]])
+    assert "\r" not in text
+    lines = text.splitlines()
+    assert lines[0] == cli._config_line(cfg)
     assert lines[1] == "name,count,value"
     assert lines[2] == "a,3,1.0000000000000001e-01"
     assert lines[3] == "b,-1,2.0000000000000000e+00"
     assert lines[4] == "TE,1,3.1415926535897931e+00"
-    assert raw.endswith(b"\n")
+    assert text.endswith("\n")
     assert float(lines[2].split(",")[2]) == 0.1
 
 
@@ -416,6 +435,16 @@ def test_phase_track_artifact(tmp_path):
     assert len(lines) == 2 + 3
     row = lines[2].split(",")
     assert int(row[3]) > 0
+
+
+def test_phase_track_of_a_vacuum_reports_no_phase(tmp_path):
+    # every eigenvalue is 0: the rows used to read nan,nan,64
+    scene_file = _write_json(tmp_path / "scene.json", VACUUM_SCENE)
+    rc = cli.main(["phase-track", "--quad", "4x8", "--grid", "3.1:3.15:0.05",
+                   "--scene", scene_file, "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "phase_track.csv").read_text().splitlines()
+    assert [line.split(",", 1)[1] for line in lines[2:]] == ["inf,inf,0"] * 2
 
 
 def test_oracle_tev_artifact(tmp_path):

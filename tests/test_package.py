@@ -10,6 +10,9 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy
+import scipy.linalg
 
 import scatsig
 from scatsig import cli, oracles
@@ -103,4 +106,25 @@ def test_readme_flag_exceptions_equal_the_field_flags():
 
 def test_readme_key_table_equals_the_cli_table():
     rows = re.findall(r"^\| `([a-z -]+)` +\| `([^`]+)` +\|$", (ROOT / "README.md").read_text(), re.M)
-    assert dict(rows) == cli._READS
+    assert dict(rows) == {name: row.reads for name, row in cli._COMMANDS.items()}
+
+
+def test_readme_default_grids_equal_the_cli_table():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    stated = dict((name, grid) for grid, name in re.findall(r"`([-0-9.:]+)` for `([a-z -]+)`", text))
+    assert stated == {name: ":".join(map(str, row.grid))
+                      for name, row in cli._COMMANDS.items() if row.grid}
+
+
+def test_scipy_floor_is_a_release_whose_eig_takes_a_block_stack():
+    # spectra.eig hands scipy.linalg.eig one (n_phi, m, m) stack of blocks, which
+    # only its batch wrapper takes; the declared floor used to be 1.10
+    stack = np.stack([np.eye(2), 2 * np.eye(2)]).astype(complex)
+    with pytest.raises(ValueError, match="square"):
+        scipy.linalg.eig.__wrapped__(stack)
+    assert scipy.linalg.eig(stack, right=False).shape == (2, 2)
+    floor = re.search(r'"scipy>=([0-9.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    assert tuple(map(int, floor.split("."))) >= (1, 17)
+    assert tuple(map(int, scipy.__version__.split(".")[:2])) >= tuple(map(int, floor.split(".")))
+    install = (ROOT / "README.md").read_text().split("## Installation\n", 1)[1].split("\n## ")[0]
+    assert f"scipy {floor} or later" in install

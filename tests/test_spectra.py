@@ -341,6 +341,24 @@ def test_phase_track_grid_and_floor():
     assert np.all(np.abs(np.abs(np.concatenate(track.phases)) - 1.0) < 1e-12)
 
 
+def test_phase_track_drops_zero_eigenvalues():
+    # 0/0 phases used to make every dip nan: the vacuum's eigenvalues are all 0,
+    # so the default floor's cut is 0 too
+    vacuum = phase_track(MediumSpec.ball(1.0, 1.0), grid_points(3.1, 3.15, 0.05),
+                         build_quadrature("PRODUCT_GAUSS", 4))
+    assert [p.size for p in vacuum.phases] == [0, 0]
+    assert np.all(vacuum.dip_minus == np.inf) and np.all(vacuum.dip_plus == np.inf)
+    # at k = 3.1 the n = 4 ball truncates at degree 15 < 16, so block 16 of the
+    # 16x32 rule holds 32 zero eigenvalues, which floor 0 used to keep
+    quad = build_quadrature("PRODUCT_GAUSS", 16)
+    track = phase_track(BALL4, [3.1], quad, floor=0.0)
+    vals = eig(assemble_blocks("MAGNETIC", BALL4, 3.1, quad), compute_vectors=False).values
+    assert np.count_nonzero(vals == 0) == 32
+    assert track.phases[0].size == vals.size - 32
+    assert np.isfinite(track.dip_minus[0]) and np.isfinite(track.dip_plus[0])
+    assert np.all(np.abs(np.abs(track.phases[0]) - 1.0) < 1e-12)
+
+
 def test_grid_points_rejections():
     # an infinite step used to give an empty grid, an infinite hi or a finite grid
     # of too many points an OverflowError

@@ -22,6 +22,7 @@ SCENES = {
     "ball4": [(1.0, 4.0, 0.0)],
     "absorbing": [(1.0, 2.0, 2.0)],
     "three_layer": [(0.4, 3.0, 1.0), (0.7, 1.5, 0.2), (1.0, 2.0, 0.5)],
+    "vacuum": [(1.0, 1.0, 0.0)],
 }
 RUNS = {
     "oracle_tev": "oracle tev --scene ball4 --grid 3.0:3.6:0.01",
@@ -54,6 +55,13 @@ RUNS = {
                                    "--rect=-4.5:-0.5:-0.2:0.8:40",
     # the phase_sweep benchmark window, where the truncation degree steps from 15 to 16
     "phase_track_12x24": "phase-track --quad 12x24 --scene ball4 --grid 3.12:3.16:0.01",
+    # zero eigenvalues have no phase: every eigenvalue of the vacuum is 0, and at k = 3.1
+    # the truncation degree 15 leaves block 16 of the 16x32 rule all zero, kept at floor 0
+    "phase_track_vacuum_4x8": "phase-track --quad 4x8 --scene vacuum --grid 3.1:3.15:0.05",
+    "phase_track_floor0_16x32": "phase-track --quad 16x32 --scene ball4 --grid 3.1:3.15:0.05 "
+                                "--floor 0",
+    # the command's own default grid, recorded in the config line
+    "oracle_tev_default_grid": "oracle tev --scene ball4",
     # the EQUAL_AREA rule through the block eig path and, noisy, through the dense assemble
     "ffop_eigs_ea8": "ffop-eigs --quad ea8",
     "ffop_eigs_noisy_ea8": "ffop-eigs --quad ea8 --noise 0.01",
