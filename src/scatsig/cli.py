@@ -205,6 +205,7 @@ def parse_config(argv=None):
     keys = [f for f in fields(RunConfig) if f.metadata]
     defaults = {f.name: f.default for f in keys}
     types = {f.name: f.type for f in keys}
+    choices = {f.name: f.metadata["argparse"].get("choices") for f in keys}
     file_cfg = {}
     if ns.config:
         with open(ns.config, "r") as fh:
@@ -223,6 +224,8 @@ def parse_config(argv=None):
         want = _FILE_TYPES.get(types[key])
         if want and type(val) not in want:
             raise ConfigError(f"{key} must be of type {types[key]}, got {val!r}")
+        if choices[key] and val not in choices[key]:
+            raise ConfigError(f"{key} must be one of {', '.join(choices[key])}, got {val!r}")
         # float() would read "3.0" as 3.0 and true as 1.0
         if isinstance(val, list) and any(type(v) not in (int, float) for v in val):
             raise ConfigError(f"{key} must hold numbers only, got {val!r}")
@@ -296,11 +299,7 @@ def _scene_for_operator(cfg, kind):
 def _run_ffop_eigs(cfg):
     quad = _quad_of(cfg)
     kind, scene = cfg.kind.upper(), _scene_for_operator(cfg, cfg.kind)
-    if cfg.noise > 0:  # noise breaks the azimuthal block structure
-        A = ffop.add_noise(ffop.assemble(kind, scene, cfg.k, quad), cfg.noise, cfg.seed)
-    else:
-        A = ffop.assemble_blocks(kind, scene, cfg.k, quad)
-    es = spectra.eig(A)
+    es = spectra.eig(ffop.far_field_operator(kind, scene, cfg.k, quad, cfg.noise, cfg.seed))
     if kind in ("ELECTRIC", "MAGNETIC"):  # the kinds with a circle law
         res = spectra.circle_residual(es)
     else:

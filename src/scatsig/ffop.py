@@ -18,13 +18,13 @@ on a rule that is one meridian rotated about z, so the matrix is
 block-circulant in the azimuth. One kernel, ``assemble_blocks``, sums
 its azimuthal DFT blocks from mode tables on the azimuth-0 meridian;
 the dense matrix of ``assemble`` is their circulant expansion (docs
-section 12).
+section 12), which ``far_field_operator`` builds only for noisy data.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -484,7 +484,7 @@ def assemble_blocks(kind, scene, k, quad):
 
     ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC, an ImpedanceBall
     for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED,
-    whose blocks are the magnetic ones minus the impedance ones. Every
+    whose blocks are ``modified_operator`` of the magnetic ones. Every
     other kind is one coefficient set's scaled ``_mode_product``. Modes
     with |m| >= n_phi / 2 alias into shared blocks, the same sum the
     dense matrix holds. A quadrature that is not its azimuth-0 meridian
@@ -492,11 +492,7 @@ def assemble_blocks(kind, scene, k, quad):
     """
     medium, ball = _scene_parts(kind, scene)
     if kind == "MODIFIED":
-        magnetic = assemble_blocks("MAGNETIC", medium, k, quad).matrix
-        return FarFieldBlocks(magnetic - assemble_blocks("IMPEDANCE", ball, k, quad).matrix,
-                              kind, float(k), quad)
-    if not k > 0:  # before the dual kinds divide by it
-        raise ValueError("wave number must be positive")
+        return modified_operator(assemble_blocks("MAGNETIC", medium, k, quad), ball)
     if kind == "ELECTRIC":
         scale, coefs = 4.0 * np.pi, mie_coefficients(medium, k)
     else:
@@ -530,6 +526,18 @@ def assemble(kind, scene, k, quad):
     mat = np.empty((2 * quad.n_nodes, 2 * quad.n_nodes), dtype=complex)
     mat.reshape(full.shape)[...] = full
     return FarFieldMatrix(mat, kind, float(k), quad, medium=medium)
+
+
+def modified_operator(F_m, ball):
+    """F_M = F_m - F_s as a kind="MODIFIED" copy of F_m: the Stekloff scan's cell operator.
+
+    The impedance operator F_s of ``ball`` is assembled at F_m's k and
+    rule in F_m's own form, blocks or dense; the difference is a new
+    array, so one F_m serves every ball.
+    """
+    build = assemble_blocks if isinstance(F_m, FarFieldBlocks) else assemble
+    return replace(F_m, matrix=F_m.matrix - build("IMPEDANCE", ball, F_m.k, F_m.quad).matrix,
+                   kind="MODIFIED")
 
 
 def _require_dense(A, name):
@@ -589,6 +597,19 @@ def add_noise(A, eps, seed, stream=0):
     np.multiply(A.matrix, factor, out=factor)
     return FarFieldMatrix(factor, A.kind, A.k, A.quad, medium=A.medium,
                           noise_eps=float(eps), seed=int(seed))
+
+
+def far_field_operator(kind, scene, k, quad, noise_eps=0.0, seed=0, stream=0):
+    """The kind's operator: ``assemble_blocks`` for clean data, else the noisy dense matrix.
+
+    Noise breaks the block structure, so noisy data are ``add_noise`` of
+    ``assemble`` keyed by (seed, stream); the noise level is checked
+    before any assembly.
+    """
+    _require_noise_level(noise_eps)
+    if noise_eps == 0:
+        return assemble_blocks(kind, scene, k, quad)
+    return add_noise(assemble(kind, scene, k, quad), noise_eps, seed, stream)
 
 
 def inner_product(u, v):

@@ -283,39 +283,28 @@ def _modal_solve(medium, k, L):
     return alpha, beta, np.stack([tau_te, tau_tm]), layers
 
 
-def _mie(medium, k, L):
-    """Coefficients at degree L, with the (tau, layers) of their modal solve.
+def _truncated_mie(medium, k, L):
+    """``mie_coefficients`` with the (tau, layers) of its final modal solve.
 
     A vacuum ball has no modal solve, and its (tau, layers) are None.
     """
-    interior = None
-    if medium.is_vacuum:
-        alpha = np.zeros(L + 1, dtype=complex)
-        beta = np.zeros(L + 1, dtype=complex)
-    else:
-        alpha, beta, tau, layers = _modal_solve(medium, k, L)
-        interior = (tau, layers)
-        alpha[0] = 0.0
-        beta[0] = 0.0
-    alpha.flags.writeable = False
-    beta.flags.writeable = False
-    return ModalCoefficients(alpha=alpha, beta=beta, L=L), interior
-
-
-def _truncated_mie(medium, k, L):
-    """``mie_coefficients`` with the (tau, layers) of its final ``_mie`` call."""
-    if k <= 0:
+    if not k > 0:
         raise ValueError("wave number must be positive")
-    if L is not None:
-        coefs, interior = _mie(medium, float(k), int(L))
-        if not (medium.is_vacuum or coefs.decayed):
-            raise TruncationError(f"coefficients not decayed at l = {L}")
-        return coefs, interior
-    L_try = truncation_degree(k, medium.radius)
+    L_try = truncation_degree(k, medium.radius) if L is None else int(L)
     while True:
-        coefs, interior = _mie(medium, float(k), L_try)
+        interior = None
+        if medium.is_vacuum:
+            alpha, beta = np.zeros((2, L_try + 1), dtype=complex)
+        else:
+            alpha, beta, tau, layers = _modal_solve(medium, float(k), L_try)
+            interior = (tau, layers)
+        alpha[0] = beta[0] = 0.0
+        alpha.flags.writeable = beta.flags.writeable = False
+        coefs = ModalCoefficients(alpha=alpha, beta=beta, L=L_try)
         if medium.is_vacuum or coefs.decayed:
             return coefs, interior
+        if L is not None:  # an explicit L is the only round
+            raise TruncationError(f"coefficients not decayed at l = {L}")
         if L_try >= 200:
             raise TruncationError("no coefficient decay below l = 200")
         L_try = int(L_try * 1.5) + 5
@@ -359,7 +348,7 @@ def impedance_coefficients(ball, k):
     denominator means lam sits on the measure-zero resonant set and
     raises ResonantParameterError naming the family.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError("wave number must be positive")
     L = truncation_degree(k, ball.R)
     psi, dpsi, xi, dxi = _boundary_tables(L, float(k * ball.R))

@@ -7,17 +7,17 @@ eigenvalue the solutions stay moderate; at a transmission eigenvalue
 (k-scan of the magnetic operator) or a generalized Stekloff eigenvalue
 (lambda-scan of the modified operator) the averaged solution norm spikes.
 
-A clean operator is block-circulant in the azimuth (docs section 12),
-so clean scans assemble its DFT blocks directly and solve n_phi small
-systems per grid point; noisy operators take the dense path. Grid
-points run serially, in grid order, so repeated runs with the same
-seeds are bit-identical.
+Both take their operators from ``ffop.far_field_operator``: a clean
+operator is block-circulant in the azimuth (docs section 12), so clean
+scans solve n_phi small systems per grid point on its DFT blocks, and
+noisy operators take the dense path. Grid points run serially, in grid
+order, so repeated runs with the same seeds are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import zgemm
@@ -276,11 +276,10 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), alpha="auto",
              noise_eps=0.0, noise_seed=1, herglotz=False):
     """Transmission-eigenvalue scan of the magnetic far field equation.
 
-    For each k value in ``k_grid`` the magnetic operator is assembled,
-    as azimuthal blocks when clean and densely with multiplicative noise
-    keyed by (noise_seed, grid index) otherwise, and the equation
-    F_m g = H_{e,inf}(.; z, p), with fixed polarization p = (1,0,0), is
-    solved for all sample points z in one block solve.
+    For each k value in ``k_grid`` the magnetic operator comes from
+    ``ffop.far_field_operator``, its noise keyed by (noise_seed, grid
+    index), and F_m g = H_{e,inf}(.; z, p), with fixed polarization
+    p = (1,0,0), is solved for all sample points z in one block solve.
     The indicator is the z-averaged norm of g; with ``herglotz=True`` it
     is the averaged L2 norm of the magnetic Herglotz field of g over the
     scatterer ball (the theorem-side quantity; slower).
@@ -288,17 +287,12 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), alpha="auto",
     if any(n.imag != 0 for _, n in medium.layers):
         raise ValueError("transmission-eigenvalue scans require a real index")
     zs.validate_inside(medium.radius)
-    ffop._require_noise_level(noise_eps)
     ks = wavenumbers(k_grid)
     z_pts = zs.points()
 
     def one(i, k):
         k = float(k)
-        if noise_eps > 0:
-            A = ffop.add_noise(ffop.assemble("MAGNETIC", medium, k, quad), noise_eps,
-                               noise_seed, stream=i)
-        else:
-            A = ffop.assemble_blocks("MAGNETIC", medium, k, quad)
+        A = ffop.far_field_operator("MAGNETIC", medium, k, quad, noise_eps, noise_seed, stream=i)
         g = _NormalSolver(A, alpha).solve(_dipole_rhs(quad, z_pts, k, magnetic=True))
         if herglotz:
             fields = (TangentVectorField.from_flat(quad, col) for col in g.T)
@@ -317,11 +311,11 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), alpha="auto",
                   s_kind="CURL_CURL", noise_eps=0.0, noise_seed=1):
     """Stekloff-eigenvalue scan of the modified far field equation.
 
-    The magnetic operator of the scene is assembled once (it does not
-    depend on lambda); per grid value the impedance-ball operator for
-    (R, lambda) is subtracted and F_M g = E_{e,inf}(.; z, q) is solved
-    for all sample points z in one block solve. Both operators are
-    azimuthal blocks when the data are clean and dense when noisy.
+    The magnetic operator of the scene comes once from
+    ``ffop.far_field_operator`` (it does not depend on lambda); per grid
+    value ``ffop.modified_operator`` subtracts the impedance-ball operator
+    for (R, lambda) in its form, blocks or dense, and
+    F_M g = E_{e,inf}(.; z, q) is solved for all z in one block solve.
     lam_grid may be a real 1-D grid or a complex 2-D rectangle; resonant
     lambda values (impedance ball has no unique solution) are recorded
     as NaN gaps.
@@ -329,24 +323,19 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), alpha="auto",
     if R < scene.radius:
         raise ValueError("reference ball must contain the scatterer")
     zs.validate_inside(scene.radius)
-    ffop._require_noise_level(noise_eps)
     lam = np.asarray(lam_grid)
     if lam.ndim not in (1, 2) or lam.size == 0:
         raise ValueError(f"lambda grid must be a nonempty 1-D list or 2-D rectangle, "
                          f"got shape {lam.shape}")
     k = float(k)
-    build = ffop.assemble if noise_eps > 0 else ffop.assemble_blocks
-    F_m = build("MAGNETIC", scene, k, quad)
-    if noise_eps > 0:
-        F_m = ffop.add_noise(F_m, noise_eps, noise_seed)
+    F_m = ffop.far_field_operator("MAGNETIC", scene, k, quad, noise_eps, noise_seed)
     rhs = _dipole_rhs(quad, zs.points(), k, magnetic=False)
 
     def one(lam_val):
         try:
-            F_s = build("IMPEDANCE", ImpedanceBall(R=R, lam=complex(lam_val), s_kind=s_kind), k, quad)
+            A = ffop.modified_operator(F_m, ImpedanceBall(R=R, lam=complex(lam_val), s_kind=s_kind))
         except ResonantParameterError:
             return np.full(rhs.shape[1], np.nan)
-        A = replace(F_m, matrix=F_m.matrix - F_s.matrix, kind="MODIFIED")
         return _column_norms(quad, _NormalSolver(A, alpha).solve(rhs))
 
     rows = [one(lam_val) for lam_val in lam.reshape(-1)]

@@ -222,16 +222,16 @@ def phase_track(medium, k_values, quad, floor=1e-6):
     a floor in [0, 1]; a zero eigenvalue has no phase. Reported per k: the
     retained phases and the dip indicators min_j |phase_j + 1|,
     min_j |phase_j - 1|, both inf when none is kept. The eigenvalues
-    come from ``eig`` without vectors on the operator's azimuthal DFT
-    blocks (``ffop.assemble_blocks``), one batched eigvals per k, in
-    eig's order; grid points run serially, in grid order.
+    come from ``eig`` without vectors on the clean operator's azimuthal
+    DFT blocks (``ffop.far_field_operator``), one batched eigvals per k,
+    in eig's order; grid points run serially, in grid order.
     """
     ks = wavenumbers(k_values)
     if not 0 <= floor <= 1:  # NaN included: a floor above 1 keeps no eigenvalue
         raise ValueError(f"floor must lie in [0, 1], got {floor}")
 
     def one(k):
-        vals = eig(ffop.assemble_blocks("MAGNETIC", medium, float(k), quad),
+        vals = eig(ffop.far_field_operator("MAGNETIC", medium, float(k), quad),
                    compute_vectors=False).values
         cut = floor * np.abs(vals[0]) if vals.size else 0.0
         kept = vals[(np.abs(vals) >= cut) & (vals != 0)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scatsig import ConvergenceError, MediumSpec, cli, oracles, scan
+from scatsig import ConvergenceError, MediumSpec, cli, ffop, oracles, scan
 from scatsig.cli import ConfigError, export_csv, parse_config
 from scatsig.ffop import assemble_blocks, build_quadrature
 from scatsig.spectra import eig
@@ -591,6 +591,29 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["ffop-eigs", "--quad", "4x8"], {"kind": "Electric"}),
+    (["stekloff-scan", "--quad", "4x8", "--grid=-2:-1:0.5", "--zcount", "1"],
+     {"s_kind": "identity"}),
+])
+def test_config_file_choices_are_the_flag_choices(tmp_path, capsys, monkeypatch, argv, doc):
+    # argparse checks the choices of --kind and --s-kind alone: a file's "Electric"
+    # fell through to the MODIFIED scene pair and a TypeError traceback, and a
+    # file's "identity" reached stekloff-scan, which assembled F_m before the first cell
+    def no_assembly(*args):
+        raise AssertionError("assembled before checking the config file")
+
+    monkeypatch.setattr(ffop, "assemble_blocks", no_assembly)
+    (key, val), = doc.items()
+    out = tmp_path / "out"
+    config = _write_json(tmp_path / "config.json", doc)
+    assert cli.main(argv + ["--config", config, "--out", str(out)]) == 2
+    choices = next(f for f in fields(cli.RunConfig) if f.name == key).metadata["argparse"]["choices"]
+    assert (f"configuration error: {key} must be one of {', '.join(choices)}, got {val!r}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

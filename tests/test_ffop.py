@@ -21,6 +21,7 @@ from scatsig.ffop import (
     KINDS,
     _block_gather,
     _candidate_blocks,
+    FarFieldBlocks,
     FarFieldMatrix,
     SphereQuadrature,
     TangentVectorField,
@@ -220,6 +221,41 @@ def test_modified_is_difference():
     ai = assemble("IMPEDANCE", IMP, k, quad)
     amod = assemble("MODIFIED", (BALL2, IMP), k, quad)
     assert_allclose(amod.matrix, am.matrix - ai.matrix, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("EQUAL_AREA", 8)])
+def test_far_field_operator_equals_the_assembly_idioms_byte_for_byte(rule, order):
+    # clean data are the blocks of assemble_blocks, noisy data add_noise of the dense assemble
+    quad = build_quadrature(rule, order)
+    for kind, scene in (("MAGNETIC", BALL2), ("MODIFIED", (BALL2, IMP))):
+        clean = ffop.far_field_operator(kind, scene, 1.5, quad)
+        assert isinstance(clean, FarFieldBlocks) and clean.kind == kind
+        assert clean.matrix.tobytes() == assemble_blocks(kind, scene, 1.5, quad).matrix.tobytes()
+        for stream in (0, 3):
+            noisy = ffop.far_field_operator(kind, scene, 1.5, quad, 0.01, 5, stream)
+            ref = add_noise(assemble(kind, scene, 1.5, quad), 0.01, 5, stream)
+            assert isinstance(noisy, FarFieldMatrix)
+            assert noisy.matrix.tobytes() == ref.matrix.tobytes()
+            assert (noisy.kind, noisy.noise_eps, noisy.seed) == (kind, 0.01, 5)
+
+
+@pytest.mark.parametrize("s_kind", ["IDENTITY", "CURL_CURL"])
+def test_modified_operator_subtracts_the_impedance_operator_in_the_form_of_its_input(s_kind):
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    ball = ImpedanceBall(R=1.2, lam=-1.5 + 0.3j, s_kind=s_kind)
+    magnetic = assemble_blocks("MAGNETIC", BALL2, 1.5, quad)
+    out = ffop.modified_operator(magnetic, ball)
+    ref = magnetic.matrix - assemble_blocks("IMPEDANCE", ball, 1.5, quad).matrix
+    assert isinstance(out, FarFieldBlocks) and (out.kind, out.k) == ("MODIFIED", 1.5)
+    assert out.matrix.tobytes() == ref.tobytes()
+    # a noisy dense F_m keeps its noise level, seed and medium, and its own matrix
+    noisy = add_noise(assemble("MAGNETIC", BALL2, 1.5, quad), 0.01, 5, 3)
+    before = noisy.matrix.copy()
+    out = ffop.modified_operator(noisy, ball)
+    ref = noisy.matrix - assemble("IMPEDANCE", ball, 1.5, quad).matrix
+    assert isinstance(out, FarFieldMatrix) and out.matrix.tobytes() == ref.tobytes()
+    assert (out.kind, out.noise_eps, out.seed) == ("MODIFIED", 0.01, 5) and out.medium is BALL2
+    assert np.array_equal(noisy.matrix, before)
 
 
 def test_assemble_scene_type_errors():

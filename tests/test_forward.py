@@ -19,7 +19,7 @@ from scatsig.forward import (
     radial_profile,
     truncation_degree,
 )
-from scatsig import forward
+from scatsig import ffop, forward
 from scatsig.ffop import TangentVectorField, build_quadrature
 from scatsig.sphfun import bessel_j_all, riccati_all
 
@@ -122,6 +122,21 @@ def test_vacuum_scatters_nothing():
 def test_truncation_error_when_not_decayed():
     with pytest.raises(TruncationError):
         mie_coefficients(BALL4, 3.0, L=3)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, np.nan])
+def test_a_wave_number_that_is_not_positive_is_rejected_by_every_coefficient_set(k):
+    # nan passed the old k <= 0 test and died turning the truncation degree into an integer
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    imp = ImpedanceBall(R=1.0, lam=2.0, s_kind="IDENTITY")
+    calls = [lambda: mie_coefficients(BALL4, k), lambda: mie_coefficients(BALL4, k, L=20),
+             lambda: impedance_coefficients(imp, k)]
+    calls += [lambda kind=kind, scene=scene: ffop.assemble_blocks(kind, scene, k, quad)
+              for kind, scene in (("ELECTRIC", BALL4), ("IMPEDANCE", imp),
+                                  ("MODIFIED", (BALL4, imp)))]
+    for call in calls:
+        with pytest.raises(ValueError, match="wave number must be positive"):
+            call()
 
 
 def test_truncation_degree_rule():

@@ -522,6 +522,8 @@ def test_scans_reject_a_bad_noise_level_before_any_assembly(monkeypatch, eps):
         tev_scan(BALL4, [3.1], QUAD8, zs=ZS4, noise_eps=eps)
     with pytest.raises(ValueError, match="noise level eps must be finite and >= 0"):
         stekloff_scan(BALL2, 1.0, 1.0, [-1.5], QUAD8, zs=ZS4, noise_eps=eps)
+    with pytest.raises(ValueError, match="noise level eps must be finite and >= 0"):
+        ffop.far_field_operator("MAGNETIC", BALL4, 3.1, QUAD8, noise_eps=eps)
 
 
 def test_stekloff_scan_resonant_lambda_is_nan_gap():

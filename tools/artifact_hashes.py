@@ -91,6 +91,9 @@ CONFIGS = {
         "quad": "6x12", "rect": [-4.5, -0.5, -0.2, 0.8, 12], "s_kind": "IDENTITY", "z_seed": 3}),
     "estimate_shift_config": ("estimate-shift", {
         "s_kind": "IDENTITY", "lmax": 8, "delta_n": [0.01, 0.002], "rc": 0.8}),
+    # a kind and s_kind from the file, checked against the flags' choices
+    "ffop_eigs_config_6x12": ("ffop-eigs", {
+        "quad": "6x12", "kind": "modified", "s_kind": "IDENTITY", "lam": 1.5}),
 }
 RUNS.update({label: f"{command} --config {label}" for label, (command, _) in CONFIGS.items()})
 
