@@ -51,18 +51,23 @@ from .scan import (
     stekloff_scan,
     tev_scan,
 )
-from .spectra import (
-    EigenSet,
-    PhaseTrack,
-    circle_residual,
-    eig,
-    energy_identity_residual,
-    lidski_positivity,
-    phase_track,
-)
 from .sphfun import RecurrenceOverflowError
 
 __version__ = "0.1.0"
+
+# spectra's exports, served on first use: spectra imports scipy.linalg, which
+# is about half of a CLI start, and only its eigensolver needs it
+_SPECTRA = ("EigenSet", "PhaseTrack", "circle_residual", "eig", "energy_identity_residual",
+            "lidski_positivity", "phase_track")
+
+
+def __getattr__(name):
+    if name in _SPECTRA:
+        from . import spectra
+
+        return getattr(spectra, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BracketError",

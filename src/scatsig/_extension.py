@@ -1,7 +1,13 @@
 """Compiled scipy modules loaded by file, without the packages that hold them.
 
-Importing scipy.optimize costs a CLI start about 0.3 s and scipy.sparse loads
-all of scipy.linalg, while the package needs one compiled module of each.
+The package needs four compiled scipy modules and none of the packages
+around them. ``scipy.linalg._fblas`` and ``scipy.linalg._flapack`` hold
+the BLAS and LAPACK routines of ``scipy.linalg.blas`` and ``.lapack``,
+whose package is about half of a CLI start; only the eigensolver in
+``spectra`` imports ``scipy.linalg`` itself.
+``scipy.optimize._zeros`` holds Brent's method, where the
+scipy.optimize package costs about 0.3 s, and ARPACK's ``_arpacklib``
+the Lanczos iteration, where scipy.sparse loads all of scipy.linalg.
 """
 
 import importlib.machinery

@@ -11,6 +11,7 @@ or a grid together with a rect, is a configuration error. Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import ffop, oracles, scan, spectra
+from . import ffop, oracles, scan
 from .forward import (
     ConvergenceError,
     ImpedanceBall,
@@ -133,9 +134,9 @@ def _parse_rect(value):
     re_lo, re_hi, im_lo, im_hi, n = _parse_numbers("rect", value, "reLo:reHi:imLo:imHi:n")
     if re_hi <= re_lo or im_hi <= im_lo or n < 2 or not n.is_integer():
         raise ConfigError(f"rect needs increasing bounds and an integer n >= 2, got {value!r}")
-    if int(n) ** 2 > spectra._MAX_GRID_POINTS:
+    if int(n) ** 2 > ffop._MAX_GRID_POINTS:
         raise ConfigError(f"rect {value!r} would hold {int(n) ** 2} cells, "
-                          f"more than {spectra._MAX_GRID_POINTS}")
+                          f"more than {ffop._MAX_GRID_POINTS}")
     return re_lo, re_hi, im_lo, im_hi, int(n)
 
 
@@ -297,6 +298,8 @@ def _scene_for_operator(cfg, kind):
 
 
 def _run_ffop_eigs(cfg):
+    from . import spectra  # scipy.linalg, which only this command and phase-track load
+
     quad = _quad_of(cfg)
     kind, scene = cfg.kind.upper(), _scene_for_operator(cfg, cfg.kind)
     es = spectra.eig(ffop.far_field_operator(kind, scene, cfg.k, quad, cfg.noise, cfg.seed))
@@ -314,7 +317,7 @@ def _zs_of(cfg):
 
 def _run_tev_scan(cfg):
     result = scan.tev_scan(
-        cfg.scene, spectra.grid_points(*cfg.grid), _quad_of(cfg), _zs_of(cfg), cfg.alpha,
+        cfg.scene, ffop.grid_points(*cfg.grid), _quad_of(cfg), _zs_of(cfg), cfg.alpha,
         noise_eps=cfg.noise, noise_seed=cfg.seed, herglotz=cfg.herglotz,
     )
     return "tev_scan.csv", _config_line(cfg) + "\n" + scan.result_to_csv(result)
@@ -328,7 +331,7 @@ def _run_stekloff_scan(cfg):
         im_ax = np.linspace(im_lo, im_hi, int(n))
         lam_grid = re_ax[None, :] + 1j * im_ax[:, None]
     else:
-        lam_grid = spectra.grid_points(*cfg.grid)
+        lam_grid = ffop.grid_points(*cfg.grid)
     result = scan.stekloff_scan(
         cfg.scene, cfg.B, cfg.k, lam_grid, quad, _zs_of(cfg),
         cfg.alpha, s_kind=cfg.s_kind,
@@ -342,7 +345,9 @@ def _run_stekloff_scan(cfg):
 
 
 def _run_phase_track(cfg):
-    track = spectra.phase_track(cfg.scene, spectra.grid_points(*cfg.grid), _quad_of(cfg), floor=cfg.floor)
+    from . import spectra  # scipy.linalg, which only this command and ffop-eigs load
+
+    track = spectra.phase_track(cfg.scene, ffop.grid_points(*cfg.grid), _quad_of(cfg), floor=cfg.floor)
     return "phase_track.csv", _config_line(cfg) + "\n" + spectra.phase_track_to_csv(track)
 
 
@@ -421,7 +426,37 @@ def run(cfg):
     return [path]
 
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap():
+    """Let glibc keep freed heap memory for reuse; a no-op without glibc's mallopt.
+
+    By default glibc maps arrays of 128 KiB and more afresh and hands the
+    top of the heap back to the OS once 128 KiB of it is free. Freeing a
+    mapped array raises both thresholds for the rest of the process, and
+    importing scipy.linalg used to do that at every start. Without that
+    import the thresholds stay at 128 KiB, so the block temporaries of
+    every clean Stekloff cell are trimmed and re-faulted: the benchmark's
+    stekloff-scan of 81 cells on a 10x20 rule took about 8,800 minor
+    faults and 30% more time (14,100 when bench/child.py imports spectra
+    before the call), against about 200 (430) with this policy. Here
+    arrays up to 32 MiB come from the heap, and its top is trimmed only
+    beyond 64 MiB free, so a noisy scan's dense arrays are reused too.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None):
+    _keep_freed_heap()
     try:
         paths = run(parse_config(argv))
     except _NUMERIC_ERRORS as e:

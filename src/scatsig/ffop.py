@@ -28,6 +28,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+# numpy 2 loads these on first use; imported here, they load with the
+# package rather than inside the first grid point of a timed call
+import numpy.fft  # noqa: F401
+import numpy.polynomial  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import _extension, forward
 from .forward import ImpedanceBall, MediumSpec, impedance_coefficients, mie_coefficients
@@ -39,6 +44,14 @@ _KIND_CODE = {name: i for i, name in enumerate(KINDS)}
 _FFOP_MAGIC = b"FFOP"
 _FFOP_VERSION = 1
 _FFOP_HEADER = "<4sIBddQII"
+
+# the package's BLAS routines (scan takes zgemm), which scipy.linalg.blas
+# exports: loaded by file, its compiled module spares every command without
+# an eigensolve the scipy.linalg import
+_fblas = _extension.load("scipy.linalg._fblas")
+if _fblas is None:  # a scipy without the extension file
+    from scipy.linalg import blas as _fblas
+zgemm, zherk, zhemv = _fblas.zgemm, _fblas.zherk, _fblas.zhemv
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +237,6 @@ def gram_lower(x):
     strict upper triangle is zero. With X = W^1/2 A this is the weighted
     Gram A^H W A at half the flops of a full product (docs section 11).
     """
-    # a module-level import would load scipy.linalg ahead of the rest of the
-    # package, which made ``import scatsig.cli`` about 40 ms slower
-    from scipy.linalg.blas import zherk
-
     return zherk(1.0, x.T, trans=0, lower=0).T
 
 
@@ -342,8 +351,6 @@ def gram_norm(gram, w):
             grams = grams[_candidate_blocks(grams, w)]
         top = np.linalg.eigvalsh(grams * s[:, None] * s[None, :])[:, -1].max()
     else:
-        from scipy.linalg.blas import zhemv
-
         lib = _arpacklib()
 
         def top_eig(q, g):
@@ -697,6 +704,35 @@ def load_ffop(path):
     mat = (flat[0::2] + 1j * flat[1::2]).reshape(2 * n_q, 2 * n_q)
     quad = SphereQuadrature(kind="CUSTOM", order=0, nodes=nodes, weights=weights, e1=e1, e2=e2, t=t)
     return FarFieldMatrix(mat, KINDS[kind_code], k, quad, noise_eps=eps, seed=seed)
+
+
+# a grid of more points than this is an input error, not a scan (each point costs a solve)
+_MAX_GRID_POINTS = 10**7
+
+
+def grid_points(lo, hi, step):
+    """Points lo, lo + step, ... up to hi inclusive (to 1e-12 max(1, |hi|))."""
+    if not np.all(np.isfinite((lo, hi, step))):
+        raise ValueError(f"grid needs a finite lo, hi and step, got {lo}, {hi} and {step}")
+    if not lo < hi:
+        raise ValueError(f"grid needs lo < hi, got {lo} and {hi}")
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    span = (hi - lo) / step  # inf when it overflows
+    if not span < _MAX_GRID_POINTS:
+        raise ValueError(f"grid {lo}:{hi}:{step} would hold {span:.3g} points, "
+                         f"more than {_MAX_GRID_POINTS}")
+    count = int(round(span)) + 1
+    pts = lo + step * np.arange(count)
+    return pts[pts <= hi + 1e-12 * max(1.0, abs(hi))]
+
+
+def wavenumbers(k_grid):
+    """The wavenumbers of ``k_grid`` as a float array; they must be finite, positive and nonempty."""
+    ks = np.asarray(k_grid, dtype=float)
+    if ks.size == 0 or not np.all((ks > 0) & (ks < np.inf)):
+        raise ValueError("k grid must be finite, positive and nonempty")
+    return ks
 
 
 def csv_text(header, rows, comments=()):

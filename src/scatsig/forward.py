@@ -288,8 +288,8 @@ def _truncated_mie(medium, k, L):
 
     A vacuum ball has no modal solve, and its (tau, layers) are None.
     """
-    if not k > 0:
-        raise ValueError("wave number must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError(f"wave number must be positive and finite, got {k}")
     L_try = truncation_degree(k, medium.radius) if L is None else int(L)
     while True:
         interior = None
@@ -348,8 +348,8 @@ def impedance_coefficients(ball, k):
     denominator means lam sits on the measure-zero resonant set and
     raises ResonantParameterError naming the family.
     """
-    if not k > 0:
-        raise ValueError("wave number must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError(f"wave number must be positive and finite, got {k}")
     L = truncation_degree(k, ball.R)
     psi, dpsi, xi, dxi = _boundary_tables(L, float(k * ball.R))
 

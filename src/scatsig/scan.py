@@ -20,13 +20,16 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zgemm
-from scipy.linalg.lapack import zpotrf, zpotrs
 
-from . import ffop, forward
-from .ffop import FarFieldBlocks, TangentVectorField
+from . import _extension, ffop, forward
+from .ffop import FarFieldBlocks, TangentVectorField, wavenumbers, zgemm
 from .forward import ConvergenceError, DipoleSource, ImpedanceBall, ResonantParameterError
-from .spectra import wavenumbers
+
+# the routines scipy.linalg.lapack exports, from its compiled module by file as ffop's BLAS
+_flapack = _extension.load("scipy.linalg._flapack")
+if _flapack is None:  # a scipy without the extension file
+    from scipy.linalg import lapack as _flapack
+zpotrf, zpotrs = _flapack.zpotrf, _flapack.zpotrs
 
 _NORMAL_EQ_TOL = 1e-10
 

@@ -6,6 +6,10 @@ Im((-ik F_e) g, g), and phase tracking of the magnetic spectrum across a
 wavenumber sweep. The phase indicators min_j |phase_j + 1| and min_j
 |phase_j - 1| dip near interior transmission eigenvalues, which is the
 operator-side detector the oracle roots are checked against.
+
+This is the one module that imports scipy.linalg, about half of a CLI
+start; the package serves its names on first use, and the CLI imports
+it only for ``ffop-eigs`` and ``phase-track``.
 """
 
 from __future__ import annotations
@@ -173,35 +177,6 @@ def lidski_positivity(A, samples=32, seed=0):
     return float(worst)
 
 
-# a grid of more points than this is an input error, not a scan (each point costs a solve)
-_MAX_GRID_POINTS = 10**7
-
-
-def grid_points(lo, hi, step):
-    """Points lo, lo + step, ... up to hi inclusive (to 1e-12 max(1, |hi|))."""
-    if not np.all(np.isfinite((lo, hi, step))):
-        raise ValueError(f"grid needs a finite lo, hi and step, got {lo}, {hi} and {step}")
-    if not lo < hi:
-        raise ValueError(f"grid needs lo < hi, got {lo} and {hi}")
-    if not step > 0:
-        raise ValueError(f"grid step must be positive, got {step}")
-    span = (hi - lo) / step  # inf when it overflows
-    if not span < _MAX_GRID_POINTS:
-        raise ValueError(f"grid {lo}:{hi}:{step} would hold {span:.3g} points, "
-                         f"more than {_MAX_GRID_POINTS}")
-    count = int(round(span)) + 1
-    pts = lo + step * np.arange(count)
-    return pts[pts <= hi + 1e-12 * max(1.0, abs(hi))]
-
-
-def wavenumbers(k_grid):
-    """The wavenumbers of ``k_grid`` as a float array; they must be finite, positive and nonempty."""
-    ks = np.asarray(k_grid, dtype=float)
-    if ks.size == 0 or not np.all((ks > 0) & (ks < np.inf)):
-        raise ValueError("k grid must be finite, positive and nonempty")
-    return ks
-
-
 def worker_count():
     """Pool width SCATSIG_THREADS asks for (default min(4, cpu count)).
 
@@ -226,7 +201,7 @@ def phase_track(medium, k_values, quad, floor=1e-6):
     DFT blocks (``ffop.far_field_operator``), one batched eigvals per k,
     in eig's order; grid points run serially, in grid order.
     """
-    ks = wavenumbers(k_values)
+    ks = ffop.wavenumbers(k_values)
     if not 0 <= floor <= 1:  # NaN included: a floor above 1 keeps no eigenvalue
         raise ValueError(f"floor must lie in [0, 1], got {floor}")
 

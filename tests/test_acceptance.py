@@ -34,12 +34,11 @@ from scatsig import (
     shift_estimate,
     stekloff_eigs_ball,
 )
-from scatsig.ffop import TangentVectorField, inner_product
+from scatsig.ffop import TangentVectorField, grid_points, inner_product
 from scatsig.scan import find_peaks, stekloff_scan, tev_scan
 from scatsig.spectra import (
     circle_residual,
     energy_identity_residual,
-    grid_points,
     lidski_positivity,
     phase_track,
 )

@@ -4,6 +4,7 @@ exit codes, and byte-exact reruns."""
 import json
 import subprocess
 import sys
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -370,7 +371,7 @@ def test_ffop_eigs_surfaces_a_circle_residual_error(tmp_path, monkeypatch, capsy
     def broken(eigset):
         raise ValueError("stray failure")
 
-    monkeypatch.setattr(cli.spectra, "circle_residual", broken)
+    monkeypatch.setattr("scatsig.spectra.circle_residual", broken)
     out = tmp_path / "out"
     assert cli.main(["ffop-eigs", "--quad", "4x8", "--out", str(out)]) == 2
     assert "stray failure" in capsys.readouterr().err
@@ -720,6 +721,23 @@ def test_exit_code_4_for_io_failures(tmp_path, capsys):
     assert rc == 4
 
 
+def test_every_call_sets_the_glibc_heap_policy(tmp_path, monkeypatch):
+    # M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to 64 MiB; a C
+    # library without mallopt leaves the run as it is
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    argv = ["oracle", "stekloff", "--lmax", "2", "--out", str(tmp_path)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert cli.main(argv) == 0
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert cli.main(argv) == 0
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "scatsig.cli", "ffop-eigs", "--quad", "4x8",
@@ -764,3 +782,67 @@ def test_cli_start_loads_neither_scipy_optimize_nor_scipy_sparse(tmp_path):
     rows = (tmp_path / "oracle_tev.csv").read_text().splitlines()
     assert any(abs(float(row.split(",")[2]) - np.pi) < 1e-10 for row in rows[2:])
     assert (tmp_path / "tev_scan.csv").exists()
+
+
+# the packages a start must not load: scipy.linalg alone is about half of it
+_HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.optimize", "scatsig.spectra")
+
+# a tiny run of every command that needs no eigensolver; the noisy 8x16 scan
+# (2N = 256) takes the Lanczos norm, the noisy Stekloff scan the dense solver
+_EIGEN_FREE_RUNS = {
+    "tev-scan": ["--quad", "8x16", "--grid", "3.0:3.1:0.05", "--zcount", "2", "--noise", "0.01"],
+    "stekloff-scan": ["--quad", "4x8", "--grid=-2:-1:0.5", "--zcount", "1", "--noise", "0.01"],
+    "oracle tev": ["--grid", "3.0:3.3:0.01", "--lmax", "2"],
+    "oracle stekloff": ["--lmax", "2"],
+    "estimate-shift": ["--lmax", "2"],
+    "index-bound": ["--k1", "3.141592653589793", "--n-lo", "3", "--n-hi", "5", "--lmax", "2"],
+}
+
+
+def _fresh_python(code):
+    """Stdout lines of ``code`` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_package_import_loads_neither_scipy_linalg_nor_spectra():
+    lines = _fresh_python(
+        f"import sys\n"
+        f"import scatsig\n"
+        f"print([m for m in {_HEAVY!r} if m in sys.modules])\n"
+        f"import scatsig.cli\n"
+        f"print([m for m in {_HEAVY!r} if m in sys.modules])\n"
+        f"scatsig.eig\n"
+        f"print([m for m in {_HEAVY!r} if m in sys.modules])\n")
+    assert lines == ["[]", "[]", "['scipy.linalg', 'scatsig.spectra']"]
+
+
+def test_only_the_eigensolving_commands_load_scipy_linalg(tmp_path):
+    assert set(_EIGEN_FREE_RUNS) == set(cli._COMMANDS) - {"phase-track", "ffop-eigs"}
+    runs = [name.split() + argv for name, argv in _EIGEN_FREE_RUNS.items()]
+    runs += [["ffop-eigs", "--quad", "4x8"], ["phase-track", "--quad", "4x8", "--grid", "3.0:3.1:0.05"]]
+    lines = _fresh_python(
+        f"import sys\n"
+        f"from scatsig import cli\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0, argv\n"
+        f"    print([m for m in {_HEAVY!r} if m in sys.modules])\n")
+    # cli.main prints each artifact path before the check's line
+    assert lines[1::2] == ["[]"] * len(_EIGEN_FREE_RUNS) + ["['scipy.linalg', 'scatsig.spectra']"] * 2
+
+
+def test_routines_loaded_by_file_are_the_scipy_linalg_ones():
+    # both by file and, for a scipy without the extension files, by the ordinary import
+    same = ("print([ffop.zherk is blas.zherk, ffop.zhemv is blas.zhemv, scan.zgemm is blas.zgemm,\n"
+            "       scan.zpotrf is lapack.zpotrf, scan.zpotrs is lapack.zpotrs])\n")
+    lines = _fresh_python(
+        "import importlib, sys\n"
+        "from scatsig import _extension, ffop, scan\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack\n"
+        + same +
+        "_extension.load = lambda name: None\n"
+        "importlib.reload(ffop), importlib.reload(scan)\n"
+        + same)
+    assert lines == ["False"] + [str([True] * 5)] * 2

@@ -796,6 +796,45 @@ def test_load_rejects_foreign_files(tmp_path):
         load_ffop(path)
 
 
+def _ffop_file_4x8():
+    """The bytes of a save_ffop file of a noisy magnetic operator on the 4x8 rule."""
+    A = add_noise(assemble("MAGNETIC", BALL2, 1.5, build_quadrature("PRODUCT_GAUSS", 4)), 0.01, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "op.ffop")
+        save_ffop(A, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_FFOP_4X8 = _ffop_file_4x8()
+_HEADER_SIZE = struct.calcsize("<4sIBddQII")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(min_value=0, max_value=len(_FFOP_4X8)),
+       pos=st.integers(min_value=0, max_value=_HEADER_SIZE - 1),
+       byte=st.integers(min_value=0, max_value=255))
+@example(cut=len(_FFOP_4X8), pos=12, byte=0x7F)  # k's top byte: k becomes huge or NaN
+@example(cut=len(_FFOP_4X8), pos=36, byte=0xFF)  # N_q's top byte: 2^32 nodes at most
+def test_a_damaged_operator_file_loads_or_raises_value_error(cut, pos, byte):
+    # a truncated file, or one with any header byte replaced, either loads or
+    # raises ValueError naming the cause: never struct.error, IndexError,
+    # OverflowError or MemoryError
+    damaged = bytearray(_FFOP_4X8)
+    damaged[pos] = byte
+    with tempfile.TemporaryDirectory() as tmp:
+        for raw in (_FFOP_4X8[:cut], bytes(damaged)):
+            path = os.path.join(tmp, "op.ffop")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            try:
+                A = load_ffop(path)
+            except ValueError:
+                continue
+            assert A.matrix.shape == (64, 64) and A.kind in KINDS
+            assert 0 < A.k < np.inf and 0 <= A.noise_eps < np.inf
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_q=st.integers(min_value=1, max_value=3),

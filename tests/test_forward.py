@@ -139,6 +139,16 @@ def test_a_wave_number_that_is_not_positive_is_rejected_by_every_coefficient_set
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda k: mie_coefficients(MediumSpec.ball(1.0, 2.0), k),
+    lambda k: impedance_coefficients(ImpedanceBall(R=1.0, lam=2.0, s_kind="IDENTITY"), k),
+], ids=["mie", "impedance"])
+def test_an_infinite_wave_number_is_rejected_by_name(call):
+    # inf passed the k > 0 test and died as an OverflowError in truncation_degree
+    with pytest.raises(ValueError, match="wave number must be positive and finite, got inf"):
+        call(np.inf)
+
+
 def test_truncation_degree_rule():
     assert truncation_degree(2.0, 1.0) == int(np.ceil(2 + 4 * 2 ** (1 / 3) + 6))
     assert truncation_degree(1.0, 0.5) >= 7

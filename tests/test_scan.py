@@ -29,7 +29,7 @@ from scatsig import (
 )
 from scatsig import cli, ffop, forward, scan
 from scatsig.scan import ScanResult, result_to_csv, result_to_json
-from scatsig.spectra import grid_points
+from scatsig.ffop import grid_points
 from scatsig.sphfun import riccati_all
 
 from field_oracle import tikhonov_solve

@@ -12,6 +12,7 @@ from scatsig.ffop import (
     assemble,
     assemble_blocks,
     build_quadrature,
+    grid_points,
 )
 from scatsig.forward import ImpedanceBall, MediumSpec
 from scatsig.spectra import (
@@ -19,7 +20,6 @@ from scatsig.spectra import (
     circle_residual,
     eig,
     energy_identity_residual,
-    grid_points,
     lidski_positivity,
     phase_track,
     phase_track_to_csv,
