@@ -79,7 +79,7 @@ class RunConfig:
     k: float = _key(1.0, "--k", type=float, help="wave number")
     scene: MediumSpec = _key(MediumSpec.ball(1.0, 2.0), "--scene", help="scene JSON file path")
     B: float = _key(1.0, "--B", type=float, help="reference ball radius")
-    quad: str = _key("16x32", "--quad", help="sphere rule: NxM product Gauss or eaN equal-area")
+    quad: str = _key("16x32", "--quad", help="sphere rule: NxM product Gauss")
     noise: float = _key(0.0, "--noise", type=float, help="multiplicative noise level")
     seed: int = _key(1, "--seed", type=int, help="noise seed")
     alpha: float | str = _key("auto", "--alpha", help="Tikhonov parameter or 'auto'")
@@ -141,15 +141,9 @@ def _parse_rect(value):
 
 
 def _parse_quad(text):
-    if text.startswith("ea"):
-        try:
-            order = int(text[2:])
-        except ValueError:
-            raise ConfigError(f"quad must be NxM or eaN, got {text!r}") from None
-        return ("EQUAL_AREA", order)
     parts = text.lower().split("x")
     if len(parts) != 2:
-        raise ConfigError(f"quad must be NxM or eaN, got {text!r}")
+        raise ConfigError(f"quad must be NxM, got {text!r}")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:

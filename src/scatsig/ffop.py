@@ -84,36 +84,22 @@ class SphereQuadrature:
 
 
 def build_quadrature(kind, order):
-    """Construct a sphere rule: PRODUCT_GAUSS or EQUAL_AREA.
+    """Construct the sphere rule of kind PRODUCT_GAUSS, the one kind there is.
 
-    PRODUCT_GAUSS uses ``order`` Gauss-Legendre points in cos(theta) and
-    2*order uniform azimuth points; exactness degree t = 2*order - 1.
-    EQUAL_AREA uses ``order`` bands of equal height, each carrying
-    2*order equally weighted nodes at the band midline; t = 1 (midpoint
-    exactness on linear functions of cos(theta)).
+    It uses ``order`` Gauss-Legendre points in cos(theta) and 2*order
+    uniform azimuth points; exactness degree t = 2*order - 1.
     """
     if order < 4:
         raise ValueError("quadrature order must be >= 4")
-    if kind == "PRODUCT_GAUSS":
-        mu, wmu = np.polynomial.legendre.leggauss(order)
-        n_phi = 2 * order
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        w_phi = 2.0 * np.pi / n_phi
-        MU, PHI = np.meshgrid(mu, phi, indexing="ij")
-        W = np.repeat(wmu, n_phi) * w_phi
-        t = 2 * order - 1
-    elif kind == "EQUAL_AREA":
-        n_bands = order
-        edges = np.linspace(1.0, -1.0, n_bands + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        band_area = 2.0 * np.pi * (edges[:-1] - edges[1:])
-        n_phi = 2 * order
-        phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-        MU, PHI = np.meshgrid(mids, phi, indexing="ij")
-        W = np.repeat(band_area / n_phi, n_phi)
-        t = 1
-    else:
+    if kind != "PRODUCT_GAUSS":
         raise ValueError(f"unknown quadrature kind {kind!r}")
+    mu, wmu = np.polynomial.legendre.leggauss(order)
+    n_phi = 2 * order
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    w_phi = 2.0 * np.pi / n_phi
+    MU, PHI = np.meshgrid(mu, phi, indexing="ij")
+    W = np.repeat(wmu, n_phi) * w_phi
+    t = 2 * order - 1
     mu_f = MU.ravel()
     phi_f = PHI.ravel()
     s = np.sqrt(1.0 - mu_f**2)
@@ -262,8 +248,15 @@ _ARPACKLIB = "scipy.sparse.linalg._eigen.arpack._arpacklib"
 
 
 def _arpacklib():
-    """scipy's ARPACK extension module, loaded by file, or None for a scipy that has none."""
-    return _extension.load(_ARPACKLIB)
+    """scipy's ARPACK extension module, loaded by file; ImportError for a scipy that has none.
+
+    eigsh is no stand-in: it draws its restart vectors unseeded, so reruns
+    would not be byte-identical.
+    """
+    lib = _extension.load(_ARPACKLIB)
+    if lib is None:
+        raise ImportError(f"the Lanczos norm needs {_ARPACKLIB}, which scipy >= 1.17 ships")
+    return lib
 
 
 def _lanczos_top(matvec, n, lib):
@@ -312,18 +305,6 @@ def _lanczos_top(matvec, n, lib):
     return d[0]
 
 
-def _eigsh_top(matvec, n):
-    """``_lanczos_top`` by eigsh, for a scipy without ``_arpacklib``: the restarts (ido 4) are unseeded."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, n)
-    try:
-        return eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k=1, which="LA",
-                     v0=v0, return_eigenvectors=False)[0]
-    except ArpackNoConvergence:
-        return None
-
-
 def gram_norm(gram, w):
     """Weighted operator norm sqrt(max eig W^-1/2 G W^-1/2) from a Gram G = A^H W A.
 
@@ -337,12 +318,11 @@ def gram_norm(gram, w):
     either way. A larger block gets symmetric Lanczos (``_lanczos_top``)
     on the real form [[Re H, -Im H], [Im H, Re H]] of
     H = W^-1/2 G W^-1/2, which repeats each eigenvalue of H, from fixed
-    Philox draws, so the result is a pure function of the input (see
-    ``_eigsh_top`` for a scipy without ARPACK's module). The real form
-    is applied as H to x[:m] + i x[m:] without being built, by one zhemv
-    on the triangle; it runs several times faster than complex Lanczos,
-    most of all under a multithreaded BLAS. A block on which ARPACK does
-    not converge raises forward.ConvergenceError naming it.
+    Philox draws, so the result is a pure function of the input. The
+    real form is applied as H to x[:m] + i x[m:] without being built, by
+    one zhemv on the triangle; it runs several times faster than complex
+    Lanczos, most of all under a multithreaded BLAS. A block on which
+    ARPACK does not converge raises forward.ConvergenceError naming it.
     """
     s = 1.0 / np.sqrt(w)
     grams = gram.reshape(-1, w.size, w.size)
@@ -360,10 +340,7 @@ def gram_norm(gram, w):
                 y = s * zhemv(1.0, g.T, s * (x[: w.size] - 1j * x[w.size:]), lower=0)
                 return np.concatenate([y.real, -y.imag])
 
-            if lib is None:
-                top = _eigsh_top(matvec, 2 * w.size)
-            else:
-                top = _lanczos_top(matvec, 2 * w.size, lib)
+            top = _lanczos_top(matvec, 2 * w.size, lib)
             if top is None:
                 raise forward.ConvergenceError(f"Lanczos norm of Gram block {q} ({w.size} rows) "
                                                f"did not converge in {20 * w.size} iterations")
@@ -383,7 +360,7 @@ def _check_rotation_layout(quad):
     2 pi p / n_phi, to 1e-12; the node-space arrays of the rule carry
     their latitude-major (n_theta, n_phi) layout.
     """
-    if quad.kind not in ("PRODUCT_GAUSS", "EQUAL_AREA"):
+    if quad.kind != "PRODUCT_GAUSS":
         raise ValueError(f"azimuthal blocks need a product rule, got a {quad.kind} quadrature")
     n_theta, n_phi = quad.order, 2 * quad.order
     if quad.n_nodes != n_theta * n_phi:
@@ -468,7 +445,8 @@ def _scene_parts(kind, scene):
     """(medium, ball) of a scene after checking it fits the operator kind.
 
     ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC, an ImpedanceBall
-    for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED.
+    for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED,
+    whose ball must contain the scatterer.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -483,7 +461,15 @@ def _scene_parts(kind, scene):
     medium, ball = scene
     if not isinstance(medium, MediumSpec) or not isinstance(ball, ImpedanceBall):
         raise TypeError("MODIFIED assembly needs a (MediumSpec, ImpedanceBall) pair")
+    _require_reference_ball(ball.R, medium)
     return medium, ball
+
+
+def _require_reference_ball(R, medium):
+    """Raise ValueError unless the reference ball of radius R contains the scatterer ``medium``."""
+    if R < medium.radius:
+        raise ValueError(f"reference ball must contain the scatterer, got B = {R} "
+                         f"inside the scatterer radius {medium.radius}")
 
 
 def assemble_blocks(kind, scene, k, quad):

@@ -139,12 +139,13 @@ def _brentq(f, xa, xb, xtol):
 
     The compiled routine (rtol 4 eps, 100 iterations, full output, whose
     flag reports non-convergence) comes from its module loaded by file. Raises
-    ValueError when f has the same sign at both ends or returns NaN, and
-    ConvergenceError when it does not converge.
+    ValueError when f has the same sign at both ends or returns NaN,
+    ConvergenceError when it does not converge, and ImportError for a
+    scipy without that module.
     """
     zeros = _extension.load(_ZEROS)
     if zeros is None:
-        import scipy.optimize._zeros as zeros
+        raise ImportError(f"Brent's method needs {_ZEROS}, which scipy >= 1.17 ships")
 
     def value(x):
         fx = f(x)

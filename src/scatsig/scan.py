@@ -54,6 +54,8 @@ class ZSampling:
             raise ValueError(f"sample ball radius r_z must be positive and finite, got {self.r_z}")
         if not np.all(np.isfinite(self.center)):
             raise ValueError(f"sample ball center must be finite, got {self.center}")
+        if not 0 <= self.seed < 2**128:  # the range of a Philox key
+            raise ValueError(f"z seed must lie in [0, 2**128), got {self.seed}")
 
     def validate_inside(self, a):
         if self.r_z + float(np.linalg.norm(self.center)) >= a:
@@ -323,8 +325,7 @@ def stekloff_scan(scene, R, k, lam_grid, quad, zs=ZSampling(), alpha="auto",
     lambda values (impedance ball has no unique solution) are recorded
     as NaN gaps.
     """
-    if R < scene.radius:
-        raise ValueError("reference ball must contain the scatterer")
+    ffop._require_reference_ball(R, scene)
     zs.validate_inside(scene.radius)
     lam = np.asarray(lam_grid)
     if lam.ndim not in (1, 2) or lam.size == 0:

@@ -75,7 +75,7 @@ def eig(A, compute_vectors=True):
     if compute_vectors:
         grams = np.stack([ffop.gram_lower(b) for b in stack])
         norm_a = ffop.gram_norm(grams, np.ones(stack.shape[-1]))
-        vals, vecs = scipy.linalg.eig(stack)
+        vals, vecs = scipy.linalg.eig(stack, check_finite=False)
         if norm_a != 0.0:
             res = np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1)
             res /= norm_a * np.linalg.norm(vecs, axis=1)
@@ -86,7 +86,7 @@ def eig(A, compute_vectors=True):
             vecs = A.to_nodes(placed.reshape(n, m, n * m))
             vecs /= np.linalg.norm(vecs, axis=0)
     else:
-        vals = scipy.linalg.eigvals(stack)
+        vals = scipy.linalg.eigvals(stack, check_finite=False)
     order = _sort_order(vals.ravel())
     if vecs is not None:
         vecs = vecs.reshape(order.size, order.size)[:, order]

@@ -61,7 +61,7 @@ def azimuthal_blocks(A):
     rule, raises ValueError.
     """
     quad = A.quad
-    if quad.kind not in ("PRODUCT_GAUSS", "EQUAL_AREA"):
+    if quad.kind != "PRODUCT_GAUSS":
         raise ValueError(f"azimuthal blocks need a product rule, got a {quad.kind} quadrature")
     n_theta, n_phi = quad.order, 2 * quad.order
     dim = 2 * n_theta * n_phi

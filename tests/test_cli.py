@@ -146,8 +146,9 @@ def test_rect_parsing(tmp_path):
 
 def test_quad_parsing():
     assert parse_config(["tev-scan", "--quad", "8x16"]).quad == "8x16"
-    cfg = parse_config(["tev-scan", "--quad", "ea100"])
-    assert cfg.quad == "ea100"
+    # NxM is the one form a rule takes
+    with pytest.raises(ConfigError, match="quad must be NxM"):
+        parse_config(["tev-scan", "--quad", "ea100"])
     with pytest.raises(ConfigError, match="M = 2N"):
         parse_config(["tev-scan", "--quad", "16x31"])
     with pytest.raises(ConfigError):
@@ -544,6 +545,30 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys):
     # a negative noise seed
     assert cli.main(["tev-scan", "--quad", "4x8", "--grid", "3.0:3.1:0.1", "--zcount", "1",
                      "--noise", "0.01", "--seed", "-1", "--out", str(tmp_path)]) == 2
+
+
+SMALL_SCAN = ["--quad", "4x8", "--zcount", "1", "--zradius", "0.2"]
+
+
+@pytest.mark.parametrize("argv, cause", [
+    pytest.param(["ffop-eigs", "--quad", "ea8"], "quad must be NxM, got 'ea8'", id="ea8-quad"),
+    # both commands that build a modified operator share one check of B against the scatterer
+    pytest.param(["ffop-eigs", "--quad", "4x8", "--kind", "modified", "--B", "0.5"],
+                 "reference ball must contain the scatterer", id="ffop-eigs-B-inside"),
+    pytest.param(["ffop-eigs", "--quad", "4x8", "--kind", "modified", "--B", "0.5", "--noise", "0.01"],
+                 "reference ball must contain the scatterer", id="ffop-eigs-noisy-B-inside"),
+    pytest.param(["stekloff-scan", *SMALL_SCAN, "--B", "0.5", "--grid=-2:-1:0.5"],
+                 "reference ball must contain the scatterer", id="stekloff-scan-B-inside"),
+    pytest.param(["tev-scan", *SMALL_SCAN, "--grid", "3.0:3.1:0.1", "--zseed", "-1"],
+                 "z seed must lie in [0, 2**128), got -1", id="negative-zseed"),
+    pytest.param(["tev-scan", *SMALL_SCAN, "--grid", "3.0:3.1:0.1", "--zseed", str(2**128)],
+                 f"z seed must lie in [0, 2**128), got {2**128}", id="zseed-2**128"),
+])
+def test_config_errors_name_their_cause(tmp_path, capsys, argv, cause):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"configuration error: {cause}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'

@@ -207,13 +207,13 @@ def test_extension_loader_reuses_a_loaded_module_and_returns_none_without_a_file
     assert "scipy.optimize._no_such_extension" not in sys.modules
 
 
-def test_brentq_falls_back_to_the_ordinary_import(monkeypatch):
-    # a scipy without the extension file gets the same routine through its package
-    by_file = tev_roots(BALL4, 2, (0.5, 4.0))
+def test_brentq_without_its_module_is_an_import_error_naming_it(monkeypatch):
+    # importing the package would look for the very file the loader did not find
     asked = []
     monkeypatch.setattr(_extension, "load", lambda name: asked.append(name))
-    assert tev_roots(BALL4, 2, (0.5, 4.0)) == by_file
-    assert asked and set(asked) == {oracles._ZEROS}
+    with pytest.raises(ImportError, match=rf"{oracles._ZEROS}, which scipy >= 1\.17 ships"):
+        tev_roots(BALL4, 2, (0.5, 4.0))
+    assert asked == [oracles._ZEROS]
 
 
 def test_tev_roots_n4_window():

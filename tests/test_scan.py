@@ -741,6 +741,32 @@ def test_result_csv_rejects_rectangles():
         result_to_csv(res)
 
 
+def _same_float(got, want):
+    # the text "nan" carries neither the sign nor the payload of a NaN
+    return np.isnan(got) if np.isnan(want) else np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    nz=st.integers(1, 3),
+    meta=st.dictionaries(st.text(max_size=5),
+                         st.floats(allow_nan=False) | st.integers() | st.text(max_size=5), max_size=3),
+    data=st.data(),
+)
+def test_result_csv_round_trip(n, nz, meta, data):
+    # every cell, NaN gaps and infinities among them, reads back with float
+    # bit for bit, and the metadata line reads back with json.loads
+    cells = lambda size: np.array(data.draw(st.lists(st.floats(), min_size=size, max_size=size)))
+    res = ScanResult("tev", cells(n), cells(n), cells(n * nz).reshape(n, nz), meta)
+    lines = result_to_csv(res).split("\n")
+    assert json.loads(lines[0][2:]) == meta and lines[-1] == ""
+    assert lines[1] == ",".join(["k", "indicator_mean"] + [f"indicator_z{j + 1}" for j in range(nz)])
+    assert len(lines) == n + 3
+    for line, p, m, z in zip(lines[2:], res.param, res.indicator, res.per_z):
+        assert all(_same_float(float(c), v) for c, v in zip(line.split(","), [p, m, *z], strict=True))
+
+
 def test_result_json_layout():
     re_ax = np.array([-2.0, -1.9, -1.8])
     im_ax = np.array([0.0, 0.1])

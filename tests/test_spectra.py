@@ -14,7 +14,7 @@ from scatsig.ffop import (
     build_quadrature,
     grid_points,
 )
-from scatsig.forward import ImpedanceBall, MediumSpec
+from scatsig.forward import ImpedanceBall, MediumSpec, mie_coefficients
 from scatsig.spectra import (
     circle_center_radius,
     circle_residual,
@@ -297,7 +297,7 @@ def _assert_same_multiset(a, b, tol):
 
 
 @pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6), ("PRODUCT_GAUSS", 10),
-                                        ("PRODUCT_GAUSS", 12), ("EQUAL_AREA", 8)])
+                                        ("PRODUCT_GAUSS", 12)])
 @pytest.mark.parametrize("kind,scene", [("ELECTRIC", LOSSY), ("MAGNETIC", LOSSY),
                                         ("IMPEDANCE", IMP), ("MODIFIED", (LOSSY, IMP))])
 def test_block_eig_matches_dense_eig(rule, order, kind, scene):
@@ -314,6 +314,29 @@ def test_block_eig_matches_dense_eig(rule, order, kind, scene):
     res /= np.linalg.norm(A.matrix, 2)
     assert res.max() <= 1e-12
     assert_allclose(es.residuals, res, rtol=0, atol=1e-14)
+
+
+# the scene of tools/artifact_hashes.py with three absorbing layers
+THREE_LAYER = MediumSpec(((0.4, 3.0 + 1.0j), (0.7, 1.5 + 0.2j), (1.0, 2.0 + 0.5j)))
+
+
+@pytest.mark.parametrize("scene,k,count", [(BALL2, 1.0, 39), (BALL4, 3.1, 143), (THREE_LAYER, 1.0, 39)],
+                         ids=["n2", "n4", "three_layer"])
+@pytest.mark.parametrize("kind", ["ELECTRIC", "MAGNETIC"])
+def test_spectrum_at_12x24_is_the_exact_modal_spectrum(scene, k, count, kind):
+    # the operator is diagonal in the harmonics (docs section 6): 4 pi alpha_l and
+    # 4 pi beta_l for ELECTRIC, -(4 pi i/k) times them for MAGNETIC, each 2l + 1 times
+    coefs = mie_coefficients(scene, k)
+    scale = 4.0 * np.pi if kind == "ELECTRIC" else -4.0j * np.pi / k
+    copies = np.tile(2 * np.arange(coefs.L + 1) + 1, 2)
+    modal = np.repeat(scale * np.concatenate([coefs.alpha, coefs.beta]), copies)
+    vals = eig(assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", 12)),
+               compute_vectors=False).values
+    peak = np.abs(vals).max()
+    got, want = vals[np.abs(vals) > 1e-6 * peak], modal[np.abs(modal) > 1e-6 * peak]
+    assert got.size == want.size == count
+    rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+    assert np.max(np.abs(got[rows] - want[cols])) <= 1e-12 * peak
 
 
 def test_phase_track_matches_dense_eigensolve():

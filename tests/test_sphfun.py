@@ -299,7 +299,7 @@ def _same_bits(a, b):
 
 def _point_sets():
     sets = {}
-    for kind, order in (("PRODUCT_GAUSS", 10), ("PRODUCT_GAUSS", 12), ("EQUAL_AREA", 8)):
+    for kind, order in (("PRODUCT_GAUSS", 10), ("PRODUCT_GAUSS", 12)):
         quad = build_quadrature(kind, order)
         sets[f"{kind}{order}-meridian"] = quad.nodes[:: 2 * order]
         sets[f"{kind}{order}-full"] = quad.nodes

@@ -62,9 +62,6 @@ RUNS = {
                                 "--floor 0",
     # the command's own default grid, recorded in the config line
     "oracle_tev_default_grid": "oracle tev --scene ball4",
-    # the EQUAL_AREA rule through the block eig path and, noisy, through the dense assemble
-    "ffop_eigs_ea8": "ffop-eigs --quad ea8",
-    "ffop_eigs_noisy_ea8": "ffop-eigs --quad ea8 --noise 0.01",
     # an explicit alpha through the clean block solver and through the noisy dense one
     "tev_scan_alpha_6x12": "tev-scan --quad 6x12 --scene ball4 --grid 3.0:3.3:0.02 --alpha 1e-4",
     "stekloff_grid_alpha_noisy_6x12": "stekloff-scan --quad 6x12 --grid=-4.0:-1.0:0.1 "
