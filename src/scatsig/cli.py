@@ -172,13 +172,20 @@ def _load_scene(value):
     raise ConfigError(f"scene must be a file path or an inline object, got {type(value).__name__}")
 
 
-def _build_parser():
+def _build_parser(run_command):
+    """The parser of every command's name and help line, and of ``run_command``'s arguments alone.
+
+    Each add_argument costs a help formatter and a terminal-size query,
+    so the commands not being run get none.
+    """
     ap = _Parser(prog="scatsig", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for command in dict.fromkeys(name.split()[0] for name in _COMMANDS):
         names = [name for name in _COMMANDS if name.split()[0] == command]
         # allow_abbrev=False: --k must not mean --k1
         p = sub.add_parser(command, help=_COMMANDS[names[0]].help, allow_abbrev=False)
+        if command != run_command:
+            continue
         if names != [command]:  # the targets are the second words of the command's rows
             p.add_argument("which", choices=[name.split()[1] for name in names])
         keys = {"out"}.union(*(_COMMANDS[name].reads.split() for name in names))
@@ -191,7 +198,8 @@ def _build_parser():
 
 def parse_config(argv=None):
     """Merge CLI flags over the optional config file over defaults."""
-    ns, extra = _build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns, extra = _build_parser(argv[0] if argv else None).parse_known_args(argv)
     which = getattr(ns, "which", None)
     name = f"{ns.command} {which}" if which else ns.command
     if extra:

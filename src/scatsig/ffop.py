@@ -175,6 +175,12 @@ class FarFieldBlocks:
     ``matrix`` has shape (n_phi, 2 n_theta, 2 n_theta). Block q maps the
     azimuthal frequency q of a field (its DFT over the azimuth index,
     ``to_blocks``) to the same frequency of the image; docs section 12.
+    The stack is mirror-symmetric, exactly: block n_phi - q is
+    ``mirror`` of block q, the sign flip S B S with S = diag(1, -1, 1,
+    -1, ...) on the (e_theta, e_phi) rows, because the reflection
+    y -> -y maps the rule onto itself. So blocks 0..n_phi/2, the first
+    ``n_unique``, determine the rest, and a reduction over the stack may
+    read those alone.
     """
 
     matrix: np.ndarray
@@ -182,6 +188,11 @@ class FarFieldBlocks:
     k: float
     quad: SphereQuadrature
     noise_eps = 0.0  # noise breaks the block structure, so blocks are always clean
+
+    @property
+    def n_unique(self):
+        """Count of the blocks 0..n_phi/2 that the mirror does not repeat."""
+        return self.quad.order + 1
 
     def weight_vector(self):
         """Latitude weights of the rows of one block (length 2 n_theta)."""
@@ -423,6 +434,19 @@ def _block_gather(L, n_phi):
     return gather
 
 
+def mirror(blocks):
+    """S B S for each block B of a stack, S = diag(1, -1, 1, -1, ...): a new array.
+
+    S flips the e_phi components, which the reflection y -> -y reverses;
+    negating the entries that couple an e_theta row to an e_phi column or
+    back is exact, so S B S holds B's bits up to sign.
+    """
+    out = blocks.copy()
+    for part in (out[..., 0::2, 1::2], out[..., 1::2, 0::2]):
+        np.negative(part, out=part)
+    return out
+
+
 def _mode_product(phi_a, phi_b, coef_a, coef_b, L, quad):
     """DFT blocks (n_phi, 2 n_theta, 2 n_theta) of one coefficient set's mode products.
 
@@ -430,15 +454,18 @@ def _mode_product(phi_a, phi_b, coef_a, coef_b, L, quad):
     for the dual kinds), phi_b the beta ones, both as azimuth-0 tables
     of degree L; coef_a and coef_b are indexed by degree. Mode (l, m)
     lands in block q = m mod n_phi, and the columns are scaled by n_phi
-    and the latitude weights (docs section 12).
+    and the latitude weights (docs section 12). Only blocks 0..n_phi/2
+    are summed; block n_phi - q is ``mirror`` of block q.
     """
     n_phi = 2 * quad.order
-    deg, idx, valid = _block_gather(L, n_phi)
+    half = quad.order + 1
+    deg, idx, valid = (a[:half] for a in _block_gather(L, n_phi))
     out = 0.0
     for phi, coef in ((phi_a, coef_a), (phi_b, coef_b)):
-        g = phi[:, idx].transpose(1, 0, 2)  # (n_phi, 2 n_theta, slots)
+        g = phi[:, idx].transpose(1, 0, 2)  # (half, 2 n_theta, slots)
         out = out + (g * np.where(valid, coef[deg], 0.0)[:, None, :]) @ g.conj().transpose(0, 2, 1)
-    return out * (n_phi * np.repeat(quad.weights[::n_phi], 2))
+    out = out * (n_phi * np.repeat(quad.weights[::n_phi], 2))
+    return np.concatenate([out, mirror(out[half - 2:0:-1])])
 
 
 def _scene_parts(kind, scene):
@@ -480,8 +507,9 @@ def assemble_blocks(kind, scene, k, quad):
     whose blocks are ``modified_operator`` of the magnetic ones. Every
     other kind is one coefficient set's scaled ``_mode_product``. Modes
     with |m| >= n_phi / 2 alias into shared blocks, the same sum the
-    dense matrix holds. A quadrature that is not its azimuth-0 meridian
-    rotated about z raises ValueError.
+    dense matrix holds. Blocks past n_phi/2 are mirrors of the others,
+    exactly (``FarFieldBlocks``). A quadrature that is not its azimuth-0
+    meridian rotated about z raises ValueError.
     """
     medium, ball = _scene_parts(kind, scene)
     if kind == "MODIFIED":

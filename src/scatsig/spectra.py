@@ -56,12 +56,16 @@ def eig(A, compute_vectors=True):
 
     A FarFieldBlocks is a stack of n_phi blocks, a FarFieldMatrix or a
     square array a stack of one, and the stack goes to one scipy eig
-    (eigvals without vectors). A block eigenvector comes back in node
-    space, as ``to_nodes`` of it placed in its own block, at unit norm.
-    Residuals are ||A v - lambda v|| / ||A|| per block, with the spectral
-    norm from ``ffop.gram_norm`` on the ``ffop.gram_lower`` stack (zero
-    without vectors); the DFT similarity is unitary, so both are the
-    dense ones (docs section 12). LAPACK failure surfaces as LinAlgError.
+    (eigvals without vectors). Of a FarFieldBlocks only its first
+    ``n_unique`` blocks are solved: block n_phi - q is S B_q S, so it
+    shares the values and residuals of block q, and S v is its vector
+    for B_q's vector v; a stack that breaks this symmetry raises
+    ValueError. A block eigenvector comes back in node space, as
+    ``to_nodes`` of it placed in its own block, at unit norm. Residuals
+    are ||A v - lambda v|| / ||A|| per block, with the spectral norm from
+    ``ffop.gram_norm`` on the ``ffop.gram_lower`` stack (zero without
+    vectors); the DFT similarity is unitary, so both are the dense ones
+    (docs section 12). LAPACK failure surfaces as LinAlgError.
     """
     blocks = isinstance(A, FarFieldBlocks)
     operator = blocks or isinstance(A, FarFieldMatrix)
@@ -70,7 +74,12 @@ def eig(A, compute_vectors=True):
         raise ValueError("matrix has non-finite entries")
     if not blocks and mat.ndim != 2:
         raise ValueError(f"eig needs a square matrix, got shape {mat.shape}")
-    stack = mat if blocks else mat[None]
+    if blocks and not np.array_equal(mat[A.n_unique:], ffop.mirror(mat[A.n_unique - 2:0:-1])):
+        raise ValueError("FarFieldBlocks are not mirror-symmetric: block n_phi - q must be "
+                         "ffop.mirror of block q, as assemble_blocks makes them")
+    stack = mat[:A.n_unique] if blocks else mat[None]
+    n = len(mat) if blocks else 1
+    src = np.minimum(np.arange(n), n - np.arange(n))  # block q is solved as block min(q, n - q)
     vecs, res = None, np.zeros(stack.shape[:2])
     if compute_vectors:
         grams = np.stack([ffop.gram_lower(b) for b in stack])
@@ -79,14 +88,18 @@ def eig(A, compute_vectors=True):
         if norm_a != 0.0:
             res = np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1)
             res /= norm_a * np.linalg.norm(vecs, axis=1)
+        vecs = vecs[src]
         if blocks:
-            n, m = vecs.shape[:2]
+            flip = vecs[A.n_unique:, 1::2]
+            np.negative(flip, out=flip)
+            m = vecs.shape[1]
             placed = np.zeros((n, m, n, m), dtype=complex)
             placed[np.arange(n), :, np.arange(n), :] = vecs
             vecs = A.to_nodes(placed.reshape(n, m, n * m))
             vecs /= np.linalg.norm(vecs, axis=0)
     else:
         vals = scipy.linalg.eigvals(stack, check_finite=False)
+    vals, res = vals[src], res[src]
     order = _sort_order(vals.ravel())
     if vecs is not None:
         vecs = vecs.reshape(order.size, order.size)[:, order]

@@ -50,15 +50,15 @@ def full_node_modal_sum(kind, scene, k, quad):
 def azimuthal_blocks(A):
     """DFT blocks of a block-circulant operator matrix: shape (n_phi, 2n_theta, 2n_theta).
 
-    Both product rules put n_phi = 2*order equally spaced azimuths on
-    each of their n_theta = order latitudes (node j = i_theta*n_phi + a)
-    with frames that rotate with the node, so the matrix of any ball
-    scene couples azimuths a and b only through b - a. Block m is
-    sum_d C_d exp(-2 pi i d m / n_phi) (docs section 12), which is
-    ``assemble_blocks`` block -m mod n_phi. A matrix that deviates from
-    that structure by more than 1e-12 max|A| raises RuntimeError; a rule
-    that is not a product rule, or a matrix whose shape does not fit the
-    rule, raises ValueError.
+    The product rule puts n_phi = 2*order equally spaced azimuths, the
+    first at 0, on each of its n_theta = order latitudes (node
+    j = i_theta*n_phi + a) with frames that rotate with the node, so the
+    matrix of any ball scene couples azimuths a and b only through
+    b - a. Block m is sum_d C_d exp(-2 pi i d m / n_phi) (docs section
+    12), which is ``assemble_blocks`` block -m mod n_phi. A matrix that
+    deviates from that structure by more than 1e-12 max|A| raises
+    RuntimeError; a rule that is not a product rule, or a matrix whose
+    shape does not fit the rule, raises ValueError.
     """
     quad = A.quad
     if quad.kind != "PRODUCT_GAUSS":

@@ -310,6 +310,24 @@ def test_help_lists_only_the_flags_a_command_reads(capsys):
     assert "--noise" not in text and "--rect" not in text
 
 
+def test_top_level_help_lists_every_command(capsys):
+    # the parser holds only the arguments of the command being run, but every command's help line
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
+    for name, row in cli._COMMANDS.items():
+        assert name.split()[0] in text and row.help in text, name
+
+
+def test_mistyped_command_names_the_valid_choices(capsys):
+    assert cli.main(["phase-trak", "--grid", "3.0:3.1:0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "scatsig: configuration error: " in err and "'phase-trak'" in err
+    for command in dict.fromkeys(name.split()[0] for name in cli._COMMANDS):
+        assert f"'{command}'" in err
+
+
 # ---------------------------------------------------------------------------
 # CSV writer
 

@@ -37,7 +37,13 @@ from scatsig.ffop import (
     load_ffop,
     save_ffop,
 )
-from scatsig.forward import ConvergenceError, ImpedanceBall, MediumSpec
+from scatsig.forward import (
+    ConvergenceError,
+    ImpedanceBall,
+    MediumSpec,
+    impedance_coefficients,
+    mie_coefficients,
+)
 from scatsig.sphfun import mode_list, vsh_tables
 
 from block_oracle import azimuthal_blocks, full_node_modal_sum, gather_expansion
@@ -189,8 +195,6 @@ def test_electric_eigenvalues_are_modal():
     quad = build_quadrature("PRODUCT_GAUSS", 8)
     k = 1.0
     A = assemble("ELECTRIC", BALL2, k, quad)
-    from scatsig.forward import mie_coefficients
-
     coefs = mie_coefficients(BALL2, k)
     expected = []
     for l in range(1, 7):  # well-resolved modes at this rule
@@ -435,6 +439,25 @@ def test_block_gather_places_every_mode_once_in_its_block(L, n_phi):
     q, _ = np.nonzero(valid)
     assert np.array_equal(m[idx[valid]] % n_phi, q)
     assert np.array_equal(ell[idx[valid]], deg[valid])
+
+
+@pytest.mark.parametrize("order,k,aliases", [(12, 1.0, False), (10, 1.0, True), (6, 3.0, True)],
+                         ids=["12x24-k1", "10x20-k1", "6x12-k3"])
+@ORACLE_KINDS
+def test_assembled_blocks_are_exact_mirrors(order, k, aliases, kind, scene):
+    # block n_phi - q is S B_q S with S = diag(1, -1, 1, -1, ...): the reflection
+    # y -> -y maps the rule onto itself and flips e_phi. Both scenes truncate at
+    # L = 11 for k = 1 and L = 15 for k = 3, so modes alias where L >= n_phi / 2;
+    # there summing block n_phi - q from its own modes differed from S B_q S at roundoff
+    n_phi = 2 * order
+    for coefs in (mie_coefficients(LOSSY, k), impedance_coefficients(IMP, k)):
+        assert (coefs.L >= n_phi // 2) == aliases
+    B = assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", order))
+    assert B.n_unique == n_phi // 2 + 1
+    S = np.tile([1.0, -1.0], order)
+    for q in range(1, n_phi // 2):
+        assert np.array_equal(B.matrix[n_phi - q], S[:, None] * B.matrix[q] * S[None, :]), q
+    assert np.array_equal(ffop.mirror(B.matrix), S[:, None] * B.matrix * S[None, :])
 
 
 def test_assembly_rejects_a_frame_that_breaks_the_rotation_layout(tmp_path):

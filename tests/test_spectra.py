@@ -1,7 +1,10 @@
 """Eigenvalue diagnostics: circle laws, energy identity, phase tracking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -12,6 +15,8 @@ from scatsig.ffop import (
     assemble,
     assemble_blocks,
     build_quadrature,
+    gram_lower,
+    gram_norm,
     grid_points,
 )
 from scatsig.forward import ImpedanceBall, MediumSpec, mie_coefficients
@@ -314,6 +319,57 @@ def test_block_eig_matches_dense_eig(rule, order, kind, scene):
     res /= np.linalg.norm(A.matrix, 2)
     assert res.max() <= 1e-12
     assert_allclose(es.residuals, res, rtol=0, atol=1e-14)
+
+
+def _by_magnitude(vals):
+    """Indices of eig's order: decreasing |lambda|, ties by (re, im)."""
+    return np.lexsort((vals.imag, vals.real, -np.abs(vals)))
+
+
+def _eig_of_every_block(B):
+    """eig of a FarFieldBlocks as it was before the mirror: all n_phi blocks solved."""
+    stack = B.matrix
+    norm_a = gram_norm(np.stack([gram_lower(b) for b in stack]), np.ones(stack.shape[-1]))
+    vals, vecs = scipy.linalg.eig(stack)
+    res = np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1)
+    res /= norm_a * np.linalg.norm(vecs, axis=1)
+    n, m = vecs.shape[:2]
+    placed = np.zeros((n, m, n, m), dtype=complex)
+    placed[np.arange(n), :, np.arange(n), :] = vecs
+    vecs = B.to_nodes(placed.reshape(n, m, n * m))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    order = _by_magnitude(vals.ravel())
+    return vals.ravel()[order], vecs[:, order], res.ravel()[order]
+
+
+@pytest.mark.parametrize("order,scene,k", [(12, BALL4, 3.12), (10, ABSORB, 1.0)],
+                         ids=["n4-12x24", "absorbing-10x20"])
+@pytest.mark.parametrize("kind", ["ELECTRIC", "MAGNETIC"])
+def test_eig_of_the_unique_blocks_equals_eig_of_every_block(order, scene, k, kind):
+    # eig solves blocks 0..n_phi/2 and copies the mirror blocks' values and
+    # residuals and their vectors S v; zgeev gives S B S the same values
+    B = assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", order))
+    every = scipy.linalg.eigvals(B.matrix).ravel()
+    assert eig(B, compute_vectors=False).values.tobytes() == every[_by_magnitude(every)].tobytes()
+    vals, vecs, res = _eig_of_every_block(B)
+    es = eig(B)
+    assert es.values.tobytes() == vals.tobytes()
+    assert es.residuals.tobytes() == res.tobytes()
+    same = np.all(es.vectors == vecs, axis=0)
+    flipped = np.all(es.vectors == -vecs, axis=0)
+    assert np.all(same | flipped) and flipped.any()
+
+
+def test_eig_rejects_blocks_that_are_not_mirrors():
+    # eig reads the mirror blocks off their twins, so a hand-made stack that is
+    # not mirror-symmetric would give a wrong spectrum; one changed entry raises
+    B = assemble_blocks("MAGNETIC", BALL2, 1.0, build_quadrature("PRODUCT_GAUSS", 4))
+    bent = replace(B, matrix=B.matrix.copy())
+    bent.matrix[7, 0, 1] *= 1.0 + 1e-15
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match="not mirror-symmetric"):
+            eig(bent, compute_vectors=vectors)
+    assert eig(B, compute_vectors=False).values.size == 64  # 2N on the 4x8 rule
 
 
 # the scene of tools/artifact_hashes.py with three absorbing layers

@@ -3,11 +3,17 @@
 Each of the seven commands runs in its own subprocess with one thread
 (SCATSIG_THREADS, OPENBLAS_NUM_THREADS and OMP_NUM_THREADS set to 1)
 against the package source in SRC_DIR, by default the ``src`` next to
-this file. Diff two checkouts with
+this file. The runs are this file's ``RUNS`` table, whatever SRC_DIR
+is, so pointing it at another checkout's source cannot show a run that
+the other revision adds or drops. Diff two checkouts by running each
+one's own script on its own source:
 
-    python tools/artifact_hashes.py /path/to/other/src > old.json
+    python /path/to/other/tools/artifact_hashes.py > old.json
     python tools/artifact_hashes.py > new.json
     diff old.json new.json
+
+SRC_DIR serves a source tree whose runs match this file's, such as a
+patched copy of this checkout.
 """
 
 import hashlib
