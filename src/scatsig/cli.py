@@ -153,6 +153,25 @@ def _parse_quad(text):
     return ("PRODUCT_GAUSS", n)
 
 
+# the most bytes one complex array of a run may take, checked before any is allocated
+_MAX_ARRAY_BYTES = 1 << 30
+
+
+def _check_array_bytes(quad, z_count):
+    """ConfigError naming the value whose arrays would exceed _MAX_ARRAY_BYTES.
+
+    An NxM rule has N M nodes and 2 N M tangential unknowns. The dense
+    operator is (2 N M)^2 complex, which a noisy run holds twice and
+    ffop-eigs returns as eigenvectors; the right-hand sides are
+    2 N M x z_count.
+    """
+    unknowns = 4 * _parse_quad(quad)[1] ** 2
+    for key, value, size in (("quad", quad, unknowns**2), ("z_count", z_count, unknowns * z_count)):
+        if 16 * size > _MAX_ARRAY_BYTES:
+            raise ConfigError(f"{key} {value!r} would need a {16 * size / 2**30:.3g} GiB array, "
+                              f"more than the {_MAX_ARRAY_BYTES >> 30} GiB budget")
+
+
 def _load_scene(value):
     if isinstance(value, MediumSpec):
         return value
@@ -259,7 +278,7 @@ def parse_config(argv=None):
         vals = val if isinstance(val, tuple) else (val,)
         if any(isinstance(v, (float, complex)) and not np.isfinite(v) for v in vals):
             raise ConfigError(f"{key} must be finite, got {val!r}")
-    _parse_quad(merged["quad"])  # validate early
+    _check_array_bytes(merged["quad"], merged["z_count"])
     merged["scene"] = _load_scene(merged["scene"])
     cfg = RunConfig(command=ns.command, which=which, **merged)
     if cfg.noise < 0:
@@ -340,9 +359,7 @@ def _run_stekloff_scan(cfg):
         noise_eps=cfg.noise, noise_seed=cfg.seed,
     )
     if cfg.rect:
-        doc = json.loads(scan.result_to_json(result))
-        doc["config"] = cfg.to_json_dict()
-        return "stekloff_scan.json", json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return "stekloff_scan.json", scan.result_to_json(result, config=cfg.to_json_dict())
     return "stekloff_scan.csv", _config_line(cfg) + "\n" + scan.result_to_csv(result)
 
 

@@ -48,9 +48,7 @@ _FFOP_HEADER = "<4sIBddQII"
 # the package's BLAS routines (scan takes zgemm), which scipy.linalg.blas
 # exports: loaded by file, its compiled module spares every command without
 # an eigensolve the scipy.linalg import
-_fblas = _extension.load("scipy.linalg._fblas")
-if _fblas is None:  # a scipy without the extension file
-    from scipy.linalg import blas as _fblas
+_fblas = _extension.load(_extension.BLAS)
 zgemm, zherk, zhemv = _fblas.zgemm, _fblas.zherk, _fblas.zhemv
 
 
@@ -214,7 +212,7 @@ class FarFieldBlocks:
 # Gram blocks up to this many rows get dense eigvalsh, larger ones Lanczos
 _EIGVALSH_MAX_ROWS = 128
 
-# the keys of the state dict that _arpacklib's reverse-communication calls read and write
+# the keys of the state dict that ARPACK's reverse-communication calls read and write
 _ARPACK_STATE = (
     "tol", "getv0_rnorm0", "aitr_betaj", "aitr_rnorm1", "aitr_wnorm", "aup2_rnorm", "ido",
     "which", "bmat", "info", "iter", "maxiter", "mode", "n", "nconv", "ncv", "nev", "np",
@@ -253,21 +251,6 @@ def _candidate_blocks(grams, w):
     off2 = ((low.real ** 2 + low.imag ** 2) @ inv_w) @ inv_w
     fro = np.sqrt(np.sum(d * d, axis=1) + 2.0 * off2)
     return ~(fro < d.max() * (1.0 - 1e-12))
-
-
-_ARPACKLIB = "scipy.sparse.linalg._eigen.arpack._arpacklib"
-
-
-def _arpacklib():
-    """scipy's ARPACK extension module, loaded by file; ImportError for a scipy that has none.
-
-    eigsh is no stand-in: it draws its restart vectors unseeded, so reruns
-    would not be byte-identical.
-    """
-    lib = _extension.load(_ARPACKLIB)
-    if lib is None:
-        raise ImportError(f"the Lanczos norm needs {_ARPACKLIB}, which scipy >= 1.17 ships")
-    return lib
 
 
 def _lanczos_top(matvec, n, lib):
@@ -342,7 +325,7 @@ def gram_norm(gram, w):
             grams = grams[_candidate_blocks(grams, w)]
         top = np.linalg.eigvalsh(grams * s[:, None] * s[None, :])[:, -1].max()
     else:
-        lib = _arpacklib()
+        lib = _extension.load(_extension.ARPACK)
 
         def top_eig(q, g):
             # the Fortran view g.T holds conj(G) in its upper triangle, so

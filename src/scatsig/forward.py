@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphfun import mode_list, riccati_all, vsh_tables
+from .sphfun import _L_MAX_HARD, mode_list, riccati_all, vsh_tables
 
 _DECAY_TOL = 1.0e-14
 
@@ -169,9 +169,17 @@ class ModalCoefficients:
 
 
 def truncation_degree(k, a):
-    """Series truncation for size parameter ka: ceil(ka + 4 (ka)^(1/3) + 6)."""
+    """Series truncation for size parameter ka: ceil(ka + 4 (ka)^(1/3) + 6).
+
+    A degree above the supported maximum raises ValueError naming ka,
+    before any table is sized by it.
+    """
     ka = k * a
-    return int(np.ceil(ka + 4.0 * ka ** (1.0 / 3.0) + 6.0))
+    L = np.ceil(ka + 4.0 * ka ** (1.0 / 3.0) + 6.0)
+    if not L <= _L_MAX_HARD:
+        raise ValueError(f"k = {k:g} at radius {a:g} (size parameter k a = {ka:g}) needs "
+                         f"degrees above the supported maximum {_L_MAX_HARD}")
+    return int(L)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,6 +299,8 @@ def _truncated_mie(medium, k, L):
     if not 0 < k < np.inf:
         raise ValueError(f"wave number must be positive and finite, got {k}")
     L_try = truncation_degree(k, medium.radius) if L is None else int(L)
+    if L_try > _L_MAX_HARD:
+        raise ValueError(f"degree L = {L_try} exceeds the supported maximum {_L_MAX_HARD}")
     while True:
         interior = None
         if medium.is_vacuum:

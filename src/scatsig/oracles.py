@@ -20,10 +20,11 @@ import numpy as np
 
 from . import _extension, forward
 from .forward import ConvergenceError, MediumSpec
-from .sphfun import riccati_all
+from .sphfun import _L_MAX_HARD, riccati_all
 
 _GRID_STEP = 0.01
 _REFINE_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 class BracketError(ValueError):
@@ -61,6 +62,13 @@ def _single_layer(medium):
     return a, n
 
 
+def _check_l_max(l_max):
+    if l_max < 1:
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
+    if l_max > _L_MAX_HARD:
+        raise ValueError(f"l_max must be <= {_L_MAX_HARD}, the largest supported degree, got {l_max}")
+
+
 def _family_pair(family, psi, dpsi):
     """The (f, g) pair of a mode family: (psi, psi') for TE, (psi', psi) for TM."""
     if family == "TE":
@@ -68,6 +76,23 @@ def _family_pair(family, psi, dpsi):
     if family == "TM":
         return dpsi, psi
     raise ValueError("family must be 'TE' or 'TM'")
+
+
+def _tev_terms(a, n, l, family, k):
+    """The two products f(y) g(x) and sqrt(n) f(x) g(y) of ``tev_determinant``, over 1-D k."""
+    k = np.atleast_1d(k)
+    if np.any(k <= 0):
+        raise ValueError("wavenumbers must be positive")
+    root_n = np.sqrt(complex(n))
+    x = k * a
+    y = k * root_n * a
+    l = np.asarray(l)
+    l_top = int(l.max())
+    psi_x, dpsi_x, _, _ = riccati_all(l_top, x)
+    psi_y, dpsi_y, _, _ = riccati_all(l_top, y)
+    f_x, g_x = _family_pair(family, psi_x[l], dpsi_x[l])
+    f_y, g_y = _family_pair(family, psi_y[l], dpsi_y[l])
+    return f_y * g_x, root_n * f_x * g_y
 
 
 def tev_determinant(medium, l, family, k):
@@ -86,25 +111,13 @@ def tev_determinant(medium, l, family, k):
     """
     a, n = _single_layer(medium)
     k = np.asarray(k, dtype=float)
-    scalar = k.ndim == 0
-    k = np.atleast_1d(k)
-    if np.any(k <= 0):
-        raise ValueError("wavenumbers must be positive")
-    root_n = np.sqrt(complex(n))
-    x = k * a
-    y = k * root_n * a
-    l = np.asarray(l)
-    l_top = int(l.max())
-    psi_x, dpsi_x, _, _ = riccati_all(l_top, x)
-    psi_y, dpsi_y, _, _ = riccati_all(l_top, y)
-    f_x, g_x = _family_pair(family, psi_x[l], dpsi_x[l])
-    f_y, g_y = _family_pair(family, psi_y[l], dpsi_y[l])
-    det = f_y * g_x - root_n * f_x * g_y
+    left, right = _tev_terms(a, n, l, family, k)
+    det = left - right
     if n.imag == 0:
         det = det.real + 0.0j
-    if not scalar:
+    if k.ndim != 0:
         return det
-    return complex(det[0]) if l.ndim == 0 else det[:, 0]
+    return complex(det[0]) if np.ndim(l) == 0 else det[:, 0]
 
 
 def tev_min_singular(medium, l, family, k):
@@ -114,7 +127,9 @@ def tev_min_singular(medium, l, family, k):
     pair of ``_family_pair``, of the free-space and interior solutions
     at r = a; a transmission eigenvalue makes the columns parallel, so
     this is an independent root check for tev_determinant (which is
-    proportional to the matrix determinant).
+    proportional to the matrix determinant). A column whose norm
+    underflows to 0 (or overflows) raises FloatingPointError naming l,
+    family and k, where the normalization would give NaN.
     """
     a, n = _single_layer(medium)
     root_n = np.sqrt(complex(n))
@@ -125,13 +140,16 @@ def tev_min_singular(medium, l, family, k):
     f_x, g_x = _family_pair(family, psi_x[l, 0], dpsi_x[l, 0])
     f_y, g_y = _family_pair(family, psi_y[l, 0], dpsi_y[l, 0])
     cols = np.array([[f_x / k, f_y / (k * root_n)], [g_x, g_y]])
-    cols = cols / np.linalg.norm(cols, axis=0)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = cols / np.linalg.norm(cols, axis=0)[None, :]
+    if not np.isfinite(cols).all():
+        raise FloatingPointError(f"the {family} matching matrix of l = {l} at k = {k} "
+                                 "has a column whose norm underflows or overflows")
     return float(np.linalg.svd(cols, compute_uv=False)[-1])
 
 
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
-_ZEROS = "scipy.optimize._zeros"
 
 
 def _brentq(f, xa, xb, xtol):
@@ -143,9 +161,7 @@ def _brentq(f, xa, xb, xtol):
     ConvergenceError when it does not converge, and ImportError for a
     scipy without that module.
     """
-    zeros = _extension.load(_ZEROS)
-    if zeros is None:
-        raise ImportError(f"Brent's method needs {_ZEROS}, which scipy >= 1.17 ships")
+    zeros = _extension.load(_extension.BRENT)
 
     def value(x):
         fx = f(x)
@@ -159,14 +175,19 @@ def _brentq(f, xa, xb, xtol):
     return root
 
 
-def _roots_on_grid(fn, grid, vals):
-    """Brent refinement by fn of every sign change of the values ``vals`` on the grid."""
+def _roots_on_grid(fn, grid, vals, is_root):
+    """Brent refinement by fn of every sign change of the values ``vals`` on the grid.
+
+    A grid point where ``vals`` is exactly zero is a root where ``is_root``
+    of it holds.
+    """
     roots = []
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
         roots.append(_brentq(fn, grid[i], grid[i + 1], xtol=_REFINE_TOL))
     for i in np.nonzero(vals == 0.0)[0]:
-        roots.append(float(grid[i]))
+        if is_root(grid[i]):
+            roots.append(float(grid[i]))
     return sorted(roots)
 
 
@@ -188,8 +209,7 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
         raise ValueError("need 0 < k_lo < k_hi")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    if l_max < 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
+    _check_l_max(l_max)
     count = int(np.ceil((k_hi - k_lo) / step)) + 1
     grid = np.linspace(k_lo, k_hi, count)
     out = []
@@ -197,7 +217,10 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
         dets = np.real(tev_determinant(medium, np.arange(1, l_max + 1), fam, grid))
         for l, vals in enumerate(dets, start=1):
             fn = lambda k, l=l, fam=fam: np.real(tev_determinant(medium, l, fam, k))
-            for r in _roots_on_grid(fn, grid, vals):
+            # an exact zero is a root where its two products cancel, not where
+            # they are subnormal and equal only for want of digits
+            cancels = lambda k, l=l, fam=fam: np.any(np.abs(_tev_terms(a, n, l, fam, k)) >= _TINY)
+            for r in _roots_on_grid(fn, grid, vals, cancels):
                 out.append((r, l, fam))
     out.sort(key=lambda t: (t[0], t[1], t[2]))
     return out
@@ -345,8 +368,7 @@ def stekloff_eigs_ball(scene, R, k, l_max, s_kind="CURL_CURL"):
         raise ValueError(f"unknown smoother kind {s_kind!r}")
     if k <= 0:
         raise ValueError("wave number must be positive")
-    if l_max < 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
+    _check_l_max(l_max)
     eff = _scene_with_shell(scene, R)
     s_te, s_tm, layers = forward._interior_states(eff, k, l_max)
     kap_out = layers[-1].kappa

@@ -26,9 +26,7 @@ from .ffop import FarFieldBlocks, TangentVectorField, wavenumbers, zgemm
 from .forward import ConvergenceError, DipoleSource, ImpedanceBall, ResonantParameterError
 
 # the routines scipy.linalg.lapack exports, from its compiled module by file as ffop's BLAS
-_flapack = _extension.load("scipy.linalg._flapack")
-if _flapack is None:  # a scipy without the extension file
-    from scipy.linalg import lapack as _flapack
+_flapack = _extension.load(_extension.LAPACK)
 zpotrf, zpotrs = _flapack.zpotrf, _flapack.zpotrs
 
 _NORMAL_EQ_TOL = 1e-10
@@ -385,8 +383,11 @@ def result_to_csv(result):
     return ffop.csv_text(header, rows, ["# " + json.dumps(result.metadata, sort_keys=True)])
 
 
-def result_to_json(result):
-    """JSON text for complex rectangles: axes plus row-major log10 indicator."""
+def result_to_json(result, config=None):
+    """JSON text for complex rectangles: axes plus row-major log10 indicator.
+
+    A ``config`` dict is written under the key "config".
+    """
     if result.param.ndim != 2:
         raise ValueError("JSON export is for complex rectangles; use CSV for real grids")
     re_axis = result.param.real[0, :].tolist()
@@ -400,4 +401,6 @@ def result_to_json(result):
         "im_axis": im_axis,
         "log10_indicator": rows,
     }
+    if config is not None:
+        doc["config"] = config
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"

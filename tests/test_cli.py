@@ -155,6 +155,10 @@ def test_quad_parsing():
         parse_config(["tev-scan", "--quad", "sixteen"])
     with pytest.raises(ConfigError):
         parse_config(["tev-scan", "--quad", "eaxx"])
+    # the largest rule whose (2NM)^2 complex operator fits the byte budget
+    assert parse_config(["ffop-eigs", "--quad", "45x90"]).quad == "45x90"
+    with pytest.raises(ConfigError, match=r"quad '46x92' would need a 1\.07 GiB array, more than the 1 GiB"):
+        parse_config(["ffop-eigs", "--quad", "46x92"])
 
 
 def test_alpha_coercion():
@@ -617,13 +621,18 @@ NAN_SCENE_TEXT = '{"layers": [{"r": NaN, "n_re": 2.0, "n_im": 0.0}]}'
     (["estimate-shift", "--config", '{"delta_n": []}'], "delta_n"),
     (["estimate-shift", "--config", '{"delta_n": [0.5]}'], "delta_n"),
     (["stekloff-scan", "--quad", "4x8", "--rect=-2:-1:-0.1:0.1:100000"], "rect"),
+    (["tev-scan", "--quad", "46x92"], "46x92"),
+    (["tev-scan", "--quad", "4x8", "--grid", "3:3.1:0.05", "--zcount", "100000000"], "100000000"),
+    (["stekloff-scan", "--quad", "4x8", "--config", '{"z_count": 100000000}'], "100000000"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
     # argparse floats accept nan and inf, and JSON files accept NaN; a
     # config-file value of the wrong type for its key fails the same way,
     # and so does a phase-track floor above 1, which would keep no eigenvalue,
     # or true or false in a config-file list, which float() would read as 1 or 0,
-    # or a rect of more than 10^7 cells, whose lambda array used to exhaust memory
+    # or a rect of more than 10^7 cells, whose lambda array used to exhaust memory,
+    # or a rule or zcount whose dense operator or right-hand sides would pass the
+    # 1 GiB budget: 100 million z points once allocated until a timeout stopped them
     scene = tmp_path / "scene.json"
     scene.write_text(NAN_SCENE_TEXT)
     if argv[-2] == "--config":  # the last argument is the config file's text
@@ -708,6 +717,37 @@ def test_lmax_below_1_is_a_config_error(tmp_path, capsys, argv, lmax):
     assert cli.main(argv + ["--lmax", lmax, "--out", str(out)]) == 2
     assert "configuration error: l_max must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    # degree 1046; at k = 1e9 the rule degree once sized a 32 GB table before any check
+    (["ffop-eigs", "--quad", "4x8", "--k", "1000"], "k a = 1000"),
+    # the degree used to be printed in full, all 309 digits of it
+    (["stekloff-scan", "--quad", "4x8", "--grid=-2:-1:0.5", "--zcount", "1", "--B", "1e308"],
+     "k a = 1e+308"),
+    # k B overflows to inf, which was an OverflowError and exit 3
+    (["stekloff-scan", "--quad", "4x8", "--grid=-2:-1:0.5", "--zcount", "1", "--k", "100",
+      "--B", "1e307"], "k a = inf"),
+    (["oracle", "tev", "--grid", "3.0:3.3:0.01", "--lmax", "201"], "got 201"),
+    (["oracle", "stekloff", "--lmax", "201"], "got 201"),
+])
+def test_degrees_above_the_supported_maximum_are_config_errors(tmp_path, capsys, argv, value):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and value in err and "200" in err
+    assert len(err) < 200
+    assert not out.exists()
+
+
+def test_oracle_tev_writes_no_underflowed_roots(tmp_path):
+    # both products of the determinant are subnormal and equal at k = 0.010..0.019
+    # for l = 46..50: 53 rows of exact zeros, every residual NaN
+    out = tmp_path / "out"
+    assert cli.main(["oracle", "tev", "--grid", "0.01:0.02:0.001", "--lmax", "50",
+                     "--out", str(out)]) == 0
+    lines = (out / "oracle_tev.csv").read_text().splitlines()
+    assert lines[1:] == ["family,l,value,residual"]
 
 
 def test_exit_code_3_for_numeric_failures(tmp_path, capsys):
@@ -876,16 +916,11 @@ def test_only_the_eigensolving_commands_load_scipy_linalg(tmp_path):
 
 
 def test_routines_loaded_by_file_are_the_scipy_linalg_ones():
-    # both by file and, for a scipy without the extension files, by the ordinary import
-    same = ("print([ffop.zherk is blas.zherk, ffop.zhemv is blas.zhemv, scan.zgemm is blas.zgemm,\n"
-            "       scan.zpotrf is lapack.zpotrf, scan.zpotrs is lapack.zpotrs])\n")
     lines = _fresh_python(
-        "import importlib, sys\n"
-        "from scatsig import _extension, ffop, scan\n"
+        "import sys\n"
+        "from scatsig import ffop, scan\n"
         "print('scipy.linalg' in sys.modules)\n"
         "import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack\n"
-        + same +
-        "_extension.load = lambda name: None\n"
-        "importlib.reload(ffop), importlib.reload(scan)\n"
-        + same)
-    assert lines == ["False"] + [str([True] * 5)] * 2
+        "print([ffop.zherk is blas.zherk, ffop.zhemv is blas.zhemv, scan.zgemm is blas.zgemm,\n"
+        "       scan.zpotrf is lapack.zpotrf, scan.zpotrs is lapack.zpotrs])\n")
+    assert lines == ["False", str([True] * 5)]

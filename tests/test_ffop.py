@@ -1,5 +1,6 @@
 """Quadrature rules, tangential fields, operator assembly and serialization."""
 
+import importlib.machinery
 import os
 import struct
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from scatsig import ffop
+from scatsig import _extension, ffop
 from scatsig.ffop import (
     _EIGVALSH_MAX_ROWS,
     KINDS,
@@ -632,7 +633,7 @@ class _RecordingArpack:
     """
 
     def __init__(self, before=None):
-        self.lib = ffop._arpacklib()
+        self.lib = _extension.load(_extension.ARPACK)
         self.before = before
         self.idos = []
         self.restarts = []
@@ -658,7 +659,7 @@ def test_lanczos_non_convergence_is_a_convergence_error_naming_the_block(monkeyp
                 state["maxiter"] = 1
 
     recording = _RecordingArpack(second_gets_one_iteration)
-    monkeypatch.setattr(ffop, "_arpacklib", lambda: recording)
+    monkeypatch.setitem(sys.modules, _extension.ARPACK, recording)
     gen = np.random.Generator(np.random.Philox(key=5))
     grams = _psd_stack(gen, 2, _EIGVALSH_MAX_ROWS + 2, [1.0, 1.0])
     with pytest.raises(ConvergenceError, match="block 1 "):
@@ -683,7 +684,7 @@ def test_lanczos_loop_equals_eigsh_bit_for_bit(monkeypatch, case):
     gram, w = _dense_gram(A)
     assert w.size > _EIGVALSH_MAX_ROWS
     recording = _RecordingArpack()
-    monkeypatch.setattr(ffop, "_arpacklib", lambda: recording)
+    monkeypatch.setitem(sys.modules, _extension.ARPACK, recording)
     operators = []
     lanczos_top = ffop._lanczos_top
 
@@ -707,9 +708,11 @@ def test_lanczos_norm_without_the_arpack_module_is_an_import_error_naming_it(mon
     # eigsh is no fallback: its unseeded restarts would break byte-identical reruns
     m = _EIGVALSH_MAX_ROWS + 2
     x = np.random.Generator(np.random.Philox(3)).standard_normal((m, m)) + 0j
-    monkeypatch.setattr(ffop._extension, "load", lambda name: None)
-    with pytest.raises(ImportError, match=rf"{ffop._ARPACKLIB}, which scipy >= 1\.17 ships"):
+    monkeypatch.delitem(sys.modules, _extension.ARPACK, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    with pytest.raises(ImportError, match=rf"{_extension.ARPACK} has no extension file .* scipy >= 1\.17"):
         gram_norm(gram_lower(x), np.ones(m))
+    assert _extension.ARPACK not in sys.modules
 
 
 def test_lanczos_hands_dseupd_a_1x1_eigenvector_array(monkeypatch):
@@ -724,7 +727,7 @@ def test_lanczos_hands_dseupd_a_1x1_eigenvector_array(monkeypatch):
         return recording.lib.dseupd_wrap(*args)
 
     recording.dseupd_wrap = dseupd_wrap
-    monkeypatch.setattr(ffop, "_arpacklib", lambda: recording)
+    monkeypatch.setitem(sys.modules, _extension.ARPACK, recording)
     assert gram_norm(*_dense_gram(A)) > 0
     assert shapes == [(1, 1)]
 
@@ -738,7 +741,7 @@ def test_lanczos_restart_vectors_are_fixed_draws(monkeypatch):
     A = FarFieldMatrix(F_m.matrix - F_s.matrix, "MODIFIED", 1.0, quad)
     gram, w = _dense_gram(A)
     recording = _RecordingArpack()
-    monkeypatch.setattr(ffop, "_arpacklib", lambda: recording)
+    monkeypatch.setitem(sys.modules, _extension.ARPACK, recording)
     first = np.float64(gram_norm(gram, w))
     assert recording.idos.count(4) == 1
     # the restart is the draw after the start vector in the Philox stream of seed 0
@@ -755,16 +758,16 @@ def test_arpack_module_loaded_by_file_is_the_one_scipy_sparse_imports():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from scatsig import ffop\n"
+        "from scatsig import _extension, ffop\n"
+        "assert _extension.ARPACK not in sys.modules\n"
         "m = ffop._EIGVALSH_MAX_ROWS + 2\n"
         "x = np.random.Generator(np.random.Philox(3)).standard_normal((m, m)) + 0j\n"
         "assert ffop.gram_norm(x.T @ x, np.ones(m)) > 0\n"
-        "loaded = sys.modules[ffop._ARPACKLIB]\n"
+        "loaded = sys.modules[_extension.ARPACK]\n"
         "assert 'scipy.sparse' not in sys.modules\n"
         "import scipy.sparse.linalg\n"
         "from scipy.sparse.linalg._eigen.arpack import arpack\n"
         "assert arpack._arpacklib is loaded\n"
-        "assert ffop._arpacklib() is loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

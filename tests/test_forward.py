@@ -1,5 +1,7 @@
 """Forward scattering solvers: frozen references, physics identities, errors."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -152,6 +154,19 @@ def test_an_infinite_wave_number_is_rejected_by_name(call):
 def test_truncation_degree_rule():
     assert truncation_degree(2.0, 1.0) == int(np.ceil(2 + 4 * 2 ** (1 / 3) + 6))
     assert truncation_degree(1.0, 0.5) >= 7
+
+
+@pytest.mark.parametrize("k, a, ka", [(1e9, 1.0, "1e+09"), (1.0, 1e308, "1e+308"), (10.0, 1e308, "inf")])
+def test_truncation_degree_above_the_supported_maximum_names_ka(k, a, ka):
+    # the rule degree of k = 1e9 sized a (2, 10^9) table before any degree check
+    with pytest.raises(ValueError, match=re.escape(f"k a = {ka}) needs degrees above the supported maximum 200")):
+        truncation_degree(k, a)
+
+
+def test_an_explicit_degree_above_the_supported_maximum_is_rejected_before_any_table():
+    for medium in (MediumSpec.ball(1.0, 2.0), MediumSpec.ball(1.0, 1.0)):
+        with pytest.raises(ValueError, match="degree L = 201 exceeds the supported maximum 200"):
+            mie_coefficients(medium, 1.0, L=201)
 
 
 def test_medium_spec_validation():

@@ -7,6 +7,7 @@ they share no code with the package.
 """
 
 import dataclasses
+import importlib.machinery
 import sys
 
 import numpy as np
@@ -146,6 +147,21 @@ def test_min_singular_small_at_root_large_away():
     assert tev_min_singular(BALL4, 1, "TE", 2.0) > 0.05
 
 
+def test_min_singular_of_an_underflowing_column_raises_naming_the_mode():
+    # psi_46(0.01)^2 underflows inside the column norm, which then divided 0 by 0
+    with pytest.raises(FloatingPointError, match="TE matching matrix of l = 46 at k = 0.01 "):
+        tev_min_singular(BALL2, 46, "TE", 0.01)
+
+
+def test_an_exact_grid_zero_is_a_root_only_where_it_cancels():
+    grid = np.array([1.0, 2.0, 3.0, 4.0])
+    vals = np.array([1.0, 0.0, 0.0, 1.0])
+    assert oracles._roots_on_grid(None, grid, vals, lambda k: k < 2.5) == [2.0]
+    # the products of the determinant are subnormal and equal at k = 0.01, l = 46
+    assert tev_determinant(BALL2, 46, "TE", 0.01) == 0
+    assert tev_roots(BALL2, 46, (0.01, 0.011), 0.001) == []
+
+
 def test_min_singular_agrees_with_determinant_root():
     # Refine the same root through both routes: the determinant and the
     # signed smallest singular value of the column-normalized matching
@@ -201,19 +217,13 @@ def test_brentq_port_error_paths():
         _brentq(step, -1e300, 1e300, 1e-300)
 
 
-def test_extension_loader_reuses_a_loaded_module_and_returns_none_without_a_file():
-    assert _extension.load(oracles._ZEROS) is sys.modules[oracles._ZEROS]
-    assert _extension.load("scipy.optimize._no_such_extension") is None
-    assert "scipy.optimize._no_such_extension" not in sys.modules
-
-
 def test_brentq_without_its_module_is_an_import_error_naming_it(monkeypatch):
-    # importing the package would look for the very file the loader did not find
-    asked = []
-    monkeypatch.setattr(_extension, "load", lambda name: asked.append(name))
-    with pytest.raises(ImportError, match=rf"{oracles._ZEROS}, which scipy >= 1\.17 ships"):
+    # no file to load and none loaded: scipy.optimize is no fallback
+    monkeypatch.delitem(sys.modules, _extension.BRENT, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    with pytest.raises(ImportError, match=rf"{_extension.BRENT} has no extension file .* scipy >= 1\.17"):
         tev_roots(BALL4, 2, (0.5, 4.0))
-    assert asked == [oracles._ZEROS]
+    assert _extension.BRENT not in sys.modules
 
 
 def test_tev_roots_n4_window():
@@ -250,7 +260,7 @@ def _per_degree_tev_roots(medium, l_max, k_range):
     for l in range(1, l_max + 1):
         for fam in ("TE", "TM"):
             fn = lambda k, l=l, fam=fam: np.real(tev_determinant(medium, l, fam, k))
-            out += [(r, l, fam) for r in oracles._roots_on_grid(fn, grid, fn(grid))]
+            out += [(r, l, fam) for r in oracles._roots_on_grid(fn, grid, fn(grid), lambda k: True)]
     return sorted(out)
 
 

@@ -6,6 +6,7 @@ import importlib
 import io
 import re
 import shlex
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import scipy
 import scipy.linalg
 
 import scatsig
-from scatsig import cli, oracles
+from scatsig import _extension, cli, oracles
 from scatsig.scan import find_peaks
 from scatsig.spectra import circle_residual
 
@@ -132,3 +133,12 @@ def test_scipy_floor_is_a_release_whose_eig_takes_a_block_stack():
     assert tuple(map(int, scipy.__version__.split(".")[:2])) >= tuple(map(int, floor.split(".")))
     install = (ROOT / "README.md").read_text().split("## Installation\n", 1)[1].split("\n## ")[0]
     assert f"scipy {floor} or later" in install
+
+
+def test_extension_loader_reuses_a_loaded_module_and_raises_import_error_for_a_missing_one():
+    assert _extension.load(_extension.BLAS) is sys.modules[_extension.BLAS]
+    missing = "scipy.optimize._no_such_extension"
+    with pytest.raises(ImportError, match=rf"{missing} has no extension file .* scipy >= 1\.17") as err:
+        _extension.load(missing)
+    assert err.value.name == missing
+    assert missing not in sys.modules
