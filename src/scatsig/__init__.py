@@ -27,7 +27,6 @@ from .ffop import (
     add_noise,
     assemble,
     build_quadrature,
-    inner_product,
     load_ffop,
     save_ffop,
 )
@@ -57,8 +56,7 @@ __version__ = "0.1.0"
 
 # spectra's exports, served on first use: spectra imports scipy.linalg, which
 # is about half of a CLI start, and only its eigensolver needs it
-_SPECTRA = ("EigenSet", "PhaseTrack", "circle_residual", "eig", "energy_identity_residual",
-            "lidski_positivity", "phase_track")
+_SPECTRA = ("EigenSet", "PhaseTrack", "circle_residual", "eig", "phase_track")
 
 
 def __getattr__(name):
@@ -93,13 +91,10 @@ __all__ = [
     "build_quadrature",
     "circle_residual",
     "eig",
-    "energy_identity_residual",
     "find_peaks",
     "first_tev",
     "impedance_coefficients",
     "index_bound_from_tev",
-    "inner_product",
-    "lidski_positivity",
     "load_ffop",
     "mie_coefficients",
     "phase_track",

@@ -124,17 +124,10 @@ class TangentVectorField:
         """Ambient 3-vector values at the nodes."""
         return self.coeffs[:, 0, None] * self.quad.e1 + self.coeffs[:, 1, None] * self.quad.e2
 
-    def flat(self):
-        """Stacked coefficient vector of length 2N, row index 2j + s."""
-        return self.coeffs.reshape(-1)
-
     @staticmethod
     def from_flat(quad, vec):
+        """The field of a stacked coefficient vector of length 2N, row index 2j + s."""
         return TangentVectorField(quad, np.asarray(vec, complex).reshape(-1, 2))
-
-    def norm(self):
-        """Discrete L2 norm sqrt(sum_j w_j |g_j|^2)."""
-        return float(np.sqrt(np.sum(self.quad.weights[:, None] * np.abs(self.coeffs) ** 2)))
 
 
 @dataclass(eq=False)
@@ -145,17 +138,12 @@ class FarFieldMatrix:
     kind: str
     k: float
     quad: SphereQuadrature
-    medium: MediumSpec | None = None
     noise_eps: float = 0.0
     seed: int = 0
 
     def weight_vector(self):
         """Per-row quadrature weights (length 2N)."""
         return np.repeat(self.quad.weights, 2)
-
-    def apply(self, g):
-        """Operator action on a TangentVectorField."""
-        return TangentVectorField.from_flat(self.quad, self.matrix @ g.flat())
 
     def operator_norm(self):
         """Discrete L2(S^2) operator norm (weighted), from the weighted Gram.
@@ -516,7 +504,6 @@ def assemble(kind, scene, k, quad):
     (s, t) is c_{(p - p') mod n_phi}[(i, s), (j, t)] (docs section 12).
     Needs a rotation-symmetric product rule, as ``assemble_blocks``.
     """
-    medium, _ = _scene_parts(kind, scene)
     blocks = assemble_blocks(kind, scene, k, quad).matrix
     n_theta, n_phi = quad.order, 2 * quad.order
     c = np.fft.ifft(blocks, axis=0).reshape(n_phi, n_theta, 2, n_theta, 2)
@@ -529,7 +516,7 @@ def assemble(kind, scene, k, quad):
         strides=(s_i, s_d, s_s, s_j, -s_d, s_t), writeable=False)  # (i, p, s, j, p', t)
     mat = np.empty((2 * quad.n_nodes, 2 * quad.n_nodes), dtype=complex)
     mat.reshape(full.shape)[...] = full
-    return FarFieldMatrix(mat, kind, float(k), quad, medium=medium)
+    return FarFieldMatrix(mat, kind, float(k), quad)
 
 
 def modified_operator(F_m, ball):
@@ -575,8 +562,7 @@ def add_noise(A, eps, seed, stream=0):
     if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
         raise ValueError(f"noise seed and stream must lie in [0, 2**64), got {seed}, {stream}")
     if eps == 0:
-        return FarFieldMatrix(A.matrix.copy(), A.kind, A.k, A.quad, medium=A.medium,
-                              noise_eps=0.0, seed=int(seed))
+        return FarFieldMatrix(A.matrix.copy(), A.kind, A.k, A.quad, noise_eps=0.0, seed=int(seed))
     gen = np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
     # 1 + eps (zeta + i mu) / sqrt(2) built in place: numpy divides a complex
     # by the real sqrt(2) as a product with 1 / sqrt(2), so these are its bits
@@ -599,8 +585,7 @@ def add_noise(A, eps, seed, stream=0):
     # A * factor in this operand order: numpy's complex product is not
     # bit-commutative, its SIMD loop rounds one of the two cross terms first
     np.multiply(A.matrix, factor, out=factor)
-    return FarFieldMatrix(factor, A.kind, A.k, A.quad, medium=A.medium,
-                          noise_eps=float(eps), seed=int(seed))
+    return FarFieldMatrix(factor, A.kind, A.k, A.quad, noise_eps=float(eps), seed=int(seed))
 
 
 def far_field_operator(kind, scene, k, quad, noise_eps=0.0, seed=0, stream=0):
@@ -614,13 +599,6 @@ def far_field_operator(kind, scene, k, quad, noise_eps=0.0, seed=0, stream=0):
     if noise_eps == 0:
         return assemble_blocks(kind, scene, k, quad)
     return add_noise(assemble(kind, scene, k, quad), noise_eps, seed, stream)
-
-
-def inner_product(u, v):
-    """Discrete L2 inner product sum_j w_j u_j . conj(v_j), with the weights of u's rule."""
-    if u.quad.n_nodes != v.quad.n_nodes:
-        raise ValueError("fields live on different quadratures")
-    return complex(np.sum(u.quad.weights[:, None] * u.coeffs * v.coeffs.conj()))
 
 
 def save_ffop(A, path):
@@ -657,8 +635,8 @@ def save_ffop(A, path):
 def load_ffop(path):
     """Read a far field operator file written by save_ffop.
 
-    Scene metadata is not part of the format, so medium comes back as
-    None; the quadrature is reconstructed from the stored geometry.
+    Scene metadata is not part of the format, so the operator carries
+    none; the quadrature is reconstructed from the stored geometry.
     A file that is truncated, carries trailing bytes, or holds an
     unknown magic, version or kind, a k or noise level no operator
     can have, or no nodes, raises ValueError naming the cause.

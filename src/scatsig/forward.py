@@ -23,21 +23,23 @@ coefficients. The far field of the scattered wave is then
 
 ``ffop`` assembles the far field operators from the coefficients
 directly. The pointwise series for the far field pattern and for the
-total and scattered fields at given points serve only as test
-references, in tests/field_oracle.py. The derivation of this form and
-of every boundary-matching formula below lives in docs/derivations.md;
-each formula is cross-checked by residual oracles in the test suite.
+total and scattered fields at given points, and the interior field and
+incident modal weights that the absorption energy identity integrates,
+serve only as test references, in tests/field_oracle.py. The
+derivation of this form and of every boundary-matching formula below
+lives in docs/derivations.md; each formula is cross-checked by residual
+oracles in the test suite.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .sphfun import _L_MAX_HARD, mode_list, riccati_all, vsh_tables
+from .sphfun import _L_MAX_HARD, riccati_all
 
 _DECAY_TOL = 1.0e-14
 
@@ -291,43 +293,29 @@ def _modal_solve(medium, k, L):
     return alpha, beta, np.stack([tau_te, tau_tm]), layers
 
 
-def _truncated_mie(medium, k, L):
-    """``mie_coefficients`` with the (tau, layers) of its final modal solve.
+def mie_coefficients(medium, k):
+    """Scattering coefficients of a layered penetrable ball.
 
-    A vacuum ball has no modal solve, and its (tau, layers) are None.
+    The series starts at ``truncation_degree(k, a)`` and grows by half its
+    degree plus 5, capped at the supported maximum 200, until the
+    coefficients decay below 1e-14 of their peak. Coefficients still
+    undecayed at degree 200 raise TruncationError naming k.
     """
     if not 0 < k < np.inf:
         raise ValueError(f"wave number must be positive and finite, got {k}")
-    L_try = truncation_degree(k, medium.radius) if L is None else int(L)
-    if L_try > _L_MAX_HARD:
-        raise ValueError(f"degree L = {L_try} exceeds the supported maximum {_L_MAX_HARD}")
+    L = truncation_degree(k, medium.radius)
     while True:
-        interior = None
-        if medium.is_vacuum:
-            alpha, beta = np.zeros((2, L_try + 1), dtype=complex)
-        else:
-            alpha, beta, tau, layers = _modal_solve(medium, float(k), L_try)
-            interior = (tau, layers)
+        alpha, beta = (np.zeros((2, L + 1), dtype=complex) if medium.is_vacuum
+                       else _modal_solve(medium, float(k), L)[:2])
         alpha[0] = beta[0] = 0.0
         alpha.flags.writeable = beta.flags.writeable = False
-        coefs = ModalCoefficients(alpha=alpha, beta=beta, L=L_try)
+        coefs = ModalCoefficients(alpha=alpha, beta=beta, L=L)
         if medium.is_vacuum or coefs.decayed:
-            return coefs, interior
-        if L is not None:  # an explicit L is the only round
-            raise TruncationError(f"coefficients not decayed at l = {L}")
-        if L_try >= 200:
-            raise TruncationError("no coefficient decay below l = 200")
-        L_try = int(L_try * 1.5) + 5
-
-
-def mie_coefficients(medium, k, L=None):
-    """Scattering coefficients of a layered penetrable ball.
-
-    L defaults to the size-parameter truncation rule and is extended
-    automatically until the coefficients decay below 1e-14 of their
-    peak; an explicit L that has not decayed raises TruncationError.
-    """
-    return _truncated_mie(medium, k, L)[0]
+            return coefs
+        if L == _L_MAX_HARD:
+            raise TruncationError(f"coefficients at k = {k:g} not decayed at the supported "
+                                  f"maximum degree {_L_MAX_HARD}")
+        L = min(int(L * 1.5) + 5, _L_MAX_HARD)
 
 
 @lru_cache(maxsize=64)
@@ -396,38 +384,6 @@ def dipole_far_fields(src, xhat):
     h_inf = pref * cross * phase[..., None]
     e_inf = pref * np.cross(cross, xh) * phase[..., None]
     return e_inf, h_inf
-
-
-def _modal_weights(k, L, dirs, amps):
-    """Degrees l and incident modal coefficients a_lm (TE), b_lm (TM) of a plane-wave sum.
-
-        a_lm = 4 pi i^(l+1) k sum_j (p_j . conj V_lm(d_j))
-        b_lm = 4 pi i^(l+2) k sum_j (p_j . conj U_lm(d_j))
-
-    over directions d_j and amplitudes p_j, both of shape (n, 3).
-    """
-    _, U, V = vsh_tables(L, dirs)
-    ells, _ = mode_list(L)
-    pv = np.einsum("jc,mjc->m", amps, V.conj())
-    pu = np.einsum("jc,mjc->m", amps, U.conj())
-    a = 4.0 * np.pi * 1j ** (ells + 1) * k * pv
-    b = 4.0 * np.pi * 1j ** (ells + 2) * k * pu
-    return ells, a, b
-
-
-def interior_solutions(medium, k):
-    """Per-layer radial profiles of the total interior field.
-
-    Returns (coefs, layers) where layers[j] is the RadialLayer of layer
-    j with (TE, TM) rows of zeta = A psi + B chi coefficients over
-    degree, scaled so the exterior incident wave has unit modal
-    amplitude. Exterior scattering coefficients come along as ``coefs``
-    for convenience; their truncation degree is the one used here.
-    """
-    coefs, interior = _truncated_mie(medium, k, None)
-    # the coefficients' own modal solve, run again only for a vacuum ball
-    tau, layers = interior or _modal_solve(medium, k, coefs.L)[2:]
-    return coefs, [replace(lay, A=tau * lay.A, B=tau * lay.B) for lay in layers]
 
 
 def herglotz_field(g, k, x, magnetic=False):

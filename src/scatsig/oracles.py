@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _extension, forward
 from .forward import ConvergenceError, MediumSpec
-from .sphfun import _L_MAX_HARD, riccati_all
+from .sphfun import _L_MAX_HARD, riccati_all, riccati_psi
 
 _GRID_STEP = 0.01
 _REFINE_TOL = 1e-12
@@ -88,8 +88,8 @@ def _tev_terms(a, n, l, family, k):
     y = k * root_n * a
     l = np.asarray(l)
     l_top = int(l.max())
-    psi_x, dpsi_x, _, _ = riccati_all(l_top, x)
-    psi_y, dpsi_y, _, _ = riccati_all(l_top, y)
+    psi_x, dpsi_x = riccati_psi(l_top, x)
+    psi_y, dpsi_y = riccati_psi(l_top, y)
     f_x, g_x = _family_pair(family, psi_x[l], dpsi_x[l])
     f_y, g_y = _family_pair(family, psi_y[l], dpsi_y[l])
     return f_y * g_x, root_n * f_x * g_y
@@ -178,16 +178,14 @@ def _brentq(f, xa, xb, xtol):
 def _roots_on_grid(fn, grid, vals, is_root):
     """Brent refinement by fn of every sign change of the values ``vals`` on the grid.
 
-    A grid point where ``vals`` is exactly zero is a root where ``is_root``
-    of it holds.
+    A grid point where ``vals`` is exactly zero is a root where the
+    boolean array ``is_root`` over the grid holds.
     """
     roots = []
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
         roots.append(_brentq(fn, grid[i], grid[i + 1], xtol=_REFINE_TOL))
-    for i in np.nonzero(vals == 0.0)[0]:
-        if is_root(grid[i]):
-            roots.append(float(grid[i]))
+    roots += [float(k) for k in grid[(vals == 0.0) & is_root]]
     return sorted(roots)
 
 
@@ -196,9 +194,10 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
 
     Determinant sign changes on a grid of step <= 0.01 are refined by
     Brent's method to better than 1e-8. Returns a list of (k, l, family)
-    sorted by k. The grid determinants of all degrees of a family come
-    from one tev_determinant call, so from one pair of Riccati tables up
-    to l_max; Brent evaluates tev_determinant per degree on scalars.
+    sorted by k. The grid determinants of all degrees of a family, and
+    the two products each is the difference of, come from one
+    ``_tev_terms`` call, so from one pair of psi tables up to l_max;
+    Brent evaluates tev_determinant per degree on scalars.
     """
     a, n = _single_layer(medium)
     if n.imag != 0:
@@ -214,13 +213,13 @@ def tev_roots(medium, l_max, k_range, step=_GRID_STEP):
     grid = np.linspace(k_lo, k_hi, count)
     out = []
     for fam in ("TE", "TM"):
-        dets = np.real(tev_determinant(medium, np.arange(1, l_max + 1), fam, grid))
-        for l, vals in enumerate(dets, start=1):
+        # an exact zero of a determinant row is a root where its two products
+        # cancel, not where they are subnormal and equal only for want of digits
+        left, right = _tev_terms(a, n, np.arange(1, l_max + 1), fam, grid)
+        normal = (np.abs(left) >= _TINY) | (np.abs(right) >= _TINY)
+        for l, vals in enumerate(np.real(left - right), start=1):
             fn = lambda k, l=l, fam=fam: np.real(tev_determinant(medium, l, fam, k))
-            # an exact zero is a root where its two products cancel, not where
-            # they are subnormal and equal only for want of digits
-            cancels = lambda k, l=l, fam=fam: np.any(np.abs(_tev_terms(a, n, l, fam, k)) >= _TINY)
-            for r in _roots_on_grid(fn, grid, vals, cancels):
+            for r in _roots_on_grid(fn, grid, vals, normal[l - 1]):
                 out.append((r, l, fam))
     out.sort(key=lambda t: (t[0], t[1], t[2]))
     return out

@@ -186,32 +186,38 @@ def bessel_y_all(l_max, x):
     return out[:, 0] if scalar else out
 
 
+def _riccati_pair(f, f_minus1, x):
+    """(x f_l, x f_{l-1} - l f_l) over the degrees of the table f, with f_{-1} given."""
+    ell = np.arange(len(f)).reshape((-1,) + (1,) * x.ndim)
+    f_prev = np.concatenate([f_minus1[None], f[:-1]], axis=0)
+    return x * f, x * f_prev - ell * f
+
+
+def riccati_psi(l_max, x):
+    """Riccati-Bessel tables (psi, psi') for degrees 0..l_max: the regular half of ``riccati_all``.
+
+    psi_l(x) = x j_l(x) and psi'_l = x j_{l-1} - l j_l with j_{-1} = cos(x)/x.
+    No chi table is built, so no y recurrence can overflow at high degree
+    and small argument.
+    """
+    x, scalar = np.atleast_1d(np.asarray(x, dtype=complex)), np.ndim(x) == 0
+    if np.any(x == 0):
+        raise ValueError("Riccati-Bessel functions require x != 0")
+    psi, dpsi = _riccati_pair(bessel_j_all(l_max, x), np.cos(x) / x, x)
+    return (psi[:, 0], dpsi[:, 0]) if scalar else (psi, dpsi)
+
+
 def riccati_all(l_max, x):
     """Riccati-Bessel tables (psi, psi', chi, chi') for degrees 0..l_max.
 
     psi_l(x) = x j_l(x), chi_l(x) = x y_l(x); primes are derivatives in x,
-    computed from psi'_l = x j_{l-1} - l j_l (and likewise for chi). The
-    outgoing xi = psi + i chi is formed only where a boundary matching
-    needs it.
+    computed from psi'_l = x j_{l-1} - l j_l (and likewise for chi, with
+    y_{-1} = sin(x)/x). The psi half is ``riccati_psi``. The outgoing
+    xi = psi + i chi is formed only where a boundary matching needs it.
     """
-    x = np.asarray(x, dtype=complex)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x == 0):
-        raise ValueError("Riccati-Bessel functions require x != 0")
-    j = bessel_j_all(l_max, x)
-    y = bessel_y_all(l_max, x)
-    ell = np.arange(l_max + 1).reshape((l_max + 1,) + (1,) * x.ndim)
-    psi = x * j
-    chi = x * y
-    # f_{-1}: j_{-1} = cos(x)/x, y_{-1} = sin(x)/x
-    j_prev = np.concatenate([(np.cos(x) / x)[None], j[:-1]], axis=0)
-    y_prev = np.concatenate([(np.sin(x) / x)[None], y[:-1]], axis=0)
-    dpsi = x * j_prev - ell * j
-    dchi = x * y_prev - ell * y
-    if scalar:
-        return psi[:, 0], dpsi[:, 0], chi[:, 0], dchi[:, 0]
-    return psi, dpsi, chi, dchi
+    x, scalar = np.atleast_1d(np.asarray(x, dtype=complex)), np.ndim(x) == 0
+    tables = riccati_psi(l_max, x) + _riccati_pair(bessel_y_all(l_max, x), np.sin(x) / x, x)
+    return tuple(t[:, 0] for t in tables) if scalar else tables
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ identities on them and compare the assembled operators against them
 column by column. ``tikhonov_solve`` and ``from_vectors`` are the
 field-level forms of the package's normal-equation solver and frame
 projection that the solver tests read.
+
+The operator theorems of acceptance criteria 04 and 05 are checked here
+too, on no path a command runs: the absorption energy identity, which
+integrates the interior field, and the positivity of Im((-ik F_e) g, g),
+with the discrete inner product, norm and operator action they read.
 """
 
 from dataclasses import replace
@@ -18,10 +23,10 @@ import numpy as np
 from scatsig.ffop import TangentVectorField
 from scatsig.forward import (
     RadialLayer,
-    _modal_weights,
+    _modal_solve,
     impedance_coefficients,
-    interior_solutions,
     mie_coefficients,
+    radial_energy,
     radial_profile,
 )
 from scatsig.scan import _NormalSolver
@@ -35,8 +40,114 @@ def from_vectors(quad, vectors):
 
 def tikhonov_solve(A, rhs, alpha="auto"):
     """Regularized solution of A g = rhs by the scans' normal-equation solver, on a copy of A."""
-    g = _NormalSolver(replace(A, matrix=A.matrix.copy()), alpha).solve(rhs.flat())
+    g = _NormalSolver(replace(A, matrix=A.matrix.copy()), alpha).solve(rhs.coeffs.reshape(-1))
     return TangentVectorField.from_flat(A.quad, g)
+
+
+def inner_product(u, v):
+    """Discrete L2 inner product sum_j w_j u_j . conj(v_j), with the weights of u's rule."""
+    if u.quad.n_nodes != v.quad.n_nodes:
+        raise ValueError("fields live on different quadratures")
+    return complex(np.sum(u.quad.weights[:, None] * u.coeffs * v.coeffs.conj()))
+
+
+def field_norm(g):
+    """Discrete L2 norm sqrt(sum_j w_j |g_j|^2)."""
+    return float(np.sqrt(np.sum(g.quad.weights[:, None] * np.abs(g.coeffs) ** 2)))
+
+
+def apply(A, g):
+    """Action of a dense operator on a TangentVectorField."""
+    return TangentVectorField.from_flat(A.quad, A.matrix @ g.coeffs.reshape(-1))
+
+
+def modal_weights(k, L, dirs, amps):
+    """Degrees l and incident modal coefficients a_lm (TE), b_lm (TM) of a plane-wave sum.
+
+        a_lm = 4 pi i^(l+1) k sum_j (p_j . conj V_lm(d_j))
+        b_lm = 4 pi i^(l+2) k sum_j (p_j . conj U_lm(d_j))
+
+    over directions d_j and amplitudes p_j, both of shape (n, 3).
+    """
+    _, U, V = vsh_tables(L, dirs)
+    ells, _ = mode_list(L)
+    pv = np.einsum("jc,mjc->m", amps, V.conj())
+    pu = np.einsum("jc,mjc->m", amps, U.conj())
+    a = 4.0 * np.pi * 1j ** (ells + 1) * k * pv
+    b = 4.0 * np.pi * 1j ** (ells + 2) * k * pu
+    return ells, a, b
+
+
+def interior_solutions(medium, k):
+    """Per-layer radial profiles of the total interior field.
+
+    Returns (coefs, layers) where layers[j] is the RadialLayer of layer
+    j with (TE, TM) rows of zeta = A psi + B chi coefficients over
+    degree, scaled so the exterior incident wave has unit modal
+    amplitude. ``coefs`` are the exterior scattering coefficients, and
+    the profiles come from the modal solve at their truncation degree.
+    """
+    coefs = mie_coefficients(medium, k)
+    _, _, tau, layers = _modal_solve(medium, k, coefs.L)
+    return coefs, [replace(lay, A=tau * lay.A, B=tau * lay.B) for lay in layers]
+
+
+def energy_identity_residual(A, g, h, medium):
+    """LHS minus RHS of the absorption energy identity at the operator's k.
+
+    RHS = -2 pi (Ag, h) - 2 pi (g, Ah) - (Ag, Ah) in the discrete inner
+    product. LHS = k * sum_layers Im(n) int |interior field cross term|,
+    evaluated mode by mode with the exact radial profiles of ``medium``
+    (48-point Gauss per layer); it vanishes when the index is real.
+    Returns the complex difference.
+    """
+    quad, k = A.quad, A.k
+    ag = apply(A, g)
+    ah = apply(A, h)
+    rhs = (
+        -2.0 * np.pi * inner_product(ag, h)
+        - 2.0 * np.pi * inner_product(g, ah)
+        - inner_product(ag, ah)
+    )
+    lhs = 0.0 + 0.0j
+    if any(abs(n.imag) != 0.0 for _, n in medium.layers):
+        coefs, layers = interior_solutions(medium, k)
+        L = coefs.L
+        # the Herglotz kernels g, h are plane-wave sums over the quadrature nodes
+        w = quad.weights[:, None]
+        ells, a_g, b_g = modal_weights(k, L, quad.nodes, w * g.vectors())
+        _, a_h, b_h = modal_weights(k, L, quad.nodes, w * h.vectors())
+        for lay, (_, n_layer) in zip(layers, medium.layers):
+            if n_layer.imag == 0.0:
+                continue
+            i_te, i_tm = radial_energy(lay, L, 48)
+            lhs += k * n_layer.imag * np.sum(
+                a_g * a_h.conj() * i_te[0, ells] + b_g * b_h.conj() * i_tm[1, ells]
+            )
+    return complex(lhs - rhs)
+
+
+def lidski_positivity(A, samples=32, seed=0):
+    """Minimum of Im((-ik A) g, g) over random unit kernels g.
+
+    The scaled electric operator -ik F_e has nonnegative imaginary part
+    whenever Im n >= 0, which is what puts its eigenvalues in the closed
+    upper half plane (trace-class positivity argument). Sampling uses a
+    seeded Philox stream, so the same call returns the same minimum.
+    """
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    quad = A.quad
+    worst = np.inf
+    for _ in range(samples):
+        c = gen.standard_normal((quad.n_nodes, 2)) + 1j * gen.standard_normal((quad.n_nodes, 2))
+        g = TangentVectorField(quad, c)
+        nrm = field_norm(g)
+        if nrm == 0.0:
+            continue
+        g = TangentVectorField(quad, c / nrm)
+        val = (-1j * A.k) * inner_product(apply(A, g), g)
+        worst = min(worst, val.imag)
+    return float(worst)
 
 
 # Incidence and observation families of the alpha term and the beta term:
@@ -133,7 +244,7 @@ def _exterior_layer(coefs, k, a, incident):
 
 def _layer_field(lay, points, k, L, d, p):
     """(E, H) of the plane wave (d, p) from one layer's profile at points in its range."""
-    ells, a, b = _modal_weights(k, L, np.reshape(d, (1, 3)), np.reshape(p, (1, 3)))
+    ells, a, b = modal_weights(k, L, np.reshape(d, (1, 3)), np.reshape(p, (1, 3)))
     pts = np.asarray(points, dtype=float)
     r = np.linalg.norm(pts, axis=1)
     xhat = pts / r[:, None]

@@ -750,6 +750,15 @@ def test_oracle_tev_writes_no_underflowed_roots(tmp_path):
     assert lines[1:] == ["family,l,value,residual"]
 
 
+def test_oracle_tev_builds_no_chi_table_that_would_overflow(tmp_path):
+    # the determinant reads psi alone; chi_80(0.01) overflows, and reading it exited 3
+    out = tmp_path / "out"
+    assert cli.main(["oracle", "tev", "--grid", "0.01:0.02:0.001", "--lmax", "100",
+                     "--out", str(out)]) == 0
+    lines = (out / "oracle_tev.csv").read_text().splitlines()
+    assert lines[1:] == ["family,l,value,residual"]
+
+
 def test_exit_code_3_for_numeric_failures(tmp_path, capsys):
     # k at the first root of psi_1' makes k^2 an interior Neumann
     # eigenvalue of the vacuum unit ball

@@ -16,7 +16,6 @@ from scatsig.forward import (
     herglotz_ball_norm,
     herglotz_field,
     impedance_coefficients,
-    interior_solutions,
     mie_coefficients,
     radial_profile,
     truncation_degree,
@@ -28,6 +27,7 @@ from scatsig.sphfun import bessel_j_all, riccati_all
 from field_oracle import (
     electric_far_field,
     incident_field,
+    interior_solutions,
     magnetic_far_field_kernel,
     scattered_field,
     total_field,
@@ -122,8 +122,17 @@ def test_vacuum_scatters_nothing():
 
 
 def test_truncation_error_when_not_decayed():
-    with pytest.raises(TruncationError):
-        mie_coefficients(BALL4, 3.0, L=3)
+    # the ladder 198 -> 200 reaches the cap with the n = 2 coefficients of k = 169 undecayed
+    with pytest.raises(TruncationError, match="k = 169 not decayed at the supported maximum"):
+        mie_coefficients(MediumSpec.ball(1.0, 2.0), 169.0)
+
+
+@pytest.mark.parametrize("n, k, L0", [(1.01, 105.253, 131), (4.0, 120.0, 146)])
+def test_the_mie_ladder_stops_at_the_degree_cap_where_the_coefficients_decay(n, k, L0):
+    # the step 1.5 L + 5 from L0 passes 200, so it is cut to 200, where the tail has decayed
+    assert truncation_degree(k, 1.0) == L0 and int(1.5 * L0) + 5 > 200
+    coefs = mie_coefficients(MediumSpec.ball(1.0, n), k)
+    assert coefs.L == 200 and coefs.decayed
 
 
 @pytest.mark.parametrize("k", [0.0, -1.0, np.nan])
@@ -131,8 +140,7 @@ def test_a_wave_number_that_is_not_positive_is_rejected_by_every_coefficient_set
     # nan passed the old k <= 0 test and died turning the truncation degree into an integer
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     imp = ImpedanceBall(R=1.0, lam=2.0, s_kind="IDENTITY")
-    calls = [lambda: mie_coefficients(BALL4, k), lambda: mie_coefficients(BALL4, k, L=20),
-             lambda: impedance_coefficients(imp, k)]
+    calls = [lambda: mie_coefficients(BALL4, k), lambda: impedance_coefficients(imp, k)]
     calls += [lambda kind=kind, scene=scene: ffop.assemble_blocks(kind, scene, k, quad)
               for kind, scene in (("ELECTRIC", BALL4), ("IMPEDANCE", imp),
                                   ("MODIFIED", (BALL4, imp)))]
@@ -161,12 +169,6 @@ def test_truncation_degree_above_the_supported_maximum_names_ka(k, a, ka):
     # the rule degree of k = 1e9 sized a (2, 10^9) table before any degree check
     with pytest.raises(ValueError, match=re.escape(f"k a = {ka}) needs degrees above the supported maximum 200")):
         truncation_degree(k, a)
-
-
-def test_an_explicit_degree_above_the_supported_maximum_is_rejected_before_any_table():
-    for medium in (MediumSpec.ball(1.0, 2.0), MediumSpec.ball(1.0, 1.0)):
-        with pytest.raises(ValueError, match="degree L = 201 exceeds the supported maximum 200"):
-            mie_coefficients(medium, 1.0, L=201)
 
 
 def test_medium_spec_validation():
@@ -258,32 +260,6 @@ def test_radial_profile_states_continuous_in_absorbing_three_layer_ball():
     assert len(pairs) == 3
     for inner, outer in pairs:
         assert np.all(np.abs(inner - outer) <= 1e-12 * np.abs(outer))
-
-
-def test_interior_solutions_reuse_the_modal_solve_of_their_coefficients(monkeypatch):
-    # one transfer-and-match: _interior_states and the match at ka each evaluate riccati_all once
-    coefs = mie_coefficients(BALL4, 3.1)
-    _, _, tau, ref_layers = forward._modal_solve(BALL4, 3.1, coefs.L)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return riccati_all(*args)
-
-    monkeypatch.setattr(forward, "riccati_all", counted)
-    mie_coefficients(BALL4, 3.1)
-    assert len(calls) == 2
-    calls.clear()
-    got, layers = interior_solutions(BALL4, 3.1)
-    assert len(calls) == 2
-    assert got.L == coefs.L
-    assert got.alpha.tobytes() == coefs.alpha.tobytes()
-    assert got.beta.tobytes() == coefs.beta.tobytes()
-    assert len(layers) == len(ref_layers) == 1
-    for lay, ref in zip(layers, ref_layers):
-        assert (lay.kappa, lay.r_lo, lay.r_hi) == (ref.kappa, ref.r_lo, ref.r_hi)
-        assert lay.A.tobytes() == (tau * ref.A).tobytes()
-        assert lay.B.tobytes() == (tau * ref.B).tobytes()
 
 
 def test_region_autoselection_matches_forced():

@@ -156,7 +156,7 @@ def test_min_singular_of_an_underflowing_column_raises_naming_the_mode():
 def test_an_exact_grid_zero_is_a_root_only_where_it_cancels():
     grid = np.array([1.0, 2.0, 3.0, 4.0])
     vals = np.array([1.0, 0.0, 0.0, 1.0])
-    assert oracles._roots_on_grid(None, grid, vals, lambda k: k < 2.5) == [2.0]
+    assert oracles._roots_on_grid(None, grid, vals, grid < 2.5) == [2.0]
     # the products of the determinant are subnormal and equal at k = 0.01, l = 46
     assert tev_determinant(BALL2, 46, "TE", 0.01) == 0
     assert tev_roots(BALL2, 46, (0.01, 0.011), 0.001) == []
@@ -257,10 +257,11 @@ def _per_degree_tev_roots(medium, l_max, k_range):
     count = int(np.ceil((k_range[1] - k_range[0]) / 0.01)) + 1
     grid = np.linspace(k_range[0], k_range[1], count)
     out = []
+    every = np.ones(grid.size, bool)
     for l in range(1, l_max + 1):
         for fam in ("TE", "TM"):
             fn = lambda k, l=l, fam=fam: np.real(tev_determinant(medium, l, fam, k))
-            out += [(r, l, fam) for r in oracles._roots_on_grid(fn, grid, fn(grid), lambda k: True)]
+            out += [(r, l, fam) for r in oracles._roots_on_grid(fn, grid, fn(grid), every)]
     return sorted(out)
 
 
@@ -272,13 +273,13 @@ def test_tev_roots_from_shared_tables_equal_the_per_degree_search(monkeypatch, n
     medium = MediumSpec.ball(1.0, n)
     ref = _per_degree_tev_roots(medium, l_max, k_range)
     tables = []
-    riccati_all = oracles.riccati_all
+    riccati_psi = oracles.riccati_psi
 
     def counting(l, x):
         tables.append((l, np.size(x)))
-        return riccati_all(l, x)
+        return riccati_psi(l, x)
 
-    monkeypatch.setattr(oracles, "riccati_all", counting)
+    monkeypatch.setattr(oracles, "riccati_psi", counting)
     roots = tev_roots(medium, l_max, k_range)
     assert roots == ref and roots
     grid_size = int(np.ceil((k_range[1] - k_range[0]) / 0.01)) + 1

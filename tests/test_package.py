@@ -4,8 +4,11 @@ import ast
 import contextlib
 import importlib
 import io
+import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -142,3 +145,27 @@ def test_extension_loader_reuses_a_loaded_module_and_raises_import_error_for_a_m
         _extension.load(missing)
     assert err.value.name == missing
     assert missing not in sys.modules
+
+
+# runs of tools/artifact_hashes.py that enter every function all of its runs enter
+LEDGER_RUNS = (
+    "ffop_eigs_config_6x12", "tev_scan_config_6x12", "three_layer_oracle_stekloff", "oracle_tev",
+    "phase_track_vacuum_4x8", "ffop_eigs_noisy_6x12", "estimate_shift_config",
+    "stekloff_grid_alpha_noisy_6x12", "tev_scan_herglotz_noisy_6x12", "bench_stekloff_rect",
+    "index_bound", "three_layer_ffop_eigs",
+)
+
+
+def test_src_holds_only_what_a_command_runs():
+    # tools/src_ledger.py's tracer on these runs, in a fresh interpreter so no cache hides a call;
+    # a label that names no run fails the ledger before any run
+    code = ("import json, sys, src_ledger\n"
+            "print(json.dumps([[n for n, *_ in src_ledger.unentered(sys.argv[1:])],"
+            " sorted(src_ledger.ALLOWED)]))")
+    env = dict(os.environ, SCATSIG_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *LEDGER_RUNS], cwd=ROOT / "tools", env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    unentered, allowed = json.loads(proc.stdout)
+    assert sorted(set(unentered) - set(allowed)) == [], "functions no command runs"
+    assert sorted(set(allowed) - set(unentered)) == [], "ALLOWED entries a run enters, or gone"

@@ -32,7 +32,7 @@ from scatsig.scan import ScanResult, result_to_csv, result_to_json
 from scatsig.ffop import grid_points
 from scatsig.sphfun import riccati_all
 
-from field_oracle import tikhonov_solve
+from field_oracle import field_norm, tikhonov_solve
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
 BALL4 = MediumSpec.ball(1.0, 4.0)
@@ -82,9 +82,9 @@ def test_tikhonov_matches_direct_solve():
     alpha = 0.37
     w = np.repeat(quad.weights, 2)
     gram = A.matrix.conj().T @ (w[:, None] * A.matrix) + alpha * np.diag(w)
-    g_ref = np.linalg.solve(gram, A.matrix.conj().T @ (w * b.flat()))
+    g_ref = np.linalg.solve(gram, A.matrix.conj().T @ (w * b.coeffs.reshape(-1)))
     g = tikhonov_solve(A, b, alpha)
-    assert_allclose(g.flat(), g_ref, rtol=1e-10)
+    assert_allclose(g.coeffs.reshape(-1), g_ref, rtol=1e-10)
 
 
 def test_block_solve_matches_column_solves_and_dense_reference():
@@ -155,7 +155,7 @@ def test_noisy_tev_scan_point_holds_fewer_than_three_dense_arrays():
 def test_block_solve_raises_when_refinement_is_exhausted(monkeypatch):
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     solver = scan._NormalSolver(_random_operator(quad, seed=11), 0.05)
-    b = _random_field(quad, seed=12).flat()
+    b = _random_field(quad, seed=12).coeffs.reshape(-1)
     monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
     with pytest.raises(RuntimeError, match="residual tolerance"):
         solver.solve(np.stack([b, 2 * b], axis=1))
@@ -194,7 +194,7 @@ def test_block_solver_matches_dense_solver():
 def test_block_solve_raises_when_refinement_is_exhausted_on_blocks(monkeypatch):
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     solver = scan._NormalSolver(ffop.assemble_blocks("MAGNETIC", BALL2, 1.5, quad), 1e-3)
-    b = _random_field(quad, seed=12).flat()
+    b = _random_field(quad, seed=12).coeffs.reshape(-1)
     monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
     with pytest.raises(RuntimeError, match="residual tolerance"):
         solver.solve(np.stack([b, 2 * b], axis=1))
@@ -266,7 +266,7 @@ def test_non_finite_right_hand_side_is_a_numeric_failure(blocks):
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     build = ffop.assemble_blocks if blocks else ffop.assemble
     solver = scan._NormalSolver(build("MAGNETIC", BALL2, 1.5, quad), 1e-3)
-    b = np.stack([_random_field(quad, seed=12).flat()] * 2, axis=1)
+    b = np.stack([_random_field(quad, seed=12).coeffs.reshape(-1)] * 2, axis=1)
     b[5, 1] = np.nan
     match = "right-hand side in block 0 " if blocks else "non-finite right-hand side of"
     with pytest.raises(FloatingPointError, match=match):
@@ -317,16 +317,16 @@ def test_tikhonov_large_alpha_asymptote():
     b = _random_field(quad, seed=6)
     alpha = 1e8
     w = np.repeat(quad.weights, 2)
-    approx = (A.matrix.conj().T @ (w * b.flat())) / (w * alpha)
+    approx = (A.matrix.conj().T @ (w * b.coeffs.reshape(-1))) / (w * alpha)
     g = tikhonov_solve(A, b, alpha)
-    assert_allclose(g.flat(), approx, rtol=1e-4)
+    assert_allclose(g.coeffs.reshape(-1), approx, rtol=1e-4)
 
 
 def test_tikhonov_norm_monotone_in_alpha():
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     A = _random_operator(quad, seed=7)
     b = _random_field(quad, seed=8)
-    norms = [tikhonov_solve(A, b, a).norm() for a in np.logspace(-6, 1, 12)]
+    norms = [field_norm(tikhonov_solve(A, b, a)) for a in np.logspace(-6, 1, 12)]
     assert all(after <= before * (1 + 1e-12) for before, after in zip(norms, norms[1:]))
 
 

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from scatsig.oracles import s_modal_multiplier
 
-from field_oracle import from_vectors
+from field_oracle import from_vectors, inner_product
 from sphfun_oracle import vector_spherical_harmonics
 
 H = 1e-5
@@ -150,7 +150,7 @@ def test_smoother_positive_and_selfadjoint():
     # with multipliers (0, 1) the discrete S is the orthogonal projector
     # onto curl-type traces: self-adjoint and positive semidefinite in the
     # weighted inner product
-    from scatsig.ffop import TangentVectorField, build_quadrature, inner_product
+    from scatsig.ffop import TangentVectorField, build_quadrature
     from scatsig.sphfun import vsh_tables
 
     quad = build_quadrature("PRODUCT_GAUSS", 6)
