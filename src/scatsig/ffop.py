@@ -15,10 +15,12 @@ W^-1 A^H W rather than the plain conjugate transpose (docs section 11).
 Assembly never loops over matrix entries. Every operator kind is a sum
 of rank-one mode products over the harmonics, and every scene is a ball
 on a rule that is one meridian rotated about z, so the matrix is
-block-circulant in the azimuth. One kernel, ``assemble_blocks``, sums
-its azimuthal DFT blocks from mode tables on the azimuth-0 meridian;
-the dense matrix of ``assemble`` is their circulant expansion (docs
-section 12), which ``far_field_operator`` builds only for noisy data.
+block-circulant in the azimuth. One generator, ``operator_sweep``,
+sums the azimuthal DFT blocks of each k of a sweep from mode tables on
+the azimuth-0 meridian, with one coefficient solve and one table for
+the sweep; the dense matrix is their circulant expansion (docs section
+12), which it builds only for noisy data. ``assemble_blocks``,
+``assemble`` and ``far_field_operator`` are its one-point forms.
 """
 
 from __future__ import annotations
@@ -368,9 +370,9 @@ def _mode_matrices(quad, L):
 
     Row 2 i + s holds frame component s at node (i, 0); the other
     azimuths follow by rotation, which ``_check_rotation_layout``
-    verifies first. Cached per (quadrature object, degree): wavenumber
-    sweeps reuse the same tables for every k that truncates at the same
-    L. Callers must not write into the returned arrays.
+    verifies first. Cached per (quadrature object, degree): the cells of
+    a Stekloff scan reuse one table, and a k sweep builds one, at its
+    largest degree. Callers must not write into the returned arrays.
     """
     _check_rotation_layout(quad)
     n_phi = 2 * quad.order
@@ -480,33 +482,22 @@ def assemble_blocks(kind, scene, k, quad):
     with |m| >= n_phi / 2 alias into shared blocks, the same sum the
     dense matrix holds. Blocks past n_phi/2 are mirrors of the others,
     exactly (``FarFieldBlocks``). A quadrature that is not its azimuth-0
-    meridian rotated about z raises ValueError.
+    meridian rotated about z raises ValueError. This is the clean
+    one-point ``operator_sweep``.
     """
-    medium, ball = _scene_parts(kind, scene)
-    if kind == "MODIFIED":
-        return modified_operator(assemble_blocks("MAGNETIC", medium, k, quad), ball)
-    if kind == "ELECTRIC":
-        scale, coefs = 4.0 * np.pi, mie_coefficients(medium, k)
-    else:
-        coefs = mie_coefficients(medium, k) if kind == "MAGNETIC" else impedance_coefficients(ball, k)
-        scale = -4.0j * np.pi / k
-    phi_u, phi_v = _mode_matrices(quad, coefs.L)
-    pair = (phi_v, phi_u) if kind == "ELECTRIC" else (phi_u, phi_v)
-    blocks = scale * _mode_product(*pair, coefs.alpha, coefs.beta, coefs.L, quad)
-    return FarFieldBlocks(blocks, kind, float(k), quad)
+    return next(operator_sweep(kind, scene, k, quad))
 
 
-def assemble(kind, scene, k, quad):
-    """Dense discretized far field operator: the circulant expansion of ``assemble_blocks``.
+def _circulant(F):
+    """The dense FarFieldMatrix of the blocks F: their circulant expansion.
 
     With c_d the inverse DFT of the blocks over the block axis, the
     entry coupling node (i, p) to node (j, p') in frame components
     (s, t) is c_{(p - p') mod n_phi}[(i, s), (j, t)] (docs section 12).
-    Needs a rotation-symmetric product rule, as ``assemble_blocks``.
     """
-    blocks = assemble_blocks(kind, scene, k, quad).matrix
+    quad = F.quad
     n_theta, n_phi = quad.order, 2 * quad.order
-    c = np.fft.ifft(blocks, axis=0).reshape(n_phi, n_theta, 2, n_theta, 2)
+    c = np.fft.ifft(F.matrix, axis=0).reshape(n_phi, n_theta, 2, n_theta, 2)
     # c[(p - p') mod n_phi] is c2[n_phi + p - p'] of the doubled stack, so the
     # expansion is a read-only view that steps back one block per column azimuth
     c2 = np.concatenate([c, c])
@@ -516,7 +507,15 @@ def assemble(kind, scene, k, quad):
         strides=(s_i, s_d, s_s, s_j, -s_d, s_t), writeable=False)  # (i, p, s, j, p', t)
     mat = np.empty((2 * quad.n_nodes, 2 * quad.n_nodes), dtype=complex)
     mat.reshape(full.shape)[...] = full
-    return FarFieldMatrix(mat, kind, float(k), quad)
+    return FarFieldMatrix(mat, F.kind, F.k, quad)
+
+
+def assemble(kind, scene, k, quad):
+    """Dense discretized far field operator: the circulant expansion of ``assemble_blocks``.
+
+    Needs a rotation-symmetric product rule, as ``assemble_blocks``.
+    """
+    return _circulant(assemble_blocks(kind, scene, k, quad))
 
 
 def modified_operator(F_m, ball):
@@ -588,17 +587,49 @@ def add_noise(A, eps, seed, stream=0):
     return FarFieldMatrix(factor, A.kind, A.k, A.quad, noise_eps=float(eps), seed=int(seed))
 
 
-def far_field_operator(kind, scene, k, quad, noise_eps=0.0, seed=0, stream=0):
-    """The kind's operator: ``assemble_blocks`` for clean data, else the noisy dense matrix.
+def operator_sweep(kind, scene, k_values, quad, noise_eps=0.0, seed=0, stream=0):
+    """The kind's operator at each k of ``k_values``, in order: a generator.
 
-    Noise breaks the block structure, so noisy data are ``add_noise`` of
-    ``assemble`` keyed by (seed, stream); the noise level is checked
-    before any assembly.
+    Before the first, it checks the noise level and the scene, solves for
+    all coefficient sets (the Mie ones in one ``mie_coefficients`` call)
+    and builds one mode table, at the largest degree; a k of degree L
+    reads its first L(L+2) columns, the degree-L table bit for bit. Each
+    operator is one set's scaled ``_mode_product``: blocks for clean
+    data, and for noisy data, whose noise breaks the block structure,
+    ``add_noise`` of their circulant expansion keyed by (seed, stream + i)
+    for operator i. A scalar ``k_values`` is the one-point sweep.
     """
     _require_noise_level(noise_eps)
-    if noise_eps == 0:
-        return assemble_blocks(kind, scene, k, quad)
-    return add_noise(assemble(kind, scene, k, quad), noise_eps, seed, stream)
+    medium, ball = _scene_parts(kind, scene)
+    ks = np.ravel(k_values).astype(float).tolist()
+    if kind == "IMPEDANCE":
+        sets = [impedance_coefficients(ball, k) for k in ks]
+    else:
+        sets = mie_coefficients(medium, k_values)
+        sets = sets if np.ndim(k_values) else [sets]
+    tables = _mode_matrices(quad, max(c.L for c in sets))  # (Phi_U, Phi_V)
+    tables = tables[::-1] if kind == "ELECTRIC" else tables  # the alpha table first
+    for i, (k, coefs) in enumerate(zip(ks, sets)):
+        cols = slice(0, coefs.L * (coefs.L + 2))  # the modes of mode_list(coefs.L)
+        pair = [t[:, cols] for t in tables]
+        scale = 4.0 * np.pi if kind == "ELECTRIC" else -4.0j * np.pi / k
+        F = FarFieldBlocks(scale * _mode_product(*pair, coefs.alpha, coefs.beta, coefs.L, quad),
+                           "MAGNETIC" if kind == "MODIFIED" else kind, k, quad)
+        if kind == "MODIFIED":
+            F = modified_operator(F, ball)
+        if noise_eps != 0:
+            F = _circulant(F)  # rebound before each step, so no operator is held twice
+            F = add_noise(F, noise_eps, seed, stream + i)
+        yield F
+        del F  # the caller holds it now: none is kept through the next assembly
+
+
+def far_field_operator(kind, scene, k, quad, noise_eps=0.0, seed=0, stream=0):
+    """The kind's operator at k: ``assemble_blocks`` for clean data, else the noisy dense matrix.
+
+    The one-point ``operator_sweep``, its noise keyed by (seed, stream).
+    """
+    return next(operator_sweep(kind, scene, k, quad, noise_eps, seed, stream))
 
 
 def save_ffop(A, path):

@@ -204,9 +204,13 @@ def radial_profile(layer, r, l_max):
 
     Both have the shape of A * (degrees 0..l_max), plus a trailing axis
     over r: (l_max+1, n_r) for scalar A, B and (2, l_max+1, n_r) for
-    (TE, TM) rows.
+    (TE, TM) rows. A layer of a k sweep (``_interior_states``) carries
+    a kappa per k, A and B with a trailing k axis and ``l_max`` one
+    degree per k; the r axis then follows the k axis.
     """
-    psi, dpsi, chi, dchi = riccati_all(l_max, layer.kappa * np.atleast_1d(r))
+    deg = np.asarray(l_max)
+    x = np.multiply.outer(layer.kappa, np.atleast_1d(r))
+    psi, dpsi, chi, dchi = riccati_all(deg[..., None] if deg.ndim else deg, x)
     A = np.asarray(layer.A)[..., None]
     B = np.asarray(layer.B)[..., None]
     return A * psi + B * chi, A * dpsi + B * dchi
@@ -247,9 +251,15 @@ def _interior_states(medium, k, l_max):
     The continuity states are (zeta(kr)/kappa, zeta'(kr)) for TE and
     (zeta'(kr)/kappa, zeta(kr)) for TM; both are continuous across
     material interfaces for tangential-field matching.
+
+    ``k`` may also be a 1-D array of wavenumbers, with ``l_max`` an
+    array of one degree per k: every array then carries a trailing k
+    axis, the layers' kappa too, with rows up to the largest degree, and
+    each k's column holds, up to its own degree, the bits of its own call
+    (``sphfun.riccati_all`` of a degree array).
     """
-    A = np.ones((2, l_max + 1), dtype=complex)
-    B = np.zeros((2, l_max + 1), dtype=complex)
+    A = np.ones((2, int(np.max(l_max)) + 1) + np.shape(k), dtype=complex)
+    B = np.zeros_like(A)
     layers = []
     r_lo = 0.0
     for r_hi, n in medium.layers:
@@ -264,8 +274,8 @@ def _interior_states(medium, k, l_max):
                           kap * psi * s_tm[0] - dpsi * s_tm[1]])
         layers.append(RadialLayer(kap, r_lo, r_hi, A, B))
         z, dz = radial_profile(layers[-1], r_hi, l_max)
-        s_te = np.stack([z[0, :, 0] / kap, dz[0, :, 0]])
-        s_tm = np.stack([dz[1, :, 0] / kap, z[1, :, 0]])
+        s_te = np.stack([z[0, ..., 0] / kap, dz[0, ..., 0]])
+        s_tm = np.stack([dz[1, ..., 0] / kap, z[1, ..., 0]])
         r_lo = r_hi
     return s_te, s_tm, layers
 
@@ -277,7 +287,8 @@ def _modal_solve(medium, k, L):
     with the TE column (psi/k, psi') and the TM column (psi'/k, psi) of
     the Riccati functions at ka. Returns (alpha, beta, tau, layers):
     the scattering coefficients, the (TE, TM) rows of interior scalings
-    tau and the RadialLayer list of ``_interior_states``.
+    tau and the RadialLayer list of ``_interior_states``, whose k and
+    degree arrays this takes as well.
     """
     s_te, s_tm, layers = _interior_states(medium, k, L)
     psi, dpsi, chi, dchi = riccati_all(L, k * medium.radius + 0j)
@@ -288,8 +299,10 @@ def _modal_solve(medium, k, L):
         det = -s[0] * xc1 + s[1] * xc0
         return (s[0] * rhs1 - s[1] * rhs0) / det, (xc0 * rhs1 - xc1 * rhs0) / det
 
-    alpha, tau_te = match(s_te, psi / k, dpsi, xi / k, dxi)
-    beta, tau_tm = match(s_tm, dpsi / k, psi, dxi / k, xi)
+    # above a k's own degree the tables hold zeros, and 0 / 0 there is discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha, tau_te = match(s_te, psi / k, dpsi, xi / k, dxi)
+        beta, tau_tm = match(s_tm, dpsi / k, psi, dxi / k, xi)
     return alpha, beta, np.stack([tau_te, tau_tm]), layers
 
 
@@ -300,22 +313,34 @@ def mie_coefficients(medium, k):
     degree plus 5, capped at the supported maximum 200, until the
     coefficients decay below 1e-14 of their peak. Coefficients still
     undecayed at degree 200 raise TruncationError naming k.
+
+    ``k`` may also be a 1-D array of wavenumbers: the result is then a
+    list with one ModalCoefficients per k, in order, each the bits of its
+    own call. Every step of the ladder is one ``_modal_solve`` of all the
+    k still undecayed, each at its own degree.
     """
-    if not 0 < k < np.inf:
-        raise ValueError(f"wave number must be positive and finite, got {k}")
-    L = truncation_degree(k, medium.radius)
-    while True:
-        alpha, beta = (np.zeros((2, L + 1), dtype=complex) if medium.is_vacuum
-                       else _modal_solve(medium, float(k), L)[:2])
-        alpha[0] = beta[0] = 0.0
-        alpha.flags.writeable = beta.flags.writeable = False
-        coefs = ModalCoefficients(alpha=alpha, beta=beta, L=L)
-        if medium.is_vacuum or coefs.decayed:
-            return coefs
-        if L == _L_MAX_HARD:
-            raise TruncationError(f"coefficients at k = {k:g} not decayed at the supported "
-                                  f"maximum degree {_L_MAX_HARD}")
-        L = min(int(L * 1.5) + 5, _L_MAX_HARD)
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    for kj in ks:
+        if not 0 < kj < np.inf:
+            raise ValueError(f"wave number must be positive and finite, got {kj}")
+    L = np.array([truncation_degree(kj, medium.radius) for kj in ks], dtype=int)
+    coefs = [None] * ks.size
+    todo = list(range(ks.size))
+    while todo:
+        alpha, beta = (np.zeros((2, L[todo].max() + 1, len(todo)), dtype=complex)
+                       if medium.is_vacuum else _modal_solve(medium, ks[todo], L[todo])[:2])
+        for col, j in enumerate(todo):
+            a, b = alpha[:L[j] + 1, col].copy(), beta[:L[j] + 1, col].copy()
+            a[0] = b[0] = 0.0
+            a.flags.writeable = b.flags.writeable = False
+            coefs[j] = ModalCoefficients(alpha=a, beta=b, L=int(L[j]))
+        todo = [j for j in todo if not (medium.is_vacuum or coefs[j].decayed)]
+        for j in todo:
+            if L[j] == _L_MAX_HARD:
+                raise TruncationError(f"coefficients at k = {ks[j]:g} not decayed at the "
+                                      f"supported maximum degree {_L_MAX_HARD}")
+        L[todo] = np.minimum(L[todo] * 3 // 2 + 5, _L_MAX_HARD)
+    return coefs if np.ndim(k) else coefs[0]
 
 
 @lru_cache(maxsize=64)

@@ -7,7 +7,7 @@ eigenvalue the solutions stay moderate; at a transmission eigenvalue
 (k-scan of the magnetic operator) or a generalized Stekloff eigenvalue
 (lambda-scan of the modified operator) the averaged solution norm spikes.
 
-Both take their operators from ``ffop.far_field_operator``: a clean
+Both take their operators from ``ffop.operator_sweep``: a clean
 operator is block-circulant in the azimuth (docs section 12), so clean
 scans solve n_phi small systems per grid point on its DFT blocks, and
 noisy operators take the dense path. Grid points run serially, in grid
@@ -279,9 +279,10 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), alpha="auto",
              noise_eps=0.0, noise_seed=1, herglotz=False):
     """Transmission-eigenvalue scan of the magnetic far field equation.
 
-    For each k value in ``k_grid`` the magnetic operator comes from
-    ``ffop.far_field_operator``, its noise keyed by (noise_seed, grid
-    index), and F_m g = H_{e,inf}(.; z, p), with fixed polarization
+    The magnetic operators come from one ``ffop.operator_sweep`` over
+    ``k_grid`` (one Mie solve and one mode table for the grid), the noise
+    of each keyed by (noise_seed, grid index). At each k,
+    F_m g = H_{e,inf}(.; z, p), with fixed polarization
     p = (1,0,0), is solved for all sample points z in one block solve.
     The indicator is the z-averaged norm of g; with ``herglotz=True`` it
     is the averaged L2 norm of the magnetic Herglotz field of g over the
@@ -293,9 +294,8 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), alpha="auto",
     ks = wavenumbers(k_grid)
     z_pts = zs.points()
 
-    def one(i, k):
+    def one(k, A):
         k = float(k)
-        A = ffop.far_field_operator("MAGNETIC", medium, k, quad, noise_eps, noise_seed, stream=i)
         g = _NormalSolver(A, alpha).solve(_dipole_rhs(quad, z_pts, k, magnetic=True))
         if herglotz:
             fields = (TangentVectorField.from_flat(quad, col) for col in g.T)
@@ -303,7 +303,8 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), alpha="auto",
                              for f in fields])
         return _column_norms(quad, g)
 
-    rows = [one(i, k) for i, k in enumerate(ks)]
+    ops = ffop.operator_sweep("MAGNETIC", medium, ks, quad, noise_eps, noise_seed)
+    rows = [one(k, next(ops)) for k in ks]  # no name holds an operator past its point
     per_z = np.vstack(rows)
     meta = _scan_metadata("tev", medium, quad, zs, alpha, noise_eps, noise_seed,
                           herglotz=bool(herglotz))

@@ -152,21 +152,22 @@ def phase_track(medium, k_values, quad, floor=1e-6):
     retained phases and the dip indicators min_j |phase_j + 1|,
     min_j |phase_j - 1|, both inf when none is kept. The eigenvalues
     come from ``eig`` without vectors on the clean operator's azimuthal
-    DFT blocks (``ffop.far_field_operator``), one batched eigvals per k,
-    in eig's order; grid points run serially, in grid order.
+    DFT blocks, one batched eigvals per k, in eig's order. The blocks
+    come from one ``ffop.operator_sweep`` over the grid, so one Mie solve
+    and one mode table serve all of it; grid points run serially, in
+    grid order.
     """
     ks = ffop.wavenumbers(k_values)
     if not 0 <= floor <= 1:  # NaN included: a floor above 1 keeps no eigenvalue
         raise ValueError(f"floor must lie in [0, 1], got {floor}")
 
-    def one(k):
-        vals = eig(ffop.far_field_operator("MAGNETIC", medium, float(k), quad),
-                   compute_vectors=False).values
+    def phases(A):
+        vals = eig(A, compute_vectors=False).values
         cut = floor * np.abs(vals[0]) if vals.size else 0.0
         kept = vals[(np.abs(vals) >= cut) & (vals != 0)]
         return kept / np.abs(kept)
 
-    phase_lists = [one(k) for k in ks]
+    phase_lists = [phases(A) for A in ffop.operator_sweep("MAGNETIC", medium, ks, quad)]
     dip_minus = np.array([np.min(np.abs(p + 1.0)) if p.size else np.inf for p in phase_lists])
     dip_plus = np.array([np.min(np.abs(p - 1.0)) if p.size else np.inf for p in phase_lists])
     return PhaseTrack(ks=ks, phases=phase_lists, dip_minus=dip_minus, dip_plus=dip_plus)

@@ -53,35 +53,67 @@ def mode_list(l_max):
     return l, m
 
 
-def _check_bessel_domain(l_max, x):
-    if l_max < 0:
-        raise ValueError(f"degree {l_max} must be >= 0")
-    if l_max > _L_MAX_HARD:
-        raise ValueError(f"degree {l_max} exceeds supported maximum {_L_MAX_HARD}")
+def _check_bessel_domain(deg, x):
+    low, high = np.min(deg, initial=0), np.max(deg, initial=0)
+    if low < 0:
+        raise ValueError(f"degree {low} must be >= 0")
+    if high > _L_MAX_HARD:
+        raise ValueError(f"degree {high} exceeds supported maximum {_L_MAX_HARD}")
     if not np.all(np.abs(x) < _X_ABS_MAX):  # NaN fails too
         raise ValueError(f"|x| must be < {_X_ABS_MAX:g}")
 
 
-def _bessel_j_series(l_max, x):
-    """Power series for j_l, accurate for small |x| (used below 0.5).
+def _table_args(l_max, x):
+    """(deg, x, scalar) of a table call: the degrees, and x as a complex array.
 
-    The (2l+1)!! prefactor is accumulated as a running product of
-    x/(2i+1) factors so it underflows gracefully instead of overflowing.
+    ``l_max`` is one degree, kept as a 0-d array, or an int array of
+    degrees, which is broadcast with x. x comes back at least 1-D, and
+    ``scalar`` says both were 0-d.
+    """
+    deg = np.asarray(l_max)
+    x = np.asarray(x, dtype=complex)
+    scalar = deg.ndim == x.ndim == 0
+    if deg.ndim:
+        deg, x = np.broadcast_arrays(deg, x)
+    return deg, np.atleast_1d(x), scalar
+
+
+def _zero_rows_above(out, deg):
+    """Set each column of the table ``out`` to 0 above its own degree; one degree has no such rows."""
+    if deg.ndim:
+        out[np.arange(len(out)).reshape((-1,) + (1,) * deg.ndim) > deg] = 0.0
+
+
+# Row broadcasts. A product of a table (rows over degree) with a row over the
+# arguments gives the row an explicit leading axis and writes a new array.
+# numpy runs a complex product of one element without its SIMD loop, which
+# rounds differently, when its operands differ in rank or it runs in place;
+# so formed, a table of degree 0 at one argument rounds as every column of a
+# wider table does.
+
+
+def _bessel_j_series(l_max, x):
+    """Power series for j_0..j_lmax, accurate for small |x| (used below 0.5).
+
+    The (2l+1)!! prefactor is accumulated over degree as a running product
+    of x/(2l+1) factors, so it underflows gracefully instead of
+    overflowing. The 11 terms of the series then step once each, for
+    every degree at once, with the operations of the per-degree loop
+    (tests/sphfun_oracle.py), so the table keeps its bits.
     """
     x = np.asarray(x, dtype=complex)
-    out = np.zeros((l_max + 1,) + x.shape, dtype=complex)
+    pref = np.empty((l_max + 1,) + x.shape, dtype=complex)
+    pref[0] = 1.0
+    for l in range(1, l_max + 1):
+        pref[l] = pref[l - 1] * x / (2 * l + 1)
+    ell = np.arange(l_max + 1).reshape((-1,) + (1,) * x.ndim)
     half_x2 = 0.5 * x * x
-    pref = np.ones_like(x)
-    for l in range(l_max + 1):
-        if l > 0:
-            pref = pref * x / (2 * l + 1)
-        term = np.ones_like(x)
-        total = np.ones_like(x)
-        for s in range(1, 12):
-            term = term * (-half_x2) / (s * (2 * l + 2 * s + 1))
-            total = total + term
-        out[l] = pref * total
-    return out
+    term = np.ones_like(pref)
+    total = np.ones_like(pref)
+    for s in range(1, 12):
+        term = term * (-half_x2)[None] / (s * (2 * ell + 2 * s + 1))  # a row broadcast
+        total = total + term
+    return pref * total
 
 
 def _odd_over_x(count, inv_x):
@@ -98,19 +130,31 @@ def _bessel_j_miller(l_max, x):
     """Backward (Miller) recurrence for j_0..j_lmax, arbitrary complex x.
 
     Downward recurrence is unconditionally stable for j because it is the
-    minimal solution as l grows. The unnormalized solution is rescaled
+    minimal solution as l grows. An argument of degree l holds zeros until
+    step max(l, ceil|x|) + 40 + l // 2, where it starts from the pair
+    (0, 1e-280); one int degree takes the largest |x| of the call, so all
+    arguments start together. The unnormalized solution is rescaled
     whenever it threatens to overflow and finally normalized against
-    whichever of j_0, j_1 is better conditioned.
+    whichever of j_0, j_1 is better conditioned. Rows above an argument's
+    degree are 0.
     """
     x = np.asarray(x, dtype=complex)
+    deg = np.asarray(l_max)
     xa = np.abs(x)
-    start = int(max(l_max, np.ceil(xa.max() if xa.size else 0.0))) + 40 + l_max // 2
-    out = np.zeros((l_max + 1,) + x.shape, dtype=complex)
+    reach = np.ceil(xa.max(initial=0.0) if deg.ndim == 0 else xa)
+    start = np.fmax(deg, reach).astype(int) + 40 + deg // 2
+    top = int(np.max(deg, initial=0))
+    out = np.zeros((top + 1,) + x.shape, dtype=complex)
     hi = np.zeros_like(x)
-    lo = np.full_like(x, 1.0e-280)
+    lo = np.zeros_like(x)
     inv_x = 1.0 / x
-    odd = _odd_over_x(start + 1, inv_x)
-    for l in range(start, 0, -1):
+    first = int(np.max(start, initial=0))
+    odd = _odd_over_x(first + 1, inv_x)
+    fresh = {s: start == s for s in set(np.ravel(start).tolist())}
+    for l in range(first, 0, -1):
+        if l in fresh:
+            hi[fresh[l]] = 0.0
+            lo[fresh[l]] = 1.0e-280
         hi, lo = lo, odd[l] * lo - hi
         if _abs_max(lo) > _RESCALE:
             # Rescale the running pair and everything already stored for
@@ -120,15 +164,15 @@ def _bessel_j_miller(l_max, x):
             hi[big] *= 1e-250
             lo[big] *= 1e-250
             out[:, big] *= 1e-250
-        if l - 1 <= l_max:
+        if l - 1 <= top:
             out[l - 1] = lo
     ref0 = np.sin(x) * inv_x
     ref1 = ref0 * inv_x - np.cos(x) * inv_x
-    use1 = np.abs(out[min(1, l_max)]) > np.abs(out[0]) if l_max >= 1 else np.zeros(x.shape, bool)
-    sel_ref = np.where(use1, ref1, ref0) if l_max >= 1 else ref0
-    sel_u = np.where(use1, out[1], out[0]) if l_max >= 1 else out[0]
-    scale = sel_ref / sel_u
-    out *= scale
+    one = min(1, top)
+    use1 = (deg >= 1) & (np.abs(out[one]) > np.abs(out[0]))
+    scale = np.where(use1, ref1, ref0) / np.where(use1, out[one], out[0])
+    out = out * scale[None]  # a row broadcast, not in place
+    _zero_rows_above(out, deg)
     if not np.all(np.isfinite(out)):
         raise RecurrenceOverflowError("spherical Bessel j recurrence overflowed")
     return out
@@ -137,50 +181,61 @@ def _bessel_j_miller(l_max, x):
 def bessel_j_all(l_max, x):
     """Spherical Bessel functions j_0(x)..j_lmax(x) for complex x.
 
-    Returns an array of shape (l_max+1,) + shape(x). Small arguments go
-    through the power series, everything else through Miller's backward
-    recurrence.
+    ``l_max`` is one degree, or an int array of degrees broadcast against
+    x, and the table has shape (max l_max + 1,) + the broadcast shape.
+    With a degree array each column holds, up to its own degree, the bits
+    of that degree's call at its argument alone, and zeros above. Small
+    arguments go through the power series, everything else through
+    Miller's backward recurrence.
     """
-    x = np.asarray(x, dtype=complex)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    _check_bessel_domain(l_max, x)
-    out = np.empty((l_max + 1,) + x.shape, dtype=complex)
+    deg, x, scalar = _table_args(l_max, x)
+    _check_bessel_domain(deg, x)
+    top = int(np.max(deg, initial=0))
+    out = np.zeros((top + 1,) + x.shape, dtype=complex)
     small = np.abs(x) <= _SERIES_CUTOFF
     if np.any(small):
-        out[:, small] = _bessel_j_series(l_max, x[small])
+        out[:, small] = _bessel_j_series(top, x[small])
+        _zero_rows_above(out, deg)
     if np.any(~small):
-        out[:, ~small] = _bessel_j_miller(l_max, x[~small])
+        miller = _bessel_j_miller(deg[~small] if deg.ndim else deg, x[~small])
+        out[:len(miller), ~small] = miller
     return out[:, 0] if scalar else out
 
 
 def bessel_y_all(l_max, x):
     """Spherical Bessel functions y_0..y_lmax by forward recurrence.
 
-    Forward recurrence is stable for y (the dominant solution). Overflow
-    for large l at small |x| raises RecurrenceOverflowError because the
-    true values themselves are not representable.
+    ``l_max`` and the columns are those of ``bessel_j_all``. Forward
+    recurrence is stable for y (the dominant solution). A value beyond
+    1e300 at large l and small |x|, up to its argument's own degree,
+    raises RecurrenceOverflowError naming that degree, because the true
+    values themselves are not representable.
     """
-    x = np.asarray(x, dtype=complex)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    _check_bessel_domain(l_max, x)
+    deg, x, scalar = _table_args(l_max, x)
+    _check_bessel_domain(deg, x)
     if np.any(x == 0):
         raise ValueError("y_l is singular at x = 0")
-    out = np.empty((l_max + 1,) + x.shape, dtype=complex)
+    top = int(np.max(deg, initial=0))
+    out = np.empty((top + 1,) + x.shape, dtype=complex)
     inv_x = 1.0 / x
     cos_x = np.cos(x)
     sin_x = np.sin(x)
     out[0] = -cos_x * inv_x
-    if l_max >= 1:
+    if top >= 1:
         out[1] = (-cos_x * inv_x - sin_x) * inv_x
-    odd = _odd_over_x(l_max, inv_x)
-    for l in range(1, l_max):
-        out[l + 1] = odd[l] * out[l] - out[l - 1]
-        if _abs_max(out[l + 1]) > 1.0e300:
-            raise RecurrenceOverflowError(
-                f"spherical Bessel y overflow at l={l + 1}, min|x|={np.abs(x).min():.3g}"
-            )
+    odd = _odd_over_x(top, inv_x)
+    # a column runs on past its own degree, where it may overflow: those rows go
+    # to 0 before the test, which reads every row from l = 2 up
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(1, top):
+            out[l + 1] = odd[l] * out[l] - out[l - 1]
+    _zero_rows_above(out, deg)
+    over = np.abs(out[2:]) > 1.0e300
+    over = np.flatnonzero(over.reshape(len(over), x.size).any(axis=1))
+    if over.size:
+        raise RecurrenceOverflowError(
+            f"spherical Bessel y overflow at l={over[0] + 2}, min|x|={np.abs(x).min():.3g}"
+        )
     if not np.all(np.isfinite(out)):
         raise RecurrenceOverflowError("spherical Bessel y recurrence produced non-finite values")
     return out[:, 0] if scalar else out
@@ -190,6 +245,7 @@ def _riccati_pair(f, f_minus1, x):
     """(x f_l, x f_{l-1} - l f_l) over the degrees of the table f, with f_{-1} given."""
     ell = np.arange(len(f)).reshape((-1,) + (1,) * x.ndim)
     f_prev = np.concatenate([f_minus1[None], f[:-1]], axis=0)
+    x = x[None]  # for the row broadcasts
     return x * f, x * f_prev - ell * f
 
 
@@ -197,13 +253,15 @@ def riccati_psi(l_max, x):
     """Riccati-Bessel tables (psi, psi') for degrees 0..l_max: the regular half of ``riccati_all``.
 
     psi_l(x) = x j_l(x) and psi'_l = x j_{l-1} - l j_l with j_{-1} = cos(x)/x.
-    No chi table is built, so no y recurrence can overflow at high degree
-    and small argument.
+    ``l_max`` and the columns are those of ``bessel_j_all``; a prime
+    table is not 0 in the row just above a column's degree. No chi table
+    is built, so no y recurrence can overflow at high degree and small
+    argument.
     """
-    x, scalar = np.atleast_1d(np.asarray(x, dtype=complex)), np.ndim(x) == 0
+    deg, x, scalar = _table_args(l_max, x)
     if np.any(x == 0):
         raise ValueError("Riccati-Bessel functions require x != 0")
-    psi, dpsi = _riccati_pair(bessel_j_all(l_max, x), np.cos(x) / x, x)
+    psi, dpsi = _riccati_pair(bessel_j_all(deg, x), np.cos(x) / x, x)
     return (psi[:, 0], dpsi[:, 0]) if scalar else (psi, dpsi)
 
 
@@ -212,11 +270,12 @@ def riccati_all(l_max, x):
 
     psi_l(x) = x j_l(x), chi_l(x) = x y_l(x); primes are derivatives in x,
     computed from psi'_l = x j_{l-1} - l j_l (and likewise for chi, with
-    y_{-1} = sin(x)/x). The psi half is ``riccati_psi``. The outgoing
+    y_{-1} = sin(x)/x). ``l_max`` and the columns are those of
+    ``bessel_j_all``. The psi half is ``riccati_psi``. The outgoing
     xi = psi + i chi is formed only where a boundary matching needs it.
     """
-    x, scalar = np.atleast_1d(np.asarray(x, dtype=complex)), np.ndim(x) == 0
-    tables = riccati_psi(l_max, x) + _riccati_pair(bessel_y_all(l_max, x), np.sin(x) / x, x)
+    deg, x, scalar = _table_args(l_max, x)
+    tables = riccati_psi(deg, x) + _riccati_pair(bessel_y_all(deg, x), np.sin(x) / x, x)
     return tuple(t[:, 0] for t in tables) if scalar else tables
 
 

@@ -1,9 +1,10 @@
 """Per-mode loop references for the special-function tables.
 
-These are the scalar-loop forms of the four table kernels of
+These are the scalar-loop forms of the five table kernels of
 ``scatsig.sphfun``: the Legendre tables ``_legendre_ptilde_tau``, the
-harmonic tables ``vsh_tables``, Miller's backward recurrence
-``_bessel_j_miller`` and the forward recurrence ``bessel_y_all``. Each
+harmonic tables ``vsh_tables``, the power series ``_bessel_j_series``,
+Miller's backward recurrence ``_bessel_j_miller`` and the forward
+recurrence ``bessel_y_all``. Each
 steps over degree and order one pair at a time, with the operand order
 of every floating-point operation that the package's array forms keep,
 so the tests can compare the package's tables with these bit for bit.
@@ -20,6 +21,28 @@ from scatsig.sphfun import (
     _check_bessel_domain,
     _sphere_angles,
 )
+
+
+def _bessel_j_series(l_max, x):
+    """Power series for j_l, accurate for small |x| (used below 0.5).
+
+    The (2l+1)!! prefactor is accumulated as a running product of
+    x/(2i+1) factors so it underflows gracefully instead of overflowing.
+    """
+    x = np.asarray(x, dtype=complex)
+    out = np.zeros((l_max + 1,) + x.shape, dtype=complex)
+    half_x2 = 0.5 * x * x
+    pref = np.ones_like(x)
+    for l in range(l_max + 1):
+        if l > 0:
+            pref = pref * x / (2 * l + 1)
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        for s in range(1, 12):
+            term = term * (-half_x2) / (s * (2 * l + 2 * s + 1))
+            total = total + term
+        out[l] = pref * total
+    return out
 
 
 def _bessel_j_miller(l_max, x):
@@ -56,7 +79,9 @@ def _bessel_j_miller(l_max, x):
     sel_ref = np.where(use1, ref1, ref0) if l_max >= 1 else ref0
     sel_u = np.where(use1, out[1], out[0]) if l_max >= 1 else out[0]
     scale = sel_ref / sel_u
-    out *= scale
+    # a new array with a row axis on the scale, as the package forms it: numpy
+    # rounds a one-element complex product in place without its SIMD loop
+    out = out * scale[None]
     if not np.all(np.isfinite(out)):
         raise RecurrenceOverflowError("spherical Bessel j recurrence overflowed")
     return out

@@ -660,6 +660,7 @@ def test_config_file_choices_are_the_flag_choices(tmp_path, capsys, monkeypatch,
         raise AssertionError("assembled before checking the config file")
 
     monkeypatch.setattr(ffop, "assemble_blocks", no_assembly)
+    monkeypatch.setattr(ffop, "_mode_product", no_assembly)
     (key, val), = doc.items()
     out = tmp_path / "out"
     config = _write_json(tmp_path / "config.json", doc)

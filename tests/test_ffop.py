@@ -58,6 +58,7 @@ from field_oracle import (
 )
 
 BALL2 = MediumSpec.ball(1.0, 2.0)
+BALL4 = MediumSpec.ball(1.0, 4.0)
 IMP = ImpedanceBall(R=1.0, lam=2.0, s_kind="CURL_CURL")
 
 
@@ -237,6 +238,22 @@ def test_far_field_operator_equals_the_assembly_idioms_byte_for_byte(rule, order
             assert isinstance(noisy, FarFieldMatrix)
             assert noisy.matrix.tobytes() == ref.matrix.tobytes()
             assert (noisy.kind, noisy.noise_eps, noisy.seed) == (kind, 0.01, 5)
+
+
+def test_an_operator_sweep_is_its_one_point_operators_byte_for_byte():
+    # degrees 30, 30 -> 50 on the Mie ladder, and 31: one table of degree 50 serves all three
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    ks = np.array([14.15, 14.2, 14.3])
+    imp = ImpedanceBall(R=1.0, lam=2.0, s_kind="IDENTITY")
+    for kind, scene in (("ELECTRIC", BALL4), ("MAGNETIC", BALL4), ("IMPEDANCE", imp),
+                        ("MODIFIED", (BALL4, imp))):
+        for eps in (0.0, 0.01):
+            sweep = list(ffop.operator_sweep(kind, scene, ks, quad, eps, 5, 2))
+            assert len(sweep) == ks.size
+            for i, (k, F) in enumerate(zip(ks, sweep)):
+                one = ffop.far_field_operator(kind, scene, float(k), quad, eps, 5, 2 + i)
+                assert type(F) is type(one) and (F.kind, F.k) == (kind, float(k))
+                assert F.matrix.tobytes() == one.matrix.tobytes()
 
 
 @pytest.mark.parametrize("s_kind", ["IDENTITY", "CURL_CURL"])

@@ -135,6 +135,38 @@ def test_the_mie_ladder_stops_at_the_degree_cap_where_the_coefficients_decay(n, 
     assert coefs.L == 200 and coefs.decayed
 
 
+LADDER_KS = np.arange(14.0, 14.41, 0.05)  # degrees 30 -> 31; the n = 4 ball steps up at 14.2, 14.25
+
+
+@pytest.mark.parametrize("medium, ks", [
+    (BALL4, LADDER_KS),
+    (MediumSpec(((0.4, 3.0 + 1.0j), (0.7, 1.5 + 0.2j), (1.0, 2.0 + 0.5j))), LADDER_KS),
+    (MediumSpec.ball(1.0, 2.0 + 0.7j), [0.05, 0.3, 2.0, 25.0]),
+    (MediumSpec.ball(1.0, 1.0), [0.5, 3.0]),
+], ids=["ball4", "three_layer", "absorbing", "vacuum"])
+def test_a_wave_number_array_gives_each_k_the_coefficients_of_its_own_solve(medium, ks):
+    # one ladder for the array, each k at its own degree; the reference is the
+    # scalar modal solve at that k and degree, whose tables have no k axis
+    batch = mie_coefficients(medium, np.asarray(ks))
+    assert isinstance(batch, list) and len(batch) == len(ks)
+    for k, coefs in zip(ks, batch):
+        assert coefs.L == mie_coefficients(medium, float(k)).L
+        want = (np.zeros((2, coefs.L + 1), complex) if medium.is_vacuum
+                else forward._modal_solve(medium, float(k), coefs.L)[:2])
+        for got, ref in zip((coefs.alpha, coefs.beta), want):
+            ref[0] = 0.0
+            assert got.tobytes() == ref.tobytes() and not got.flags.writeable
+    if medium is BALL4:
+        assert [c.L for c in batch] == [30, 30, 30, 30, 50, 50, 31, 31, 31]
+
+
+def test_a_wave_number_array_raises_for_its_first_undecayed_k():
+    with pytest.raises(TruncationError, match="k = 169 not decayed"):
+        mie_coefficients(MediumSpec.ball(1.0, 2.0), np.array([1.0, 169.0, 3.0]))
+    with pytest.raises(ValueError, match="wave number must be positive and finite, got nan"):
+        mie_coefficients(BALL4, np.array([1.0, np.nan]))
+
+
 @pytest.mark.parametrize("k", [0.0, -1.0, np.nan])
 def test_a_wave_number_that_is_not_positive_is_rejected_by_every_coefficient_set(k):
     # nan passed the old k <= 0 test and died turning the truncation degree into an integer

@@ -152,6 +152,25 @@ def test_noisy_tev_scan_point_holds_fewer_than_three_dense_arrays():
     assert peak <= 2.1 * (2 * quad.n_nodes) ** 2 * 16
 
 
+def test_a_noisy_tev_sweep_solves_once_per_ladder_step_and_tabulates_once(monkeypatch):
+    # k = 14.2 and 14.25 climb the Mie ladder 30 -> 50 together: two solves of two
+    # tables each, one mode table at degree 50, and each point keeps its noise stream
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    ks = [14.15, 14.2, 14.25]
+    calls, builds = [], []
+    riccati, vsh_tables = forward.riccati_all, ffop.vsh_tables
+    monkeypatch.setattr(forward, "riccati_all", lambda *a: calls.append(a) or riccati(*a))
+    monkeypatch.setattr(ffop, "vsh_tables", lambda *a: builds.append(a[0]) or vsh_tables(*a))
+    ffop._mode_matrices.cache_clear()
+    res = tev_scan(BALL4, ks, quad, zs=ZS4, noise_eps=0.01, noise_seed=3)
+    assert len(calls) == 4 and builds == [50]
+    monkeypatch.undo()
+    for i, k in enumerate(ks):
+        A = ffop.far_field_operator("MAGNETIC", BALL4, k, quad, 0.01, 3, stream=i)
+        g = scan._NormalSolver(A, "auto").solve(scan._dipole_rhs(quad, ZS4.points(), k, True))
+        assert res.per_z[i].tobytes() == scan._column_norms(quad, g).tobytes()
+
+
 def test_block_solve_raises_when_refinement_is_exhausted(monkeypatch):
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     solver = scan._NormalSolver(_random_operator(quad, seed=11), 0.05)
@@ -518,6 +537,8 @@ def test_scans_reject_a_bad_noise_level_before_any_assembly(monkeypatch, eps):
 
     monkeypatch.setattr(ffop, "assemble", no_assembly)
     monkeypatch.setattr(ffop, "assemble_blocks", no_assembly)
+    monkeypatch.setattr(ffop, "mie_coefficients", no_assembly)
+    monkeypatch.setattr(ffop, "_mode_product", no_assembly)
     with pytest.raises(ValueError, match="noise level eps must be finite and >= 0"):
         tev_scan(BALL4, [3.1], QUAD8, zs=ZS4, noise_eps=eps)
     with pytest.raises(ValueError, match="noise level eps must be finite and >= 0"):

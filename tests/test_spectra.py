@@ -8,6 +8,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
+from scatsig import ffop, forward
 from scatsig.ffop import (
     SphereQuadrature,
     TangentVectorField,
@@ -401,6 +402,25 @@ def test_phase_track_matches_dense_eigensolve():
         assert track.phases[i].size == kept.size
         dip = np.min(np.abs(kept / np.abs(kept) + 1.0))
         assert abs(track.dip_minus[i] - dip) <= 1e-10 * dip
+
+
+def test_a_phase_track_sweep_solves_once_per_ladder_step_and_tabulates_once(monkeypatch):
+    # five points over the degree step 30 -> 31, where k = 14.2 and 14.25 climb the Mie
+    # ladder 30 -> 50 together: two solves of two tables each (interior, boundary), not
+    # two per k, and one mode table, at degree 50
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    ks = grid_points(14.1, 14.3, 0.05)
+    calls, builds = [], []
+    riccati, vsh_tables = forward.riccati_all, ffop.vsh_tables
+    monkeypatch.setattr(forward, "riccati_all", lambda *a: calls.append(a) or riccati(*a))
+    monkeypatch.setattr(ffop, "vsh_tables", lambda *a: builds.append(a[0]) or vsh_tables(*a))
+    ffop._mode_matrices.cache_clear()
+    track = phase_track(BALL4, ks, quad)
+    assert len(calls) == 4 and builds == [50]
+    for k, phases in zip(ks, track.phases):
+        vals = eig(ffop.far_field_operator("MAGNETIC", BALL4, float(k), quad),
+                   compute_vectors=False).values
+        assert phases.tobytes() == (vals / np.abs(vals)).tobytes()
 
 
 def test_phase_track_grid_and_floor():

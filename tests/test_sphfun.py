@@ -385,3 +385,85 @@ def test_overflow_errors_equal_loop_reference(l_max, x):
         if np.any(np.isnan(x)):
             _, got_err = _outcome(sphfun._bessel_j_miller, l_max, x)
             assert got_err is not None and got_err == _outcome(loop._bessel_j_miller, l_max, x)[1]
+
+
+SERIES_ARGS = {
+    "real": np.linspace(-0.5, 0.5, 11) + 0j,
+    "complex": 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 7)) * np.linspace(0.05, 1.0, 7),
+    "tiny": np.array([1e-300, 1e-30 - 1e-30j, 1e-8j]),
+    "shaped": (_rng.normal(size=(2, 3)) + 1j * _rng.normal(size=(2, 3))) * 0.15,
+    "one": np.array([0.3 - 0.2j]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_ARGS))
+def test_series_equals_loop_reference_bit_for_bit(name):
+    # the 11 terms step over all degrees at once; the loop steps one degree at a time
+    x = SERIES_ARGS[name]
+    for l_max in (0, 1, 2, 15, 60, 100, 150, 200):
+        assert _same_bits(sphfun._bessel_j_series(l_max, x), loop._bessel_j_series(l_max, x)), l_max
+
+
+def _own_columns(fn, deg, x):
+    """``fn`` of the degree array against each column's one-argument call, as uint64 patterns."""
+    tables = fn(deg, x)
+    tables = tables if isinstance(tables, tuple) else (tables,)
+    for j in range(x.size):
+        own = fn(int(deg[j]), x[j:j + 1])
+        own = own if isinstance(own, tuple) else (own,)
+        for t, o in zip(tables, own):
+            assert _same_bits(t[:deg[j] + 1, j], o[:, 0]), (j, deg[j], x[j])
+            assert t.shape == (deg.max() + 1, x.size)
+
+
+_modulus = st.one_of(st.floats(1e-3, 0.5), st.floats(0.5, 1.0), st.floats(1.0, 250.0))
+_argument = st.builds(lambda r, t: r * np.exp(1j * t), _modulus, st.floats(-3.1, 3.1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cols=st.lists(st.tuples(st.integers(0, 200), _argument), min_size=1, max_size=6),
+       real=st.booleans())
+def test_a_degree_per_argument_gives_each_column_its_own_call(cols, real):
+    # series (|x| <= 0.5) and Miller columns side by side, each at its own degree;
+    # |x| up to 250 puts the Miller start at ceil|x| above the degree
+    deg = np.array([l for l, _ in cols])
+    x = np.array([z for _, z in cols])
+    x = np.abs(x) + 0j if real else x
+    _own_columns(sphfun.bessel_j_all, deg, x)
+    _own_columns(sphfun.riccati_psi, deg, x)
+    try:
+        own = [riccati_all(int(l), x[j:j + 1]) for j, l in enumerate(deg)]
+    except RecurrenceOverflowError:
+        own = None
+    if own is None:
+        # some column overflows within its own degrees, so the batch does too
+        with pytest.raises(RecurrenceOverflowError):
+            riccati_all(deg, x)
+    else:
+        _own_columns(riccati_all, deg, x)
+        _own_columns(bessel_y_all, deg, x)
+
+
+def test_a_low_degree_column_at_tiny_argument_overflows_only_within_its_degree():
+    # y_l at x = 1e-3 passes 1e300 at l = 64: up to degree 60 the batch is the
+    # own calls, whatever the degree of the column beside it; at 150 it raises
+    x = np.array([1e-3 + 0j, 40.0 + 0j])
+    _own_columns(riccati_all, np.array([20, 200]), x)
+    _own_columns(bessel_y_all, np.array([60, 150]), x)
+    with pytest.raises(RecurrenceOverflowError, match="overflow at l="):
+        bessel_y_all(np.array([150, 20]), x)
+    with pytest.raises(RecurrenceOverflowError, match="overflow at l="):
+        riccati_all(150, x[:1])
+    assert not np.any(bessel_y_all(np.array([20, 200]), x)[21:, 0])
+
+
+def test_one_degree_starts_every_argument_where_the_largest_needs():
+    # an int degree keeps one Miller start for the call, at its largest |x|; the
+    # same degree as an array starts each argument at its own step
+    x = np.array([0.6 + 0j, 30.0 + 0j])
+    shared = bessel_j_all(5, x)
+    assert _same_bits(shared, loop._bessel_j_miller(5, x))
+    own = bessel_j_all(np.array([5, 5]), x)
+    assert _same_bits(own[:, 0], bessel_j_all(5, x[:1])[:, 0])
+    assert_allclose(own, shared, rtol=1e-13)
+

@@ -28,6 +28,8 @@ SCENES = {
     "ball4": [(1.0, 4.0, 0.0)],
     "absorbing": [(1.0, 2.0, 2.0)],
     "three_layer": [(0.4, 3.0, 1.0), (0.7, 1.5, 0.2), (1.0, 2.0, 0.5)],
+    # the same radii with real indices, for the transmission-eigenvalue scan
+    "three_layer_real": [(0.4, 3.0, 0.0), (0.7, 1.5, 0.0), (1.0, 2.0, 0.0)],
     "vacuum": [(1.0, 1.0, 0.0)],
 }
 RUNS = {
@@ -66,6 +68,12 @@ RUNS = {
     "phase_track_vacuum_4x8": "phase-track --quad 4x8 --scene vacuum --grid 3.1:3.15:0.05",
     "phase_track_floor0_16x32": "phase-track --quad 16x32 --scene ball4 --grid 3.1:3.15:0.05 "
                                 "--floor 0",
+    # k sweeps whose truncation degree steps 28 -> 31, and 32 -> 33, where the Mie
+    # ladder steps up at k = 14.25 (30 -> 50) and at k = 15.9 (32 -> 53)
+    "three_layer_phase_track_6x12": "phase-track --quad 6x12 --scene three_layer "
+                                    "--grid 12.5:14.5:0.05",
+    "three_layer_tev_scan_noisy_6x12": "tev-scan --quad 6x12 --scene three_layer_real "
+                                       "--grid 15.8:16.0:0.05 --noise 0.01 --zcount 2",
     # the command's own default grid, recorded in the config line
     "oracle_tev_default_grid": "oracle tev --scene ball4",
     # an explicit alpha through the clean block solver and through the noisy dense one
