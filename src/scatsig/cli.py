@@ -161,9 +161,8 @@ def _check_array_bytes(quad, z_count):
     """ConfigError naming the value whose arrays would exceed _MAX_ARRAY_BYTES.
 
     An NxM rule has N M nodes and 2 N M tangential unknowns. The dense
-    operator is (2 N M)^2 complex, which a noisy run holds twice and
-    ffop-eigs returns as eigenvectors; the right-hand sides are
-    2 N M x z_count.
+    operator is (2 N M)^2 complex, which a noisy run holds twice; the
+    right-hand sides are 2 N M x z_count.
     """
     unknowns = 4 * _parse_quad(quad)[1] ** 2
     for key, value, size in (("quad", quad, unknowns**2), ("z_count", z_count, unknowns * z_count)):

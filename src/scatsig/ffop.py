@@ -587,7 +587,7 @@ def add_noise(A, eps, seed, stream=0):
     return FarFieldMatrix(factor, A.kind, A.k, A.quad, noise_eps=float(eps), seed=int(seed))
 
 
-def operator_sweep(kind, scene, k_values, quad, noise_eps=0.0, seed=0, stream=0):
+def operator_sweep(kind, scene, k_values, quad, noise_eps=0.0, seed=0):
     """The kind's operator at each k of ``k_values``, in order: a generator.
 
     Before the first, it checks the noise level and the scene, solves for
@@ -596,8 +596,8 @@ def operator_sweep(kind, scene, k_values, quad, noise_eps=0.0, seed=0, stream=0)
     reads its first L(L+2) columns, the degree-L table bit for bit. Each
     operator is one set's scaled ``_mode_product``: blocks for clean
     data, and for noisy data, whose noise breaks the block structure,
-    ``add_noise`` of their circulant expansion keyed by (seed, stream + i)
-    for operator i. A scalar ``k_values`` is the one-point sweep.
+    ``add_noise`` of their circulant expansion keyed by (seed, i) for
+    operator i. A scalar ``k_values`` is the one-point sweep.
     """
     _require_noise_level(noise_eps)
     medium, ball = _scene_parts(kind, scene)
@@ -619,17 +619,17 @@ def operator_sweep(kind, scene, k_values, quad, noise_eps=0.0, seed=0, stream=0)
             F = modified_operator(F, ball)
         if noise_eps != 0:
             F = _circulant(F)  # rebound before each step, so no operator is held twice
-            F = add_noise(F, noise_eps, seed, stream + i)
+            F = add_noise(F, noise_eps, seed, i)
         yield F
         del F  # the caller holds it now: none is kept through the next assembly
 
 
-def far_field_operator(kind, scene, k, quad, noise_eps=0.0, seed=0, stream=0):
+def far_field_operator(kind, scene, k, quad, noise_eps=0.0, seed=0):
     """The kind's operator at k: ``assemble_blocks`` for clean data, else the noisy dense matrix.
 
-    The one-point ``operator_sweep``, its noise keyed by (seed, stream).
+    The one-point ``operator_sweep``, its noise keyed by (seed, 0).
     """
-    return next(operator_sweep(kind, scene, k, quad, noise_eps, seed, stream))
+    return next(operator_sweep(kind, scene, k, quad, noise_eps, seed))
 
 
 def save_ffop(A, path):

@@ -428,18 +428,22 @@ def herglotz_field(g, k, x, magnetic=False):
     return prefactor * np.einsum("...j,j,jc->...c", phase, w, vals)
 
 
-def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_radial=None, n_theta=12):
+def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_radial=None,
+                       n_theta=None):
     """L2 norm of the (electric or magnetic) Herglotz field over a ball.
 
     Product quadrature: Gauss-Legendre in radius, and the PRODUCT_GAUSS
     sphere rule of ``ffop.build_quadrature`` of order n_theta (Gauss-Legendre
-    in cos(theta) times uniform azimuth) on the angular factor.
+    in cos(theta) times uniform azimuth) on the angular factor. Both
+    orders grow with k R by default, the angular one from 12 for k R <= 4.
     """
     from .ffop import build_quadrature  # ffop imports this module at load time
 
     center = np.asarray(center, dtype=float)
     if n_radial is None:
         n_radial = max(8, int(np.ceil(2 + k * R_ball)))
+    if n_theta is None:
+        n_theta = max(12, int(np.ceil(k * R_ball)) + 8)
     t, wt = np.polynomial.legendre.leggauss(n_radial)
     r = 0.5 * R_ball * (t + 1.0)
     wr = 0.5 * R_ball * wt

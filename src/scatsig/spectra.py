@@ -1,6 +1,6 @@
 """Eigenvalue diagnostics for discretized far field operators.
 
-Covers the eigendecomposition, the circle laws for the electric and
+Covers the eigenvalues, the circle laws for the electric and
 magnetic operators, and phase tracking of the magnetic spectrum across
 a wavenumber sweep. The phase indicators min_j |phase_j + 1| and min_j
 |phase_j - 1| dip near interior transmission eigenvalues, which is the
@@ -29,11 +29,9 @@ from .sphfun import riccati_all, vsh_tables  # noqa: F401
 
 @dataclass(eq=False)
 class EigenSet:
-    """Eigenvalues sorted by decreasing magnitude, with residuals."""
+    """Eigenvalues sorted by decreasing magnitude, with the operator's kind and k."""
 
     values: np.ndarray
-    vectors: np.ndarray | None
-    residuals: np.ndarray
     kind: str
     k: float
 
@@ -53,21 +51,16 @@ def _sort_order(vals):
     return np.lexsort((vals.imag, vals.real, -np.abs(vals)))
 
 
-def eig(A, compute_vectors=True):
-    """Eigendecomposition of an operator, on its azimuthal blocks when it comes as blocks.
+def eig(A):
+    """Eigenvalues of an operator, on its azimuthal blocks when it comes as blocks.
 
     A FarFieldBlocks is a stack of n_phi blocks, a FarFieldMatrix or a
-    square array a stack of one, and the stack goes to one scipy eig
-    (eigvals without vectors). Of a FarFieldBlocks only its first
-    ``n_unique`` blocks are solved: block n_phi - q is S B_q S, so it
-    shares the values and residuals of block q, and S v is its vector
-    for B_q's vector v; a stack that breaks this symmetry raises
-    ValueError. A block eigenvector comes back in node space, as
-    ``to_nodes`` of it placed in its own block, at unit norm. Residuals
-    are ||A v - lambda v|| / ||A|| per block, with the spectral norm from
-    ``ffop.gram_norm`` on the ``ffop.gram_lower`` stack (zero without
-    vectors); the DFT similarity is unitary, so both are the dense ones
-    (docs section 12). LAPACK failure surfaces as LinAlgError.
+    square array a stack of one, and the stack goes to one scipy
+    eigvals. Of a FarFieldBlocks only its first ``n_unique`` blocks are
+    solved: block n_phi - q is S B_q S, so it shares the values of block
+    q; a stack that breaks this symmetry raises ValueError. The DFT
+    similarity is unitary, so the values are the dense ones (docs
+    section 12). LAPACK failure surfaces as LinAlgError.
     """
     blocks = isinstance(A, FarFieldBlocks)
     operator = blocks or isinstance(A, FarFieldMatrix)
@@ -79,34 +72,13 @@ def eig(A, compute_vectors=True):
     if blocks and not np.array_equal(mat[A.n_unique:], ffop.mirror(mat[A.n_unique - 2:0:-1])):
         raise ValueError("FarFieldBlocks are not mirror-symmetric: block n_phi - q must be "
                          "ffop.mirror of block q, as assemble_blocks makes them")
-    stack = mat[:A.n_unique] if blocks else mat[None]
-    n = len(mat) if blocks else 1
-    src = np.minimum(np.arange(n), n - np.arange(n))  # block q is solved as block min(q, n - q)
-    vecs, res = None, np.zeros(stack.shape[:2])
-    if compute_vectors:
-        grams = np.stack([ffop.gram_lower(b) for b in stack])
-        norm_a = ffop.gram_norm(grams, np.ones(stack.shape[-1]))
-        vals, vecs = scipy.linalg.eig(stack, check_finite=False)
-        if norm_a != 0.0:
-            res = np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1)
-            res /= norm_a * np.linalg.norm(vecs, axis=1)
-        vecs = vecs[src]
-        if blocks:
-            flip = vecs[A.n_unique:, 1::2]
-            np.negative(flip, out=flip)
-            m = vecs.shape[1]
-            placed = np.zeros((n, m, n, m), dtype=complex)
-            placed[np.arange(n), :, np.arange(n), :] = vecs
-            vecs = A.to_nodes(placed.reshape(n, m, n * m))
-            vecs /= np.linalg.norm(vecs, axis=0)
-    else:
-        vals = scipy.linalg.eigvals(stack, check_finite=False)
-    vals, res = vals[src], res[src]
-    order = _sort_order(vals.ravel())
-    if vecs is not None:
-        vecs = vecs.reshape(order.size, order.size)[:, order]
+    vals = scipy.linalg.eigvals(mat[:A.n_unique] if blocks else mat, check_finite=False)
+    if blocks:
+        n = len(mat)
+        vals = vals[np.minimum(np.arange(n), n - np.arange(n))]  # block q is block min(q, n - q)
+    vals = vals.ravel()
     kind, k = (A.kind, A.k) if operator else ("GENERIC", 0.0)
-    return EigenSet(vals.ravel()[order], vecs, res.ravel()[order], kind, k)
+    return EigenSet(vals[_sort_order(vals)], kind, k)
 
 
 def circle_center_radius(kind, k):
@@ -117,18 +89,15 @@ def circle_center_radius(kind, k):
     raise ValueError(f"no circle law for operator kind {kind!r}")
 
 
-def circle_residual(eigset, kind=None, k=None):
+def circle_residual(eigset):
     """Per-eigenvalue distance from the kind's eigenvalue circle.
 
     Electric eigenvalues lie on |lambda + 2 pi| = 2 pi for real index;
     magnetic ones on |lambda - 2 pi i/k| = 2 pi/k. Returns the array of
-    | |lambda - center| - radius | values.
+    | |lambda - center| - radius | values of the EigenSet's eigenvalues.
     """
-    kind = kind if kind is not None else eigset.kind
-    k = k if k is not None else eigset.k
-    c, r = circle_center_radius(kind, k)
-    vals = eigset.values if isinstance(eigset, EigenSet) else np.asarray(eigset, complex)
-    return np.abs(np.abs(vals - c) - r)
+    c, r = circle_center_radius(eigset.kind, eigset.k)
+    return np.abs(np.abs(eigset.values - c) - r)
 
 
 def worker_count():
@@ -151,8 +120,8 @@ def phase_track(medium, k_values, quad, floor=1e-6):
     a floor in [0, 1]; a zero eigenvalue has no phase. Reported per k: the
     retained phases and the dip indicators min_j |phase_j + 1|,
     min_j |phase_j - 1|, both inf when none is kept. The eigenvalues
-    come from ``eig`` without vectors on the clean operator's azimuthal
-    DFT blocks, one batched eigvals per k, in eig's order. The blocks
+    come from ``eig`` on the clean operator's azimuthal DFT blocks, one
+    batched eigvals per k, in eig's order. The blocks
     come from one ``ffop.operator_sweep`` over the grid, so one Mie solve
     and one mode table serve all of it; grid points run serially, in
     grid order.
@@ -162,7 +131,7 @@ def phase_track(medium, k_values, quad, floor=1e-6):
         raise ValueError(f"floor must lie in [0, 1], got {floor}")
 
     def phases(A):
-        vals = eig(A, compute_vectors=False).values
+        vals = eig(A).values
         cut = floor * np.abs(vals[0]) if vals.size else 0.0
         kept = vals[(np.abs(vals) >= cut) & (vals != 0)]
         return kept / np.abs(kept)

@@ -74,19 +74,19 @@ def quad16():
 @pytest.fixture(scope="module")
 def electric(quad16):
     A = assemble("ELECTRIC", BALL2, 1.0, quad16)
-    return A, eig(A, compute_vectors=False)
+    return A, eig(A)
 
 
 @pytest.fixture(scope="module")
 def magnetic(quad16):
     A = assemble("MAGNETIC", BALL2, 1.0, quad16)
-    return A, eig(A, compute_vectors=False)
+    return A, eig(A)
 
 
 @pytest.fixture(scope="module")
 def absorbing(quad16):
     A = assemble("ELECTRIC", ABSORBING, 1.0, quad16)
-    return A, eig(A, compute_vectors=False)
+    return A, eig(A)
 
 
 def test_01_electric_circle_law(electric):
@@ -163,7 +163,7 @@ def test_06_noise_stability_of_large_eigenvalues(absorbing):
     details = []
     ok = True
     for eps in (0.01, 0.02):
-        noisy = eig(add_noise(A, eps, 11), compute_vectors=False)
+        noisy = eig(add_noise(A, eps, 11))
         pool = list(noisy.values[:30])
         moved = []
         for v in top5:

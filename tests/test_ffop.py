@@ -232,8 +232,10 @@ def test_far_field_operator_equals_the_assembly_idioms_byte_for_byte(rule, order
         clean = ffop.far_field_operator(kind, scene, 1.5, quad)
         assert isinstance(clean, FarFieldBlocks) and clean.kind == kind
         assert clean.matrix.tobytes() == assemble_blocks(kind, scene, 1.5, quad).matrix.tobytes()
-        for stream in (0, 3):
-            noisy = ffop.far_field_operator(kind, scene, 1.5, quad, 0.01, 5, stream)
+        # operator i of a noisy sweep is keyed (seed, i): the fourth of four at one k is stream 3
+        sweep = list(ffop.operator_sweep(kind, scene, [1.5] * 4, quad, 0.01, 5))
+        for stream, noisy in ((0, ffop.far_field_operator(kind, scene, 1.5, quad, 0.01, 5)),
+                              (3, sweep[3])):
             ref = add_noise(assemble(kind, scene, 1.5, quad), 0.01, 5, stream)
             assert isinstance(noisy, FarFieldMatrix)
             assert noisy.matrix.tobytes() == ref.matrix.tobytes()
@@ -248,10 +250,12 @@ def test_an_operator_sweep_is_its_one_point_operators_byte_for_byte():
     for kind, scene in (("ELECTRIC", BALL4), ("MAGNETIC", BALL4), ("IMPEDANCE", imp),
                         ("MODIFIED", (BALL4, imp))):
         for eps in (0.0, 0.01):
-            sweep = list(ffop.operator_sweep(kind, scene, ks, quad, eps, 5, 2))
+            sweep = list(ffop.operator_sweep(kind, scene, ks, quad, eps, 5))
             assert len(sweep) == ks.size
             for i, (k, F) in enumerate(zip(ks, sweep)):
-                one = ffop.far_field_operator(kind, scene, float(k), quad, eps, 5, 2 + i)
+                one = ffop.far_field_operator(kind, scene, float(k), quad)
+                if eps:  # operator i of a noisy sweep is keyed (seed, i)
+                    one = add_noise(assemble(kind, scene, float(k), quad), eps, 5, i)
                 assert type(F) is type(one) and (F.kind, F.k) == (kind, float(k))
                 assert F.matrix.tobytes() == one.matrix.tobytes()
 

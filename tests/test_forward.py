@@ -560,6 +560,18 @@ def test_herglotz_norm_refinement_stable():
     assert abs(coarse - fine) < 1e-9 * fine
 
 
+def test_herglotz_norm_angular_order_grows_with_kR():
+    # at k R = 16 a fixed angular order 12 is 6e-3 off; the default order
+    # ceil(k R) + 8 = 24 matches a rule of twice both orders
+    quad = build_quadrature("PRODUCT_GAUSS", 12)
+    rng = np.random.default_rng(4)
+    g = TangentVectorField(quad, rng.normal(size=(quad.n_nodes, 2))
+                           + 1j * rng.normal(size=(quad.n_nodes, 2)))
+    got = herglotz_ball_norm(g, 16.0, 1.0)
+    fine = herglotz_ball_norm(g, 16.0, 1.0, n_radial=36, n_theta=48)
+    assert abs(got - fine) < 1e-8 * fine
+
+
 def test_herglotz_single_node_exact():
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     coeffs = np.zeros((quad.n_nodes, 2), dtype=complex)

@@ -166,7 +166,7 @@ def test_a_noisy_tev_sweep_solves_once_per_ladder_step_and_tabulates_once(monkey
     assert len(calls) == 4 and builds == [50]
     monkeypatch.undo()
     for i, k in enumerate(ks):
-        A = ffop.far_field_operator("MAGNETIC", BALL4, k, quad, 0.01, 3, stream=i)
+        A = ffop.add_noise(ffop.assemble("MAGNETIC", BALL4, k, quad), 0.01, 3, i)
         g = scan._NormalSolver(A, "auto").solve(scan._dipole_rhs(quad, ZS4.points(), k, True))
         assert res.per_z[i].tobytes() == scan._column_norms(quad, g).tobytes()
 

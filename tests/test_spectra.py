@@ -1,5 +1,6 @@
 """Eigenvalue diagnostics: circle laws, energy identity, phase tracking."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,12 +17,11 @@ from scatsig.ffop import (
     assemble,
     assemble_blocks,
     build_quadrature,
-    gram_lower,
-    gram_norm,
     grid_points,
 )
 from scatsig.forward import ImpedanceBall, MediumSpec, mie_coefficients
 from scatsig.spectra import (
+    EigenSet,
     circle_center_radius,
     circle_residual,
     eig,
@@ -48,45 +48,24 @@ IMP = ImpedanceBall(R=1.0, lam=2.0, s_kind="CURL_CURL")
 def test_eig_diagonal():
     es = eig(np.diag([1.0, 2.0j, -3.0]))
     assert_allclose(es.values, [-3.0, 2.0j, 1.0], atol=1e-14)
-    assert np.max(es.residuals) < 1e-14
     assert es.kind == "GENERIC" and es.k == 0.0
-    assert es.vectors.shape == (3, 3)
-
-
-def test_eig_residual_scale_above_lanczos_size():
-    # 300 rows take the Lanczos branch of ffop.gram_norm; a zero matrix has
-    # norm 0 and zero residuals, a scaled unitary one has norm 2
-    assert np.all(eig(np.zeros((300, 300))).residuals == 0.0)
-    q = np.linalg.qr(np.random.default_rng(3).standard_normal((300, 300)))[0]
-    es = eig(2.0 * q)
-    assert_allclose(np.abs(es.values), 2.0, rtol=1e-12)
-    assert np.max(es.residuals) < 1e-13
 
 
 def test_eig_rotation_block():
     es = eig(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert_allclose(sorted(es.values, key=lambda z: z.imag), [-1j, 1j], atol=1e-14)
-    assert np.max(es.residuals) < 1e-14
 
 
 def test_eig_dense_random_residuals():
     rng = np.random.default_rng(12)
     mat = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     es = eig(mat)
-    assert np.max(es.residuals) <= 1e-8
     # values agree with the raw LAPACK multiset
     ref = np.sort_complex(np.linalg.eigvals(mat))
     assert_allclose(np.sort_complex(es.values), ref, rtol=1e-10)
-
-
-def test_eig_no_vectors_same_values():
-    rng = np.random.default_rng(5)
-    mat = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    full = eig(mat)
-    lean = eig(mat, compute_vectors=False)
-    assert_allclose(full.values, lean.values, rtol=1e-12)
-    assert lean.vectors is None
-    assert np.all(lean.residuals == 0)
+    # a scaled orthogonal matrix of 300 rows has every |lambda| = 2
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((300, 300)))[0]
+    assert_allclose(np.abs(eig(2.0 * q).values), 2.0, rtol=1e-12)
 
 
 def test_eig_rejects_nonfinite():
@@ -97,14 +76,14 @@ def test_eig_rejects_nonfinite():
 def test_eig_takes_one_plain_matrix():
     # only a FarFieldBlocks is a stack; a 3-D array is not batched
     with pytest.raises(ValueError, match="square matrix"):
-        eig(np.zeros((2, 3, 3)), compute_vectors=False)
+        eig(np.zeros((2, 3, 3)))
 
 
 def test_eig_ordering_deterministic():
     rng = np.random.default_rng(8)
     mat = rng.normal(size=(20, 20))
     v1 = eig(mat).values
-    v2 = eig(mat, compute_vectors=False).values
+    v2 = eig(mat).values
     assert np.array_equal(v1, v2)
     assert np.all(np.diff(np.abs(v1)) <= 1e-12)
 
@@ -125,14 +104,15 @@ def test_circle_definitions():
 
 def test_circle_residual_trivial_points():
     # lambda = 0 sits on both circles; lambda = -4 pi on the electric one
-    assert circle_residual(np.array([0.0j, -4 * np.pi + 0j]), "ELECTRIC", 1.0).max() < 1e-14
-    assert circle_residual(np.array([0.0j, 4j * np.pi]), "MAGNETIC", 1.0).max() < 1e-14
-    assert_allclose(circle_residual(np.array([2.0 + 0j]), "ELECTRIC", 1.0)[0], 2.0, rtol=1e-14)
+    assert circle_residual(EigenSet(np.array([0.0j, -4 * np.pi]), "ELECTRIC", 1.0)).max() < 1e-14
+    assert circle_residual(EigenSet(np.array([0.0j, 4j * np.pi]), "MAGNETIC", 1.0)).max() < 1e-14
+    assert_allclose(circle_residual(EigenSet(np.array([2.0 + 0j]), "ELECTRIC", 1.0))[0], 2.0,
+                    rtol=1e-14)
 
 
 def test_electric_spectrum_on_circle():
     quad = build_quadrature("PRODUCT_GAUSS", 8)
-    es = eig(assemble("ELECTRIC", BALL2, 1.0, quad), compute_vectors=False)
+    es = eig(assemble("ELECTRIC", BALL2, 1.0, quad))
     # the well-resolved (large) eigenvalues satisfy the circle law to
     # machine precision; tiny trailing ones are pure discretization noise
     big = np.abs(es.values) > 1e-8 * np.abs(es.values[0])
@@ -141,14 +121,14 @@ def test_electric_spectrum_on_circle():
 
 def test_magnetic_spectrum_on_circle():
     quad = build_quadrature("PRODUCT_GAUSS", 8)
-    es = eig(assemble("MAGNETIC", BALL2, 1.3, quad), compute_vectors=False)
+    es = eig(assemble("MAGNETIC", BALL2, 1.3, quad))
     big = np.abs(es.values) > 1e-8 * np.abs(es.values[0])
     assert np.max(circle_residual(es)[big]) < 1e-10
 
 
 def test_absorbing_spectrum_inside_circle():
     quad = build_quadrature("PRODUCT_GAUSS", 8)
-    es = eig(assemble("ELECTRIC", ABSORB, 1.0, quad), compute_vectors=False)
+    es = eig(assemble("ELECTRIC", ABSORB, 1.0, quad))
     c, r = circle_center_radius("ELECTRIC", 1.0)
     big = np.abs(es.values) > 1e-8 * np.abs(es.values[0])
     assert np.all(np.abs(es.values[big] - c) <= r + 1e-10)
@@ -165,8 +145,8 @@ def test_frame_rotation_leaves_spectrum_invariant():
     e2 = -np.sin(gamma) * quad.e1 + np.cos(gamma) * quad.e2
     quad_rot = SphereQuadrature(kind=quad.kind, order=quad.order, nodes=quad.nodes,
                                 weights=quad.weights, e1=e1, e2=e2, t=quad.t)
-    v1 = eig(assemble("ELECTRIC", BALL2, 1.2, quad), compute_vectors=False).values
-    v2 = eig(assemble("ELECTRIC", BALL2, 1.2, quad_rot), compute_vectors=False).values
+    v1 = eig(assemble("ELECTRIC", BALL2, 1.2, quad)).values
+    v2 = eig(assemble("ELECTRIC", BALL2, 1.2, quad_rot)).values
     keep = np.abs(v1) > 1e-10 * np.abs(v1[0])
     assert np.max(np.abs(v1[keep] - v2[keep])) < 1e-10 * np.abs(v1[0])
 
@@ -176,8 +156,8 @@ def test_noisy_eigenvalues_track_clean_ones():
     A = assemble("ELECTRIC", BALL2, 1.0, quad)
     eps = 1e-3
     An = add_noise(A, eps, seed=3)
-    clean = eig(A, compute_vectors=False).values[:5]
-    noisy = eig(An, compute_vectors=False).values[:5]
+    clean = eig(A).values[:5]
+    noisy = eig(An).values[:5]
     bound = 5 * eps * A.operator_norm()
     assert np.max(np.abs(clean - noisy)) < bound
 
@@ -308,15 +288,9 @@ def test_block_eig_matches_dense_eig(rule, order, kind, scene):
     quad = build_quadrature(rule, order)
     A = assemble(kind, scene, 2.5, quad)
     es = eig(assemble_blocks(kind, scene, 2.5, quad))
-    dense = eig(A, compute_vectors=False)
+    dense = eig(A)
     assert es.kind == kind and es.k == 2.5 and es.values.size == dense.values.size == A.matrix.shape[0]
     _assert_same_multiset(es.values, dense.values, 1e-12 * np.abs(A.matrix).max())
-    # the node-space vectors are eigenvectors of the dense matrix
-    assert_allclose(np.linalg.norm(es.vectors, axis=0), 1.0, rtol=1e-12)
-    res = np.linalg.norm(A.matrix @ es.vectors - es.vectors * es.values, axis=0)
-    res /= np.linalg.norm(A.matrix, 2)
-    assert res.max() <= 1e-12
-    assert_allclose(es.residuals, res, rtol=0, atol=1e-14)
 
 
 def _by_magnitude(vals):
@@ -324,38 +298,15 @@ def _by_magnitude(vals):
     return np.lexsort((vals.imag, vals.real, -np.abs(vals)))
 
 
-def _eig_of_every_block(B):
-    """eig of a FarFieldBlocks as it was before the mirror: all n_phi blocks solved."""
-    stack = B.matrix
-    norm_a = gram_norm(np.stack([gram_lower(b) for b in stack]), np.ones(stack.shape[-1]))
-    vals, vecs = scipy.linalg.eig(stack)
-    res = np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1)
-    res /= norm_a * np.linalg.norm(vecs, axis=1)
-    n, m = vecs.shape[:2]
-    placed = np.zeros((n, m, n, m), dtype=complex)
-    placed[np.arange(n), :, np.arange(n), :] = vecs
-    vecs = B.to_nodes(placed.reshape(n, m, n * m))
-    vecs /= np.linalg.norm(vecs, axis=0)
-    order = _by_magnitude(vals.ravel())
-    return vals.ravel()[order], vecs[:, order], res.ravel()[order]
-
-
 @pytest.mark.parametrize("order,scene,k", [(12, BALL4, 3.12), (10, ABSORB, 1.0)],
                          ids=["n4-12x24", "absorbing-10x20"])
 @pytest.mark.parametrize("kind", ["ELECTRIC", "MAGNETIC"])
 def test_eig_of_the_unique_blocks_equals_eig_of_every_block(order, scene, k, kind):
-    # eig solves blocks 0..n_phi/2 and copies the mirror blocks' values and
-    # residuals and their vectors S v; zgeev gives S B S the same values
+    # eig solves blocks 0..n_phi/2 and copies the mirror blocks' values; zgeev
+    # gives S B S the same values as B
     B = assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", order))
     every = scipy.linalg.eigvals(B.matrix).ravel()
-    assert eig(B, compute_vectors=False).values.tobytes() == every[_by_magnitude(every)].tobytes()
-    vals, vecs, res = _eig_of_every_block(B)
-    es = eig(B)
-    assert es.values.tobytes() == vals.tobytes()
-    assert es.residuals.tobytes() == res.tobytes()
-    same = np.all(es.vectors == vecs, axis=0)
-    flipped = np.all(es.vectors == -vecs, axis=0)
-    assert np.all(same | flipped) and flipped.any()
+    assert eig(B).values.tobytes() == every[_by_magnitude(every)].tobytes()
 
 
 def test_eig_rejects_blocks_that_are_not_mirrors():
@@ -364,10 +315,30 @@ def test_eig_rejects_blocks_that_are_not_mirrors():
     B = assemble_blocks("MAGNETIC", BALL2, 1.0, build_quadrature("PRODUCT_GAUSS", 4))
     bent = replace(B, matrix=B.matrix.copy())
     bent.matrix[7, 0, 1] *= 1.0 + 1e-15
-    for vectors in (True, False):
-        with pytest.raises(ValueError, match="not mirror-symmetric"):
-            eig(bent, compute_vectors=vectors)
-    assert eig(B, compute_vectors=False).values.size == 64  # 2N on the 4x8 rule
+    with pytest.raises(ValueError, match="not mirror-symmetric"):
+        eig(bent)
+    assert eig(B).values.size == 64  # 2N on the 4x8 rule
+
+
+def test_eig_of_the_default_ffop_eigs_operator_holds_no_dense_array():
+    # the clean 16x32 electric operator of the CLI's default scene: eig holds the
+    # values of its 17 unique blocks, not a (2N)^2 array of node-space vectors
+    B = assemble_blocks("ELECTRIC", BALL2, 1.0, build_quadrature("PRODUCT_GAUSS", 16))
+    tracemalloc.start()
+    try:
+        eig(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_noisy_dense_eig_is_scipy_eigvals_in_eig_order():
+    A = add_noise(assemble("MAGNETIC", LOSSY, 1.5, build_quadrature("PRODUCT_GAUSS", 6)), 0.01, 2)
+    ref = scipy.linalg.eigvals(A.matrix)
+    es = eig(A)
+    assert es.values.tobytes() == ref[_by_magnitude(ref)].tobytes()
+    assert (es.kind, es.k) == ("MAGNETIC", 1.5)
 
 
 # the scene of tools/artifact_hashes.py with three absorbing layers
@@ -384,8 +355,7 @@ def test_spectrum_at_12x24_is_the_exact_modal_spectrum(scene, k, count, kind):
     scale = 4.0 * np.pi if kind == "ELECTRIC" else -4.0j * np.pi / k
     copies = np.tile(2 * np.arange(coefs.L + 1) + 1, 2)
     modal = np.repeat(scale * np.concatenate([coefs.alpha, coefs.beta]), copies)
-    vals = eig(assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", 12)),
-               compute_vectors=False).values
+    vals = eig(assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", 12))).values
     peak = np.abs(vals).max()
     got, want = vals[np.abs(vals) > 1e-6 * peak], modal[np.abs(modal) > 1e-6 * peak]
     assert got.size == want.size == count
@@ -397,8 +367,7 @@ def test_phase_track_matches_dense_eigensolve():
     quad = build_quadrature("PRODUCT_GAUSS", 12)
     track = phase_track(BALL4, grid_points(3.12, 3.16, 0.01), quad)
     for i, k in enumerate(track.ks):
-        kept = _kept(eig(assemble("MAGNETIC", BALL4, float(k), quad),
-                         compute_vectors=False).values)
+        kept = _kept(eig(assemble("MAGNETIC", BALL4, float(k), quad)).values)
         assert track.phases[i].size == kept.size
         dip = np.min(np.abs(kept / np.abs(kept) + 1.0))
         assert abs(track.dip_minus[i] - dip) <= 1e-10 * dip
@@ -418,8 +387,7 @@ def test_a_phase_track_sweep_solves_once_per_ladder_step_and_tabulates_once(monk
     track = phase_track(BALL4, ks, quad)
     assert len(calls) == 4 and builds == [50]
     for k, phases in zip(ks, track.phases):
-        vals = eig(ffop.far_field_operator("MAGNETIC", BALL4, float(k), quad),
-                   compute_vectors=False).values
+        vals = eig(ffop.far_field_operator("MAGNETIC", BALL4, float(k), quad)).values
         assert phases.tobytes() == (vals / np.abs(vals)).tobytes()
 
 
@@ -448,7 +416,7 @@ def test_phase_track_drops_zero_eigenvalues():
     # 16x32 rule holds 32 zero eigenvalues, which floor 0 used to keep
     quad = build_quadrature("PRODUCT_GAUSS", 16)
     track = phase_track(BALL4, [3.1], quad, floor=0.0)
-    vals = eig(assemble_blocks("MAGNETIC", BALL4, 3.1, quad), compute_vectors=False).values
+    vals = eig(assemble_blocks("MAGNETIC", BALL4, 3.1, quad)).values
     assert np.count_nonzero(vals == 0) == 32
     assert track.phases[0].size == vals.size - 32
     assert np.isfinite(track.dip_minus[0]) and np.isfinite(track.dip_plus[0])

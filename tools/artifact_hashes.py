@@ -46,6 +46,8 @@ RUNS = {
     "bench_stekloff_rect": "stekloff-scan --scene absorbing --k 1 --B 1 --quad 10x20 "
                            "--rect=-3.42:-0.54:-0.11:0.61:9 --zcount 10 --zseed 1",
     "three_layer_ffop_eigs": "ffop-eigs --quad 6x12 --scene three_layer",
+    # the command's defaults: the clean 16x32 rule, where vectors cost about 90% of eig
+    "ffop_eigs_default": "ffop-eigs",
     # a clean ffop-eigs takes the azimuthal blocks; noise keeps the dense eig path pinned
     "ffop_eigs_noisy_6x12": "ffop-eigs --quad 6x12 --noise 0.01",
     "three_layer_oracle_stekloff": "oracle stekloff --scene three_layer --B 1.2 --s-kind IDENTITY",
