@@ -734,8 +734,11 @@ def grid_points(lo, hi, step):
 
 
 def wavenumbers(k_grid):
-    """The wavenumbers of ``k_grid`` as a float array; they must be finite, positive and nonempty."""
-    ks = np.asarray(k_grid, dtype=float)
+    """The wavenumbers of ``k_grid`` as an at least 1-D float array (a scalar is the grid [k]).
+
+    They must be finite, positive and nonempty.
+    """
+    ks = np.atleast_1d(np.asarray(k_grid, dtype=float))
     if ks.size == 0 or not np.all((ks > 0) & (ks < np.inf)):
         raise ValueError("k grid must be finite, positive and nonempty")
     return ks

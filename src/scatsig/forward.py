@@ -417,15 +417,21 @@ def herglotz_field(g, k, x, magnetic=False):
     ``magnetic`` gives its partner curl v_g / (ik), with ik and d_j x g_j
     in place of -ik and g_j. ``g`` is a tangential field on a sphere
     quadrature (anything with .quad and .vectors()), whose rule fixes
-    the accuracy.
+    the accuracy, or a list of fields on one rule: their values share one
+    phase table, each field's the one it alone gives bit for bit, and
+    come back in a list.
     """
+    single = hasattr(g, "vectors")
+    fields = [g] if single else g
     x = np.asarray(x, dtype=float)
-    nodes = g.quad.nodes
-    w = g.quad.weights
-    vals = np.cross(nodes, g.vectors()) if magnetic else g.vectors()
+    nodes = fields[0].quad.nodes
+    w = fields[0].quad.weights
     phase = np.exp(-1j * k * (x @ nodes.T))  # (..., N)
     prefactor = 1j * k if magnetic else -1j * k
-    return prefactor * np.einsum("...j,j,jc->...c", phase, w, vals)
+    out = [prefactor * np.einsum("...j,j,jc->...c", phase, w,
+                                 np.cross(nodes, f.vectors()) if magnetic else f.vectors())
+           for f in fields]
+    return out[0] if single else out
 
 
 def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_radial=None,
@@ -436,6 +442,9 @@ def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_r
     sphere rule of ``ffop.build_quadrature`` of order n_theta (Gauss-Legendre
     in cos(theta) times uniform azimuth) on the angular factor. Both
     orders grow with k R by default, the angular one from 12 for k R <= 4.
+    A list of fields on one rule (a scan's solution columns at one k)
+    gives an array of their norms, from one pair of rules and one phase
+    table, each norm the one its field alone gives bit for bit.
     """
     from .ffop import build_quadrature  # ffop imports this module at load time
 
@@ -450,7 +459,9 @@ def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_r
     sphere = build_quadrature("PRODUCT_GAUSS", n_theta)
     dirs, wang = sphere.nodes, sphere.weights
     pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
-    field = herglotz_field(g, k, pts, magnetic=magnetic)
-    dens = np.sum(np.abs(field) ** 2, axis=-1)
-    val = np.einsum("i,j,ij->", wr * r**2, wang, dens)
-    return float(np.sqrt(val))
+    single = hasattr(g, "vectors")
+    norms = []
+    for field in herglotz_field([g] if single else g, k, pts, magnetic=magnetic):
+        dens = np.sum(np.abs(field) ** 2, axis=-1)
+        norms.append(float(np.sqrt(np.einsum("i,j,ij->", wr * r**2, wang, dens))))
+    return norms[0] if single else np.array(norms)

@@ -298,9 +298,8 @@ def tev_scan(medium, k_grid, quad, zs=ZSampling(), alpha="auto",
         k = float(k)
         g = _NormalSolver(A, alpha).solve(_dipole_rhs(quad, z_pts, k, magnetic=True))
         if herglotz:
-            fields = (TangentVectorField.from_flat(quad, col) for col in g.T)
-            return np.array([forward.herglotz_ball_norm(f, k, medium.radius, magnetic=True)
-                             for f in fields])
+            fields = [TangentVectorField.from_flat(quad, col) for col in g.T]
+            return forward.herglotz_ball_norm(fields, k, medium.radius, magnetic=True)
         return _column_norms(quad, g)
 
     ops = ffop.operator_sweep("MAGNETIC", medium, ks, quad, noise_eps, noise_seed)

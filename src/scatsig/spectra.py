@@ -29,7 +29,13 @@ from .sphfun import riccati_all, vsh_tables  # noqa: F401
 
 @dataclass(eq=False)
 class EigenSet:
-    """Eigenvalues sorted by decreasing magnitude, with the operator's kind and k."""
+    """Eigenvalues sorted by decreasing magnitude, with the operator's kind and k.
+
+    ``values`` holds every eigenvalue of the operator, or, from ``eig``
+    with a floor, those of the blocks it solved: each block's values
+    repeated for its mirror, and every value at or above the floor among
+    them.
+    """
 
     values: np.ndarray
     kind: str
@@ -51,7 +57,26 @@ def _sort_order(vals):
     return np.lexsort((vals.imag, vals.real, -np.abs(vals)))
 
 
-def eig(A):
+def _require_floor(floor):
+    if not 0 <= floor <= 1:  # NaN included: a floor above 1 keeps no eigenvalue
+        raise ValueError(f"floor must lie in [0, 1], got {floor}")
+
+
+def _blocks_over_floor(blocks, floor):
+    """Mask of the blocks that can hold an eigenvalue with |lambda| >= floor * max|lambda|.
+
+    Every eigenvalue of block q has |lambda| <= ||B_q||_F, and max|lambda|
+    >= |tr B_q| / m for every q (m rows), so block q is skipped when
+    ||B_q||_F (1 + 1e-10) < floor * max_q |tr B_q| / m; docs section 12.
+    The block of the largest trace is always kept, and so is every block
+    at floor 0 or of an all-zero stack.
+    """
+    m = blocks.shape[-1]
+    bound = floor * np.max(np.abs(np.trace(blocks, axis1=1, axis2=2))) / m
+    return ~(np.linalg.norm(blocks, axis=(1, 2)) * (1.0 + 1e-10) < bound)
+
+
+def eig(A, floor=0.0):
     """Eigenvalues of an operator, on its azimuthal blocks when it comes as blocks.
 
     A FarFieldBlocks is a stack of n_phi blocks, a FarFieldMatrix or a
@@ -60,8 +85,14 @@ def eig(A):
     solved: block n_phi - q is S B_q S, so it shares the values of block
     q; a stack that breaks this symmetry raises ValueError. The DFT
     similarity is unitary, so the values are the dense ones (docs
-    section 12). LAPACK failure surfaces as LinAlgError.
+    section 12). With ``floor`` in (0, 1], a FarFieldBlocks solves only
+    the unique blocks that can hold an eigenvalue with |lambda| >= floor
+    * max|lambda| (``_blocks_over_floor``): the values are then those
+    blocks' eigenvalues, mirrors repeated, and hold every eigenvalue at
+    or above the floor with the bits of the full solve. A single matrix
+    is solved whole at any floor. LAPACK failure surfaces as LinAlgError.
     """
+    _require_floor(floor)
     blocks = isinstance(A, FarFieldBlocks)
     operator = blocks or isinstance(A, FarFieldMatrix)
     mat = A.matrix if operator else np.asarray(A, complex)
@@ -69,13 +100,18 @@ def eig(A):
         raise ValueError("matrix has non-finite entries")
     if not blocks and mat.ndim != 2:
         raise ValueError(f"eig needs a square matrix, got shape {mat.shape}")
-    if blocks and not np.array_equal(mat[A.n_unique:], ffop.mirror(mat[A.n_unique - 2:0:-1])):
-        raise ValueError("FarFieldBlocks are not mirror-symmetric: block n_phi - q must be "
-                         "ffop.mirror of block q, as assemble_blocks makes them")
-    vals = scipy.linalg.eigvals(mat[:A.n_unique] if blocks else mat, check_finite=False)
     if blocks:
+        if not np.array_equal(mat[A.n_unique:], ffop.mirror(mat[A.n_unique - 2:0:-1])):
+            raise ValueError("FarFieldBlocks are not mirror-symmetric: block n_phi - q must be "
+                             "ffop.mirror of block q, as assemble_blocks makes them")
+        solve = _blocks_over_floor(mat[:A.n_unique], floor)
+        vals = scipy.linalg.eigvals(mat[:A.n_unique][solve], check_finite=False)
         n = len(mat)
-        vals = vals[np.minimum(np.arange(n), n - np.arange(n))]  # block q is block min(q, n - q)
+        q = np.minimum(np.arange(n), n - np.arange(n))  # block p is block q = min(p, n - p)
+        q = q[solve[q]]  # the stack's blocks whose twin was solved, in stack order
+        vals = vals[np.cumsum(solve)[q] - 1]  # the twin's row of the solved stack
+    else:
+        vals = scipy.linalg.eigvals(mat, check_finite=False)
     vals = vals.ravel()
     kind, k = (A.kind, A.k) if operator else ("GENERIC", 0.0)
     return EigenSet(vals[_sort_order(vals)], kind, k)
@@ -120,18 +156,18 @@ def phase_track(medium, k_values, quad, floor=1e-6):
     a floor in [0, 1]; a zero eigenvalue has no phase. Reported per k: the
     retained phases and the dip indicators min_j |phase_j + 1|,
     min_j |phase_j - 1|, both inf when none is kept. The eigenvalues
-    come from ``eig`` on the clean operator's azimuthal DFT blocks, one
-    batched eigvals per k, in eig's order. The blocks
+    come from ``eig`` at this floor on the clean operator's azimuthal DFT
+    blocks, one batched eigvals per k over the blocks that can hold a kept
+    value, in eig's order. The blocks
     come from one ``ffop.operator_sweep`` over the grid, so one Mie solve
     and one mode table serve all of it; grid points run serially, in
     grid order.
     """
     ks = ffop.wavenumbers(k_values)
-    if not 0 <= floor <= 1:  # NaN included: a floor above 1 keeps no eigenvalue
-        raise ValueError(f"floor must lie in [0, 1], got {floor}")
+    _require_floor(floor)
 
     def phases(A):
-        vals = eig(A).values
+        vals = eig(A, floor).values
         cut = floor * np.abs(vals[0]) if vals.size else 0.0
         kept = vals[(np.abs(vals) >= cut) & (vals != 0)]
         return kept / np.abs(kept)

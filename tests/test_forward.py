@@ -572,6 +572,23 @@ def test_herglotz_norm_angular_order_grows_with_kR():
     assert abs(got - fine) < 1e-8 * fine
 
 
+def test_herglotz_norms_of_a_field_list_are_the_single_field_norms_bit_for_bit():
+    # a scan's solution columns share one pair of rules and one phase table
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    rng = np.random.default_rng(11)
+    fields = [TangentVectorField(quad, rng.normal(size=(quad.n_nodes, 2))
+                                 + 1j * rng.normal(size=(quad.n_nodes, 2))) for _ in range(4)]
+    for magnetic in (False, True):
+        for k, center in ((3.1, (0.0, 0.0, 0.0)), (16.0, (0.1, -0.2, 0.05))):
+            got = herglotz_ball_norm(fields, k, 1.0, center=center, magnetic=magnetic)
+            one = [herglotz_ball_norm(f, k, 1.0, center=center, magnetic=magnetic) for f in fields]
+            assert isinstance(got, np.ndarray) and isinstance(one[0], float)
+            assert got.tobytes() == np.array(one).tobytes()
+    x = rng.normal(size=(5, 3))
+    for f, v in zip(fields, herglotz_field(fields, 1.4, x, magnetic=True)):
+        assert v.tobytes() == herglotz_field(f, 1.4, x, magnetic=True).tobytes()
+
+
 def test_herglotz_single_node_exact():
     quad = build_quadrature("PRODUCT_GAUSS", 4)
     coeffs = np.zeros((quad.n_nodes, 2), dtype=complex)

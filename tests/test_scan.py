@@ -476,6 +476,17 @@ def test_tev_scan_scans_the_k_values_of_a_3_tuple():
     assert list(res.param) == [3.0, 3.1, 3.2]
 
 
+@pytest.mark.parametrize("noise_eps", [0.0, 0.01])
+def test_tev_scan_of_a_scalar_k_is_the_scan_of_its_one_point_grid(noise_eps):
+    # a 0-d k grid used to raise "iteration over a 0-d array"
+    kwargs = dict(zs=ZSampling(count=2, r_z=0.2), noise_eps=noise_eps)
+    one, grid = tev_scan(BALL4, 3.1, QUAD8, **kwargs), tev_scan(BALL4, [3.1], QUAD8, **kwargs)
+    assert one.param.shape == (1,)
+    assert one.param.tobytes() == grid.param.tobytes()
+    assert one.per_z.tobytes() == grid.per_z.tobytes()
+    assert result_to_csv(one) == result_to_csv(grid)
+
+
 def test_scan_determinism_and_thread_independence(monkeypatch):
     kwargs = dict(zs=ZS4, noise_eps=0.01, noise_seed=5)
     a = tev_scan(BALL4, grid_points(3.0, 3.3, 0.05), QUAD8, **kwargs)

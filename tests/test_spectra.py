@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -421,6 +423,89 @@ def test_phase_track_drops_zero_eigenvalues():
     assert track.phases[0].size == vals.size - 32
     assert np.isfinite(track.dip_minus[0]) and np.isfinite(track.dip_plus[0])
     assert np.all(np.abs(np.abs(track.phases[0]) - 1.0) < 1e-12)
+
+
+def _eigvals_stacks(monkeypatch):
+    """Record the stack each scipy.linalg.eigvals call receives."""
+    stacks, eigvals = [], scipy.linalg.eigvals
+    monkeypatch.setattr(scipy.linalg, "eigvals", lambda a, **kw: stacks.append(a) or eigvals(a, **kw))
+    return stacks
+
+
+def test_phase_track_solves_only_the_blocks_over_its_floor(monkeypatch):
+    # the phase_sweep benchmark window: blocks 9-12 of the 13 unique 12x24 blocks
+    # have Frobenius norms below 1e-7 of max|lambda| at every k, so floor 1e-6 skips them
+    quad = build_quadrature("PRODUCT_GAUSS", 12)
+    ks = grid_points(3.12, 3.16, 0.01)
+    stacks = _eigvals_stacks(monkeypatch)
+    track = phase_track(BALL4, ks, quad)
+    assert [a.shape for a in stacks] == [(9, 24, 24)] * len(ks)
+    stacks.clear()
+    for i, A in enumerate(ffop.operator_sweep("MAGNETIC", BALL4, ks, quad)):
+        vals = eig(A).values  # every block solved
+        kept = vals[(np.abs(vals) >= 1e-6 * np.abs(vals[0])) & (vals != 0)]
+        phases = kept / np.abs(kept)
+        assert track.phases[i].tobytes() == phases.tobytes()
+        assert track.dip_minus[i] == np.min(np.abs(phases + 1.0))
+        assert track.dip_plus[i] == np.min(np.abs(phases - 1.0))
+    assert [a.shape[0] for a in stacks] == [13] * len(ks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       grades=st.lists(st.floats(0.0, 14.0), min_size=5, max_size=5),
+       spread=st.floats(0.0, 3.0), pick=st.integers(0, 63),
+       shape=st.sampled_from(["gaussian", "normal", "tight"]))
+def test_a_floored_eig_keeps_every_eigenvalue_over_the_floor_bit_for_bit(seed, grades, spread,
+                                                                         pick, shape):
+    # the 4x8 rule's stack: 8 blocks of 8 rows, blocks 0..4 unique, block q scaled
+    # by 10^-grade, and the floor puts the cut on the eigenvalue ``pick`` of the
+    # full solve. Normal blocks of graded moduli and random phases bring ||B_q||_F
+    # and |tr B_q| / m near the block's values; "tight" blocks meet both bounds:
+    # block 0 is lambda I, and every other block has one nonzero eigenvalue
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(5, 8, 8)) + 1j * rng.normal(size=(5, 8, 8))
+    if shape != "gaussian":
+        lam = 10.0 ** -(spread * rng.random((5, 8))) * np.exp(2j * np.pi * rng.random((5, 8)))
+        if shape == "tight":
+            lam[0], lam[1:, 1:] = lam[0, 0], 0.0
+        q = np.linalg.qr(z)[0]
+        z = q @ (lam[..., None] * q.conj().transpose(0, 2, 1))
+    unique = z * 10.0 ** -np.array(grades)[:, None, None]
+    A = ffop.FarFieldBlocks(np.concatenate([unique, ffop.mirror(unique[3:0:-1])]),
+                            "MAGNETIC", 3.0, quad)
+    full = eig(A).values
+    floor = np.abs(full[pick]) / np.abs(full[0])
+    floored = eig(A, floor).values
+    cut = floor * np.abs(full[0])
+    kept = full[np.abs(full) >= cut]
+    assert floored[0] == full[0]
+    assert floored[np.abs(floored) >= cut].tobytes() == kept.tobytes()
+    assert floored.size % 8 == 0 and kept.size <= floored.size <= full.size
+
+
+def test_eig_at_floor_0_or_of_a_zero_stack_solves_every_block(monkeypatch):
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    A = assemble_blocks("MAGNETIC", BALL4, 3.1, quad)
+    zero = ffop.FarFieldBlocks(np.zeros_like(A.matrix), "MAGNETIC", 3.1, quad)
+    stacks = _eigvals_stacks(monkeypatch)
+    full = eig(A)
+    assert eig(A, 0.0).values.tobytes() == full.values.tobytes()
+    assert eig(zero, 1.0).values.tobytes() == np.zeros(A.matrix.shape[:2], complex).tobytes()
+    assert [a.shape[0] for a in stacks] == [7, 7, 7]
+    for floor in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="floor"):
+            eig(A, floor)
+
+
+def test_phase_track_of_a_scalar_k_is_the_track_of_its_one_point_grid():
+    # a 0-d k used to raise "iteration over a 0-d array"
+    quad = build_quadrature("PRODUCT_GAUSS", 6)
+    one, grid = phase_track(BALL4, 3.1, quad), phase_track(BALL4, [3.1], quad)
+    assert one.ks.shape == (1,) and one.ks.tobytes() == grid.ks.tobytes()
+    assert one.phases[0].tobytes() == grid.phases[0].tobytes()
+    assert phase_track_to_csv(one) == phase_track_to_csv(grid)
 
 
 def test_grid_points_rejections():

@@ -65,6 +65,9 @@ RUNS = {
                                    "--rect=-4.5:-0.5:-0.2:0.8:40",
     # the phase_sweep benchmark window, where the truncation degree steps from 15 to 16
     "phase_track_12x24": "phase-track --quad 12x24 --scene ball4 --grid 3.12:3.16:0.01",
+    # the command's defaults: the n = 2 ball on the 16x32 rule from k = 0.5, where every
+    # block past the truncation degree is empty and the floor skips its eigensolve
+    "phase_track_default": "phase-track",
     # zero eigenvalues have no phase: every eigenvalue of the vacuum is 0, and at k = 3.1
     # the truncation degree 15 leaves block 16 of the 16x32 rule all zero, kept at floor 0
     "phase_track_vacuum_4x8": "phase-track --quad 4x8 --scene vacuum --grid 3.1:3.15:0.05",
