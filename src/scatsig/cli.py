@@ -308,21 +308,21 @@ def _write_text(text, path):
         raise OSError(f"cannot write {path!r}: {e}") from e
 
 
-def _scene_for_operator(cfg, kind):
-    if kind in ("electric", "magnetic"):
-        return cfg.scene
-    ball = ImpedanceBall(R=cfg.B, lam=complex(cfg.lam), s_kind=cfg.s_kind)
-    if kind == "impedance":
-        return ball
-    return (cfg.scene, ball)
-
-
 def _run_ffop_eigs(cfg):
     from . import spectra  # scipy.linalg, which only this command and phase-track load
 
-    quad = _quad_of(cfg)
-    kind, scene = cfg.kind.upper(), _scene_for_operator(cfg, cfg.kind)
-    es = spectra.eig(ffop.far_field_operator(kind, scene, cfg.k, quad, cfg.noise, cfg.seed))
+    quad, kind = _quad_of(cfg), cfg.kind.upper()
+    if kind in ("ELECTRIC", "MAGNETIC"):  # these ignore --B, even a bad one
+        A = ffop.far_field_operator(kind, cfg.scene, cfg.k, quad, cfg.noise, cfg.seed)
+    else:
+        ball = ImpedanceBall(R=cfg.B, lam=complex(cfg.lam), s_kind=cfg.s_kind)
+        if kind == "IMPEDANCE":
+            A = ffop.far_field_operator(kind, ball, cfg.k, quad, cfg.noise, cfg.seed)
+        else:  # F_M of the (noisy) magnetic data: a Stekloff scan cell's operator
+            ffop._require_reference_ball(cfg.B, cfg.scene)
+            F_m = ffop.far_field_operator("MAGNETIC", cfg.scene, cfg.k, quad, cfg.noise, cfg.seed)
+            A = ffop.modified_operator(F_m, ball)
+    es = spectra.eig(A)
     if kind in ("ELECTRIC", "MAGNETIC"):  # the kinds with a circle law
         res = spectra.circle_residual(es)
     else:

@@ -19,8 +19,10 @@ block-circulant in the azimuth. One generator, ``operator_sweep``,
 sums the azimuthal DFT blocks of each k of a sweep from mode tables on
 the azimuth-0 meridian, with one coefficient solve and one table for
 the sweep; the dense matrix is their circulant expansion (docs section
-12), which it builds only for noisy data. ``assemble_blocks``,
-``assemble`` and ``far_field_operator`` are its one-point forms.
+12), which it builds only for noisy data. ``far_field_operator`` and
+``assemble`` are its one-point forms. The modified operator F_M of the
+Stekloff scan is no assembly kind: ``modified_operator`` builds it from
+the magnetic data, clean or noisy, as a measurement would give them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from . import _extension, forward
 from .forward import ImpedanceBall, MediumSpec, impedance_coefficients, mie_coefficients
 from .sphfun import mode_list, vsh_tables
 
+# MODIFIED is no assembly kind: it labels modified_operator's output and operator files
 KINDS = ("ELECTRIC", "MAGNETIC", "IMPEDANCE", "MODIFIED")
 _KIND_CODE = {name: i for i, name in enumerate(KINDS)}
 
@@ -444,12 +447,9 @@ def _mode_product(phi_a, phi_b, coef_a, coef_b, L, quad):
 def _scene_parts(kind, scene):
     """(medium, ball) of a scene after checking it fits the operator kind.
 
-    ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC, an ImpedanceBall
-    for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED,
-    whose ball must contain the scatterer.
+    ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC and an
+    ImpedanceBall for IMPEDANCE. MODIFIED is no assembly kind.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
     if kind in ("ELECTRIC", "MAGNETIC"):
         if not isinstance(scene, MediumSpec):
             raise TypeError(f"{kind} assembly needs a MediumSpec scene")
@@ -458,11 +458,10 @@ def _scene_parts(kind, scene):
         if not isinstance(scene, ImpedanceBall):
             raise TypeError("IMPEDANCE assembly needs an ImpedanceBall scene")
         return None, scene
-    medium, ball = scene
-    if not isinstance(medium, MediumSpec) or not isinstance(ball, ImpedanceBall):
-        raise TypeError("MODIFIED assembly needs a (MediumSpec, ImpedanceBall) pair")
-    _require_reference_ball(ball.R, medium)
-    return medium, ball
+    if kind == "MODIFIED":
+        raise ValueError("a MODIFIED operator is ffop.modified_operator of the MAGNETIC one, "
+                         "not an assembly kind")
+    raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def _require_reference_ball(R, medium):
@@ -470,22 +469,6 @@ def _require_reference_ball(R, medium):
     if R < medium.radius:
         raise ValueError(f"reference ball must contain the scatterer, got B = {R} "
                          f"inside the scatterer radius {medium.radius}")
-
-
-def assemble_blocks(kind, scene, k, quad):
-    """Azimuthal DFT blocks of the kind's far field operator (docs section 12).
-
-    ``scene`` is a MediumSpec for ELECTRIC and MAGNETIC, an ImpedanceBall
-    for IMPEDANCE, and a (MediumSpec, ImpedanceBall) pair for MODIFIED,
-    whose blocks are ``modified_operator`` of the magnetic ones. Every
-    other kind is one coefficient set's scaled ``_mode_product``. Modes
-    with |m| >= n_phi / 2 alias into shared blocks, the same sum the
-    dense matrix holds. Blocks past n_phi/2 are mirrors of the others,
-    exactly (``FarFieldBlocks``). A quadrature that is not its azimuth-0
-    meridian rotated about z raises ValueError. This is the clean
-    one-point ``operator_sweep``.
-    """
-    return next(operator_sweep(kind, scene, k, quad))
 
 
 def _circulant(F):
@@ -511,21 +494,22 @@ def _circulant(F):
 
 
 def assemble(kind, scene, k, quad):
-    """Dense discretized far field operator: the circulant expansion of ``assemble_blocks``.
+    """Dense discretized far field operator: the circulant expansion of the clean blocks.
 
-    Needs a rotation-symmetric product rule, as ``assemble_blocks``.
+    Needs a rotation-symmetric product rule, as ``far_field_operator``.
     """
-    return _circulant(assemble_blocks(kind, scene, k, quad))
+    return _circulant(far_field_operator(kind, scene, k, quad))
 
 
 def modified_operator(F_m, ball):
     """F_M = F_m - F_s as a kind="MODIFIED" copy of F_m: the Stekloff scan's cell operator.
 
-    The impedance operator F_s of ``ball`` is assembled at F_m's k and
-    rule in F_m's own form, blocks or dense; the difference is a new
-    array, so one F_m serves every ball.
+    F_m is the magnetic data, clean blocks or a (noisy) dense matrix;
+    the impedance operator F_s of ``ball`` is assembled at F_m's k and
+    rule in F_m's own form. The difference is a new array, so one F_m
+    serves every ball. This is the one builder of F_M.
     """
-    build = assemble_blocks if isinstance(F_m, FarFieldBlocks) else assemble
+    build = far_field_operator if isinstance(F_m, FarFieldBlocks) else assemble
     return replace(F_m, matrix=F_m.matrix - build("IMPEDANCE", ball, F_m.k, F_m.quad).matrix,
                    kind="MODIFIED")
 
@@ -590,14 +574,20 @@ def add_noise(A, eps, seed, stream=0):
 def operator_sweep(kind, scene, k_values, quad, noise_eps=0.0, seed=0):
     """The kind's operator at each k of ``k_values``, in order: a generator.
 
-    Before the first, it checks the noise level and the scene, solves for
-    all coefficient sets (the Mie ones in one ``mie_coefficients`` call)
-    and builds one mode table, at the largest degree; a k of degree L
-    reads its first L(L+2) columns, the degree-L table bit for bit. Each
-    operator is one set's scaled ``_mode_product``: blocks for clean
-    data, and for noisy data, whose noise breaks the block structure,
-    ``add_noise`` of their circulant expansion keyed by (seed, i) for
-    operator i. A scalar ``k_values`` is the one-point sweep.
+    The kind is ELECTRIC, MAGNETIC or IMPEDANCE (``_scene_parts``).
+    Before the first operator, it checks the noise level and the scene,
+    solves for all coefficient sets (the Mie ones in one
+    ``mie_coefficients`` call) and builds one mode table, at the largest
+    degree; a k of degree L reads its first L(L+2) columns, the degree-L
+    table bit for bit. Each operator is one set's scaled
+    ``_mode_product`` (docs section 12): blocks for clean data, and for
+    noisy data, whose noise breaks the block structure, ``add_noise`` of
+    their circulant expansion keyed by (seed, i) for operator i. Modes
+    with |m| >= n_phi / 2 alias into shared blocks, the same sum the
+    dense matrix holds; blocks past n_phi/2 are exact mirrors of the
+    others (``FarFieldBlocks``). A quadrature that is not its azimuth-0
+    meridian rotated about z raises ValueError. A scalar ``k_values`` is
+    the one-point sweep.
     """
     _require_noise_level(noise_eps)
     medium, ball = _scene_parts(kind, scene)
@@ -614,9 +604,7 @@ def operator_sweep(kind, scene, k_values, quad, noise_eps=0.0, seed=0):
         pair = [t[:, cols] for t in tables]
         scale = 4.0 * np.pi if kind == "ELECTRIC" else -4.0j * np.pi / k
         F = FarFieldBlocks(scale * _mode_product(*pair, coefs.alpha, coefs.beta, coefs.L, quad),
-                           "MAGNETIC" if kind == "MODIFIED" else kind, k, quad)
-        if kind == "MODIFIED":
-            F = modified_operator(F, ball)
+                           kind, k, quad)
         if noise_eps != 0:
             F = _circulant(F)  # rebound before each step, so no operator is held twice
             F = add_noise(F, noise_eps, seed, i)
@@ -625,7 +613,7 @@ def operator_sweep(kind, scene, k_values, quad, noise_eps=0.0, seed=0):
 
 
 def far_field_operator(kind, scene, k, quad, noise_eps=0.0, seed=0):
-    """The kind's operator at k: ``assemble_blocks`` for clean data, else the noisy dense matrix.
+    """The kind's operator at k: its DFT blocks for clean data, else the noisy dense matrix.
 
     The one-point ``operator_sweep``, its noise keyed by (seed, 0).
     """

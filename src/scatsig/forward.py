@@ -411,40 +411,37 @@ def dipole_far_fields(src, xhat):
     return e_inf, h_inf
 
 
-def herglotz_field(g, k, x, magnetic=False):
-    """Electric Herglotz function v_g(x) = -ik sum_j w_j g_j exp(-ik x.d_j).
+def herglotz_field(fields, k, x, magnetic=False):
+    """Electric Herglotz functions v_g(x) = -ik sum_j w_j g_j exp(-ik x.d_j), one per field.
 
-    ``magnetic`` gives its partner curl v_g / (ik), with ik and d_j x g_j
-    in place of -ik and g_j. ``g`` is a tangential field on a sphere
-    quadrature (anything with .quad and .vectors()), whose rule fixes
-    the accuracy, or a list of fields on one rule: their values share one
-    phase table, each field's the one it alone gives bit for bit, and
-    come back in a list.
+    ``magnetic`` gives their partners curl v_g / (ik), with ik and
+    d_j x g_j in place of -ik and g_j. ``fields`` is a list of tangential
+    fields on one sphere quadrature (anything with .quad and
+    .vectors()), whose rule fixes the accuracy. Their values share one
+    phase table, each field's the one a list of it alone gives bit for
+    bit, and come back in a list.
     """
-    single = hasattr(g, "vectors")
-    fields = [g] if single else g
     x = np.asarray(x, dtype=float)
     nodes = fields[0].quad.nodes
     w = fields[0].quad.weights
     phase = np.exp(-1j * k * (x @ nodes.T))  # (..., N)
     prefactor = 1j * k if magnetic else -1j * k
-    out = [prefactor * np.einsum("...j,j,jc->...c", phase, w,
-                                 np.cross(nodes, f.vectors()) if magnetic else f.vectors())
-           for f in fields]
-    return out[0] if single else out
+    return [prefactor * np.einsum("...j,j,jc->...c", phase, w,
+                                  np.cross(nodes, f.vectors()) if magnetic else f.vectors())
+            for f in fields]
 
 
-def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_radial=None,
+def herglotz_ball_norm(fields, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_radial=None,
                        n_theta=None):
-    """L2 norm of the (electric or magnetic) Herglotz field over a ball.
+    """L2 norms of the (electric or magnetic) Herglotz fields of a field list over a ball.
 
     Product quadrature: Gauss-Legendre in radius, and the PRODUCT_GAUSS
     sphere rule of ``ffop.build_quadrature`` of order n_theta (Gauss-Legendre
     in cos(theta) times uniform azimuth) on the angular factor. Both
     orders grow with k R by default, the angular one from 12 for k R <= 4.
-    A list of fields on one rule (a scan's solution columns at one k)
-    gives an array of their norms, from one pair of rules and one phase
-    table, each norm the one its field alone gives bit for bit.
+    The fields share one rule (a scan's solution columns at one k); their
+    norms come back as an array, from one pair of rules and one phase
+    table, each norm the one a list of its field alone gives bit for bit.
     """
     from .ffop import build_quadrature  # ffop imports this module at load time
 
@@ -459,9 +456,6 @@ def herglotz_ball_norm(g, k, R_ball, center=(0.0, 0.0, 0.0), magnetic=False, n_r
     sphere = build_quadrature("PRODUCT_GAUSS", n_theta)
     dirs, wang = sphere.nodes, sphere.weights
     pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
-    single = hasattr(g, "vectors")
-    norms = []
-    for field in herglotz_field([g] if single else g, k, pts, magnetic=magnetic):
-        dens = np.sum(np.abs(field) ** 2, axis=-1)
-        norms.append(float(np.sqrt(np.einsum("i,j,ij->", wr * r**2, wang, dens))))
-    return norms[0] if single else np.array(norms)
+    values = herglotz_field(fields, k, pts, magnetic=magnetic)
+    return np.sqrt([np.einsum("i,j,ij->", wr * r**2, wang, np.sum(np.abs(v) ** 2, axis=-1))
+                    for v in values])

@@ -127,9 +127,12 @@ def tev_min_singular(medium, l, family, k):
     pair of ``_family_pair``, of the free-space and interior solutions
     at r = a; a transmission eigenvalue makes the columns parallel, so
     this is an independent root check for tev_determinant (which is
-    proportional to the matrix determinant). A column whose norm
-    underflows to 0 (or overflows) raises FloatingPointError naming l,
-    family and k, where the normalization would give NaN.
+    proportional to the matrix determinant). Each column is first scaled
+    by the power of two that brings its largest entry into [1/2, 1), which
+    is exact, so the squares of the norm neither underflow nor overflow
+    at high degree. An all-zero or non-finite column raises
+    FloatingPointError naming l, family and k, where the normalization
+    would give NaN.
     """
     a, n = _single_layer(medium)
     root_n = np.sqrt(complex(n))
@@ -140,11 +143,12 @@ def tev_min_singular(medium, l, family, k):
     f_x, g_x = _family_pair(family, psi_x[l, 0], dpsi_x[l, 0])
     f_y, g_y = _family_pair(family, psi_y[l, 0], dpsi_y[l, 0])
     cols = np.array([[f_x / k, f_y / (k * root_n)], [g_x, g_y]])
+    cols = cols * np.exp2(-np.frexp(np.abs(cols).max(axis=0))[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         cols = cols / np.linalg.norm(cols, axis=0)[None, :]
     if not np.isfinite(cols).all():
         raise FloatingPointError(f"the {family} matching matrix of l = {l} at k = {k} "
-                                 "has a column whose norm underflows or overflows")
+                                 "has a column that is zero or not finite")
     return float(np.linalg.svd(cols, compute_uv=False)[-1])
 
 

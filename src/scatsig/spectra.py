@@ -103,7 +103,7 @@ def eig(A, floor=0.0):
     if blocks:
         if not np.array_equal(mat[A.n_unique:], ffop.mirror(mat[A.n_unique - 2:0:-1])):
             raise ValueError("FarFieldBlocks are not mirror-symmetric: block n_phi - q must be "
-                             "ffop.mirror of block q, as assemble_blocks makes them")
+                             "ffop.mirror of block q, as ffop.far_field_operator makes them")
         solve = _blocks_over_floor(mat[:A.n_unique], floor)
         vals = scipy.linalg.eigvals(mat[:A.n_unique][solve], check_finite=False)
         n = len(mat)

@@ -4,14 +4,30 @@
 mode tables on every quadrature node and no use of the rotation
 symmetry, and ``azimuthal_blocks`` splits a dense matrix, after checking
 its block-circulant structure. Together they let the tests compare the
-package's block kernel (``ffop.assemble_blocks``) and its circulant
+package's block kernel (``ffop.far_field_operator``) and its circulant
 expansion (``ffop.assemble``) against code that shares neither.
+``package_operator`` is the package's clean operator of every kind.
 """
 
 import numpy as np
 
+from scatsig import ffop
 from scatsig.forward import impedance_coefficients, mie_coefficients
 from scatsig.sphfun import mode_list, vsh_tables
+
+
+def package_operator(kind, scene, k, quad, dense=False):
+    """The package's clean operator of the kind: its blocks, or with ``dense`` its matrix.
+
+    MODIFIED takes a (MediumSpec, ImpedanceBall) pair and is
+    ``ffop.modified_operator`` of the pair's magnetic operator, the one
+    way the package builds it; every other kind is assembled directly.
+    """
+    build = ffop.assemble if dense else ffop.far_field_operator
+    if kind == "MODIFIED":
+        medium, ball = scene
+        return ffop.modified_operator(build("MAGNETIC", medium, k, quad), ball)
+    return build(kind, scene, k, quad)
 
 
 def full_node_modal_sum(kind, scene, k, quad):
@@ -55,7 +71,7 @@ def azimuthal_blocks(A):
     j = i_theta*n_phi + a) with frames that rotate with the node, so the
     matrix of any ball scene couples azimuths a and b only through
     b - a. Block m is sum_d C_d exp(-2 pi i d m / n_phi) (docs section
-    12), which is ``assemble_blocks`` block -m mod n_phi. A matrix that
+    12), which is ``ffop.far_field_operator`` block -m mod n_phi. A matrix that
     deviates from that structure by more than 1e-12 max|A| raises
     RuntimeError; a rule that is not a product rule, or a matrix whose
     shape does not fit the rule, raises ValueError.

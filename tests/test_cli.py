@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scatsig import ConvergenceError, MediumSpec, cli, ffop, oracles, scan
+from scatsig import ConvergenceError, ImpedanceBall, MediumSpec, cli, ffop, oracles, scan
 from scatsig.cli import ConfigError, export_csv, parse_config
-from scatsig.ffop import assemble_blocks, build_quadrature
+from scatsig.ffop import build_quadrature, far_field_operator
 from scatsig.spectra import eig
 
 BALL4_SCENE = {"layers": [{"r": 1.0, "n_re": 4.0, "n_im": 0.0}]}
@@ -376,8 +376,8 @@ def test_ffop_eigs_artifact_rows(tmp_path):
     lines = (tmp_path / "ffop_eigs.csv").read_text().splitlines()
     assert lines[1] == "re,im,abs,circle_residual"
     # a clean ffop-eigs diagonalizes the azimuthal blocks
-    es = eig(assemble_blocks("ELECTRIC", MediumSpec.ball(1.0, 2.0), 1.0,
-                             build_quadrature("PRODUCT_GAUSS", 5)))
+    es = eig(far_field_operator("ELECTRIC", MediumSpec.ball(1.0, 2.0), 1.0,
+                                build_quadrature("PRODUCT_GAUSS", 5)))
     assert len(lines) == 2 + es.values.size
     first = [float(tok) for tok in lines[2].split(",")]
     assert_allclose(first[0] + 1j * first[1], es.values[0], rtol=1e-15)
@@ -386,6 +386,23 @@ def test_ffop_eigs_artifact_rows(tmp_path):
     assert rc == 0
     lines = (tmp_path / "ffop_eigs.csv").read_text().splitlines()
     assert lines[2].split(",")[3] == "nan"
+
+
+def test_noisy_modified_ffop_eigs_is_the_stekloff_cell_operator(tmp_path):
+    # F_M = F - F_s with the noise on the magnetic data F, as stekloff-scan forms
+    # a cell; noise drawn on F - F_s is no measurement's
+    argv = ["ffop-eigs", "--quad", "5x10", "--kind", "modified", "--noise", "0.01", "--seed", "4",
+            "--B", "1.2", "--lam", "-1.5", "--s-kind", "IDENTITY", "--k", "1.3"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "ffop_eigs.csv").read_text().splitlines()[2:]
+    rows = np.array([[float(tok) for tok in line.split(",")] for line in lines])
+    F_m = far_field_operator("MAGNETIC", MediumSpec.ball(1.0, 2.0), 1.3,
+                             build_quadrature("PRODUCT_GAUSS", 5), 0.01, 4)
+    ball = ImpedanceBall(R=1.2, lam=-1.5 + 0j, s_kind="IDENTITY")
+    es = eig(ffop.modified_operator(F_m, ball))
+    assert rows[:, 0].tobytes() == es.values.real.tobytes()
+    assert rows[:, 1].tobytes() == es.values.imag.tobytes()
+    assert np.isnan(rows[:, 3]).all()
 
 
 def test_ffop_eigs_surfaces_a_circle_residual_error(tmp_path, monkeypatch, capsys):
@@ -654,12 +671,12 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, key):
 ])
 def test_config_file_choices_are_the_flag_choices(tmp_path, capsys, monkeypatch, argv, doc):
     # argparse checks the choices of --kind and --s-kind alone: a file's "Electric"
-    # fell through to the MODIFIED scene pair and a TypeError traceback, and a
+    # fell through to the modified operator's branch and a TypeError traceback, and a
     # file's "identity" reached stekloff-scan, which assembled F_m before the first cell
     def no_assembly(*args):
         raise AssertionError("assembled before checking the config file")
 
-    monkeypatch.setattr(ffop, "assemble_blocks", no_assembly)
+    monkeypatch.setattr(ffop, "far_field_operator", no_assembly)
     monkeypatch.setattr(ffop, "_mode_product", no_assembly)
     (key, val), = doc.items()
     out = tmp_path / "out"

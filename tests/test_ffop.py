@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +28,9 @@ from scatsig.ffop import (
     TangentVectorField,
     add_noise,
     assemble,
-    assemble_blocks,
     build_quadrature,
     csv_text,
+    far_field_operator,
     gram_lower,
     gram_norm,
     load_ffop,
@@ -46,7 +45,7 @@ from scatsig.forward import (
 )
 from scatsig.sphfun import mode_list, vsh_tables
 
-from block_oracle import azimuthal_blocks, full_node_modal_sum, gather_expansion
+from block_oracle import azimuthal_blocks, full_node_modal_sum, gather_expansion, package_operator
 from field_oracle import (
     apply,
     electric_far_field,
@@ -161,7 +160,7 @@ def test_assembly_matches_pointwise_kernel(kind):
         "IMPEDANCE": IMP,
         "MODIFIED": (BALL2, IMP),
     }[kind]
-    A = assemble(kind, scene, k, quad)
+    A = package_operator(kind, scene, k, quad, dense=True)
     if kind == "ELECTRIC":
         kfn = lambda d, p, xh: electric_far_field(BALL2, k, d, p, xh)
     elif kind == "MAGNETIC":
@@ -216,22 +215,40 @@ def test_electric_eigenvalues_are_modal():
 
 
 def test_modified_is_difference():
+    # F_M of the dense magnetic matrix is its difference with the impedance matrix,
+    # and the expansion of F_M's blocks to roundoff
     quad = build_quadrature("PRODUCT_GAUSS", 5)
     k = 1.5
     am = assemble("MAGNETIC", BALL2, k, quad)
     ai = assemble("IMPEDANCE", IMP, k, quad)
-    amod = assemble("MODIFIED", (BALL2, IMP), k, quad)
-    assert_allclose(amod.matrix, am.matrix - ai.matrix, rtol=0, atol=1e-14)
+    amod = ffop.modified_operator(am, IMP)
+    assert amod.kind == "MODIFIED" and amod.matrix.tobytes() == (am.matrix - ai.matrix).tobytes()
+    blocks = ffop.modified_operator(far_field_operator("MAGNETIC", BALL2, k, quad), IMP)
+    assert_allclose(ffop._circulant(blocks).matrix, amod.matrix, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("call", ["operator_sweep", "far_field_operator", "assemble"])
+def test_modified_is_no_assembly_kind(call):
+    # F_M has one builder, modified_operator of the magnetic data, so a noisy
+    # F_M carries the noise of a measurement, never noise drawn on F - F_s
+    quad = build_quadrature("PRODUCT_GAUSS", 4)
+    build = {"operator_sweep": lambda *a: next(ffop.operator_sweep(*a)),
+             "far_field_operator": far_field_operator, "assemble": assemble}[call]
+    with pytest.raises(ValueError, match="ffop.modified_operator of the MAGNETIC one"):
+        build("MODIFIED", (BALL2, IMP), 1.5, quad)
+    assert "MODIFIED" in KINDS  # the kind of modified_operator's output and of the file format
 
 
 @pytest.mark.parametrize("rule,order", [("PRODUCT_GAUSS", 6)])
 def test_far_field_operator_equals_the_assembly_idioms_byte_for_byte(rule, order):
-    # clean data are the blocks of assemble_blocks, noisy data add_noise of the dense assemble
+    # clean data are the blocks whose circulant expansion is the dense assemble,
+    # noisy data add_noise of that dense matrix
     quad = build_quadrature(rule, order)
-    for kind, scene in (("MAGNETIC", BALL2), ("MODIFIED", (BALL2, IMP))):
+    for kind, scene in (("MAGNETIC", BALL2), ("IMPEDANCE", IMP)):
         clean = ffop.far_field_operator(kind, scene, 1.5, quad)
         assert isinstance(clean, FarFieldBlocks) and clean.kind == kind
-        assert clean.matrix.tobytes() == assemble_blocks(kind, scene, 1.5, quad).matrix.tobytes()
+        dense = ffop._circulant(clean).matrix
+        assert dense.tobytes() == assemble(kind, scene, 1.5, quad).matrix.tobytes()
         # operator i of a noisy sweep is keyed (seed, i): the fourth of four at one k is stream 3
         sweep = list(ffop.operator_sweep(kind, scene, [1.5] * 4, quad, 0.01, 5))
         for stream, noisy in ((0, ffop.far_field_operator(kind, scene, 1.5, quad, 0.01, 5)),
@@ -247,8 +264,7 @@ def test_an_operator_sweep_is_its_one_point_operators_byte_for_byte():
     quad = build_quadrature("PRODUCT_GAUSS", 6)
     ks = np.array([14.15, 14.2, 14.3])
     imp = ImpedanceBall(R=1.0, lam=2.0, s_kind="IDENTITY")
-    for kind, scene in (("ELECTRIC", BALL4), ("MAGNETIC", BALL4), ("IMPEDANCE", imp),
-                        ("MODIFIED", (BALL4, imp))):
+    for kind, scene in (("ELECTRIC", BALL4), ("MAGNETIC", BALL4), ("IMPEDANCE", imp)):
         for eps in (0.0, 0.01):
             sweep = list(ffop.operator_sweep(kind, scene, ks, quad, eps, 5))
             assert len(sweep) == ks.size
@@ -264,9 +280,9 @@ def test_an_operator_sweep_is_its_one_point_operators_byte_for_byte():
 def test_modified_operator_subtracts_the_impedance_operator_in_the_form_of_its_input(s_kind):
     quad = build_quadrature("PRODUCT_GAUSS", 6)
     ball = ImpedanceBall(R=1.2, lam=-1.5 + 0.3j, s_kind=s_kind)
-    magnetic = assemble_blocks("MAGNETIC", BALL2, 1.5, quad)
+    magnetic = far_field_operator("MAGNETIC", BALL2, 1.5, quad)
     out = ffop.modified_operator(magnetic, ball)
-    ref = magnetic.matrix - assemble_blocks("IMPEDANCE", ball, 1.5, quad).matrix
+    ref = magnetic.matrix - far_field_operator("IMPEDANCE", ball, 1.5, quad).matrix
     assert isinstance(out, FarFieldBlocks) and (out.kind, out.k) == ("MODIFIED", 1.5)
     assert out.matrix.tobytes() == ref.tobytes()
     # a noisy dense F_m keeps its noise level and seed, and its own matrix
@@ -285,14 +301,12 @@ def test_assemble_scene_type_errors():
         assemble("ELECTRIC", IMP, 1.0, quad)
     with pytest.raises(TypeError):
         assemble("IMPEDANCE", BALL2, 1.0, quad)
-    with pytest.raises(TypeError):
-        assemble("MODIFIED", (IMP, BALL2), 1.0, quad)
     with pytest.raises(ValueError):
         assemble("ACOUSTIC", BALL2, 1.0, quad)
 
 
 def test_dense_only_calls_reject_block_operators(tmp_path):
-    B = assemble_blocks("MAGNETIC", BALL2, 1.5, build_quadrature("PRODUCT_GAUSS", 4))
+    B = far_field_operator("MAGNETIC", BALL2, 1.5, build_quadrature("PRODUCT_GAUSS", 4))
     path = tmp_path / "op.ffop"
     for call in (lambda: add_noise(B, 0.01, 1), lambda: save_ffop(B, path)):
         with pytest.raises(TypeError, match="dense FarFieldMatrix, made with ffop.assemble"):
@@ -388,9 +402,9 @@ def test_azimuthal_blocks_guard(tmp_path):
     with pytest.raises(ValueError, match="does not fit"):
         azimuthal_blocks(FarFieldMatrix(A.matrix[:-2, :-2], A.kind, A.k, quad))
     with pytest.raises(ValueError, match="product rule"):
-        assemble_blocks("MAGNETIC", BALL2, 1.5, load_ffop(path).quad)
+        far_field_operator("MAGNETIC", BALL2, 1.5, load_ffop(path).quad)
     with pytest.raises(TypeError, match="MediumSpec"):
-        assemble_blocks("MAGNETIC", IMP, 1.5, quad)
+        far_field_operator("MAGNETIC", IMP, 1.5, quad)
 
 
 LOSSY = MediumSpec.ball(1.0, 2.0 + 0.5j)
@@ -409,7 +423,7 @@ def test_assemble_matches_full_node_modal_sum(rule, order, kind, scene):
     # sums the modes over every node without the rotation symmetry
     quad = build_quadrature(rule, order)
     ref = full_node_modal_sum(kind, scene, 2.5, quad)
-    A = assemble(kind, scene, 2.5, quad)
+    A = package_operator(kind, scene, 2.5, quad, dense=True)
     assert A.matrix.shape == ref.shape
     assert np.max(np.abs(A.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -421,7 +435,7 @@ def test_assemble_blocks_match_split_dense_matrix(rule, order, kind, scene):
     # several m alias into one block; block q is the dense split's block -q
     quad = build_quadrature(rule, order)
     A = FarFieldMatrix(full_node_modal_sum(kind, scene, 2.5, quad), kind, 2.5, quad)
-    B = assemble_blocks(kind, scene, 2.5, quad)
+    B = package_operator(kind, scene, 2.5, quad)
     n_phi = 2 * order
     assert B.matrix.shape == (n_phi, 2 * order, 2 * order)
     ref = azimuthal_blocks(A)[-np.arange(n_phi) % n_phi]
@@ -436,8 +450,8 @@ def test_assemble_blocks_match_split_dense_matrix(rule, order, kind, scene):
 @ORACLE_KINDS
 def test_strided_expansion_equals_the_index_gather_byte_for_byte(rule, order, kind, scene):
     quad = build_quadrature(rule, order)
-    ref = gather_expansion(assemble_blocks(kind, scene, 2.5, quad).matrix, quad)
-    assert assemble(kind, scene, 2.5, quad).matrix.tobytes() == ref.tobytes()
+    B = package_operator(kind, scene, 2.5, quad)
+    assert ffop._circulant(B).matrix.tobytes() == gather_expansion(B.matrix, quad).tobytes()
 
 
 def test_dense_assemble_peaks_below_1_2_dense_arrays():
@@ -478,7 +492,7 @@ def test_assembled_blocks_are_exact_mirrors(order, k, aliases, kind, scene):
     n_phi = 2 * order
     for coefs in (mie_coefficients(LOSSY, k), impedance_coefficients(IMP, k)):
         assert (coefs.L >= n_phi // 2) == aliases
-    B = assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", order))
+    B = package_operator(kind, scene, k, build_quadrature("PRODUCT_GAUSS", order))
     assert B.n_unique == n_phi // 2 + 1
     S = np.tile([1.0, -1.0], order)
     for q in range(1, n_phi // 2):
@@ -495,7 +509,7 @@ def test_assembly_rejects_a_frame_that_breaks_the_rotation_layout(tmp_path):
     e2 = -np.sin(gamma) * quad.e1 + np.cos(gamma) * quad.e2
     bent = SphereQuadrature(kind=quad.kind, order=quad.order, nodes=quad.nodes,
                             weights=quad.weights, e1=e1, e2=e2, t=quad.t)
-    for build in (assemble, assemble_blocks):
+    for build in (assemble, far_field_operator):
         with pytest.raises(ValueError, match="PRODUCT_GAUSS quadrature of order 6 is not its "
                                              "azimuth-0 meridian rotated"):
             build("MAGNETIC", BALL2, 1.5, bent)
@@ -542,10 +556,10 @@ def test_gram_norm_reads_only_the_lower_triangle(order):
 
 def test_block_gram_norm_matches_dense_svdvals():
     quad = build_quadrature("PRODUCT_GAUSS", 8)
-    A = assemble("MODIFIED", (LOSSY, IMP), 1.5, quad)
+    A = package_operator("MODIFIED", (LOSSY, IMP), 1.5, quad, dense=True)
     sq = np.sqrt(A.weight_vector())
     ref = scipy.linalg.svdvals((sq[:, None] * A.matrix) / sq[None, :])[0]
-    B = assemble_blocks("MODIFIED", (LOSSY, IMP), 1.5, quad)
+    B = package_operator("MODIFIED", (LOSSY, IMP), 1.5, quad)
     w = B.weight_vector()
     gram = B.matrix.conj().transpose(0, 2, 1) @ (w[:, None] * B.matrix)
     assert abs(gram_norm(gram, w) - ref) <= 1e-12 * ref
@@ -612,12 +626,11 @@ def test_clean_block_norm_runs_eigvalsh_on_the_candidate_blocks_only(monkeypatch
     if scene == "stekloff_cell":
         # one cell of the benchmark's Stekloff rectangle, formed as stekloff_scan does
         quad = build_quadrature("PRODUCT_GAUSS", 10)
-        F_m = assemble_blocks("MAGNETIC", MediumSpec(layers=((1.0, 2.0 + 2.0j),)), 1.0, quad)
-        F_s = assemble_blocks("IMPEDANCE", ImpedanceBall(R=1.0, lam=-1.6 + 0.45j), 1.0, quad)
-        A = replace(F_m, matrix=F_m.matrix - F_s.matrix, kind="MODIFIED")
+        F_m = far_field_operator("MAGNETIC", MediumSpec(layers=((1.0, 2.0 + 2.0j),)), 1.0, quad)
+        A = ffop.modified_operator(F_m, ImpedanceBall(R=1.0, lam=-1.6 + 0.45j))
     else:
         quad = build_quadrature("PRODUCT_GAUSS", 12)
-        A = assemble_blocks("MAGNETIC", MediumSpec.ball(1.0, 4.0), 3.1, quad)
+        A = far_field_operator("MAGNETIC", MediumSpec.ball(1.0, 4.0), 3.1, quad)
     w = A.weight_vector()
     gram = A.matrix.conj().transpose(0, 2, 1) @ (w[:, None] * A.matrix)
     ref = _full_stack_norm(gram, w)
@@ -644,7 +657,7 @@ def test_clean_dense_operator_norm_matches_svdvals(rule, order, kind, scene):
     quad = build_quadrature(rule, order)
     assert 2 * quad.n_nodes > _EIGVALSH_MAX_ROWS
     for k in (1.4, 3.1, 5.0):
-        A = assemble(kind, scene, k, quad)
+        A = package_operator(kind, scene, k, quad, dense=True)
         sq = np.sqrt(A.weight_vector())
         ref = scipy.linalg.svdvals((sq[:, None] * A.matrix) / sq[None, :])[0]
         assert abs(A.operator_norm() - ref) <= 1e-12 * ref, k
@@ -762,8 +775,7 @@ def test_lanczos_restart_vectors_are_fixed_draws(monkeypatch):
     # run asks for a fresh start vector, which eigsh draws unseeded
     quad = build_quadrature("PRODUCT_GAUSS", 10)
     F_m = assemble("MAGNETIC", MediumSpec.ball(1.0, 2.0 + 2.0j), 1.0, quad)
-    F_s = assemble("IMPEDANCE", ImpedanceBall(R=1.0, lam=-1.98 - 0.02j), 1.0, quad)
-    A = FarFieldMatrix(F_m.matrix - F_s.matrix, "MODIFIED", 1.0, quad)
+    A = ffop.modified_operator(F_m, ImpedanceBall(R=1.0, lam=-1.98 - 0.02j))
     gram, w = _dense_gram(A)
     recording = _RecordingArpack()
     monkeypatch.setitem(sys.modules, _extension.ARPACK, recording)
@@ -819,7 +831,7 @@ def test_operator_norm_matches_svd():
 
 def test_save_load_round_trip(tmp_path):
     quad = build_quadrature("PRODUCT_GAUSS", 5)
-    A = add_noise(assemble("MODIFIED", (BALL2, IMP), 1.5, quad), 0.01, seed=42)
+    A = ffop.modified_operator(add_noise(assemble("MAGNETIC", BALL2, 1.5, quad), 0.01, seed=42), IMP)
     path = tmp_path / "op.ffop"
     save_ffop(A, path)
     B = load_ffop(path)

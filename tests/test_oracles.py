@@ -147,10 +147,20 @@ def test_min_singular_small_at_root_large_away():
     assert tev_min_singular(BALL4, 1, "TE", 2.0) > 0.05
 
 
-def test_min_singular_of_an_underflowing_column_raises_naming_the_mode():
-    # psi_46(0.01)^2 underflows inside the column norm, which then divided 0 by 0
+def test_min_singular_of_an_underflowing_column_raises_naming_the_mode(monkeypatch):
+    # Riccati values that underflow all the way to 0 leave a zero column, which
+    # no scaling can normalize; psi_46(0.01) itself is small, not 0, and scales
+    real = oracles.riccati_all
+    assert tev_min_singular(BALL2, 46, "TE", 0.01) > 0
+    monkeypatch.setattr(oracles, "riccati_all", lambda l, x: tuple(0.0 * t for t in real(l, x)))
     with pytest.raises(FloatingPointError, match="TE matching matrix of l = 46 at k = 0.01 "):
         tev_min_singular(BALL2, 46, "TE", 0.01)
+
+
+def test_min_singular_normalizes_columns_whose_squares_underflow():
+    # a TM root of the n = 100 ball at l = 191: the column entries are about
+    # 1e-168, whose squares underflowed inside an unscaled norm
+    assert tev_min_singular(MediumSpec.ball(1.0, 100.0), 191, "TM", 20.238636538434825) < 1e-9
 
 
 def test_an_exact_grid_zero_is_a_root_only_where_it_cancels():

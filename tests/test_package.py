@@ -102,6 +102,26 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch):
     assert commands == 6
 
 
+DOC_MODULES = ("ffop", "scan", "spectra", "forward", "oracles", "sphfun", "cli", "_extension")
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/derivations.md"])
+def test_module_attributes_named_in_the_docs_exist(doc):
+    # a backticked `module.name` names an attribute of that scatsig module, so a
+    # function that is deleted or renamed leaves no stale name in the docs
+    pattern = rf"`({'|'.join(DOC_MODULES)})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)"
+    names = re.findall(pattern, (ROOT / doc).read_text())
+    assert names
+    stale = []
+    for module, path in names:
+        obj = importlib.import_module(f"scatsig.{module}")
+        for part in path.split("."):
+            obj = getattr(obj, part, stale)
+        if obj is stale:
+            stale.append(f"{module}.{path}")
+    assert stale == []
+
+
 def test_readme_flag_exceptions_equal_the_field_flags():
     text = " ".join((ROOT / "README.md").read_text().split())
     names, flags = re.search(r"A key's flag is `--` and its name, except for (.*?), "

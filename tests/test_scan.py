@@ -200,8 +200,8 @@ def test_dense_solver_matches_direct_solve_on_noisy_operators(order):
 
 def test_block_solver_matches_dense_solver():
     quad = build_quadrature("PRODUCT_GAUSS", 6)
-    A = ffop.assemble("MODIFIED", (BALL2, IMP), 1.5, quad)
-    B = ffop.assemble_blocks("MODIFIED", (BALL2, IMP), 1.5, quad)
+    A = ffop.modified_operator(ffop.assemble("MAGNETIC", BALL2, 1.5, quad), IMP)
+    B = ffop.modified_operator(ffop.far_field_operator("MAGNETIC", BALL2, 1.5, quad), IMP)
     gen = np.random.Generator(np.random.Philox(key=13))
     rhs = gen.standard_normal((A.matrix.shape[0], 3)) + 1j * gen.standard_normal((A.matrix.shape[0], 3))
     dense = scan._NormalSolver(A, 1e-2).solve(rhs)
@@ -212,7 +212,7 @@ def test_block_solver_matches_dense_solver():
 
 def test_block_solve_raises_when_refinement_is_exhausted_on_blocks(monkeypatch):
     quad = build_quadrature("PRODUCT_GAUSS", 4)
-    solver = scan._NormalSolver(ffop.assemble_blocks("MAGNETIC", BALL2, 1.5, quad), 1e-3)
+    solver = scan._NormalSolver(ffop.far_field_operator("MAGNETIC", BALL2, 1.5, quad), 1e-3)
     b = _random_field(quad, seed=12).coeffs.reshape(-1)
     monkeypatch.setattr(scan, "_NORMAL_EQ_TOL", 0.0)
     with pytest.raises(RuntimeError, match="residual tolerance"):
@@ -268,7 +268,7 @@ def test_block_factor_names_the_indefinite_block():
 
 def test_non_finite_gram_is_a_numeric_failure_naming_its_block():
     quad = build_quadrature("PRODUCT_GAUSS", 4)
-    B = ffop.assemble_blocks("MAGNETIC", BALL2, 1.5, quad)
+    B = ffop.far_field_operator("MAGNETIC", BALL2, 1.5, quad)
     B.matrix[3, 2, 1] = np.nan
     with pytest.raises(FloatingPointError, match="Gram in block 3 "):
         scan._NormalSolver(B, "auto")
@@ -283,7 +283,7 @@ def test_non_finite_gram_is_a_numeric_failure_naming_its_block():
 @pytest.mark.parametrize("blocks", [False, True])
 def test_non_finite_right_hand_side_is_a_numeric_failure(blocks):
     quad = build_quadrature("PRODUCT_GAUSS", 4)
-    build = ffop.assemble_blocks if blocks else ffop.assemble
+    build = ffop.far_field_operator if blocks else ffop.assemble
     solver = scan._NormalSolver(build("MAGNETIC", BALL2, 1.5, quad), 1e-3)
     b = np.stack([_random_field(quad, seed=12).coeffs.reshape(-1)] * 2, axis=1)
     b[5, 1] = np.nan
@@ -547,7 +547,6 @@ def test_scans_reject_a_bad_noise_level_before_any_assembly(monkeypatch, eps):
         raise AssertionError("assembled before checking the noise level")
 
     monkeypatch.setattr(ffop, "assemble", no_assembly)
-    monkeypatch.setattr(ffop, "assemble_blocks", no_assembly)
     monkeypatch.setattr(ffop, "mie_coefficients", no_assembly)
     monkeypatch.setattr(ffop, "_mode_product", no_assembly)
     with pytest.raises(ValueError, match="noise level eps must be finite and >= 0"):
@@ -613,8 +612,8 @@ def _dense_norms(A, rhs, herglotz_radius=None):
     g = scan._NormalSolver(A, "auto").solve(rhs)
     if herglotz_radius is None:
         return np.sqrt(A.weight_vector() @ np.abs(g) ** 2)
-    return np.array([forward.herglotz_ball_norm(TangentVectorField.from_flat(A.quad, col), A.k,
-                                                herglotz_radius, magnetic=True) for col in g.T])
+    return np.array([forward.herglotz_ball_norm([TangentVectorField.from_flat(A.quad, col)], A.k,
+                                                herglotz_radius, magnetic=True)[0] for col in g.T])
 
 
 def _assert_matches_dense(res, per_z):

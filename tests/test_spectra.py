@@ -17,8 +17,8 @@ from scatsig.ffop import (
     TangentVectorField,
     add_noise,
     assemble,
-    assemble_blocks,
     build_quadrature,
+    far_field_operator,
     grid_points,
 )
 from scatsig.forward import ImpedanceBall, MediumSpec, mie_coefficients
@@ -32,6 +32,7 @@ from scatsig.spectra import (
     worker_count,
 )
 
+from block_oracle import package_operator
 from field_oracle import energy_identity_residual, lidski_positivity
 
 
@@ -288,8 +289,8 @@ def _assert_same_multiset(a, b, tol):
 def test_block_eig_matches_dense_eig(rule, order, kind, scene):
     # 6x12 aliases: the truncation degree L = 14 exceeds the rule's exactness t = 11
     quad = build_quadrature(rule, order)
-    A = assemble(kind, scene, 2.5, quad)
-    es = eig(assemble_blocks(kind, scene, 2.5, quad))
+    A = package_operator(kind, scene, 2.5, quad, dense=True)
+    es = eig(package_operator(kind, scene, 2.5, quad))
     dense = eig(A)
     assert es.kind == kind and es.k == 2.5 and es.values.size == dense.values.size == A.matrix.shape[0]
     _assert_same_multiset(es.values, dense.values, 1e-12 * np.abs(A.matrix).max())
@@ -306,7 +307,7 @@ def _by_magnitude(vals):
 def test_eig_of_the_unique_blocks_equals_eig_of_every_block(order, scene, k, kind):
     # eig solves blocks 0..n_phi/2 and copies the mirror blocks' values; zgeev
     # gives S B S the same values as B
-    B = assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", order))
+    B = far_field_operator(kind, scene, k, build_quadrature("PRODUCT_GAUSS", order))
     every = scipy.linalg.eigvals(B.matrix).ravel()
     assert eig(B).values.tobytes() == every[_by_magnitude(every)].tobytes()
 
@@ -314,7 +315,7 @@ def test_eig_of_the_unique_blocks_equals_eig_of_every_block(order, scene, k, kin
 def test_eig_rejects_blocks_that_are_not_mirrors():
     # eig reads the mirror blocks off their twins, so a hand-made stack that is
     # not mirror-symmetric would give a wrong spectrum; one changed entry raises
-    B = assemble_blocks("MAGNETIC", BALL2, 1.0, build_quadrature("PRODUCT_GAUSS", 4))
+    B = far_field_operator("MAGNETIC", BALL2, 1.0, build_quadrature("PRODUCT_GAUSS", 4))
     bent = replace(B, matrix=B.matrix.copy())
     bent.matrix[7, 0, 1] *= 1.0 + 1e-15
     with pytest.raises(ValueError, match="not mirror-symmetric"):
@@ -325,7 +326,7 @@ def test_eig_rejects_blocks_that_are_not_mirrors():
 def test_eig_of_the_default_ffop_eigs_operator_holds_no_dense_array():
     # the clean 16x32 electric operator of the CLI's default scene: eig holds the
     # values of its 17 unique blocks, not a (2N)^2 array of node-space vectors
-    B = assemble_blocks("ELECTRIC", BALL2, 1.0, build_quadrature("PRODUCT_GAUSS", 16))
+    B = far_field_operator("ELECTRIC", BALL2, 1.0, build_quadrature("PRODUCT_GAUSS", 16))
     tracemalloc.start()
     try:
         eig(B)
@@ -357,7 +358,7 @@ def test_spectrum_at_12x24_is_the_exact_modal_spectrum(scene, k, count, kind):
     scale = 4.0 * np.pi if kind == "ELECTRIC" else -4.0j * np.pi / k
     copies = np.tile(2 * np.arange(coefs.L + 1) + 1, 2)
     modal = np.repeat(scale * np.concatenate([coefs.alpha, coefs.beta]), copies)
-    vals = eig(assemble_blocks(kind, scene, k, build_quadrature("PRODUCT_GAUSS", 12))).values
+    vals = eig(far_field_operator(kind, scene, k, build_quadrature("PRODUCT_GAUSS", 12))).values
     peak = np.abs(vals).max()
     got, want = vals[np.abs(vals) > 1e-6 * peak], modal[np.abs(modal) > 1e-6 * peak]
     assert got.size == want.size == count
@@ -418,7 +419,7 @@ def test_phase_track_drops_zero_eigenvalues():
     # 16x32 rule holds 32 zero eigenvalues, which floor 0 used to keep
     quad = build_quadrature("PRODUCT_GAUSS", 16)
     track = phase_track(BALL4, [3.1], quad, floor=0.0)
-    vals = eig(assemble_blocks("MAGNETIC", BALL4, 3.1, quad)).values
+    vals = eig(far_field_operator("MAGNETIC", BALL4, 3.1, quad)).values
     assert np.count_nonzero(vals == 0) == 32
     assert track.phases[0].size == vals.size - 32
     assert np.isfinite(track.dip_minus[0]) and np.isfinite(track.dip_plus[0])
@@ -487,7 +488,7 @@ def test_a_floored_eig_keeps_every_eigenvalue_over_the_floor_bit_for_bit(seed, g
 
 def test_eig_at_floor_0_or_of_a_zero_stack_solves_every_block(monkeypatch):
     quad = build_quadrature("PRODUCT_GAUSS", 6)
-    A = assemble_blocks("MAGNETIC", BALL4, 3.1, quad)
+    A = far_field_operator("MAGNETIC", BALL4, 3.1, quad)
     zero = ffop.FarFieldBlocks(np.zeros_like(A.matrix), "MAGNETIC", 3.1, quad)
     stacks = _eigvals_stacks(monkeypatch)
     full = eig(A)

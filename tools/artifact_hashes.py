@@ -86,9 +86,11 @@ RUNS = {
     "stekloff_grid_alpha_noisy_6x12": "stekloff-scan --quad 6x12 --grid=-4.0:-1.0:0.1 "
                                       "--noise 0.01 --alpha 1e-3",
 }
-# modified subtracts the impedance coefficient set from the magnetic one in assemble_blocks
+# modified is ffop.modified_operator of the magnetic operator: the magnetic blocks minus
+# the impedance blocks, or with noise the noisy dense magnetic matrix minus the impedance one
 for kind in ("magnetic", "impedance", "modified"):
     RUNS[f"ffop_eigs_{kind}_6x12"] = f"ffop-eigs --quad 6x12 --kind {kind}"
+RUNS["ffop_eigs_modified_noisy_6x12"] = "ffop-eigs --quad 6x12 --kind modified --noise 0.01"
 for q in ("6x12", "8x16"):
     RUNS.update({
         f"ffop_eigs_{q}": f"ffop-eigs --quad {q}",
